@@ -1,12 +1,13 @@
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time the two hot kernels on workloads shaped like the package's scans.
 
-Runs the two hot loops (simplex-constrained feasibility solves and
-classical-capacity alternating maximization) on workloads shaped like the
-containment scans and capacity sweeps the package performs, and prints a
-timing table.  The numba path is what you get by default; set
-QICHAN_PURE_NUMPY=1 to force the fallback in normal use.
+Feasibility: the two SIC containment grids of acceptance criterion 9
+(alpha = 1/3, all feasible, and alpha = 0.5, mixed), each solved as one
+batch; for each batch the table shows the iterations the batch ran and how
+many problems stopped as feasible, certified infeasible, stalled or at the
+iteration cap.  Capacity: alternating maximization on random 8x8 channels,
+on the numpy path and, when numba is importable, the compiled one.
 
-Usage:  python benchmarks/bench_kernels.py [--batches N]
+Usage:  python benchmarks/bench_kernels.py [--channels N]
 """
 
 from __future__ import annotations
@@ -17,23 +18,28 @@ import time
 import numpy as np
 
 from qichan import kernels
-from qichan.catalog import shrinking_channel, sic_tetrahedron
-from qichan.channels import apply_dual
+from qichan.catalog import PAULI_X, PAULI_Y, PAULI_Z, shrinking_channel, sic_tetrahedron
 from qichan.decoherence import _coordinates
-from qichan.rand import generator, random_effect, random_stochastic
+from qichan.rand import generator, random_stochastic
+
+HS_TOL = 0.5e-7
 
 
-def _feasibility_workload(n_problems: int):
-    rng = generator(7)
-    gamma = sic_tetrahedron()
-    chan = shrinking_channel(1.0 / 3.0)
-    g = _coordinates(gamma.effects).T
-    targets = np.empty((n_problems, 2, 4))
-    for s in range(n_problems):
-        eff = apply_dual(chan, random_effect(rng, 2))
-        targets[s, 0] = _coordinates([eff])[0]
-        targets[s, 1] = _coordinates([np.eye(2, dtype=complex) - eff])[0]
-    return g, targets
+def _containment_grid(alpha: float) -> np.ndarray:
+    """Targets {E, 1 - E} for the criterion-9 grid of output effects."""
+    eye = np.eye(2, dtype=complex)
+    k = np.array(shrinking_channel(alpha).elements)
+    targets = []
+    for theta in np.linspace(0, np.pi, 10):
+        for phi in np.linspace(0, 2 * np.pi, 10, endpoint=False):
+            n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+            n_sigma = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+            for s in np.linspace(0.0, 2.0, 13):
+                for f in np.linspace(0.0, 1.0, 8):
+                    b = (s * eye + f * min(s, 2 - s) * n_sigma) / 2
+                    eff = np.einsum("kji,jl,klm->im", k.conj(), b, k)
+                    targets.append(_coordinates([eff, eye - eff]))
+    return np.array(targets)
 
 
 def _ba_workload(n_channels: int):
@@ -52,48 +58,31 @@ def _time(fn, *args, repeats: int = 3) -> float:
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--batches", type=int, default=2000,
-                        help="feasibility problems per run (default 2000)")
     parser.add_argument("--channels", type=int, default=200,
                         help="capacity solves per run (default 200)")
     args = parser.parse_args()
 
-    g, targets = _feasibility_workload(args.batches)
+    g = _coordinates(sic_tetrahedron().effects).T
+    print("feasibility (numpy), one batch per criterion-9 grid")
+    print(f"{'alpha':>6s}  {'problems':>8s}  {'time':>8s}  {'iters':>6s}  "
+          f"{'feasible':>8s}  {'certified':>9s}  {'stalled':>7s}  {'capped':>6s}")
+    for alpha in (1.0 / 3.0, 0.5):
+        x = _containment_grid(alpha)
+        t_feas = _time(kernels.solve_product_simplex_lsq, g, x, 20000, HS_TOL)
+        _, iterations, stop = kernels._solve_simplex_lsq(g, x, 20000, HS_TOL)
+        counts = np.bincount(stop, minlength=4)
+        print(f"{alpha:6.3f}  {x.shape[0]:8d}  {t_feas:7.3f}s  {iterations.max():6d}  "
+              f"{counts[kernels.STOP_FEASIBLE]:8d}  {counts[kernels.STOP_CERTIFIED]:9d}  "
+              f"{counts[kernels.STOP_STALLED]:7d}  {counts[kernels.STOP_CAP]:6d}")
+
     pyx_list = _ba_workload(args.channels)
-
-    rows = []
+    print(f"\ncapacity {args.channels}x 8x8 (active backend: {kernels.BACKEND})")
+    rows = [("numpy", kernels.blahut_arimoto_numpy)]
     if kernels.NUMBA_AVAILABLE:
-        # compile before timing
-        kernels.solve_product_simplex_lsq_numba(g, targets[:2])
-        kernels.blahut_arimoto_numba(pyx_list[0])
-        t_feas_nb = _time(kernels.solve_product_simplex_lsq_numba, g, targets)
-        t_ba_nb = _time(lambda: [kernels.blahut_arimoto_numba(p) for p in pyx_list])
-        rows.append(("numba", t_feas_nb, t_ba_nb))
-    else:
-        print("numba unavailable or disabled; only the numpy path is timed")
-
-    t_feas_np = _time(kernels.solve_product_simplex_lsq_numpy, g, targets)
-    t_ba_np = _time(lambda: [kernels.blahut_arimoto_numpy(p) for p in pyx_list])
-    rows.append(("numpy", t_feas_np, t_ba_np))
-
-    p_nb, _ = (
-        kernels.solve_product_simplex_lsq_numba(g, targets)
-        if kernels.NUMBA_AVAILABLE
-        else (None, None)
-    )
-    p_np, _ = kernels.solve_product_simplex_lsq_numpy(g, targets)
-
-    print(f"\nactive backend: {kernels.BACKEND}")
-    print(f"{'backend':8s}  {'feasibility ' + str(args.batches) + 'x':>22s}  "
-          f"{'capacity ' + str(args.channels) + 'x':>18s}")
-    for name, t_feas, t_ba in rows:
-        print(f"{name:8s}  {t_feas:20.3f}s  {t_ba:16.3f}s")
-    if len(rows) == 2:
-        print(f"{'speedup':8s}  {rows[1][1] / rows[0][1]:20.1f}x  "
-              f"{rows[1][2] / rows[0][2]:16.1f}x")
-    if p_nb is not None:
-        agree = np.abs(p_nb - p_np).max()
-        print(f"\nbackend agreement (max |pi_numba - pi_numpy|): {agree:.2e}")
+        kernels.blahut_arimoto_numba(pyx_list[0])  # compile before timing
+        rows.append(("numba", kernels.blahut_arimoto_numba))
+    for name, fn in rows:
+        print(f"{name:8s}  {_time(lambda: [fn(p) for p in pyx_list]):8.3f}s")
 
 
 if __name__ == "__main__":

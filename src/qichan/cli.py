@@ -217,7 +217,11 @@ def _cmd_classical(args) -> int:
             }
             exit_code = 0
         except Infeasible as exc:
-            results = {"feasible": False, "residual": exc.residual}
+            results = {
+                "feasible": False,
+                "residual": exc.residual,
+                "certified_lower_bound": exc.lower_bound,
+            }
             exit_code = 2
     else:
         c = serialize.parse_channel_file(args.input, tol)

@@ -188,7 +188,8 @@ def coarse_grain_solve(
     Solved as a nonnegative least-squares problem over Hilbert-Schmidt
     coordinates with the unit-column-sum constraint built into the
     feasible set.  Raises :class:`Infeasible` carrying the best operator
-    norm residual achieved when no such map exists within ``tol``.
+    norm residual achieved when no such map exists within ``tol``, with
+    the Frank-Wolfe lower bound on the residual of every map.
     """
     if x.dim != gamma.dim:
         raise DimMismatch(f"observable dims differ: {x.dim} != {gamma.dim}")
@@ -199,7 +200,10 @@ def coarse_grain_solve(
     pi /= pi.sum(axis=0, keepdims=True)
     residual = _coarse_grain_residual(x, gamma, pi)
     if residual > tol:
-        raise Infeasible(residual, tol)
+        # some row keeps f*/m in squared HS norm, and ||A|| >= ||A||_HS / sqrt(d)
+        bound = kernels.simplex_lsq_lower_bound(g, targets, pi[None])[0]
+        lower = float(np.sqrt(max(bound, 0.0) / (x.n_outcomes * x.dim)))
+        raise Infeasible(residual, tol, lower)
     return StochasticMap.from_entries(pi)
 
 
@@ -424,6 +428,12 @@ def environment_pointer_weights(snapshot: Channel, projectors, n_env: int) -> np
     return gamma
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+           73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
+           157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233,
+           239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311)
+
+
 def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
     """Coordinates (tr(A s_x), tr(A s_z), tr(A)) of preserved effects
     A = E*(B) over a deterministic grid of output effects B.
@@ -431,57 +441,43 @@ def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
     Qubit outputs use a Bloch grid over (b_x, b_z, scale) with boundary
     densification; larger outputs grid the diagonal effect coefficients
     (a low-discrepancy Kronecker sequence plus binary vertices), which
-    exhausts the dual image for rank-one element channels.
+    exhausts the dual image for rank-one element channels.  Each B is a
+    coefficient row over a fixed operator basis, so by linearity only the
+    basis images are pulled back through the dual.
     """
     if c.dim_in != 2:
         raise DimMismatch(f"region sampling needs a qubit input, got dim {c.dim_in}")
     d_out = c.dim_out
-    effects = []
-    if d_out == 2:
-        bs = np.linspace(-1.0, 1.0, grid)
-        ss = np.linspace(0.0, 2.0, grid)
-        sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        sz = np.diag([1.0, -1.0]).astype(np.complex128)
-        eye = np.eye(2, dtype=np.complex128)
-        for bx in bs:
-            for bz in bs:
-                r = np.hypot(bx, bz)
-                for s in ss:
-                    rmax = min(s, 2.0 - s)
-                    if rmax < 0:
-                        continue
-                    if r <= rmax + 1e-12:
-                        effects.append((s * eye + bx * sx + bz * sz) / 2)
-                    if r > 1e-12 and rmax > 0:
-                        f = rmax / r
-                        effects.append((s * eye + f * bx * sx + f * bz * sz) / 2)
-    else:
-        n_pts = grid**3
-        primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                           59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-                           127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
-                           191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
-                           257, 263, 269, 271, 277, 281, 283, 293, 307, 311][:d_out],
-                          dtype=np.float64)
-        alphas = np.sqrt(primes)
-        for j in range(n_pts):
-            coeffs = np.mod(j * alphas, 1.0)
-            effects.append(np.diag(coeffs).astype(np.complex128))
-        if 2**d_out <= n_pts:
-            for mask in range(2**d_out):
-                bits = [(mask >> b) & 1 for b in range(d_out)]
-                effects.append(np.diag(np.array(bits, dtype=np.float64)).astype(np.complex128))
     sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     sz = np.diag([1.0, -1.0]).astype(np.complex128)
-    points = np.zeros((len(effects), 3))
-    for idx, b in enumerate(effects):
-        a = apply_dual(c, b)
-        points[idx] = [
-            float(np.trace(a @ sx).real),
-            float(np.trace(a @ sz).real),
-            float(np.trace(a).real),
-        ]
-    return points
+    if d_out == 2:
+        # rows (s, b_x, b_z) of B = (s 1 + b_x s_x + b_z s_z) / 2, in grid
+        # order: the point itself when inside the slice, then its radial
+        # projection onto the boundary
+        bs = np.linspace(-1.0, 1.0, grid)
+        ss = np.linspace(0.0, 2.0, grid)
+        bx, bz, sc = (a.ravel() for a in np.meshgrid(bs, bs, ss, indexing="ij"))
+        r = np.hypot(bx, bz)
+        rmax = np.minimum(sc, 2.0 - sc)
+        f = np.divide(rmax, r, out=np.zeros_like(r), where=r > 1e-12)
+        rows = np.stack([np.column_stack([sc, bx, bz]), np.column_stack([sc, f * bx, f * bz])], axis=1)
+        keep = np.column_stack([r <= rmax + 1e-12, (r > 1e-12) & (rmax > 0)])
+        coeffs = rows[keep] / 2
+        basis = [np.eye(2, dtype=np.complex128), sx, sz]
+    else:
+        if d_out > len(_PRIMES):
+            raise DimMismatch(f"region sampling supports outputs up to dim {len(_PRIMES)}, got {d_out}")
+        n_pts = grid**3
+        alphas = np.sqrt(np.array(_PRIMES[:d_out], dtype=np.float64))
+        coeffs = np.mod(np.arange(n_pts)[:, None] * alphas, 1.0)
+        if 2**d_out <= n_pts:
+            vertices = (np.arange(2**d_out)[:, None] >> np.arange(d_out)) & 1
+            coeffs = np.vstack([coeffs, vertices.astype(np.float64)])
+        basis = [np.diag(row) for row in np.eye(d_out, dtype=np.complex128)]
+    images = np.array([apply_dual(c, b) for b in basis])
+    # (tr(A s_x), tr(A s_z), tr(A)) of each basis image
+    coords = np.einsum("bij,kji->bk", images, np.array([sx, sz, np.eye(2)])).real
+    return coeffs @ coords
 
 
 def iterated_fixed_points(

@@ -83,12 +83,21 @@ class ZeroProbabilityOutcome(QichanError):
 
 
 class Infeasible(QichanError):
-    """No stochastic map reproduces the target observable; carries the best residual found."""
+    """No stochastic map reproduces the target observable.
 
-    def __init__(self, residual: float, tol: float):
+    Carries the best residual found and ``lower_bound``, a certified lower
+    bound on the residual of every stochastic map; a bound above ``tol``
+    certifies the verdict.
+    """
+
+    def __init__(self, residual: float, tol: float, lower_bound: float):
         self.residual = residual
         self.tol = tol
-        super().__init__(f"infeasible: minimal residual {residual:.3e} > {tol:.3e}")
+        self.lower_bound = lower_bound
+        super().__init__(
+            f"infeasible: residual {residual:.3e} > {tol:.3e}, "
+            f"certified lower bound {lower_bound:.3e}"
+        )
 
 
 class SchemaError(QichanError):

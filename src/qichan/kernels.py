@@ -1,27 +1,42 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels.
 
 Two inner loops dominate runtime in this package: the simplex-constrained
 least-squares solver behind coarse-graining feasibility (called once per
 sampled observable, tens of thousands of times in a containment scan) and
-the alternating-maximization loop for classical channel capacity.  Both are
-implemented twice with identical semantics:
+the alternating-maximization loop for classical channel capacity.
 
-* ``*_numba``: explicit loops compiled with ``@njit`` (used by default when
-  numba imports cleanly),
-* ``*_numpy``: vectorized numpy (always available).
-
-Set ``QICHAN_PURE_NUMPY=1`` in the environment to force the numpy path.
-Dense eigen/SVD work stays on LAPACK in :mod:`qichan.numlin`; compiling
-those would just re-implement BLAS badly.
+The feasibility solver is vectorized numpy on every platform.  Capacity
+iteration has two implementations with identical semantics:
+``blahut_arimoto_numba`` (explicit loops compiled with ``@njit``, used by
+default when numba imports cleanly) and ``blahut_arimoto_numpy`` (always
+available); ``BACKEND`` names the one in use.  Set ``QICHAN_PURE_NUMPY=1``
+in the environment to force the numpy path.  Dense eigen/SVD work stays on
+LAPACK in :mod:`qichan.numlin`; compiling those would just re-implement
+BLAS badly.
 
 The feasibility problem solved here is
 
-    minimize   sum_j || G p_j - x_j ||^2   over rows p_j of P
+    minimize   f(P) = sum_j || G p_j - x_j ||^2   over rows p_j of P
     subject to each column of P lying in the probability simplex,
 
-which is a convex quadratic over a product of simplices.  FISTA with
-per-problem adaptive restart converges linearly on this polyhedral
-geometry.
+which is a convex quadratic over a product of simplices.  A batch of such
+problems runs FISTA (Beck & Teboulle 2009) with adaptive restart
+(O'Donoghue & Candes 2015); every problem keeps its own momentum and
+restart, and leaves the batch as soon as it is
+
+* feasible: ``sqrt(f) <= hs_tol``, tested every iteration;
+* certified infeasible, tested every 32 iterations: the Frank-Wolfe bound
+  (Jaggi 2013) ``f(P) - <grad f(P), P - S> <= f*``, with ``S`` putting each
+  column's mass on that column's gradient argmin, exceeds
+  ``m d (2 hs_tol)^2`` with ``d = sqrt(D)``.  Then every P leaves some row
+  above ``2 hs_tol`` in operator norm, the tolerance callers accept, so
+  iterating on cannot change the verdict;
+* stalled, tested every 32 iterations: the objective has failed to drop
+  by 1e-18 for more than 128 iterations in a row;
+
+or when ``max_iter`` runs out.  Later iterations only pay for the
+problems still running, and a problem's iterates do not depend on the
+rest of the batch.
 """
 
 from __future__ import annotations
@@ -40,7 +55,7 @@ def _env_forces_numpy() -> bool:
 NUMBA_AVAILABLE = False
 if not _env_forces_numpy():
     try:
-        from numba import njit, prange
+        from numba import njit
 
         NUMBA_AVAILABLE = True
     except ImportError:  # pragma: no cover - numba is a declared dependency
@@ -56,37 +71,117 @@ if not NUMBA_AVAILABLE:
             return args[0]
         return wrap
 
-    prange = range
-
 
 # ---------------------------------------------------------------------------
 # simplex-constrained least squares
 # ---------------------------------------------------------------------------
 
+# per-problem stop reasons reported by _solve_simplex_lsq
+STOP_CAP, STOP_FEASIBLE, STOP_CERTIFIED, STOP_STALLED = 0, 1, 2, 3
+_CHECK_EVERY = 32
+_STALL_ITERS = 128
+_STALL_DECREASE = 1e-18
 
-def _project_columns_simplex_numpy(p: np.ndarray) -> np.ndarray:
+
+def _project_columns_simplex(p: np.ndarray) -> np.ndarray:
     """Project every column of every problem onto the probability simplex.
 
     ``p`` has shape (S, m, n); the simplex constraint runs over axis 1.
+    The threshold is ``max_k (u_1 + ... + u_k - 1) / k`` over the entries
+    ``u`` sorted in decreasing order: that running mean rises exactly while
+    ``u_k`` stays above it, so its maximum sits at the usual support size.
     """
-    s, m, n = p.shape
+    m = p.shape[1]
     u = np.sort(p, axis=1)[:, ::-1, :]
-    css = np.cumsum(u, axis=1)
     k = np.arange(1, m + 1, dtype=np.float64).reshape(1, m, 1)
-    cond = u - (css - 1.0) / k > 0.0
-    rho = np.maximum(cond.sum(axis=1), 1)  # (S, n)
-    idx = rho - 1
-    css_rho = np.take_along_axis(css, idx[:, None, :], axis=1)[:, 0, :]
-    theta = (css_rho - 1.0) / rho
+    theta = ((np.cumsum(u, axis=1) - 1.0) / k).max(axis=1)
     return np.maximum(p - theta[:, None, :], 0.0)
 
 
-def _lsq_objective(p: np.ndarray, gt: np.ndarray, x: np.ndarray) -> np.ndarray:
-    r = p @ gt - x
-    return np.sum(r * r, axis=(1, 2))
+def _fw_lower_bound(r: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Frank-Wolfe bound from the residuals ``r = P G^T - X`` at ``p``."""
+    grad = 2.0 * (r @ g)
+    f = np.sum(r * r, axis=(1, 2))
+    # <grad, S> for the vertex S taking each column's gradient argmin
+    return f - np.sum(grad * p, axis=(1, 2)) + grad.min(axis=1).sum(axis=1)
 
 
-def solve_product_simplex_lsq_numpy(
+def simplex_lsq_lower_bound(g: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Certified lower bound on ``min ||P G^T - X||^2`` for each problem.
+
+    ``p`` (S, m, n) is any point with simplex columns; by convexity
+    ``f(P) - <grad f(P), P - S> <= f*`` where ``S`` puts each column's
+    mass on the argmin of that column of the gradient.  The bound is
+    tight at the optimum.  Shapes as in :func:`solve_product_simplex_lsq`.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    return _fw_lower_bound(p @ g.T - np.asarray(x, dtype=np.float64), p, g)
+
+
+def _solve_simplex_lsq(
+    g: np.ndarray, x: np.ndarray, max_iter: int, hs_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FISTA run of :func:`solve_product_simplex_lsq`.
+
+    Returns (P, iterations, stop): per problem, the iteration at which it
+    stopped and the ``STOP_*`` reason.
+    """
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    s_count, m, dim = x.shape
+    gt = g.T
+    p_out = np.full((s_count, m, g.shape[1]), 1.0 / m)
+    iterations = np.full(s_count, max_iter, dtype=np.int64)
+    stop = np.full(s_count, STOP_CAP, dtype=np.int64)
+    lip = 2.0 * (np.linalg.norm(g, 2) ** 2)
+    if lip == 0.0:  # G = 0: every P is optimal
+        return p_out, np.zeros(s_count, dtype=np.int64), stop
+    # a bound above m d (2 hs_tol)^2 leaves some row above 2 hs_tol in
+    # operator norm for every P (||A|| >= ||A||_HS / sqrt(d), d^2 = D)
+    certify = m * np.sqrt(dim) * (2.0 * hs_tol) ** 2
+
+    # state of the problems still running, indexed into the batch by `live`
+    live = np.arange(s_count)
+    xs = x
+    p = p_out.copy()
+    y = p.copy()
+    t = np.ones(s_count)
+    f_prev = np.sum((p @ gt - xs) ** 2, axis=(1, 2))
+    stall = np.zeros(s_count, dtype=np.int64)
+    for it in range(1, max_iter + 1):
+        if live.size == 0:
+            break
+        grad = 2.0 * ((y @ gt - xs) @ g)
+        p_next = _project_columns_simplex(y - grad / lip)
+        r = p_next @ gt - xs
+        f_next = np.sum(r * r, axis=(1, 2))
+        # adaptive restart: kill momentum on problems whose value went up
+        worse = f_next > f_prev
+        t_next = np.where(worse, 1.0, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)))
+        beta = np.where(worse, 0.0, (t - 1.0) / t_next)
+        y = p_next + beta[:, None, None] * (p_next - p)
+        stall = np.where(f_prev - f_next < _STALL_DECREASE, stall + 1, 0)
+        p, t, f_prev = p_next, t_next, f_next
+
+        reason = np.where(np.sqrt(f_next) <= hs_tol, STOP_FEASIBLE, STOP_CAP)
+        if it % _CHECK_EVERY == 0:
+            reason[(reason == STOP_CAP) & (stall > _STALL_ITERS)] = STOP_STALLED
+            reason[(reason != STOP_FEASIBLE) & (_fw_lower_bound(r, p, g) > certify)] = STOP_CERTIFIED
+        done = reason != STOP_CAP
+        if np.any(done):
+            p_out[live[done]] = p[done]
+            iterations[live[done]] = it
+            stop[live[done]] = reason[done]
+            keep = ~done
+            live, xs, p, y, t, f_prev, stall = (
+                a[keep] for a in (live, xs, p, y, t, f_prev, stall)
+            )
+    p_out[live] = p
+    return p_out, iterations, stop
+
+
+def solve_product_simplex_lsq(
     g: np.ndarray, x: np.ndarray, max_iter: int = 20000, hs_tol: float = 5e-8
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched FISTA for ``min ||P G^T - X||^2`` with simplex columns.
@@ -94,175 +189,15 @@ def solve_product_simplex_lsq_numpy(
     g: (D, n) real design matrix (coordinates of the reference effects).
     x: (S, m, D) batched targets (coordinates of the effects to explain).
     Returns (P, res) with P of shape (S, m, n) and ``res[s]`` the largest
-    per-row Euclidean residual of problem ``s``.
+    per-row Euclidean residual of problem ``s``.  Each problem stops on
+    its own (see the module docstring), so a problem's P does not depend
+    on the rest of the batch.
     """
     g = np.ascontiguousarray(g, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    s_count, m, _ = x.shape
-    n = g.shape[1]
-    gt = g.T
-    lip = 2.0 * (np.linalg.norm(g, 2) ** 2)
-    if lip == 0.0:
-        p = np.full((s_count, m, n), 1.0 / m)
-        return p, np.sqrt(np.sum(x * x, axis=2)).max(axis=1)
-
-    p = np.full((s_count, m, n), 1.0 / m)
-    y = p.copy()
-    t = 1.0
-    f_prev = _lsq_objective(p, gt, x)
-    stall = np.zeros(s_count, dtype=np.int64)
-    check_every = 32
-    for it in range(max_iter):
-        grad = 2.0 * ((y @ gt - x) @ g)
-        p_next = _project_columns_simplex_numpy(y - grad / lip)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = p_next + ((t - 1.0) / t_next) * (p_next - p)
-        f_next = _lsq_objective(p_next, gt, x)
-        # adaptive restart: kill momentum on problems whose value went up
-        worse = f_next > f_prev
-        if np.any(worse):
-            y[worse] = p_next[worse]
-            t_next = 1.0
-        stall = np.where(f_prev - f_next < 1e-18, stall + 1, 0)
-        p = p_next
-        t = t_next
-        f_prev = f_next
-        if (it + 1) % check_every == 0:
-            res = np.sqrt(np.maximum(f_next, 0.0))
-            if np.all((res <= hs_tol) | (stall > 128)):
-                break
-    row_res = np.sqrt(np.sum((p @ gt - x) ** 2, axis=2))
-    return p, row_res.max(axis=1)
-
-
-@njit(cache=True)
-def _solve_one_simplex_lsq_nb(g, x, lip, max_iter, hs_tol, p, y, pn, grad, u):
-    # pragma: no cover - compiled
-    # workspace: p, y, pn, grad are (m, n); u is (m,).  All loops are
-    # allocation free; the simplex projection uses an insertion sort on u.
-    m = x.shape[0]
-    dim = x.shape[1]
-    n = g.shape[1]
-    inv = 1.0 / m
-    for j in range(m):
-        for i in range(n):
-            p[j, i] = inv
-            y[j, i] = inv
-    t = 1.0
-    f_prev = 1e300
-    f_best = 1e300
-    stall = 0
-    for _ in range(max_iter):
-        # grad = 2 ((y g^T - x) g), fused without storing the residual
-        for j in range(m):
-            for i in range(n):
-                grad[j, i] = 0.0
-            for dd in range(dim):
-                acc = -x[j, dd]
-                for i in range(n):
-                    acc += y[j, i] * g[dd, i]
-                for i in range(n):
-                    grad[j, i] += 2.0 * acc * g[dd, i]
-        # gradient step columns projected onto the simplex
-        for i in range(n):
-            for j in range(m):
-                u[j] = y[j, i] - grad[j, i] / lip
-            for j in range(m):
-                pn[j, i] = u[j]
-            # insertion sort descending
-            for j in range(1, m):
-                key = u[j]
-                k = j - 1
-                while k >= 0 and u[k] < key:
-                    u[k + 1] = u[k]
-                    k -= 1
-                u[k + 1] = key
-            css = 0.0
-            theta = 0.0
-            for k in range(m):
-                css += u[k]
-                if u[k] - (css - 1.0) / (k + 1.0) > 0.0:
-                    theta = (css - 1.0) / (k + 1.0)
-            for j in range(m):
-                d = pn[j, i] - theta
-                pn[j, i] = d if d > 0.0 else 0.0
-        # objective at the new point
-        f_next = 0.0
-        for j in range(m):
-            for dd in range(dim):
-                acc = -x[j, dd]
-                for i in range(n):
-                    acc += pn[j, i] * g[dd, i]
-                f_next += acc * acc
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        if f_next > f_prev:
-            # adaptive restart: kill the momentum
-            for j in range(m):
-                for i in range(n):
-                    y[j, i] = pn[j, i]
-            t_next = 1.0
-        else:
-            beta = (t - 1.0) / t_next
-            for j in range(m):
-                for i in range(n):
-                    y[j, i] = pn[j, i] + beta * (pn[j, i] - p[j, i])
-        if f_best - f_next < 1e-18:
-            stall += 1
-        else:
-            stall = 0
-        if f_next < f_best:
-            f_best = f_next
-        for j in range(m):
-            for i in range(n):
-                p[j, i] = pn[j, i]
-        t = t_next
-        f_prev = f_next
-        if np.sqrt(f_next) <= hs_tol or stall > 128:
-            break
-    # largest per-row Euclidean residual at the final point
-    worst = 0.0
-    for j in range(m):
-        acc = 0.0
-        for dd in range(dim):
-            row = -x[j, dd]
-            for i in range(n):
-                row += p[j, i] * g[dd, i]
-            acc += row * row
-        if acc > worst:
-            worst = acc
-    return np.sqrt(worst)
-
-
-@njit(parallel=True, cache=True)
-def _solve_batch_simplex_lsq_nb(g, x, lip, max_iter, hs_tol):  # pragma: no cover
-    s_count = x.shape[0]
-    m = x.shape[1]
-    n = g.shape[1]
-    out = np.empty((s_count, m, n))
-    res = np.empty(s_count)
-    for s in prange(s_count):
-        y = np.empty((m, n))
-        pn = np.empty((m, n))
-        grad = np.empty((m, n))
-        u = np.empty(m)
-        res[s] = _solve_one_simplex_lsq_nb(
-            g, x[s], lip, max_iter, hs_tol, out[s], y, pn, grad, u
-        )
-    return out, res
-
-
-def solve_product_simplex_lsq_numba(
-    g: np.ndarray, x: np.ndarray, max_iter: int = 20000, hs_tol: float = 5e-8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Numba twin of :func:`solve_product_simplex_lsq_numpy`."""
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    lip = 2.0 * (np.linalg.norm(g, 2) ** 2)
-    if lip == 0.0:
-        m = x.shape[1]
-        p = np.full((x.shape[0], m, g.shape[1]), 1.0 / m)
-        return p, np.sqrt(np.sum(x * x, axis=2)).max(axis=1)
-    return _solve_batch_simplex_lsq_nb(g, x, lip, max_iter, hs_tol)
+    p, _, _ = _solve_simplex_lsq(g, x, max_iter, hs_tol)
+    r = p @ g.T - x
+    return p, np.sqrt(np.sum(r * r, axis=2)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +289,8 @@ def blahut_arimoto_numba(
 # public dispatch -----------------------------------------------------------
 
 if NUMBA_AVAILABLE:
-    solve_product_simplex_lsq = solve_product_simplex_lsq_numba
     blahut_arimoto = blahut_arimoto_numba
     BACKEND = "numba"
 else:
-    solve_product_simplex_lsq = solve_product_simplex_lsq_numpy
     blahut_arimoto = blahut_arimoto_numpy
     BACKEND = "numpy"

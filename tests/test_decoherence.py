@@ -25,7 +25,7 @@ from qichan.channels import (
 )
 from qichan.errors import BadProjectors, DimMismatch, Infeasible, NotEndomorphic, WitnessMismatch
 from qichan.numlin import dagger, op_norm
-from qichan.rand import generator, random_density, random_effect, random_unitary
+from qichan.rand import generator, random_channel, random_density, random_effect, random_unitary
 
 
 class TestStochasticMap:
@@ -107,6 +107,7 @@ class TestCoarseGrainSolve:
             de.coarse_grain_solve(x, gamma)
         # infeasibility certificates keep a clear margin above the tolerance
         assert err.value.residual > 10 * de.FEASIBILITY_TOL
+        assert 10 * de.FEASIBILITY_TOL < err.value.lower_bound <= err.value.residual
 
     def test_diamond_preserved_effects_are_coarse_grainings(self):
         c = diamond_channel(3)
@@ -281,6 +282,51 @@ class TestEffectRegion:
     def test_requires_qubit_source(self):
         with pytest.raises(DimMismatch):
             de.effect_region_sample(dephasing_channel(3), grid=5)
+
+    @staticmethod
+    def _reference_points(c, grid):
+        """Per-point E*(B) for the grid of output effects, in sampling order."""
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        effects = []
+        if c.dim_out == 2:
+            bs = np.linspace(-1.0, 1.0, grid)
+            for bx in bs:
+                for bz in bs:
+                    r = np.hypot(bx, bz)
+                    for s in np.linspace(0.0, 2.0, grid):
+                        rmax = min(s, 2.0 - s)
+                        if r <= rmax + 1e-12:
+                            effects.append((s * np.eye(2) + bx * sx + bz * sz) / 2)
+                        if r > 1e-12 and rmax > 0:
+                            f = rmax / r
+                            effects.append((s * np.eye(2) + f * bx * sx + f * bz * sz) / 2)
+        else:
+            alphas = np.sqrt(np.array(de._PRIMES[: c.dim_out], dtype=float))
+            effects = [np.diag(np.mod(j * alphas, 1.0)) for j in range(grid**3)]
+            if 2**c.dim_out <= grid**3:
+                for mask in range(2**c.dim_out):
+                    effects.append(np.diag([float((mask >> b) & 1) for b in range(c.dim_out)]))
+        points = []
+        for b in effects:
+            a = apply_dual(c, b.astype(complex))
+            points.append([np.trace(a @ sx).real, np.trace(a @ sz).real, np.trace(a).real])
+        return np.array(points)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 64])
+    def test_matches_per_point_dual_on_diamonds(self, n):
+        c = diamond_channel(n)
+        pts = de.effect_region_sample(c, grid=6)
+        ref = self._reference_points(c, grid=6)
+        assert pts.shape == ref.shape
+        assert np.abs(pts - ref).max() <= 1e-12
+
+    def test_matches_per_point_dual_on_random_qubit_channel(self):
+        c = random_channel(generator(9), 2, 2, 3)
+        pts = de.effect_region_sample(c, grid=9)
+        ref = self._reference_points(c, grid=9)
+        assert pts.shape == ref.shape
+        assert np.abs(pts - ref).max() <= 1e-12
 
 
 class TestIteratedFixedPoints:

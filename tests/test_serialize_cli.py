@@ -178,6 +178,7 @@ class TestCli:
         assert main(["classical", str(xb), "--gamma", str(gz)]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["feasible"] is False
+        assert 1e-7 < report["results"]["certified_lower_bound"] <= report["results"]["residual"]
 
     def test_sweep_csv_row_count(self, tmp_path):
         out = tmp_path / "sweep.csv"
