@@ -1,9 +1,15 @@
 """Finite-dimensional *-algebra machinery.
 
 Operator spans are stored as stacks of matrices whose vectorizations are
-orthonormal in the Hilbert-Schmidt inner product.  Commutants reduce to
-nullspaces of stacked commutator superoperators; block structure is read
-off the spectrum of a generic central element.
+orthonormal in the Hilbert-Schmidt inner product.  Commutants and centers
+reduce to nullspaces of stacked commutator superoperators; block structure
+is read off the spectrum of a generic central element.
+
+The stacks are tall (one d^2-row block per operator) and are never built
+whole: ``_streamed_svd`` runs the row blocks through a blocked QR a few
+thousand rows at a time and keeps only the square triangular factor, whose
+singular values and right vectors are those of the whole stack.  Memory is
+O(d^4) for a commutant on C^d, whatever the number of operators.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ from .numlin import DEFAULT_TOL, Tolerance, asmatrix, dagger, op_norm
 CLUSTER_GAP = 1e-6
 # relative norm below which a Gram-Schmidt residual counts as dependent
 GS_DROP = 1e-7
+# rows of a stacked matrix QR-factored at once by _streamed_svd
+QR_ROWS = 4096
+# seeds structure_decompose tries (seed, seed + 1, ...) before giving up
+DECOMPOSE_SEEDS = 3
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,8 @@ def generate_star_algebra(gens, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSe
     current = span_of(seed)
     fresh = current.basis  # only products touching new directions can grow the span
     while current.dimension < d * d:
-        left = np.einsum("aij,bjk->abik", current.basis, fresh, optimize=True)
-        right = np.einsum("aij,bjk->abik", fresh, current.basis, optimize=True)
+        left = np.einsum("aij,bjk->abik", current.basis, fresh)
+        right = np.einsum("aij,bjk->abik", fresh, current.basis)
         products = np.concatenate(
             [left.reshape(-1, d * d), right.reshape(-1, d * d)]
         )
@@ -144,11 +154,59 @@ def generate_star_algebra(gens, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSe
     return current
 
 
+def _streamed_svd(blocks, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors (rows of ``vh``, all
+    ``ncols`` of them) of the vertical stack of ``blocks``.
+
+    Row blocks are gathered until about ``QR_ROWS`` rows are pending, then
+    QR-factored together with the triangle kept so far (TSQR); only that
+    ``ncols x ncols`` triangle survives, so the stack is never held whole.
+    R has the singular values and right vectors of the stack, and QR
+    followed by the SVD of R is as backward stable as the direct SVD.
+    """
+    r = np.zeros((0, ncols), dtype=np.complex128)
+    pending: list[np.ndarray] = []
+    rows = 0
+    for block in blocks:
+        pending.append(block)
+        rows += block.shape[0]
+        if rows >= QR_ROWS:
+            r = np.linalg.qr(np.vstack([r, *pending]), mode="r")
+            pending, rows = [], 0
+    if pending:
+        r = np.linalg.qr(np.vstack([r, *pending]), mode="r")
+    _, sv, vh = np.linalg.svd(r, full_matrices=True)
+    return sv, vh
+
+
+def _null_rows(sv: np.ndarray, vh: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:
+    """Right vectors of the numerical nullspace of a commutator stack.
+
+    A normalized direction counts as commuting when its singular value is
+    below ``rank_rel`` of the largest or below ``abs_eps`` at the
+    operators' scale; the relative cut alone would misread pure roundoff as
+    structure when everything nearly commutes.
+    """
+    smax = sv[0] if sv.size else 0.0
+    cut = max(tol.rank_rel * smax, tol.abs_eps * scale)
+    rank = int(np.sum(sv > cut)) if smax > 0 else 0
+    return vh[rank:].conj()
+
+
+def _max_op_norm(mats: np.ndarray) -> float:
+    """Largest operator norm in a stack of matrices."""
+    if mats.size == 0:
+        return 0.0
+    return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
+
+
 def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     """All matrices commuting with every given operator and its adjoint.
 
     Solved as the joint nullspace of the maps A -> [A, S]; the adjoints are
-    included so the result is a von Neumann algebra.
+    included so the result is a von Neumann algebra.  One d^2 x d^2
+    commutator superoperator per operator streams through ``_streamed_svd``,
+    so memory is O(d^4) however many operators there are.
     """
     mats = [asmatrix(s) for s in operators]
     if not mats:
@@ -157,30 +215,36 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     for s in mats:
         if s.shape != (d, d):
             raise DimMismatch("operators must be square of equal dimension")
-    gens: list[np.ndarray] = []
-    for s in mats:
-        gens.append(s)
-        gens.append(dagger(s))
     eye = np.eye(d)
-    blocks = [np.kron(eye, s.T) - np.kron(s, eye) for s in gens]
-    stacked = np.vstack(blocks)
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=True)
-    smax = sv[0] if sv.size else 0.0
-    # a normalized direction counts as commuting when its commutator norm is
-    # below abs_eps at the generators' scale; the relative cut alone would
-    # misread pure roundoff as structure when everything nearly commutes
-    scale = max(op_norm(s) for s in gens)
-    cut = max(tol.rank_rel * smax, tol.abs_eps * scale)
-    rank = int(np.sum(sv > cut)) if smax > 0 else 0
-    null_vecs = vh[rank:].conj()
+    blocks = (
+        np.kron(eye, g.T) - np.kron(g, eye) for s in mats for g in (s, dagger(s))
+    )
+    sv, vh = _streamed_svd(blocks, d * d)
+    # adjoints have the same norm as the operators
+    null_vecs = _null_rows(sv, vh, _max_op_norm(np.stack(mats)), tol)
     return OperatorBasisSet(dim=d, basis=null_vecs.reshape(-1, d, d))
 
 
 def is_multiplication_closed(a: OperatorBasisSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    for x in a.basis:
-        for y in a.basis:
-            if not a.contains(x @ y, Tolerance(max(tol.abs_eps, 1e-8), tol.rank_rel)):
-                return False
+    """Whether every product of two basis elements lies in the span.
+
+    Products are formed and projected in batches of about ``QR_ROWS``
+    matrices, so memory stays O(QR_ROWS d^2) for large spans; a product
+    counts as inside when its residual's operator norm is at most
+    max(abs_eps, 1e-8).
+    """
+    n, d = a.dimension, a.dim
+    v = a.vecs()
+    eps = max(tol.abs_eps, 1e-8)
+    step = max(1, QR_ROWS // max(n, 1))
+    for start in range(0, n, step):
+        rows = (a.basis[start : start + step, None] @ a.basis).reshape(-1, d * d)
+        residual = rows - (rows @ v.conj().T) @ v
+        # the Frobenius norm bounds the operator norm from above, so only
+        # residuals above eps in Frobenius norm need their singular values
+        suspect = residual[np.linalg.norm(residual, axis=1) > eps]
+        if _max_op_norm(suspect.reshape(-1, d, d)) > eps:
+            return False
     return True
 
 
@@ -193,7 +257,8 @@ def intersect(a: OperatorBasisSet, b: OperatorBasisSet) -> OperatorBasisSet:
     stacked = np.vstack(
         [eye - _row_span_projector(a.vecs()), eye - _row_span_projector(b.vecs())]
     )
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=True)
+    # the stack is (2 d^2, d^2), so the thin SVD already holds every right vector
+    _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
     # complement projections have unit-scale spectra; directions inside both
     # spans sit at singular value ~0
     null = sv <= 1e-7
@@ -257,10 +322,24 @@ def _cluster(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np.ndarray]:
 
 
 def center(a: OperatorBasisSet, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
-    """Intersection of an algebra with its commutant."""
+    """Intersection of a *-algebra with its commutant.
+
+    Solved in the algebra's own coordinates: x = sum_i c_i b_i commutes
+    with every basis element b_j exactly when c lies in the joint nullspace
+    of the (d^2, n) matrices whose columns are vec([b_i, b_j]).  These n
+    blocks stream through ``_streamed_svd`` with n columns, so memory is
+    O(n d^2), at most O(d^4), on top of the algebra itself.  The basis is
+    orthonormal, so orthonormal coefficient vectors give an orthonormal
+    basis of the center.
+    """
     if not is_multiplication_closed(a, tol):
         raise NotAnAlgebra("span is not closed under multiplication")
-    return intersect(a, commutant(list(a.basis), tol))
+    n, d = a.dimension, a.dim
+    basis = a.basis
+    blocks = ((basis @ b - b @ basis).reshape(n, d * d).T for b in basis)
+    sv, vh = _streamed_svd(blocks, n)
+    coeffs = _null_rows(sv, vh, _max_op_norm(basis), tol)
+    return OperatorBasisSet(dim=d, basis=np.tensordot(coeffs, basis, axes=(1, 0)))
 
 
 def structure_decompose(
@@ -271,14 +350,28 @@ def structure_decompose(
     Central projectors are the spectral clusters of a generic Hermitian
     central element (seeded); inside each block the factor structure
     M_{n_k} (x) 1_{m_k} is exposed through matrix units built from polar
-    parts of a generic algebra element.
+    parts of a generic algebra element.  An unlucky draw is retried with
+    the next seed, up to ``DECOMPOSE_SEEDS`` seeds, before
+    ``DecompositionFailed`` is raised.
     """
     d = a.dim
     eye = np.eye(d)
     if not a.contains(eye, Tolerance(max(tol.abs_eps, 1e-8), tol.rank_rel)):
         raise NotAnAlgebra("algebra must contain the identity")
-    rng = np.random.default_rng(seed)
     z = center(a, tol)
+    for attempt in range(DECOMPOSE_SEEDS):
+        try:
+            return _decompose_with(a, z, np.random.default_rng(seed + attempt))
+        except DecompositionFailed:
+            if attempt == DECOMPOSE_SEEDS - 1:
+                raise
+
+
+def _decompose_with(
+    a: OperatorBasisSet, z: OperatorBasisSet, rng: np.random.Generator
+) -> AlgebraStructure:
+    """One seeded decomposition attempt of ``a`` given its center ``z``."""
+    d = a.dim
     h_central = _generic_hermitian(z, rng)
     w, u = np.linalg.eigh(h_central)
     clusters = _cluster(w)
@@ -354,17 +447,14 @@ def block_pattern_residual(structure: AlgebraStructure) -> float:
     """Largest deviation of a conjugated carrier element from the canonical
     block-diagonal M (x) 1 pattern."""
     u = structure.basis_change
-    worst = 0.0
-    for b in structure.carrier.basis:
-        t = dagger(u) @ b @ u
-        model = np.zeros_like(t)
-        offset = 0
-        for n_k, m_k in structure.block_dims:
-            d_k = n_k * m_k
-            sub = t[offset : offset + d_k, offset : offset + d_k]
-            cells = sub.reshape(n_k, m_k, n_k, m_k)
-            m = np.einsum("pjqj->pq", cells) / m_k
-            model[offset : offset + d_k, offset : offset + d_k] = np.kron(m, np.eye(m_k))
-            offset += d_k
-        worst = max(worst, op_norm(t - model))
-    return worst
+    t = dagger(u) @ structure.carrier.basis @ u
+    model = np.zeros_like(t)
+    offset = 0
+    for n_k, m_k in structure.block_dims:
+        d_k = n_k * m_k
+        block = slice(offset, offset + d_k)
+        cells = t[:, block, block].reshape(-1, n_k, m_k, n_k, m_k)
+        m = np.einsum("bpjqj->bpq", cells) / m_k
+        model[:, block, block] = np.kron(m, np.eye(m_k))
+        offset += d_k
+    return _max_op_norm(t - model)

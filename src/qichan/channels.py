@@ -167,7 +167,7 @@ def apply(c: Channel, rho) -> np.ndarray:
     if rho.shape != (c.dim_in, c.dim_in):
         raise DimMismatch(f"state shape {rho.shape} != {(c.dim_in, c.dim_in)}")
     k = c.stacked()
-    return np.einsum("aij,jl,aml->im", k, rho, k.conj(), optimize=True)
+    return (k @ rho @ k.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_dual(c: Channel, a) -> np.ndarray:
@@ -176,7 +176,7 @@ def apply_dual(c: Channel, a) -> np.ndarray:
     if a.shape != (c.dim_out, c.dim_out):
         raise DimMismatch(f"effect shape {a.shape} != {(c.dim_out, c.dim_out)}")
     k = c.stacked()
-    return np.einsum("aji,jl,alm->im", k.conj(), a, k, optimize=True)
+    return (k.conj().transpose(0, 2, 1) @ a @ k).sum(axis=0)
 
 
 def compose(c2: Channel, c1: Channel) -> Channel:

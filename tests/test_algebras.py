@@ -1,10 +1,21 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from qichan import algebras as al
-from qichan.catalog import PAULI_X, PAULI_Y, PAULI_Z
-from qichan.errors import DimMismatch, NotAnAlgebra
-from qichan.rand import generator, random_unitary
+from qichan.catalog import PAULI_X, PAULI_Y, PAULI_Z, block_projectors
+from qichan.channels import Channel
+from qichan.correction import preserved_algebra
+from qichan.errors import DecompositionFailed, DimMismatch, NotAnAlgebra
+from qichan.numlin import DEFAULT_TOL
+from qichan.rand import generator, random_channel, random_unitary
 
 
 def two_by_two_plus_three_algebra():
@@ -158,6 +169,33 @@ class TestStructureDecompose:
         assert set(st.block_dims) == {(2, 2), (3, 1)}
         assert al.block_pattern_residual(st) < 1e-7
 
+    def test_unlucky_seed_retried_with_next(self, monkeypatch):
+        attempt = al._decompose_with
+        states = []
+
+        def fails_first(a, z, rng):
+            states.append(rng.bit_generator.state)
+            if len(states) == 1:
+                raise DecompositionFailed("unlucky draw")
+            return attempt(a, z, rng)
+
+        monkeypatch.setattr(al, "_decompose_with", fails_first)
+        st = al.structure_decompose(two_by_two_plus_three_algebra(), seed=5)
+        assert set(st.block_dims) == {(2, 2), (3, 1)}
+        assert states == [np.random.default_rng(s).bit_generator.state for s in (5, 6)]
+
+    def test_gives_up_after_decompose_seeds(self, monkeypatch):
+        calls = []
+
+        def always_fails(a, z, rng):
+            calls.append(rng)
+            raise DecompositionFailed("unlucky draw")
+
+        monkeypatch.setattr(al, "_decompose_with", always_fails)
+        with pytest.raises(DecompositionFailed):
+            al.structure_decompose(two_by_two_plus_three_algebra())
+        assert len(calls) == al.DECOMPOSE_SEEDS
+
     def test_basis_change_unitary(self):
         st = al.structure_decompose(two_by_two_plus_three_algebra())
         u = st.basis_change
@@ -202,3 +240,184 @@ class TestCommutativityOfCenter:
             for j in range(z.dimension):
                 a, b = z.basis[i], z.basis[j]
                 assert al.op_norm(a @ b - b @ a) < 1e-8
+
+
+# dense references: the nullspace of the whole stacked matrix from one direct
+# SVD, with the same cuts as the library
+
+
+def _dense_null(stacked, scale):
+    # all right vectors are needed only when the stack is wide
+    _, sv, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
+    smax = sv[0] if sv.size else 0.0
+    cut = max(DEFAULT_TOL.rank_rel * smax, DEFAULT_TOL.abs_eps * scale)
+    rank = int(np.sum(sv > cut)) if smax > 0 else 0
+    return vh[rank:].conj()
+
+
+def dense_commutant(ops):
+    d = ops[0].shape[0]
+    eye = np.eye(d)
+    gens = [g for s in ops for g in (s, s.conj().T)]
+    stacked = np.vstack([np.kron(eye, g.T) - np.kron(g, eye) for g in gens])
+    scale = max(np.linalg.norm(g, 2) for g in gens)
+    return al.OperatorBasisSet(dim=d, basis=_dense_null(stacked, scale).reshape(-1, d, d))
+
+
+def dense_intersect(a, b):
+    eye = np.eye(a.dim * a.dim)
+    stacked = np.vstack(
+        [eye - a.vecs().T @ a.vecs().conj(), eye - b.vecs().T @ b.vecs().conj()]
+    )
+    _, sv, vh = np.linalg.svd(stacked, full_matrices=True)
+    rank = int(np.sum(sv > 1e-7))
+    return al.OperatorBasisSet(dim=a.dim, basis=vh[rank:].conj().reshape(-1, a.dim, a.dim))
+
+
+def dense_center(a):
+    return dense_intersect(a, dense_commutant(list(a.basis)))
+
+
+def planted_ops(rng, d, scale, count):
+    """``count`` operators in a random rotation of sum_k M_{n_k} (x) 1_{m_k},
+    scaled by ``scale`` and perturbed by 1e-13 relative noise, so they commute
+    with the planted commutant only up to a cut at abs_eps times the scale."""
+    dims = []
+    left = d
+    while left:
+        m = int(rng.integers(1, min(3, left) + 1))
+        n = int(rng.integers(1, left // m + 1))
+        dims.append((n, m))
+        left -= n * m
+    u = random_unitary(rng, d)
+    ops = []
+    for _ in range(count):
+        blocks = [
+            np.kron(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), np.eye(m))
+            for n, m in dims
+        ]
+        op = np.zeros((d, d), dtype=complex)
+        offset = 0
+        for b in blocks:
+            op[offset : offset + b.shape[0], offset : offset + b.shape[0]] = b
+            offset += b.shape[0]
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ops.append(scale * (u @ op @ u.conj().T + 1e-13 * noise))
+    return ops
+
+
+SCALES = (1e-6, 1.0, 1e3)
+
+
+class TestStreamedAgainstDense:
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_commutant(self, d, scale):
+        ops = planted_ops(generator(d), d, scale, 1 + d % 3)
+        got, want = al.commutant(ops), dense_commutant(ops)
+        assert got.dimension == want.dimension
+        assert al.spans_equal(got, want, 1e-8)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_center(self, d, scale):
+        alg = al.commutant(planted_ops(generator(100 + d), d, scale, 2))
+        got, want = al.center(alg), dense_center(alg)
+        assert got.dimension == want.dimension
+        assert al.spans_equal(got, want, 1e-8)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_intersect(self, d):
+        rng = generator(200 + d)
+        a = al.commutant(planted_ops(rng, d, 1.0, 1))
+        b = al.commutant(planted_ops(rng, d, 1.0, 1))
+        got, want = al.intersect(a, b), dense_intersect(a, b)
+        assert got.dimension == want.dimension
+        assert al.spans_equal(got, want, 1e-8)
+
+    def test_many_operators_stream_in_several_chunks(self):
+        # 40 operators on C^12 stack 11 520 rows, three QR_ROWS chunks
+        ops = planted_ops(generator(5), 12, 1.0, 40)
+        got, want = al.commutant(ops), dense_commutant(ops)
+        assert got.dimension == want.dimension
+        assert al.spans_equal(got, want, 1e-8)
+
+
+def _planted_channel(kind, d, rng):
+    """Channel on C^d and the block dims of the algebra it preserves."""
+    if kind == "pinch":
+        sizes = []
+        left = d
+        while left:
+            sizes.append(int(rng.integers(1, left + 1)))
+            left -= sizes[-1]
+        v = random_unitary(rng, d)
+        c = Channel.from_elements([p @ v for p in block_projectors(tuple(sizes))])
+        return c, tuple(sorted(((s, 1) for s in sizes), reverse=True))
+    # unitary on an n-level factor times a random channel on the m-level one
+    n = kind
+    m = d // n
+    u = random_unitary(rng, n)
+    c = Channel.from_elements([np.kron(u, e) for e in random_channel(rng, m, m, 2).elements])
+    return c, ((n, m),)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    kind=hs.sampled_from(["pinch", 1, 2]),
+    d=hs.integers(2, 16),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_block_dims_invariant_under_unitary_conjugation(kind, d, seed):
+    if kind == 2 and d % 2:
+        d += 1
+    rng = generator(seed)
+    c, planted = _planted_channel(kind, d, rng)
+    w = random_unitary(rng, d)
+    rotated = Channel.from_elements([w @ e @ w.conj().T for e in c.elements])
+    assert preserved_algebra(c).block_dims == planted
+    assert preserved_algebra(rotated).block_dims == planted
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    d=hs.integers(2, 16),
+    seed=hs.integers(0, 2**32 - 1),
+    magnitude=hs.floats(-6, 3),
+    phase=hs.floats(0, 2 * np.pi),
+)
+def test_commutant_invariant_under_scaling(d, seed, magnitude, phase):
+    ops = planted_ops(generator(seed), d, 1.0, 2)
+    factor = 10.0**magnitude * np.exp(1j * phase)
+    base = al.commutant(ops)
+    scaled = al.commutant([factor * s for s in ops])
+    assert scaled.dimension == base.dimension
+    assert al.spans_equal(scaled, base, 1e-8)
+
+
+def test_pointer_d12_fits_in_two_gib():
+    # a full-matrices SVD of the stacked commutators asks for far more than
+    # 2 GiB here and raises MemoryError; the streamed QR needs under 100 MiB
+    script = textwrap.dedent(
+        """
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        import numpy as np
+        from qichan.channels import Channel, tensor
+        from qichan.decoherence import pointer_algebra
+        from qichan.rand import generator, random_channel, random_unitary
+
+        rng = generator(7)
+        u = random_unitary(rng, 2)
+        qubit = Channel.from_elements([np.diag(np.eye(2)[i]) @ u for i in range(2)])
+        c = tensor(qubit, random_channel(rng, 6, 6, 2))
+        print(pointer_algebra(c).pointer_algebra.block_dims)
+        """
+    )
+    src = str(Path(al.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "((1, 6), (1, 6))"

@@ -53,6 +53,18 @@ class TestApplyAndDuality:
         rhs = np.trace(rho @ ch.apply_dual(c, a))
         assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_element_sum(self, seed):
+        # reference: the defining sums over elements, one matrix at a time
+        rng = generator(seed)
+        c = random_channel(rng, 3, 5, 4)
+        rho = random_density(rng, 3)
+        a = random_hermitian(rng, 5)
+        want = sum(e @ rho @ dagger(e) for e in c.elements)
+        want_dual = sum(dagger(e) @ a @ e for e in c.elements)
+        assert op_norm(ch.apply(c, rho) - want) < 1e-13
+        assert op_norm(ch.apply_dual(c, a) - want_dual) < 1e-13
+
 
 class TestComposeTensor:
     def test_compose_identity(self):
