@@ -4,8 +4,7 @@ Feasibility: the two SIC containment grids of acceptance criterion 9
 (alpha = 1/3, all feasible, and alpha = 0.5, mixed), each solved as one
 batch; for each batch the table shows the iterations the batch ran and how
 many problems stopped as feasible, certified infeasible, stalled or at the
-iteration cap.  Capacity: alternating maximization on random 8x8 channels,
-on the numpy path and, when numba is importable, the compiled one.
+iteration cap.  Capacity: alternating maximization on random 8x8 channels.
 
 Usage:  python benchmarks/bench_kernels.py [--channels N]
 """
@@ -76,13 +75,8 @@ def main() -> None:
               f"{counts[kernels.STOP_STALLED]:7d}  {counts[kernels.STOP_CAP]:6d}")
 
     pyx_list = _ba_workload(args.channels)
-    print(f"\ncapacity {args.channels}x 8x8 (active backend: {kernels.BACKEND})")
-    rows = [("numpy", kernels.blahut_arimoto_numpy)]
-    if kernels.NUMBA_AVAILABLE:
-        kernels.blahut_arimoto_numba(pyx_list[0])  # compile before timing
-        rows.append(("numba", kernels.blahut_arimoto_numba))
-    for name, fn in rows:
-        print(f"{name:8s}  {_time(lambda: [fn(p) for p in pyx_list]):8.3f}s")
+    t_ba = _time(lambda: [kernels.blahut_arimoto(p) for p in pyx_list])
+    print(f"\ncapacity ({kernels.BACKEND}), {args.channels}x 8x8  {t_ba:8.3f}s")
 
 
 if __name__ == "__main__":

@@ -267,10 +267,6 @@ def intersect(a: OperatorBasisSet, b: OperatorBasisSet) -> OperatorBasisSet:
     return OperatorBasisSet(dim=a.dim, basis=basis.reshape(-1, a.dim, a.dim))
 
 
-def contains(a: OperatorBasisSet, x, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return a.contains(x, tol)
-
-
 @dataclass(frozen=True)
 class AlgebraStructure:
     """A *-algebra with its block decomposition sum_k M_{n_k} (x) 1_{m_k}.
@@ -293,7 +289,7 @@ class AlgebraStructure:
     def dimension(self) -> int:
         return self.carrier.dimension
 
-    def is_commutative(self, eps: float = 1e-8) -> bool:
+    def is_commutative(self) -> bool:
         return all(n == 1 for n, _ in self.block_dims)
 
 

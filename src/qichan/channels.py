@@ -136,12 +136,17 @@ class ChannelReport:
     cp_min_eigenvalue: float
 
 
-def validate_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> ChannelReport:
-    """Check trace preservation (sum E^dag E = 1) and complete positivity (PSD Choi)."""
+def _tp_residual(c: Channel) -> float:
+    """||sum E^dag E - 1||, the distance from trace preservation."""
     acc = np.zeros((c.dim_in, c.dim_in), dtype=np.complex128)
     for e in c.elements:
         acc += dagger(e) @ e
-    tp_res = op_norm(acc - np.eye(c.dim_in))
+    return op_norm(acc - np.eye(c.dim_in))
+
+
+def validate_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> ChannelReport:
+    """Check trace preservation (sum E^dag E = 1) and complete positivity (PSD Choi)."""
+    tp_res = _tp_residual(c)
     w = np.linalg.eigvalsh(choi_of(c))
     min_eig = float(w[0]) if w.size else 0.0
     return ChannelReport(
@@ -153,10 +158,7 @@ def validate_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> ChannelReport:
 
 
 def require_trace_preserving(c: Channel, tol: Tolerance = DEFAULT_TOL) -> None:
-    acc = np.zeros((c.dim_in, c.dim_in), dtype=np.complex128)
-    for e in c.elements:
-        acc += dagger(e) @ e
-    res = op_norm(acc - np.eye(c.dim_in))
+    res = _tp_residual(c)
     if res > tol.abs_eps:
         raise NotTracePreserving(float(res), tol.abs_eps)
 
@@ -242,9 +244,7 @@ def dilate(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Isometry:
     k = c.stacked()  # (n, d_out, d_in)
     n = k.shape[0]
     v = k.transpose(1, 0, 2).reshape(c.dim_out * n, c.dim_in)
-    res = op_norm(dagger(v) @ v - np.eye(c.dim_in))
-    if res > tol.abs_eps:
-        raise NotTracePreserving(float(res), tol.abs_eps)
+    require_trace_preserving(c, tol)
     return Isometry(v=_freeze(v), d_out=c.dim_out, d_env=n)
 
 

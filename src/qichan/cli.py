@@ -51,34 +51,35 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(abs_eps=args.tol, rank_rel=args.rank_rel)
 
 
-def _write_report(args, report: dict) -> None:
-    text = serialize.dumps_canonical(report) + "\n"
-    if args.out:
-        path = Path(args.out)
+def _emit(out: str | None, default_name: str, text: str) -> None:
+    """Write ``text`` to ``out`` (``default_name`` inside it when it is a
+    directory), or to stdout when no path is given."""
+    if out:
+        path = Path(out)
         if path.is_dir():
-            path = path / f"{report['command']}.json"
+            path = path / default_name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _write_csv(args, header: list[str], rows: list[list]) -> None:
+def _write_report(args, report: dict) -> None:
+    _emit(args.out, f"{report['command']}.json", serialize.dumps_canonical(report) + "\n")
+
+
+def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for v in row:
             cells.append(serialize.format_float(v) if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        path = Path(args.out)
-        if path.is_dir():
-            path = path / f"{args.command}.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    else:
-        sys.stdout.write(text)
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(args, header: list[str], rows) -> None:
+    _emit(args.out, f"{args.command}.csv", _csv_text(header, rows))
 
 
 def _base_report(args, inputs: dict[str, str], results: dict, exit_code: int) -> dict:
@@ -189,7 +190,7 @@ def _cmd_oqec(args) -> int:
     tol = _tolerance(args)
     c = serialize.parse_channel_file(args.input, tol)
     code = serialize.parse_code_file(args.code)
-    d_a, d_b = (int(v) for v in args.split.split(","))
+    d_a, d_b = args.split
     rep = oqec_check(c, code, (d_a, d_b), tol)
     results = {
         "passes": rep.passes,
@@ -243,10 +244,9 @@ def _cmd_classical(args) -> int:
 def _cmd_broadcast(args) -> int:
     tol = _tolerance(args)
     c = serialize.parse_channel_file(args.input, tol)
-    dims = [int(v) for v in args.dims.split(",")]
-    report = decoherence.broadcast_pointer(c, dims, tol, seed=args.seed)
+    report = decoherence.broadcast_pointer(c, args.dims, tol, seed=args.seed)
     results = {
-        "subsystem_dims": dims,
+        "subsystem_dims": args.dims,
         "broadcast_algebra": serialize.algebra_to_dict(report.pointer_algebra),
         "pointer_effects": serialize.observable_to_dict(report.pointer_effects),
         "commutativity_residual": report.commutativity_residual,
@@ -256,10 +256,7 @@ def _cmd_broadcast(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.times:
-        times = [float(v) for v in args.times.split(",")]
-    else:
-        times = np.linspace(0.0, args.total_time, args.steps).tolist()
+    times = args.times or np.linspace(0.0, args.total_time, args.steps).tolist()
     projs = catalog.basis_observable(args.env_size).effects
     sweep = decoherence.dephasing_sweep(list(projs), args.env_size, args.total_time, times)
     rows = []
@@ -324,9 +321,11 @@ def _cmd_example(args) -> int:
         for label, code in bundle.codes.items():
             serialize.write_code_file(out_dir / f"{args.name}.{label}.code.json", code)
         if "gamma_rows" in results:
-            _write_rows_csv(out_dir / f"{args.name}.gamma.csv", ["t", "i", "m", "gamma"], results["gamma_rows"])
+            csv = _csv_text(["t", "i", "m", "gamma"], results["gamma_rows"])
+            (out_dir / f"{args.name}.gamma.csv").write_text(csv)
         if "region_points" in results:
-            _write_rows_csv(out_dir / f"{args.name}.region.csv", ["x", "z", "t"], results["region_points"])
+            csv = _csv_text(["x", "z", "t"], results["region_points"])
+            (out_dir / f"{args.name}.region.csv").write_text(csv)
     exit_code = 0 if results.get("passes", False) else 2
     report = _base_report(args, {}, {**results, "example": args.name}, exit_code)
     if out_dir is not None:
@@ -336,14 +335,26 @@ def _cmd_example(args) -> int:
     return exit_code
 
 
-def _write_rows_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            cells.append(serialize.format_float(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+def _number_list(text: str, kind, what: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+
+
+def _dims(text: str) -> list[int]:
+    return _number_list(text, int, "integers")
+
+
+def _times(text: str) -> list[float]:
+    return _number_list(text, float, "numbers")
+
+
+def _split(text: str) -> list[int]:
+    dims = _dims(text)
+    if len(dims) != 2:
+        raise argparse.ArgumentTypeError(f"expected dA,dB, got {text!r}")
+    return dims
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oqec", parents=[shared], help="subsystem code-correctability check")
     p.add_argument("input")
     p.add_argument("--code", required=True)
-    p.add_argument("--split", required=True, help="dA,dB factorization of the code")
+    p.add_argument("--split", required=True, type=_split, help="dA,dB factorization of the code")
     p.set_defaults(func=_cmd_oqec)
 
     p = sub.add_parser("classical", parents=[shared],
@@ -400,14 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("broadcast", parents=[shared], help="algebra broadcast to every subsystem")
     p.add_argument("input")
-    p.add_argument("--dims", required=True, help="comma-separated destination dimensions")
+    p.add_argument("--dims", required=True, type=_dims,
+                   help="comma-separated destination dimensions")
     p.set_defaults(func=_cmd_broadcast)
 
     p = sub.add_parser("sweep", parents=[shared], help="time-resolved dephasing weights")
     p.add_argument("--env-size", type=int, default=4, dest="env_size")
     p.add_argument("--total-time", type=float, default=1.0, dest="total_time")
     p.add_argument("--steps", type=int, default=11)
-    p.add_argument("--times", default=None, help="comma-separated times (overrides --steps)")
+    p.add_argument("--times", default=None, type=_times,
+                   help="comma-separated times (overrides --steps)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("region", parents=[shared], help="preserved-effect region coordinates")
@@ -430,7 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # usage errors (argparse exits 2) are input errors, not a "no"
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except QichanError as exc:

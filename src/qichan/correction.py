@@ -159,20 +159,12 @@ def correctable_operator_system(
 
 
 def kl_check(c: Channel, code: CodeSubspace, tol: Tolerance = DEFAULT_TOL) -> KLReport:
-    """Scalar correctability condition V^dag E_i^dag E_j V = lambda_ij 1."""
-    if code.dim != c.dim_in:
-        raise DimMismatch(f"code lives in dim {code.dim}, channel input is {c.dim_in}")
-    n = c.n_elements
-    d_code = code.dim_code
-    lam = np.zeros((n, n), dtype=np.complex128)
-    residual = 0.0
-    eye = np.eye(d_code)
-    for i in range(n):
-        for j in range(n):
-            m = dagger(code.v) @ dagger(c.elements[i]) @ c.elements[j] @ code.v
-            lam[i, j] = np.trace(m) / d_code
-            residual = max(residual, op_norm(m - lam[i, j] * eye))
-    return KLReport(passes=bool(residual <= tol.abs_eps), lam=lam, residual=float(residual))
+    """Scalar correctability condition V^dag E_i^dag E_j V = lambda_ij 1:
+    the subsystem condition of :func:`oqec_check` with the trivial split
+    (d_code, 1)."""
+    rep = oqec_check(c, code, (code.dim_code, 1), tol)
+    lam = np.reshape(rep.lambdas, (c.n_elements, c.n_elements))
+    return KLReport(passes=rep.passes, lam=lam, residual=rep.residual)
 
 
 def oqec_check(

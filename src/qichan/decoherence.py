@@ -10,7 +10,8 @@ kernels in :mod:`qichan.kernels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -119,13 +120,14 @@ def _commutativity_residual(span: OperatorBasisSet) -> float:
     return worst
 
 
-def pointer_algebra(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> PointerReport:
-    """Intersection of the algebras preserved by the channel and by its
-    complement; commutative, with the central projectors as the sharp
-    pointer observable."""
-    kept = commutant(list(interaction_span(c).basis), tol)
-    leaked = commutant(list(interaction_span(complement(c)).basis), tol)
-    both = intersect(kept, leaked)
+def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> PointerReport:
+    """Intersection of the algebras preserved by every channel in
+    ``channels``, decomposed, with its central projectors as the pointer
+    observable."""
+    algebras = [commutant(list(interaction_span(ch).basis), tol) for ch in channels]
+    both = algebras[0]
+    for a in algebras[1:]:
+        both = intersect(both, a)
     structure = structure_decompose(both, seed=seed, tol=tol)
     effects = DiscreteObservable.from_effects(list(structure.central_projectors))
     return PointerReport(
@@ -133,6 +135,13 @@ def pointer_algebra(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> 
         pointer_effects=effects,
         commutativity_residual=_commutativity_residual(both),
     )
+
+
+def pointer_algebra(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> PointerReport:
+    """Intersection of the algebras preserved by the channel and by its
+    complement; commutative, with the central projectors as the sharp
+    pointer observable."""
+    return _common_preserved([c, complement(c)], tol, seed)
 
 
 def correlation_check(
@@ -329,32 +338,18 @@ def broadcast_pointer(
         raise DimMismatch(f"prod{tuple(dims)} != channel output {c.dim_out}")
     if len(dims) < 2:
         raise DimMismatch("broadcast needs at least two subsystems")
-    marginals = _marginal_channels(c, dims)
-    spans = [commutant(list(interaction_span(m).basis), tol) for m in marginals]
-    both = spans[0]
-    for s in spans[1:]:
-        both = intersect(both, s)
-    structure = structure_decompose(both, seed=seed, tol=tol)
-    effects = DiscreteObservable.from_effects(list(structure.central_projectors))
-    composite = None
-    if witnesses is not None:
-        if len(witnesses) != len(dims):
-            raise DimMismatch("one witness observable per subsystem required")
-        effects_joint = []
-        from itertools import product as iproduct
-
-        for combo in iproduct(*[range(w.n_outcomes) for w in witnesses]):
-            joint = witnesses[0].effects[combo[0]]
-            for w, k in zip(witnesses[1:], combo[1:]):
-                joint = np.kron(joint, w.effects[k])
-            effects_joint.append(apply_dual(c, joint))
-        composite = DiscreteObservable.from_effects(effects_joint)
-    return PointerReport(
-        pointer_algebra=structure,
-        pointer_effects=effects,
-        commutativity_residual=_commutativity_residual(both),
-        composite=composite,
-    )
+    report = _common_preserved(_marginal_channels(c, dims), tol, seed)
+    if witnesses is None:
+        return report
+    if len(witnesses) != len(dims):
+        raise DimMismatch("one witness observable per subsystem required")
+    effects_joint = []
+    for combo in product(*[range(w.n_outcomes) for w in witnesses]):
+        joint = witnesses[0].effects[combo[0]]
+        for w, k in zip(witnesses[1:], combo[1:]):
+            joint = np.kron(joint, w.effects[k])
+        effects_joint.append(apply_dual(c, joint))
+    return replace(report, composite=DiscreteObservable.from_effects(effects_joint))
 
 
 def dephasing_sweep(projectors, n_env: int, total_time: float, times) -> SweepResult:

@@ -5,14 +5,9 @@ least-squares solver behind coarse-graining feasibility (called once per
 sampled observable, tens of thousands of times in a containment scan) and
 the alternating-maximization loop for classical channel capacity.
 
-The feasibility solver is vectorized numpy on every platform.  Capacity
-iteration has two implementations with identical semantics:
-``blahut_arimoto_numba`` (explicit loops compiled with ``@njit``, used by
-default when numba imports cleanly) and ``blahut_arimoto_numpy`` (always
-available); ``BACKEND`` names the one in use.  Set ``QICHAN_PURE_NUMPY=1``
-in the environment to force the numpy path.  Dense eigen/SVD work stays on
-LAPACK in :mod:`qichan.numlin`; compiling those would just re-implement
-BLAS badly.
+Each kernel has exactly one implementation, vectorized numpy with no
+compiled twin; ``BACKEND`` names it in reports.  Dense eigen/SVD work
+stays on LAPACK in :mod:`qichan.numlin`.
 
 The feasibility problem solved here is
 
@@ -41,35 +36,9 @@ rest of the batch.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-PURE_NUMPY_ENV = "QICHAN_PURE_NUMPY"
-
-
-def _env_forces_numpy() -> bool:
-    return os.environ.get(PURE_NUMPY_ENV, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-NUMBA_AVAILABLE = False
-if not _env_forces_numpy():
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if not NUMBA_AVAILABLE:
-
-    def njit(*args, **kwargs):  # noqa: D103 - decorator stub
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +174,7 @@ def solve_product_simplex_lsq(
 # ---------------------------------------------------------------------------
 
 
-def blahut_arimoto_numpy(
+def blahut_arimoto(
     pyx: np.ndarray, tol: float = 1e-12, max_iter: int = 10000
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Capacity (bits) of a classical channel by alternating maximization.
@@ -236,61 +205,3 @@ def blahut_arimoto_numpy(
         w = r * np.exp(d)
         r = w / w.sum()
     return history[-1], r, np.asarray(history)
-
-
-@njit(cache=True)
-def _ba_nb(pyx, tol, max_iter):  # pragma: no cover - compiled
-    n_in, n_out = pyx.shape
-    r = np.full(n_in, 1.0 / n_in)
-    history = np.empty(max_iter)
-    count = 0
-    c_prev = -1e300
-    for _ in range(max_iter):
-        qy = np.zeros(n_out)
-        for i in range(n_in):
-            for j in range(n_out):
-                qy[j] += r[i] * pyx[i, j]
-        d = np.zeros(n_in)
-        for i in range(n_in):
-            acc = 0.0
-            for j in range(n_out):
-                p = pyx[i, j]
-                if p > 0.0 and qy[j] > 0.0:
-                    acc += p * np.log(p / qy[j])
-            d[i] = acc
-        c_now = 0.0
-        for i in range(n_in):
-            c_now += r[i] * d[i]
-        c_now /= np.log(2.0)
-        history[count] = c_now
-        count += 1
-        if count > 1 and c_now - c_prev < tol:
-            break
-        c_prev = c_now
-        w = np.empty(n_in)
-        tot = 0.0
-        for i in range(n_in):
-            w[i] = r[i] * np.exp(d[i])
-            tot += w[i]
-        for i in range(n_in):
-            r[i] = w[i] / tot
-    return history[count - 1], r, history[:count]
-
-
-def blahut_arimoto_numba(
-    pyx: np.ndarray, tol: float = 1e-12, max_iter: int = 10000
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Numba twin of :func:`blahut_arimoto_numpy`."""
-    pyx = np.ascontiguousarray(pyx, dtype=np.float64)
-    c, r, hist = _ba_nb(pyx, tol, max_iter)
-    return float(c), r, hist
-
-
-# public dispatch -----------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-    blahut_arimoto = blahut_arimoto_numba
-    BACKEND = "numba"
-else:
-    blahut_arimoto = blahut_arimoto_numpy
-    BACKEND = "numpy"

@@ -218,8 +218,8 @@ class TestIntersectContains:
 
     def test_contains(self):
         diag = al.generate_star_algebra([np.diag([1.0, -1.0]).astype(complex)])
-        assert al.contains(diag, PAULI_Z)
-        assert not al.contains(diag, PAULI_X)
+        assert diag.contains(PAULI_Z)
+        assert not diag.contains(PAULI_X)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):

@@ -15,8 +15,8 @@ from qichan.catalog import (
 )
 from qichan.channels import Channel, apply_dual, channels_equal, identity_channel, unitary_channel
 from qichan.errors import BadFactorization
-from qichan.numlin import dagger, op_norm
-from qichan.rand import generator, random_channel, random_unitary
+from qichan.numlin import DEFAULT_TOL, dagger, op_norm
+from qichan.rand import generator, random_channel, random_isometry, random_unitary
 
 
 def full_support_channel(seed, d, k):
@@ -199,6 +199,29 @@ class TestKnillLaflamme:
         kl = co.kl_check(teleport_channel(), co.CodeSubspace.from_isometry(np.eye(2, dtype=complex)))
         assert kl.passes
         assert op_norm(kl.lam - np.eye(4) / 4) < 1e-12
+
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_pairwise_reference(self, seed):
+        # d = 2..6, k = 1..4 elements, random isometric codes of dim 1..d
+        d, k = 2 + seed % 5, 1 + seed % 4
+        d_code = 1 + seed % d
+        rng = generator(100 + seed)
+        c = random_channel(rng, d, d, k)
+        code = co.CodeSubspace.from_isometry(random_isometry(rng, d, d_code))
+        v = code.v
+        lam = np.zeros((k, k), dtype=complex)
+        residual = 0.0
+        for i in range(k):
+            for j in range(k):
+                m = v.conj().T @ c.elements[i].conj().T @ c.elements[j] @ v
+                lam[i, j] = np.trace(m) / d_code
+                residual = max(residual, np.linalg.norm(m - lam[i, j] * np.eye(d_code), 2))
+        kl = co.kl_check(c, code)
+        assert kl.lam.shape == (k, k)
+        assert np.abs(kl.lam - lam).max() <= 1e-14
+        assert abs(kl.residual - residual) <= 1e-14
+        assert kl.passes == (residual <= DEFAULT_TOL.abs_eps)
 
 
 class TestOQEC:

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -130,19 +129,19 @@ class TestFeasibilitySolver:
 
 class TestBlahutArimoto:
     def test_identity_channel_bit(self):
-        c, r, hist = kernels.blahut_arimoto_numpy(np.eye(2))
+        c, r, hist = kernels.blahut_arimoto(np.eye(2))
         assert abs(c - 1.0) < 1e-9
         assert np.allclose(r, [0.5, 0.5])
 
     def test_constant_channel_zero(self):
-        c, _, _ = kernels.blahut_arimoto_numpy(np.array([[0.3, 0.7], [0.3, 0.7]]))
+        c, _, _ = kernels.blahut_arimoto(np.array([[0.3, 0.7], [0.3, 0.7]]))
         assert abs(c) < 1e-12
 
     def test_bsc_closed_form(self):
         f = 0.25
         h2 = -(f * np.log2(f) + (1 - f) * np.log2(1 - f))
         pyx = np.array([[1 - f, f], [f, 1 - f]])
-        c, _, _ = kernels.blahut_arimoto_numpy(pyx, tol=1e-14)
+        c, _, _ = kernels.blahut_arimoto(pyx, tol=1e-14)
         assert abs(c - (1 - h2)) < 1e-8
 
     @pytest.mark.parametrize("seed", range(6))
@@ -150,35 +149,16 @@ class TestBlahutArimoto:
         rng = np.random.default_rng(seed)
         pyx = rng.random((5, 4)) + 0.01
         pyx /= pyx.sum(axis=1, keepdims=True)
-        _, _, hist = kernels.blahut_arimoto_numpy(pyx, tol=1e-14)
+        _, _, hist = kernels.blahut_arimoto(pyx, tol=1e-14)
         assert np.all(np.diff(hist) >= -1e-12)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_backends_agree(self, seed):
-        if not kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba disabled")
-        rng = np.random.default_rng(seed)
-        pyx = rng.random((4, 6)) + 0.01
-        pyx /= pyx.sum(axis=1, keepdims=True)
-        c1, r1, _ = kernels.blahut_arimoto_numpy(pyx, tol=1e-13)
-        c2, r2, _ = kernels.blahut_arimoto_numba(pyx, tol=1e-13)
-        assert abs(c1 - c2) < 1e-8
-        assert np.abs(r1 - r2).max() < 1e-5
 
 
 class TestBackendSelection:
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, **{kernels.PURE_NUMPY_ENV: "1"})
-        out = subprocess.run(
-            [sys.executable, "-c", "from qichan import kernels; print(kernels.BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
     def test_default_backend_reported(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-        if kernels.NUMBA_AVAILABLE:
-            assert kernels.BACKEND == "numba"
+        assert kernels.BACKEND == "numpy"
+
+    def test_numba_never_imported(self):
+        code = "import sys, qichan, qichan.cli; print('numba' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

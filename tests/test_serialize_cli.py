@@ -274,6 +274,29 @@ class TestCli:
         args = parser.parse_args(["preserved", self._channel_file(tmp_path)])
         assert args.seed == 17
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kl", "{channel}"],
+            ["oqec", "{channel}", "--code", "{code}", "--split", "2"],
+            ["broadcast", "{channel}", "--dims", "2,x"],
+            ["sweep", "--times", "a"],
+        ],
+        ids=["kl-without-code", "split", "dims", "times"],
+    )
+    def test_usage_errors_exit_one(self, tmp_path, capsys, argv):
+        code = tmp_path / "code.json"
+        serialize.write_code_file(code, CodeSubspace.from_isometry(np.eye(2, dtype=complex)))
+        paths = {"channel": self._channel_file(tmp_path), "code": str(code)}
+        rc = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "usage:" in err and "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_console_entry_point(self, tmp_path):
         path = self._channel_file(tmp_path)
         proc = subprocess.run(
