@@ -12,16 +12,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decoherence
-from .algebras import commutant, spans_equal
+from .algebras import center, commutant, spans_equal, structure_decompose
 from .channels import (
     Channel,
     DiscreteObservable,
+    apply,
     apply_dual,
     channels_equal,
     choi_of,
     complement,
     compose,
+    identity_channel,
     kraus_from_choi,
+    tensor,
     validate_channel,
 )
 from .correction import (
@@ -44,7 +47,7 @@ from .decoherence import (
 )
 from .errors import Infeasible, UnknownExample
 from .numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
-from .rand import generator, random_unitary
+from .rand import generator, random_effect, random_unitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -161,14 +164,7 @@ def lossy_teleport_channel(merge: tuple[int, int] = (0, 3)) -> Channel:
     keep, drop = merge
     for j in range(4):
         pi[keep if j == drop else j, j] = 1.0
-    loss_elements = []
-    for i in range(4):
-        for j in range(4):
-            if pi[i, j] > 0:
-                e = np.zeros((4, 4), dtype=np.complex128)
-                e[i, j] = np.sqrt(pi[i, j])
-                loss_elements.append(np.kron(e, np.eye(2, dtype=np.complex128)))
-    loss = Channel.from_elements(loss_elements)
+    loss = tensor(classical_channel(pi), identity_channel(2))
     return compose(loss, teleport_channel())
 
 
@@ -556,13 +552,13 @@ def _analyze_diamond(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     rng = generator(seed)
     n_checks = 24
     for _ in range(n_checks):
-        b = _random_output_effect(rng, c.dim_out)
+        b = random_effect(rng, c.dim_out)
         eff = apply_dual(c, b)
         x = DiscreteObservable.from_effects([eff, np.eye(2, dtype=np.complex128) - eff])
         try:
             sm = coarse_grain_solve(x, gamma)
             feas_count += 1
-            worst = max(worst, _reproduction_residual(x, gamma, sm))
+            worst = max(worst, decoherence._coarse_grain_residual(x, gamma, sm.entries))
         except Infeasible as exc:
             worst = max(worst, exc.residual)
     passes = spectra_ok and feas_count == n_checks and worst <= 1e-7
@@ -581,22 +577,6 @@ def _region_points_are_effects(points: np.ndarray) -> bool:
     r = np.hypot(points[:, 0], points[:, 1])
     t = points[:, 2]
     return bool(np.all(r <= np.minimum(t, 2 - t) + 1e-9))
-
-
-def _random_output_effect(rng: np.random.Generator, d: int) -> np.ndarray:
-    from .rand import random_effect
-
-    return random_effect(rng, d)
-
-
-def _reproduction_residual(
-    x: DiscreteObservable, gamma: DiscreteObservable, sm: decoherence.StochasticMap
-) -> float:
-    worst = 0.0
-    for j in range(x.n_outcomes):
-        approx = sum(sm.entries[j, i] * gamma.effects[i] for i in range(gamma.n_outcomes))
-        worst = max(worst, op_norm(x.effects[j] - approx))
-    return worst
 
 
 def _analyze_sic(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
@@ -655,18 +635,12 @@ def _analyze_sweep(bundle: ExampleBundle, tol: Tolerance) -> dict:
     rho = rng.random((4, 4)) + 1j * rng.random((4, 4))
     rho = rho @ rho.conj().T
     rho /= np.trace(rho)
-    from .channels import apply
-
     pinched = sum(p @ rho @ p for p in projs)
     snapshot_residual = float(op_norm(apply(sweep.snapshots[-1], rho) - pinched))
     mid = steps // 2
     brute = environment_pointer_weights(sweep.snapshots[mid], projs, n_env)
     oracle_residual = float(np.abs(brute - sweep.gamma[mid]).max())
-    rows = []
-    for t_idx, t in enumerate(sweep.times):
-        for i in range(len(projs)):
-            for m in range(n_env):
-                rows.append([float(t), i, m, float(sweep.gamma[t_idx, i, m])])
+    rows = sweep.rows()
     passes = identity_residual <= 1e-9 and snapshot_residual <= 1e-9 and oracle_residual <= 1e-9
     return {
         "passes": bool(passes),
@@ -685,11 +659,9 @@ def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     u2 = c.elements[1] / np.linalg.norm(c.elements[1], 2)
     oracle = commutant([u1, u2], tol)
     match = spans_equal(fixed, oracle, 1e-7)
-    from .algebras import structure_decompose
-
     structure = structure_decompose(fixed, seed=seed, tol=tol)
     center_commutative = all(n == 1 for n, _ in structure_decompose(
-        _center_span(fixed, tol), seed=seed, tol=tol
+        center(fixed, tol), seed=seed, tol=tol
     ).block_dims)
     passes = match and center_commutative
     return {
@@ -699,9 +671,3 @@ def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
         "fixed_blocks": list(structure.block_dims),
         "center_commutative": bool(center_commutative),
     }
-
-
-def _center_span(span, tol: Tolerance):
-    from .algebras import center
-
-    return center(span, tol)

@@ -35,14 +35,6 @@ from .numlin import Tolerance
 SEED_ENV = "QICHAN_SEED"
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV, "")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -259,11 +251,7 @@ def _cmd_sweep(args) -> int:
     times = args.times or np.linspace(0.0, args.total_time, args.steps).tolist()
     projs = catalog.basis_observable(args.env_size).effects
     sweep = decoherence.dephasing_sweep(list(projs), args.env_size, args.total_time, times)
-    rows = []
-    for t_idx, t in enumerate(sweep.times):
-        for i in range(sweep.gamma.shape[1]):
-            for m in range(sweep.gamma.shape[2]):
-                rows.append([float(t), i, m, float(sweep.gamma[t_idx, i, m])])
+    rows = sweep.rows()
     if args.format == "csv":
         _write_csv(args, ["t", "i", "m", "gamma"], rows)
         return 0
@@ -361,11 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", type=float, default=1e-9, help="absolute operator-norm tolerance")
     shared.add_argument("--rank-rel", type=float, default=1e-10, help="relative rank cutoff")
-    shared.add_argument("--seed", type=int, default=_default_seed(),
+    # a string default goes through ``type``, so a malformed $QICHAN_SEED is a usage error
+    shared.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"),
                         help=f"RNG seed (default from ${SEED_ENV} or 0)")
-    shared.add_argument("--samples", type=int, default=64, help="sample count for randomized checks")
     shared.add_argument("--out", default=None, help="output path (directory for `example`)")
-    shared.add_argument("--format", choices=("json", "csv"), default="json")
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", type=int, default=64, help="sample count for randomized checks")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = argparse.ArgumentParser(
         prog="qichan",
@@ -402,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True, type=_split, help="dA,dB factorization of the code")
     p.set_defaults(func=_cmd_oqec)
 
-    p = sub.add_parser("classical", parents=[shared],
+    p = sub.add_parser("classical", parents=[shared, samples],
                        help="coarse-graining feasibility against a reference observable")
     p.add_argument("input", help="observable (single solve) or channel (sampled check)")
     p.add_argument("--gamma", required=True, help="reference observable JSON")
@@ -415,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated destination dimensions")
     p.set_defaults(func=_cmd_broadcast)
 
-    p = sub.add_parser("sweep", parents=[shared], help="time-resolved dephasing weights")
+    p = sub.add_parser("sweep", parents=[shared, table], help="time-resolved dephasing weights")
     p.add_argument("--env-size", type=int, default=4, dest="env_size")
     p.add_argument("--total-time", type=float, default=1.0, dest="total_time")
     p.add_argument("--steps", type=int, default=11)
@@ -423,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated times (overrides --steps)")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("region", parents=[shared], help="preserved-effect region coordinates")
+    p = sub.add_parser("region", parents=[shared, table], help="preserved-effect region coordinates")
     p.add_argument("input")
     p.add_argument("--grid", type=int, default=24)
     p.set_defaults(func=_cmd_region)
@@ -433,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.set_defaults(func=_cmd_capacity)
 
-    p = sub.add_parser("example", parents=[shared], help="build and check a bundled example")
+    p = sub.add_parser("example", parents=[shared, samples], help="build and check a bundled example")
     p.add_argument("name", help=f"one of: {', '.join(catalog.EXAMPLE_NAMES)} "
                    "(diamonds-n takes n in 2..5 or 'inf')")
     p.set_defaults(func=_cmd_example)

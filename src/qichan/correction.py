@@ -88,11 +88,19 @@ def interaction_span(c: Channel) -> OperatorBasisSet:
     return span_of(prods)
 
 
+def _preserved_carrier(channels: list[Channel], tol: Tolerance) -> OperatorBasisSet:
+    """Algebra of the operators preserved by every channel in ``channels``.
+
+    Each channel preserves the commutant of its interaction span, and
+    commutant(S_1) & commutant(S_2) = commutant(S_1 | S_2), so the common
+    algebra is one commutant of the union of the spans.
+    """
+    return commutant([b for ch in channels for b in interaction_span(ch).basis], tol)
+
+
 def preserved_algebra(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> AlgebraStructure:
     """Block-decomposed algebra of all sharp observables preserved by ``c``."""
-    span = interaction_span(c)
-    alg = commutant(list(span.basis), tol)
-    return structure_decompose(alg, seed=seed, tol=tol)
+    return structure_decompose(_preserved_carrier([c], tol), seed=seed, tol=tol)
 
 
 def correction_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Channel:

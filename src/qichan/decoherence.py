@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import kernels
-from .algebras import AlgebraStructure, OperatorBasisSet, commutant, intersect, structure_decompose
+from .algebras import AlgebraStructure, OperatorBasisSet, span_of, structure_decompose
 from .channels import (
     Channel,
     DiscreteObservable,
@@ -24,7 +24,7 @@ from .channels import (
     complement,
     dilate,
 )
-from .correction import interaction_span
+from .correction import _preserved_carrier
 from .errors import (
     BadProjectors,
     DimMismatch,
@@ -97,6 +97,15 @@ class SweepResult:
     gamma: np.ndarray  # (n_times, n_projectors, N)
     snapshots: tuple[Channel, ...]
 
+    def rows(self) -> list[list]:
+        """One ``[t, i, m, gamma]`` row per weight, in time-major order."""
+        return [
+            [float(t), i, m, float(self.gamma[t_idx, i, m])]
+            for t_idx, t in enumerate(self.times)
+            for i in range(self.gamma.shape[1])
+            for m in range(self.gamma.shape[2])
+        ]
+
 
 @dataclass(frozen=True)
 class DecoherenceReport:
@@ -121,26 +130,23 @@ def _commutativity_residual(span: OperatorBasisSet) -> float:
 
 
 def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> PointerReport:
-    """Intersection of the algebras preserved by every channel in
-    ``channels``, decomposed, with its central projectors as the pointer
-    observable."""
-    algebras = [commutant(list(interaction_span(ch).basis), tol) for ch in channels]
-    both = algebras[0]
-    for a in algebras[1:]:
-        both = intersect(both, a)
-    structure = structure_decompose(both, seed=seed, tol=tol)
+    """Algebra preserved by every channel in ``channels`` (one commutant of
+    all their interaction spans), decomposed, with its central projectors
+    as the pointer observable."""
+    carrier = _preserved_carrier(channels, tol)
+    structure = structure_decompose(carrier, seed=seed, tol=tol)
     effects = DiscreteObservable.from_effects(list(structure.central_projectors))
     return PointerReport(
         pointer_algebra=structure,
         pointer_effects=effects,
-        commutativity_residual=_commutativity_residual(both),
+        commutativity_residual=_commutativity_residual(carrier),
     )
 
 
 def pointer_algebra(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> PointerReport:
-    """Intersection of the algebras preserved by the channel and by its
-    complement; commutative, with the central projectors as the sharp
-    pointer observable."""
+    """Algebra preserved by both the channel and its complement: the
+    commutant of their joint interaction spans.  Commutative, with the
+    central projectors as the sharp pointer observable."""
     return _common_preserved([c, complement(c)], tol, seed)
 
 
@@ -226,15 +232,15 @@ def _coarse_grain_residual(
     return worst
 
 
-def _rank_one_parts(c: Channel, tol: Tolerance) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """(output state, input state) pairs when every element is rank one."""
-    parts = []
+def _rank_one_outputs(c: Channel, tol: Tolerance) -> list[np.ndarray] | None:
+    """Output vector s_0 u_0 of each element when every element is rank one."""
+    outputs = []
     for e in c.elements:
-        u, s, vh = np.linalg.svd(e)
+        u, s, _ = np.linalg.svd(e)
         if s.size > 1 and s[1] > tol.rank_rel * s[0] * 100:
             return None
-        parts.append((u[:, 0] * s[0], vh[0].conj()))
-    return parts
+        outputs.append(u[:, 0] * s[0])
+    return outputs
 
 
 def full_decoherence_check(
@@ -261,14 +267,16 @@ def full_decoherence_check(
     residuals = []
     feasible = 0
     explicit_res: float | None = None
-    parts = _rank_one_parts(c, op_tol)
-    if parts is not None:
+    psis = None
+    outputs = _rank_one_outputs(c, op_tol)
+    if outputs is not None:
         canonical = [dagger(e) @ e for e in c.elements]
         match = len(canonical) == gamma.n_outcomes and all(
             op_norm(canonical[i] - gamma.effects[i]) <= 1e-8 for i in range(len(canonical))
         )
-        if not match:
-            parts = None
+        if match:
+            norms = [np.linalg.norm(pout) for pout in outputs]
+            psis = [pout / n if n > 0 else pout for pout, n in zip(outputs, norms)]
     for _ in range(samples):
         n_out = int(rng.integers(2, c.dim_out + 2))
         if rng.random() < 0.5 and n_out <= c.dim_out:
@@ -283,9 +291,7 @@ def full_decoherence_check(
         residuals.append(res)
         if res <= tol:
             feasible += 1
-        if parts is not None:
-            psi_norms = np.array([np.linalg.norm(pout) for pout, _ in parts])
-            psis = [pout / n if n > 0 else pout for (pout, _), n in zip(parts, psi_norms)]
+        if psis is not None:
             pi_explicit = np.array(
                 [[float((psi.conj() @ ye @ psi).real) for psi in psis] for ye in y.effects]
             )
@@ -329,8 +335,9 @@ def broadcast_pointer(
     tensor product of destination subsystems.
 
     Computes each marginal by tracing the dilated action down to one
-    factor, intersects their preserved algebras, and reports the result as
-    a pointer structure.  When per-factor witness observables are given,
+    factor, takes the commutant of all their interaction spans (the
+    algebra every marginal preserves), and reports it as a pointer
+    structure.  When per-factor witness observables are given,
     the composite observable (Y_1 (x) ... (x) Y_n) o E is attached.
     """
     dims = [int(d) for d in subsystem_dims]
@@ -501,6 +508,4 @@ def iterated_fixed_points(
             drift = apply_dual(c, drift)
         if op_norm(drift - a) <= max(tol.abs_eps * max_iter, 1e-7):
             kept.append(a)
-    from .algebras import span_of
-
-    return span_of(kept, dim=d) if kept else span_of([], dim=d)
+    return span_of(kept, dim=d)

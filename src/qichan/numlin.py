@@ -55,15 +55,6 @@ def op_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    return complex(np.sum(a.conj() * b))
-
-
-def is_hermitian(a: np.ndarray, eps: float = DEFAULT_TOL.abs_eps) -> bool:
-    return a.shape[0] == a.shape[1] and op_norm(a - dagger(a)) <= eps
-
-
 def require_square(a: np.ndarray) -> np.ndarray:
     a = asmatrix(a)
     if a.shape[0] != a.shape[1]:
@@ -101,14 +92,6 @@ def nullspace(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     cut = tol.rank_rel * smax
     rank = int(np.sum(s > cut)) if smax > 0 else 0
     return dagger(vh)[:, rank:]
-
-
-def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    a = asmatrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol.rank_rel * s[0]))
 
 
 def psd_sqrt_pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -165,11 +148,6 @@ def partial_trace(a, dims: list[int], keep) -> np.ndarray:
         t = np.trace(t, axis1=idx, axis2=idx + (t.ndim // 2))
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
     return t.reshape(d_keep, d_keep)
-
-
-def close(a, b, eps: float = DEFAULT_TOL.abs_eps) -> bool:
-    """Operator-norm equality within eps."""
-    return op_norm(np.asarray(a) - np.asarray(b)) <= eps
 
 
 def herm_to_coords(m: np.ndarray) -> np.ndarray:

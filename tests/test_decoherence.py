@@ -1,16 +1,20 @@
+import sys
+
 import numpy as np
 import pytest
 
 from qichan import decoherence as de
-from qichan.algebras import commutant, spans_equal
+from qichan.algebras import commutant, intersect, spans_equal, structure_decompose
 from qichan.catalog import (
     PAULI_X,
     PAULI_Z,
+    antisym_joint_channel,
     basis_observable,
     block_pinch_channel,
     dephasing_channel,
     diamond_channel,
     diamond_pointer,
+    example_catalog,
     sic_cloner_channel,
     sic_tetrahedron,
 )
@@ -21,8 +25,10 @@ from qichan.channels import (
     apply_dual,
     choi_of,
     complement,
+    tensor,
     unitary_channel,
 )
+from qichan.correction import interaction_span
 from qichan.errors import BadProjectors, DimMismatch, Infeasible, NotEndomorphic, WitnessMismatch
 from qichan.numlin import dagger, op_norm
 from qichan.rand import generator, random_channel, random_density, random_effect, random_unitary
@@ -196,6 +202,76 @@ class TestBroadcast:
             de.broadcast_pointer(c, [3, 2])
         with pytest.raises(DimMismatch):
             de.broadcast_pointer(c, [4])
+
+
+def _intersected_reference(channels, seed=0):
+    """Reference: the commutant of each channel's interaction span, the
+    commutants intersected pairwise, the result decomposed."""
+    both = None
+    for ch in channels:
+        a = commutant(list(interaction_span(ch).basis))
+        both = a if both is None else intersect(both, a)
+    return structure_decompose(both, seed=seed)
+
+
+def _dephased_qubit_times_random(seed, d):
+    rng = generator(seed)
+    u = random_unitary(rng, 2)
+    qubit = Channel.from_elements([np.diag(np.eye(2)[i]) @ u for i in range(2)])
+    return tensor(qubit, random_channel(rng, d // 2, d // 2, 2))
+
+
+def _common_preserved_cases():
+    cases = [
+        ("dephasing", "pointer", example_catalog("dephasing").channels["channel"], None),
+        ("blocks", "pointer", example_catalog("blocks").channels["channel"], None),
+        ("antisym", "broadcast", antisym_joint_channel(), [3, 3]),
+    ]
+    for d in (4, 8, 12):
+        cases.append((f"dephased-qubit-d{d}", "pointer", _dephased_qubit_times_random(d, d), None))
+    for seed in range(20):
+        rng = generator(100 + seed)
+        d, k = 2 + seed % 5, 1 + seed % 3
+        if seed % 2:
+            cases.append((f"random-{seed}", "broadcast", random_channel(rng, d, 4, k), [2, 2]))
+        else:
+            cases.append((f"random-{seed}", "pointer", random_channel(rng, d, d, k), None))
+    return cases
+
+
+_CASES = _common_preserved_cases()
+
+
+class TestCommonPreserved:
+    @pytest.mark.parametrize("kind,c,dims", [case[1:] for case in _CASES],
+                             ids=[case[0] for case in _CASES])
+    def test_matches_intersected_commutants(self, kind, c, dims):
+        if kind == "pointer":
+            got = de.pointer_algebra(c)
+            want = _intersected_reference([c, complement(c)])
+        else:
+            got = de.broadcast_pointer(c, dims)
+            want = _intersected_reference(de._marginal_channels(c, dims))
+        structure = got.pointer_algebra
+        assert structure.block_dims == want.block_dims
+        assert spans_equal(structure.carrier, want.carrier, 1e-8)
+        remaining = list(want.central_projectors)
+        for p in structure.central_projectors:
+            dists = [op_norm(p - q) for q in remaining]
+            assert min(dists) <= 1e-10
+            remaining.pop(int(np.argmin(dists)))
+
+    def test_never_intersects(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("intersect called on the pipeline")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qichan" and hasattr(module, "intersect"):
+                monkeypatch.setattr(module, "intersect", forbidden)
+        c, _ = block_pinch_channel((2, 1), seed=3)
+        assert de.pointer_algebra(c).pointer_algebra.block_dims == ((1, 2), (1, 1))
+        joint = antisym_joint_channel()
+        assert de.broadcast_pointer(joint, [3, 3]).pointer_algebra.dimension == 1
 
 
 class TestDephasingSweep:

@@ -274,6 +274,21 @@ class TestCli:
         args = parser.parse_args(["preserved", self._channel_file(tmp_path)])
         assert args.seed == 17
 
+    def test_malformed_seed_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QICHAN_SEED", "abc")
+        rc = main(["preserved", self._channel_file(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "usage:" in err and "Traceback" not in err
+
+    def test_samples_where_read(self):
+        from qichan import cli as cli_mod
+
+        parser = cli_mod.build_parser()
+        assert parser.parse_args(["example", "dephasing", "--samples", "8"]).samples == 8
+        args = parser.parse_args(["classical", "x.json", "--gamma", "g.json", "--samples", "8"])
+        assert args.samples == 8
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -281,8 +296,10 @@ class TestCli:
             ["oqec", "{channel}", "--code", "{code}", "--split", "2"],
             ["broadcast", "{channel}", "--dims", "2,x"],
             ["sweep", "--times", "a"],
+            ["preserved", "{channel}", "--format", "csv"],
+            ["pointer", "{channel}", "--samples", "8"],
         ],
-        ids=["kl-without-code", "split", "dims", "times"],
+        ids=["kl-without-code", "split", "dims", "times", "format-unread", "samples-unread"],
     )
     def test_usage_errors_exit_one(self, tmp_path, capsys, argv):
         code = tmp_path / "code.json"
