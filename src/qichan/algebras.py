@@ -3,7 +3,7 @@
 Operator spans are stored as stacks of matrices whose vectorizations are
 orthonormal in the Hilbert-Schmidt inner product.  Commutants and centers
 reduce to nullspaces of stacked commutator superoperators; block structure
-is read off the spectrum of a generic central element.
+is read off one eigendecomposition of a generic element of the algebra.
 
 The stacks are tall (one d^2-row block per operator) and are never built
 whole: ``_streamed_svd`` runs the row blocks through a blocked QR a few
@@ -55,14 +55,6 @@ class OperatorBasisSet:
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
         x = asmatrix(x)
         return op_norm(x - self.project(x)) <= tol.abs_eps
-
-    def hermitian_basis(self) -> list[np.ndarray]:
-        """Hermitian spanning set (same span when the span is adjoint-closed)."""
-        out = []
-        for b in self.basis:
-            out.append((b + dagger(b)) / 2)
-            out.append((b - dagger(b)) / 2j)
-        return out
 
 
 def _gram_schmidt(vecs: np.ndarray, drop: float = GS_DROP) -> np.ndarray:
@@ -293,13 +285,6 @@ class AlgebraStructure:
         return all(n == 1 for n, _ in self.block_dims)
 
 
-def _generic_hermitian(span: OperatorBasisSet, rng: np.random.Generator) -> np.ndarray:
-    h = np.zeros((span.dim, span.dim), dtype=np.complex128)
-    for b in span.hermitian_basis():
-        h += rng.standard_normal() * b
-    return (h + dagger(h)) / 2
-
-
 def _generic_element(span: OperatorBasisSet, rng: np.random.Generator) -> np.ndarray:
     coeffs = rng.standard_normal(span.dimension) + 1j * rng.standard_normal(span.dimension)
     return np.tensordot(coeffs, span.basis, axes=(0, 0))
@@ -343,51 +328,63 @@ def structure_decompose(
 ) -> AlgebraStructure:
     """Block decomposition of a unital *-algebra.
 
-    Central projectors are the spectral clusters of a generic Hermitian
-    central element (seeded); inside each block the factor structure
-    M_{n_k} (x) 1_{m_k} is exposed through matrix units built from polar
-    parts of a generic algebra element.  An unlucky draw is retried with
-    the next seed, up to ``DECOMPOSE_SEEDS`` seeds, before
+    One seeded generic element g of the span carries the whole structure:
+    the eigenspaces of its Hermitian part are the m_k-dimensional
+    eigenspaces of H_k (x) 1_{m_k}, g couples two of them exactly when they
+    lie in one block, and polar parts of those couplings align them into
+    matrix units of M_{n_k} (x) 1_{m_k}.  The block pattern residual
+    certifies that the span lies inside the block algebra found, and equal
+    dimensions that it is all of it; a smaller span is not closed under
+    multiplication and raises ``NotAnAlgebra``.  An unlucky draw is retried
+    with the next seed, up to ``DECOMPOSE_SEEDS`` seeds, before
     ``DecompositionFailed`` is raised.
     """
     d = a.dim
     eye = np.eye(d)
     if not a.contains(eye, Tolerance(max(tol.abs_eps, 1e-8), tol.rank_rel)):
         raise NotAnAlgebra("algebra must contain the identity")
-    z = center(a, tol)
     for attempt in range(DECOMPOSE_SEEDS):
         try:
-            return _decompose_with(a, z, np.random.default_rng(seed + attempt))
+            return _decompose_with(a, np.random.default_rng(seed + attempt))
         except DecompositionFailed:
             if attempt == DECOMPOSE_SEEDS - 1:
                 raise
 
 
-def _decompose_with(
-    a: OperatorBasisSet, z: OperatorBasisSet, rng: np.random.Generator
-) -> AlgebraStructure:
-    """One seeded decomposition attempt of ``a`` given its center ``z``."""
+def _decompose_with(a: OperatorBasisSet, rng: np.random.Generator) -> AlgebraStructure:
+    """One seeded decomposition attempt of ``a`` from one generic element."""
     d = a.dim
-    h_central = _generic_hermitian(z, rng)
-    w, u = np.linalg.eigh(h_central)
+    g = _generic_element(a, rng)
+    w, u = np.linalg.eigh((g + dagger(g)) / 2)
     clusters = _cluster(w)
-
+    t = dagger(u) @ g @ u
+    member = np.zeros((d, len(clusters)))
+    for k, c in enumerate(clusters):
+        member[c, k] = 1.0
+    # Frobenius norms of t's cluster-by-cluster sub-blocks; g is unit-scale,
+    # and across blocks its coupling is zero up to roundoff
+    coupled = np.sqrt(member.T @ np.abs(t) ** 2 @ member) > CLUSTER_GAP * op_norm(g)
+    np.fill_diagonal(coupled, True)
+    taken = np.zeros(len(clusters), dtype=bool)
     blocks = []
-    for cluster_idx in clusters:
-        cols = u[:, cluster_idx]
-        d_k = cols.shape[1]
-        proj = cols @ dagger(cols)
-        restricted = span_of([dagger(cols) @ b @ cols for b in a.basis], dim=d_k)
-        n_sq = restricted.dimension
-        n_k = int(round(np.sqrt(n_sq)))
-        if n_k * n_k != n_sq or d_k % n_k != 0:
+    for i, first in enumerate(clusters):
+        if taken[i]:
+            continue
+        members = np.flatnonzero(coupled[:, i])
+        m_k = first.size
+        if taken[members].any() or any(clusters[j].size != m_k for j in members):
             raise DecompositionFailed(
-                f"block of size {d_k} carries a {n_sq}-dimensional factor; "
-                "tolerance is too loose or too tight"
+                f"coupled clusters of sizes {[clusters[j].size for j in members]} "
+                "differ or overlap another block"
             )
-        m_k = d_k // n_k
-        block_cols = cols @ _factor_basis(restricted, n_k, m_k, rng)
-        blocks.append(((n_k, m_k), proj, block_cols))
+        taken[members] = True
+        # align each cluster with the first by the polar part of g's coupling
+        cols = [u[:, first]]
+        for j in members[1:]:
+            uu, _, vvh = np.linalg.svd(t[np.ix_(clusters[j], first)])
+            cols.append(u[:, clusters[j]] @ (uu @ vvh))
+        block_cols = np.hstack(cols)
+        blocks.append(((members.size, m_k), block_cols @ dagger(block_cols), block_cols))
 
     order = sorted(
         range(len(blocks)),
@@ -409,34 +406,10 @@ def _decompose_with(
     residual = block_pattern_residual(structure)
     if residual > 1e-6:
         raise DecompositionFailed(f"block pattern residual {residual:.3e}")
+    # the span lies inside sum_k M_{n_k} (x) 1_{m_k}; equal dimensions make it all of it
+    if sum(n * n for n, _ in dims) != a.dimension:
+        raise NotAnAlgebra("span is not closed under multiplication")
     return structure
-
-
-def _factor_basis(
-    restricted: OperatorBasisSet, n_k: int, m_k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Orthonormal columns of the block subspace ordered so the factor shows
-    as M_{n_k} (x) 1_{m_k}."""
-    d_k = restricted.dim
-    if n_k == 1:
-        return np.eye(d_k, dtype=np.complex128)
-    h = _generic_hermitian(restricted, rng)
-    w, u = np.linalg.eigh(h)
-    clusters = _cluster(w)
-    if len(clusters) != n_k or any(c.size != m_k for c in clusters):
-        raise DecompositionFailed(
-            f"generic spectrum split into {[c.size for c in clusters]}, "
-            f"expected {n_k} clusters of size {m_k}"
-        )
-    s = _generic_element(restricted, rng)
-    u1 = u[:, clusters[0]]
-    cols = [u1]
-    for c in clusters[1:]:
-        up = u[:, c]
-        coeff = dagger(up) @ s @ u1
-        uu, _, vvh = np.linalg.svd(coeff)
-        cols.append(up @ (uu @ vvh))
-    return np.hstack(cols)
 
 
 def block_pattern_residual(structure: AlgebraStructure) -> float:

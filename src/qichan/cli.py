@@ -310,16 +310,13 @@ def _cmd_example(args) -> int:
             serialize.write_code_file(out_dir / f"{args.name}.{label}.code.json", code)
         if "gamma_rows" in results:
             csv = _csv_text(["t", "i", "m", "gamma"], results["gamma_rows"])
-            (out_dir / f"{args.name}.gamma.csv").write_text(csv)
+            _emit(args.out, f"{args.name}.gamma.csv", csv)
         if "region_points" in results:
             csv = _csv_text(["x", "z", "t"], results["region_points"])
-            (out_dir / f"{args.name}.region.csv").write_text(csv)
+            _emit(args.out, f"{args.name}.region.csv", csv)
     exit_code = 0 if results.get("passes", False) else 2
     report = _base_report(args, {}, {**results, "example": args.name}, exit_code)
-    if out_dir is not None:
-        (out_dir / f"{args.name}.report.json").write_text(serialize.dumps_canonical(report) + "\n")
-    else:
-        sys.stdout.write(serialize.dumps_canonical(report) + "\n")
+    _emit(args.out, f"{args.name}.report.json", serialize.dumps_canonical(report) + "\n")
     return exit_code
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from .algebras import (
     AlgebraStructure,
     OperatorBasisSet,
+    _gram_schmidt,
+    _row_span_projector,
     block_pattern_residual,
     commutant,
     span_of,
@@ -206,8 +208,6 @@ def oqec_check(
 
 def span_equivalent(c1: Channel, c2: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the element lists span the same operator subspace."""
-    from .algebras import _gram_schmidt, _row_span_projector
-
     if (c1.dim_in, c1.dim_out) != (c2.dim_in, c2.dim_out):
         return False
     rows1 = _gram_schmidt(np.array([e.reshape(-1) for e in c1.elements]))

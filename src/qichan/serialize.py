@@ -19,6 +19,7 @@ from .channels import (
     validate_channel,
     validate_observable,
 )
+from .correction import CodeSubspace
 from .errors import SchemaError, ValidationError
 from .numlin import DEFAULT_TOL, Tolerance
 
@@ -194,8 +195,6 @@ def code_to_dict(code) -> dict:
 
 
 def parse_code_file(path: str | Path):
-    from .correction import CodeSubspace
-
     data = _load_json(path)
     for name in ("dim", "dim_code", "isometry"):
         if name not in data:

@@ -10,9 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from qichan import algebras as al
-from qichan.catalog import PAULI_X, PAULI_Y, PAULI_Z, block_projectors
+from qichan.catalog import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    block_pinch_channel,
+    block_projectors,
+    dephasing_channel,
+)
 from qichan.channels import Channel
 from qichan.correction import preserved_algebra
+from qichan.decoherence import pointer_algebra
 from qichan.errors import DecompositionFailed, DimMismatch, NotAnAlgebra
 from qichan.numlin import DEFAULT_TOL
 from qichan.rand import generator, random_channel, random_unitary
@@ -34,6 +42,27 @@ def two_by_two_plus_three_algebra():
             m[4 + p, 4 + q] = 1
             basis.append(m)
     return al.span_of(basis)
+
+
+def planted_algebra(spec, rng):
+    """sum_k M_{n_k} (x) 1_{m_k} in a random orthonormal basis, with its
+    central projectors."""
+    d = sum(n * m for n, m in spec)
+    u = random_unitary(rng, d)
+    basis, projs = [], []
+    offset = 0
+    for n, m in spec:
+        block = slice(offset, offset + n * m)
+        for p in range(n):
+            for q in range(n):
+                x = np.zeros((d, d), dtype=complex)
+                x[block, block] = np.kron(np.eye(n)[:, [p]] @ np.eye(n)[[q]], np.eye(m))
+                basis.append(u @ x @ u.conj().T)
+        proj = np.zeros((d, d), dtype=complex)
+        proj[block, block] = np.eye(n * m)
+        projs.append(u @ proj @ u.conj().T)
+        offset += n * m
+    return al.span_of(basis), projs
 
 
 class TestGenerateStarAlgebra:
@@ -173,11 +202,11 @@ class TestStructureDecompose:
         attempt = al._decompose_with
         states = []
 
-        def fails_first(a, z, rng):
+        def fails_first(a, rng):
             states.append(rng.bit_generator.state)
             if len(states) == 1:
                 raise DecompositionFailed("unlucky draw")
-            return attempt(a, z, rng)
+            return attempt(a, rng)
 
         monkeypatch.setattr(al, "_decompose_with", fails_first)
         st = al.structure_decompose(two_by_two_plus_three_algebra(), seed=5)
@@ -187,7 +216,7 @@ class TestStructureDecompose:
     def test_gives_up_after_decompose_seeds(self, monkeypatch):
         calls = []
 
-        def always_fails(a, z, rng):
+        def always_fails(a, rng):
             calls.append(rng)
             raise DecompositionFailed("unlucky draw")
 
@@ -200,6 +229,45 @@ class TestStructureDecompose:
         st = al.structure_decompose(two_by_two_plus_three_algebra())
         u = st.basis_change
         assert al.op_norm(u.conj().T @ u - np.eye(7)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "spec", [((16, 1),), ((8, 1), (4, 2)), ((2, 3), (1, 2), (3, 1)), ((1, 4), (1, 4))]
+    )
+    def test_planted_algebra(self, spec):
+        alg, projs = planted_algebra(spec, generator(sum(n * m for n, m in spec)))
+        st = al.structure_decompose(alg)
+        assert sorted(st.block_dims) == sorted(spec)
+        assert al.block_pattern_residual(st) < 1e-10
+        # every planted central projector is found once, in some order
+        for p in projs:
+            dists = sorted(al.op_norm(p - q) for q in st.central_projectors)
+            assert dists[0] < 1e-10 and (len(dists) == 1 or dists[1] > 0.5)
+
+    @pytest.mark.parametrize(
+        "entries", [[(0, 1), (1, 0)], [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)], [(0, 1)]]
+    )
+    def test_rejects_non_algebra(self, entries):
+        # unital, but E_01 E_10 = E_00, E_01 E_12 = E_02 or E_01^dag = E_10
+        # leaves the span
+        mats = [np.eye(3, dtype=complex)]
+        for p, q in entries:
+            m = np.zeros((3, 3), dtype=complex)
+            m[p, q] = 1
+            mats.append(m)
+        with pytest.raises(NotAnAlgebra):
+            al.structure_decompose(al.span_of(mats))
+
+    def test_decompose_never_calls_center(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the block decomposition must not solve the center")
+
+        monkeypatch.setattr(al, "center", forbidden)
+        monkeypatch.setattr(al, "is_multiplication_closed", forbidden)
+        st = al.structure_decompose(two_by_two_plus_three_algebra())
+        assert set(st.block_dims) == {(2, 2), (3, 1)}
+        pinch, _ = block_pinch_channel((2, 3, 3), seed=1)
+        assert preserved_algebra(pinch).block_dims == ((3, 1), (3, 1), (2, 1))
+        assert pointer_algebra(dephasing_channel(3)).pointer_algebra.block_dims == ((1, 1),) * 3
 
 
 class TestIntersectContains:
