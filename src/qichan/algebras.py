@@ -1,15 +1,21 @@
 """Finite-dimensional *-algebra machinery.
 
 Operator spans are stored as stacks of matrices whose vectorizations are
-orthonormal in the Hilbert-Schmidt inner product.  Commutants and centers
-reduce to nullspaces of stacked commutator superoperators; block structure
-is read off one eigendecomposition of a generic element of the algebra.
+orthonormal in the Hilbert-Schmidt inner product.  Block structure is read
+off one eigendecomposition of a generic element of the algebra.
 
-The stacks are tall (one d^2-row block per operator) and are never built
-whole: ``_streamed_svd`` runs the row blocks through a blocked QR a few
-thousand rows at a time and keeps only the square triangular factor, whose
-singular values and right vectors are those of the whole stack.  Memory is
-O(d^4) for a commutant on C^d, whatever the number of operators.
+The commutant of F_1..F_k and their adjoints is the joint kernel of the
+maps A -> [F, A].  Stacked, those maps form a 2k d^2 x d^2 matrix; its
+Gram matrix, the commutator Laplacian L, is d^2 x d^2 however large k is
+and comes from one matrix product.  One eigendecomposition of L picks the
+r candidate directions with small eigenvalues, and only the stack
+restricted to those r columns is factored: ``_streamed_svd`` runs its row
+blocks through a blocked QR a few thousand rows at a time and keeps only
+the r x r triangle, whose singular values and right vectors are those of
+the restricted stack.  So the rank cut is made on singular values, not on
+their squares, and memory is O(d^4) whatever the number of operators.
+Centers are nullspaces of commutators in the algebra's own coordinates,
+streamed the same way.
 """
 
 from __future__ import annotations
@@ -72,18 +78,21 @@ def _gram_schmidt(vecs: np.ndarray, drop: float = GS_DROP) -> np.ndarray:
     if scale == 0.0:
         return np.zeros((0, length), dtype=np.complex128)
     floor = drop * scale
-    q = np.zeros((0, length), dtype=np.complex128)
+    buf = np.empty((min(vecs.shape[0], length), length), dtype=np.complex128)
+    m = 0
     for v, nrm0 in zip(vecs, norms):
-        if nrm0 <= floor or q.shape[0] == length:
+        if nrm0 <= floor or m == length:
             continue
         w = v / nrm0
         for _ in range(2):
-            if q.shape[0]:
+            if m:
+                q = buf[:m]
                 w = w - q.T @ (q.conj() @ w)
         nrm = np.linalg.norm(w)
         if nrm * nrm0 > floor:
-            q = np.vstack([q, w[None, :] / nrm])
-    return q
+            buf[m] = w / nrm
+            m += 1
+    return buf[:m].copy()
 
 
 def span_of(mats, dim: int | None = None) -> OperatorBasisSet:
@@ -171,15 +180,18 @@ def _streamed_svd(blocks, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     return sv, vh
 
 
-def _null_rows(sv: np.ndarray, vh: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:
+def _null_rows(
+    sv: np.ndarray, vh: np.ndarray, smax: float, scale: float, tol: Tolerance
+) -> np.ndarray:
     """Right vectors of the numerical nullspace of a commutator stack.
 
-    A normalized direction counts as commuting when its singular value is
-    below ``rank_rel`` of the largest or below ``abs_eps`` at the
-    operators' scale; the relative cut alone would misread pure roundoff as
-    structure when everything nearly commutes.
+    ``smax`` is the largest singular value of the whole stack, which may
+    hold more columns than ``sv`` and ``vh`` cover.  A normalized direction
+    counts as commuting when its singular value is below ``rank_rel`` of
+    ``smax`` or below ``abs_eps`` at the operators' scale; the relative cut
+    alone would misread pure roundoff as structure when everything nearly
+    commutes.
     """
-    smax = sv[0] if sv.size else 0.0
     cut = max(tol.rank_rel * smax, tol.abs_eps * scale)
     rank = int(np.sum(sv > cut)) if smax > 0 else 0
     return vh[rank:].conj()
@@ -195,10 +207,27 @@ def _max_op_norm(mats: np.ndarray) -> float:
 def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     """All matrices commuting with every given operator and its adjoint.
 
-    Solved as the joint nullspace of the maps A -> [A, S]; the adjoints are
-    included so the result is a von Neumann algebra.  One d^2 x d^2
-    commutator superoperator per operator streams through ``_streamed_svd``,
-    so memory is O(d^4) however many operators there are.
+    Solved as the joint nullspace of the maps A -> [F, A] over every
+    operator F and its adjoint, so the result is a von Neumann algebra.
+    The identity commutes with everything, so each F is first replaced by
+    its traceless part F0; the cut keeps the scale of the given operators.
+
+    1. With row-major vec, ad_X = X (x) 1 - 1 (x) X^T, and the sum of
+       ad_g^dag ad_g over g in {F0, F0^dag} is the d^2 x d^2 PSD Laplacian
+       L = Q (x) 1 + 1 (x) Q^T - 2 (K + K^dag), with Q = sum F0^dag F0 +
+       F0 F0^dag and K = sum F0 (x) conj(F0), the realigned V^T conj(V) of
+       the stacked vec(F0) rows V: one matrix product.  L's eigenvalues
+       are squared singular values of the stacked maps, too coarse for the
+       cut, so one ``eigh`` only picks candidates: the r eigenvectors with
+       eigenvalue at most max(1e-6 tr Q, (2 rank_rel)^2 lmax,
+       (2 abs_eps scale)^2), lmax the largest.  Every direction left out
+       has a singular value above twice either cut, and, as tr Q is at
+       least lmax / 4, above 5e-4 sqrt(lmax), far beyond eigh's roundoff.
+    2. The blocks [g, C] of the r candidate matrices C stream through
+       ``_streamed_svd`` with r columns, and ``_null_rows`` cuts their
+       singular values against the largest one of the whole stack.
+
+    Memory is O(d^4) however many operators there are.
     """
     mats = [asmatrix(s) for s in operators]
     if not mats:
@@ -207,14 +236,34 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     for s in mats:
         if s.shape != (d, d):
             raise DimMismatch("operators must be square of equal dimension")
-    eye = np.eye(d)
-    blocks = (
-        np.kron(eye, g.T) - np.kron(g, eye) for s in mats for g in (s, dagger(s))
-    )
-    sv, vh = _streamed_svd(blocks, d * d)
+    ops = np.stack(mats)
     # adjoints have the same norm as the operators
-    null_vecs = _null_rows(sv, vh, _max_op_norm(np.stack(mats)), tol)
-    return OperatorBasisSet(dim=d, basis=null_vecs.reshape(-1, d, d))
+    scale = _max_op_norm(ops)
+    eye = np.eye(d)
+    f = ops - (np.trace(ops, axis1=1, axis2=2) / d)[:, None, None] * eye
+    stacked = f.reshape(-1, d)  # F0 stacked vertically
+    side = f.transpose(1, 0, 2).reshape(d, -1)  # F0 side by side
+    q = stacked.conj().T @ stacked + side @ side.conj().T
+    v = f.reshape(-1, d * d)
+    k = (v.T @ v.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    lap = -2 * (k + k.conj().T)
+    lap4 = lap.reshape(d, d, d, d)
+    np.einsum("ijkj->ijk", lap4)[...] += q[:, None, :]  # Q (x) 1
+    np.einsum("ijil->ijl", lap4)[...] += q.T  # 1 (x) Q^T
+    lam, vecs = np.linalg.eigh(lap)
+    trace_q = float(np.trace(q).real)
+    candidate = lam <= max(
+        1e-6 * trace_q, (2 * tol.rank_rel) ** 2 * lam[-1], (2 * tol.abs_eps * scale) ** 2
+    )
+    cand_vecs = np.ascontiguousarray(vecs[:, candidate].T)
+    r = cand_vecs.shape[0]
+    cands = cand_vecs.reshape(r, d, d)
+    blocks = ((g @ cands - cands @ g).reshape(r, d * d).T for s in f for g in (s, dagger(s)))
+    sv, vh = _streamed_svd(blocks, r)
+    # with the top eigenvalue a candidate, every direction is one and sv covers the stack
+    smax = sv[0] if candidate[-1] else float(np.sqrt(lam[-1]))
+    coeffs = _null_rows(sv, vh, smax, scale, tol)
+    return OperatorBasisSet(dim=d, basis=(coeffs @ cand_vecs).reshape(-1, d, d))
 
 
 def is_multiplication_closed(a: OperatorBasisSet, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -319,7 +368,7 @@ def center(a: OperatorBasisSet, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSe
     basis = a.basis
     blocks = ((basis @ b - b @ basis).reshape(n, d * d).T for b in basis)
     sv, vh = _streamed_svd(blocks, n)
-    coeffs = _null_rows(sv, vh, _max_op_norm(basis), tol)
+    coeffs = _null_rows(sv, vh, sv[0] if sv.size else 0.0, _max_op_norm(basis), tol)
     return OperatorBasisSet(dim=d, basis=np.tensordot(coeffs, basis, axes=(1, 0)))
 
 

@@ -22,7 +22,7 @@ from qichan.channels import Channel
 from qichan.correction import preserved_algebra
 from qichan.decoherence import pointer_algebra
 from qichan.errors import DecompositionFailed, DimMismatch, NotAnAlgebra
-from qichan.numlin import DEFAULT_TOL
+from qichan.numlin import DEFAULT_TOL, Tolerance
 from qichan.rand import generator, random_channel, random_unitary
 
 
@@ -314,22 +314,23 @@ class TestCommutativityOfCenter:
 # SVD, with the same cuts as the library
 
 
-def _dense_null(stacked, scale):
+def _dense_null(stacked, scale, tol=DEFAULT_TOL):
     # all right vectors are needed only when the stack is wide
     _, sv, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
     smax = sv[0] if sv.size else 0.0
-    cut = max(DEFAULT_TOL.rank_rel * smax, DEFAULT_TOL.abs_eps * scale)
+    cut = max(tol.rank_rel * smax, tol.abs_eps * scale)
     rank = int(np.sum(sv > cut)) if smax > 0 else 0
     return vh[rank:].conj()
 
 
-def dense_commutant(ops):
+def dense_commutant(ops, tol=DEFAULT_TOL):
     d = ops[0].shape[0]
     eye = np.eye(d)
     gens = [g for s in ops for g in (s, s.conj().T)]
     stacked = np.vstack([np.kron(eye, g.T) - np.kron(g, eye) for g in gens])
     scale = max(np.linalg.norm(g, 2) for g in gens)
-    return al.OperatorBasisSet(dim=d, basis=_dense_null(stacked, scale).reshape(-1, d, d))
+    null = _dense_null(stacked, scale, tol)
+    return al.OperatorBasisSet(dim=d, basis=null.reshape(-1, d, d))
 
 
 def dense_intersect(a, b):
@@ -403,12 +404,113 @@ class TestStreamedAgainstDense:
         assert got.dimension == want.dimension
         assert al.spans_equal(got, want, 1e-8)
 
+    @pytest.mark.parametrize("d", (3, 5))
+    def test_commutant_under_large_rank_rel(self, d):
+        # 3e-3 y couples every diagonal direction far above eigh's roundoff
+        # but below a relative cut at rank_rel = 1e-2, so the diagonal
+        # matrices commute under that cut and only the scalars under the default
+        rng = generator(0)
+        y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ops = [np.diag(np.arange(d)).astype(complex), 3e-3 * y]
+        tol = Tolerance(abs_eps=1e-9, rank_rel=1e-2)
+        got, want = al.commutant(ops, tol), dense_commutant(ops, tol)
+        assert got.dimension == want.dimension == d
+        assert al.spans_equal(got, want, 1e-8)
+        assert al.commutant(ops).dimension == dense_commutant(ops).dimension == 1
+
     def test_many_operators_stream_in_several_chunks(self):
         # 40 operators on C^12 stack 11 520 rows, three QR_ROWS chunks
         ops = planted_ops(generator(5), 12, 1.0, 40)
         got, want = al.commutant(ops), dense_commutant(ops)
         assert got.dimension == want.dimension
         assert al.spans_equal(got, want, 1e-8)
+
+
+def _generic(d):
+    """Seeded Ginibre matrix of unit norm: with its adjoint it generates M_d,
+    so its commutant is span{1}."""
+    rng = generator(d)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return x / al.op_norm(x)
+
+
+def _scalars(d):
+    return np.eye(d).reshape(1, -1) / np.sqrt(d)
+
+
+def _projector_error(got, rows):
+    return al.op_norm(got.vecs().T @ got.vecs().conj() - rows.T @ rows.conj())
+
+
+def diagonal_oracle(ops, d, tol):
+    """Commutant of operators whose first member is diagonal with distinct
+    eigenvalues, solved on the diagonal subspace with the library's cut.
+    There that member's commutators are exactly 0; off it they are at least
+    its smallest eigenvalue gap, far above the cut.  Returns the vec rows of
+    the nullspace and the distance of the restricted singular values from
+    the cut, relative to the cut."""
+    gens = [g for s in ops for g in (s, s.conj().T)]
+    eye = np.eye(d)
+    units = eye[:, :, None] * eye[:, None, :]  # E_ii
+    restricted = np.stack(
+        [np.concatenate([(g @ e - e @ g).ravel() for g in gens]) for e in units], axis=1
+    )
+    full = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in gens])
+    smax = np.linalg.svd(full, compute_uv=False)[0]
+    scale = max(al.op_norm(s) for s in ops)
+    cut = max(tol.rank_rel * smax, tol.abs_eps * scale)
+    _, sv, vh = np.linalg.svd(restricted)
+    coeffs = vh[int(np.sum(sv > cut)) :].conj()
+    rows = np.stack([np.diag(c).ravel() for c in coeffs])
+    return rows, float(np.min(np.abs(sv - cut)) / cut)
+
+
+class TestExactCommutant:
+    """Inputs with known commutants: accuracy, not agreement with a dense SVD."""
+
+    @pytest.mark.parametrize("delta", (1e-8, 1e-6, 1e-3))
+    @pytest.mark.parametrize("d", (2, 5, 8))
+    def test_identity_plus_small_generic_is_scalars(self, d, delta):
+        got = al.commutant([np.eye(d) + delta * _generic(d)])
+        assert got.dimension == 1
+        assert _projector_error(got, _scalars(d)) < 1e-12
+
+    @pytest.mark.parametrize("delta", (1e-10, 1e-12))
+    @pytest.mark.parametrize("d", (2, 5, 8))
+    def test_part_below_absolute_cut_is_everything(self, d, delta):
+        # the generic part moves commutators by about delta, below abs_eps
+        # at the scale of 1 + delta * x
+        assert al.commutant([np.eye(d) + delta * _generic(d)]).dimension == d * d
+
+    @pytest.mark.parametrize("d", (2, 5, 8))
+    def test_zero_is_everything(self, d):
+        assert al.commutant([np.zeros((d, d))]).dimension == d * d
+
+    @pytest.mark.parametrize("delta", (1e-10, 1e-20))
+    @pytest.mark.parametrize("d", (2, 5, 8))
+    def test_small_generic_alone_is_scalars(self, d, delta):
+        # the cut scales with the operators, so a small operator keeps its commutant
+        got = al.commutant([delta * _generic(d)])
+        assert got.dimension == 1
+        assert _projector_error(got, _scalars(d)) < 1e-12
+
+    # the default cut is abs_eps times the scale 1e3 (d - 1); the other one is
+    # relative to the largest singular value of the whole stack, which only
+    # directions outside the diagonal subspace reach
+    @pytest.mark.parametrize("tol", (DEFAULT_TOL, Tolerance(abs_eps=1e-15, rank_rel=8e-10)))
+    @pytest.mark.parametrize("d", (5, 8))
+    def test_mixed_scales_match_diagonal_oracle(self, d, tol):
+        # 1e-6 y splits the diagonal subspace at singular values about the
+        # cut; dense SVDs of the whole stack lose about 1e-7 there to
+        # roundoff at 1e3
+        rng = generator(0)
+        y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ops = [1e3 * np.diag(np.arange(d)).astype(complex), 1e-6 * y]
+        want, margin = diagonal_oracle(ops, d, tol)
+        assert 1 < want.shape[0] < d and margin > 0.01
+        got = al.commutant(ops, tol)
+        assert got.dimension == want.shape[0]
+        assert _projector_error(got, want) < 1e-10
 
 
 def _planted_channel(kind, d, rng):
@@ -463,11 +565,12 @@ def test_commutant_invariant_under_scaling(d, seed, magnitude, phase):
     assert al.spans_equal(scaled, base, 1e-8)
 
 
-def test_pointer_d12_fits_in_two_gib():
-    # a full-matrices SVD of the stacked commutators asks for far more than
-    # 2 GiB here and raises MemoryError; the streamed QR needs under 100 MiB
+def _pointer_dims_under_two_gib(m: int, timeout: float) -> str:
+    """Block dims of the pointer algebra of a dephased qubit (x) a random
+    channel on C^m, computed in a subprocess capped at 2 GiB of address
+    space with one BLAS thread."""
     script = textwrap.dedent(
-        """
+        f"""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
         import numpy as np
@@ -478,14 +581,26 @@ def test_pointer_d12_fits_in_two_gib():
         rng = generator(7)
         u = random_unitary(rng, 2)
         qubit = Channel.from_elements([np.diag(np.eye(2)[i]) @ u for i in range(2)])
-        c = tensor(qubit, random_channel(rng, 6, 6, 2))
+        c = tensor(qubit, random_channel(rng, {m}, {m}, 2))
         print(pointer_algebra(c).pointer_algebra.block_dims)
         """
     )
     src = str(Path(al.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
     )
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.strip() == "((1, 6), (1, 6))"
+    return out.stdout.strip()
+
+
+def test_pointer_d12_fits_in_two_gib():
+    # a full-matrices SVD of the stacked commutators asks for far more than
+    # 2 GiB here and raises MemoryError
+    assert _pointer_dims_under_two_gib(6, timeout=300) == "((1, 6), (1, 6))"
+
+
+def test_pointer_d32_fits_in_two_gib():
+    # 1024 x 1024 Laplacian and a 512-element union span: about 200 MiB and
+    # a few seconds; streaming the whole commutator stack took minutes
+    assert _pointer_dims_under_two_gib(16, timeout=120) == "((1, 16), (1, 16))"
