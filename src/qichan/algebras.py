@@ -14,8 +14,8 @@ blocks through a blocked QR a few thousand rows at a time and keeps only
 the r x r triangle, whose singular values and right vectors are those of
 the restricted stack.  So the rank cut is made on singular values, not on
 their squares, and memory is O(d^4) whatever the number of operators.
-Centers are nullspaces of commutators in the algebra's own coordinates,
-streamed the same way.
+The center is spanned by the central projectors of the block
+decomposition, so it needs no solve of its own.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ def _gram_schmidt(vecs: np.ndarray, drop: float = GS_DROP) -> np.ndarray:
         for _ in range(2):
             if m:
                 q = buf[:m]
-                w = w - q.T @ (q.conj() @ w)
+                # conj(q @ conj(w)) is q.conj() @ w without copying the basis
+                w = w - q.T @ (q @ w.conj()).conj()
         nrm = np.linalg.norm(w)
         if nrm * nrm0 > floor:
             buf[m] = w / nrm
@@ -180,23 +181,6 @@ def _streamed_svd(blocks, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     return sv, vh
 
 
-def _null_rows(
-    sv: np.ndarray, vh: np.ndarray, smax: float, scale: float, tol: Tolerance
-) -> np.ndarray:
-    """Right vectors of the numerical nullspace of a commutator stack.
-
-    ``smax`` is the largest singular value of the whole stack, which may
-    hold more columns than ``sv`` and ``vh`` cover.  A normalized direction
-    counts as commuting when its singular value is below ``rank_rel`` of
-    ``smax`` or below ``abs_eps`` at the operators' scale; the relative cut
-    alone would misread pure roundoff as structure when everything nearly
-    commutes.
-    """
-    cut = max(tol.rank_rel * smax, tol.abs_eps * scale)
-    rank = int(np.sum(sv > cut)) if smax > 0 else 0
-    return vh[rank:].conj()
-
-
 def _max_op_norm(mats: np.ndarray) -> float:
     """Largest operator norm in a stack of matrices."""
     if mats.size == 0:
@@ -224,8 +208,8 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
        has a singular value above twice either cut, and, as tr Q is at
        least lmax / 4, above 5e-4 sqrt(lmax), far beyond eigh's roundoff.
     2. The blocks [g, C] of the r candidate matrices C stream through
-       ``_streamed_svd`` with r columns, and ``_null_rows`` cuts their
-       singular values against the largest one of the whole stack.
+       ``_streamed_svd`` with r columns, and their singular values are cut
+       against the largest one of the whole stack.
 
     Memory is O(d^4) however many operators there are.
     """
@@ -262,31 +246,13 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     sv, vh = _streamed_svd(blocks, r)
     # with the top eigenvalue a candidate, every direction is one and sv covers the stack
     smax = sv[0] if candidate[-1] else float(np.sqrt(lam[-1]))
-    coeffs = _null_rows(sv, vh, smax, scale, tol)
+    # a direction commutes below rank_rel of smax or below abs_eps at the
+    # operators' scale; the relative cut alone would misread pure roundoff
+    # as structure when everything nearly commutes
+    cut = max(tol.rank_rel * smax, tol.abs_eps * scale)
+    rank = int(np.sum(sv > cut)) if smax > 0 else 0
+    coeffs = vh[rank:].conj()
     return OperatorBasisSet(dim=d, basis=(coeffs @ cand_vecs).reshape(-1, d, d))
-
-
-def is_multiplication_closed(a: OperatorBasisSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether every product of two basis elements lies in the span.
-
-    Products are formed and projected in batches of about ``QR_ROWS``
-    matrices, so memory stays O(QR_ROWS d^2) for large spans; a product
-    counts as inside when its residual's operator norm is at most
-    max(abs_eps, 1e-8).
-    """
-    n, d = a.dimension, a.dim
-    v = a.vecs()
-    eps = max(tol.abs_eps, 1e-8)
-    step = max(1, QR_ROWS // max(n, 1))
-    for start in range(0, n, step):
-        rows = (a.basis[start : start + step, None] @ a.basis).reshape(-1, d * d)
-        residual = rows - (rows @ v.conj().T) @ v
-        # the Frobenius norm bounds the operator norm from above, so only
-        # residuals above eps in Frobenius norm need their singular values
-        suspect = residual[np.linalg.norm(residual, axis=1) > eps]
-        if _max_op_norm(suspect.reshape(-1, d, d)) > eps:
-            return False
-    return True
 
 
 def intersect(a: OperatorBasisSet, b: OperatorBasisSet) -> OperatorBasisSet:
@@ -335,8 +301,13 @@ class AlgebraStructure:
 
 
 def _generic_element(span: OperatorBasisSet, rng: np.random.Generator) -> np.ndarray:
-    coeffs = rng.standard_normal(span.dimension) + 1j * rng.standard_normal(span.dimension)
-    return np.tensordot(coeffs, span.basis, axes=(0, 0))
+    """Projection of one seeded complex Ginibre matrix onto the span.
+
+    Its coefficients in any orthonormal basis of the span are i.i.d. complex
+    Gaussians, and it depends on the span alone, not on the basis held.
+    """
+    d = span.dim
+    return span.project(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
 def _cluster(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np.ndarray]:
@@ -352,24 +323,17 @@ def _cluster(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np.ndarray]:
 
 
 def center(a: OperatorBasisSet, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
-    """Intersection of a *-algebra with its commutant.
+    """Center of a unital *-algebra: the span of its minimal central projections.
 
-    Solved in the algebra's own coordinates: x = sum_i c_i b_i commutes
-    with every basis element b_j exactly when c lies in the joint nullspace
-    of the (d^2, n) matrices whose columns are vec([b_i, b_j]).  These n
-    blocks stream through ``_streamed_svd`` with n columns, so memory is
-    O(n d^2), at most O(d^4), on top of the algebra itself.  The basis is
-    orthonormal, so orthonormal coefficient vectors give an orthonormal
-    basis of the center.
+    These are the central projectors P_k of ``structure_decompose``, which
+    also certifies that ``a`` is a unital *-algebra and raises
+    ``NotAnAlgebra`` otherwise (``DecompositionFailed`` when no seed
+    decomposes it).  The P_k are mutually orthogonal, so the
+    P_k / sqrt(tr P_k) are a Hilbert-Schmidt orthonormal basis.
     """
-    if not is_multiplication_closed(a, tol):
-        raise NotAnAlgebra("span is not closed under multiplication")
-    n, d = a.dimension, a.dim
-    basis = a.basis
-    blocks = ((basis @ b - b @ basis).reshape(n, d * d).T for b in basis)
-    sv, vh = _streamed_svd(blocks, n)
-    coeffs = _null_rows(sv, vh, sv[0] if sv.size else 0.0, _max_op_norm(basis), tol)
-    return OperatorBasisSet(dim=d, basis=np.tensordot(coeffs, basis, axes=(1, 0)))
+    projs = structure_decompose(a, tol=tol).central_projectors
+    basis = np.stack([p / np.sqrt(np.trace(p).real) for p in projs])
+    return OperatorBasisSet(dim=a.dim, basis=basis)
 
 
 def structure_decompose(

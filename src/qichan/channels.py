@@ -308,10 +308,6 @@ def instrument_from_sharp(x: DiscreteObservable) -> Instrument:
     return Instrument.from_branches([(p,) for p in x.effects])
 
 
-def observable_is_sharp(x: DiscreteObservable, eps: float = DEFAULT_TOL.abs_eps) -> bool:
-    return all(op_norm(e @ e - e) <= eps for e in x.effects)
-
-
 def validate_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> dict:
     """Residuals for the observable invariants (Hermitian effects in [0,1], summing to 1)."""
     herm = max(op_norm(e - dagger(e)) for e in x.effects)

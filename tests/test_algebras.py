@@ -65,6 +65,9 @@ def planted_algebra(spec, rng):
     return al.span_of(basis), projs
 
 
+PLANTED_SPECS = (((16, 1),), ((8, 1), (4, 2)), ((2, 3), (1, 2), (3, 1)), ((1, 4), (1, 4)))
+
+
 class TestGenerateStarAlgebra:
     def test_identity_only(self):
         alg = al.generate_star_algebra([np.eye(3, dtype=complex)])
@@ -147,9 +150,10 @@ class TestCenter:
     def test_rejects_non_algebra(self):
         e01 = np.zeros((2, 2), dtype=complex)
         e01[0, 1] = 1
-        span = al.span_of([np.eye(2, dtype=complex), e01, e01.conj().T])
-        with pytest.raises(NotAnAlgebra):
-            al.center(span)
+        # E_01 E_10 = E_00 leaves the first span; E_01^dag = E_10 the second
+        for mats in ([np.eye(2), e01, e01.conj().T], [np.eye(2), e01]):
+            with pytest.raises(NotAnAlgebra):
+                al.center(al.span_of(mats))
 
 
 class TestStructureDecompose:
@@ -230,9 +234,7 @@ class TestStructureDecompose:
         u = st.basis_change
         assert al.op_norm(u.conj().T @ u - np.eye(7)) < 1e-8
 
-    @pytest.mark.parametrize(
-        "spec", [((16, 1),), ((8, 1), (4, 2)), ((2, 3), (1, 2), (3, 1)), ((1, 4), (1, 4))]
-    )
+    @pytest.mark.parametrize("spec", PLANTED_SPECS)
     def test_planted_algebra(self, spec):
         alg, projs = planted_algebra(spec, generator(sum(n * m for n, m in spec)))
         st = al.structure_decompose(alg)
@@ -242,6 +244,19 @@ class TestStructureDecompose:
         for p in projs:
             dists = sorted(al.op_norm(p - q) for q in st.central_projectors)
             assert dists[0] < 1e-10 and (len(dists) == 1 or dists[1] > 0.5)
+        z = al.center(alg)
+        assert z.dimension == len(projs)
+        assert al.spans_equal(z, al.span_of(projs), 1e-10)
+
+    @pytest.mark.parametrize("spec", PLANTED_SPECS)
+    def test_generic_element_depends_only_on_span(self, spec):
+        rng = generator(sum(n * m for n, m in spec))
+        alg, _ = planted_algebra(spec, rng)
+        w = random_unitary(rng, alg.dimension)
+        rotated = al.OperatorBasisSet(dim=alg.dim, basis=np.tensordot(w, alg.basis, axes=(1, 0)))
+        g = al._generic_element(alg, generator(3))
+        g_rotated = al._generic_element(rotated, generator(3))
+        assert al.op_norm(g - g_rotated) < 1e-12 * al.op_norm(g)
 
     @pytest.mark.parametrize(
         "entries", [[(0, 1), (1, 0)], [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)], [(0, 1)]]
@@ -262,7 +277,6 @@ class TestStructureDecompose:
             raise AssertionError("the block decomposition must not solve the center")
 
         monkeypatch.setattr(al, "center", forbidden)
-        monkeypatch.setattr(al, "is_multiplication_closed", forbidden)
         st = al.structure_decompose(two_by_two_plus_three_algebra())
         assert set(st.block_dims) == {(2, 2), (3, 1)}
         pinch, _ = block_pinch_channel((2, 3, 3), seed=1)
