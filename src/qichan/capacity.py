@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .channels import DiscreteObservable, povm_probabilities
+from .channels import DiscreteObservable
 from .decoherence import StochasticMap
 from .errors import DimMismatch
 from .numlin import asmatrix
@@ -58,26 +58,18 @@ def shannon_capacity(p: StochasticMap, tol: float = 1e-12, max_iter: int = 10000
     return float(value)
 
 
-def _entropy_bits(dist: np.ndarray) -> float:
-    d = dist[dist > 0]
-    return float(-(d * np.log2(d)).sum())
-
-
 def holevo_quantity(x: DiscreteObservable, e: Ensemble) -> float:
-    """S(X(avg)) - sum_i mu_i S(X(rho_i)) in bits, for the output distributions."""
+    """S(X(avg)) - sum_i mu_i S(X(rho_i)) in bits, for the output distributions:
+    the mutual information of the classical channel the ensemble induces."""
     if e.states and e.states[0].shape != (x.dim, x.dim):
         raise DimMismatch(f"state dim {e.states[0].shape} != observable dim {x.dim}")
-    avg = sum(mu * rho for mu, rho in zip(e.priors, e.states))
-    total = _entropy_bits(np.clip(povm_probabilities(x, avg), 0.0, None))
-    conditional = sum(
-        mu * _entropy_bits(np.clip(povm_probabilities(x, rho), 0.0, None))
-        for mu, rho in zip(e.priors, e.states)
-    )
-    return float(total - conditional)
+    return _mutual_information(_conditional_matrix(x, e.states), e.priors)
 
 
 def _conditional_matrix(x: DiscreteObservable, states) -> np.ndarray:
-    return np.array([np.clip(povm_probabilities(x, rho), 0.0, None) for rho in states])
+    """Rows tr(rho_i X_j) of every state at once, clipped at 0."""
+    probs = np.einsum("iab,jba->ij", np.asarray(states), np.asarray(x.effects)).real
+    return np.clip(probs, 0.0, None)
 
 
 def _mutual_information(pyx: np.ndarray, priors: np.ndarray) -> float:
@@ -92,28 +84,26 @@ def _ascend_states(
     x: DiscreteObservable, states: list[np.ndarray], priors: np.ndarray, rounds: int
 ) -> list[np.ndarray]:
     """Coordinate ascent: push each state toward the maximizer of its
-    relative-entropy score against the frozen mixture output."""
-    states = list(states)
+    relative-entropy score against the mixture output, which stays frozen
+    within a round; a state moves only if its score improves."""
+    effects = np.asarray(x.effects)
+    states = np.asarray(states)
     for _ in range(rounds):
         pyx = _conditional_matrix(x, states)
         qy = np.clip(priors @ pyx, _LOG_FLOOR, None)
-        improved = False
-        for i, rho in enumerate(states):
-            p_i = np.clip(pyx[i], _LOG_FLOOR, None)
-            score = np.log2(p_i / qy)
-            g = sum(s * eff for s, eff in zip(score, x.effects))
-            w, u = np.linalg.eigh((g + g.conj().T) / 2)
-            psi = u[:, -1]
-            candidate = np.outer(psi, psi.conj())
-            old = float(pyx[i] @ np.log2(p_i / qy))
-            p_new = np.clip(povm_probabilities(x, candidate), 0.0, None)
-            new = float(p_new @ np.log2(np.clip(p_new, _LOG_FLOOR, None) / qy))
-            if new > old + 1e-15:
-                states[i] = candidate
-                improved = True
-        if not improved:
+        score = np.log2(np.clip(pyx, _LOG_FLOOR, None) / qy)
+        g = np.einsum("ij,jab->iab", score, effects)
+        _, u = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
+        psi = u[:, :, -1]
+        candidates = psi[:, :, None] * psi.conj()[:, None, :]
+        p_new = _conditional_matrix(x, candidates)
+        old = np.sum(pyx * score, axis=1)
+        new = np.sum(p_new * np.log2(np.clip(p_new, _LOG_FLOOR, None) / qy), axis=1)
+        improved = new > old + 1e-15
+        if not improved.any():
             break
-    return states
+        states = np.where(improved[:, None, None], candidates, states)
+    return list(states)
 
 
 def observable_capacity(
@@ -161,11 +151,12 @@ def observable_capacity(
     best_bits = 0.0
     best: Ensemble | None = None
     for states in starts:
+        # each round warm-starts BA from the previous round's priors
         priors = np.full(len(states), 1.0 / len(states))
         value = 0.0
         for _ in range(max_rounds):
             pyx = _conditional_matrix(x, states)
-            ba_bits, priors, _ = kernels.blahut_arimoto(pyx, tol=tol / 10, max_iter=2000)
+            _, priors, _ = kernels.blahut_arimoto(pyx, tol=tol / 10, max_iter=2000, prior=priors)
             states = _ascend_states(x, states, priors, rounds=2)
             new_value = _mutual_information(_conditional_matrix(x, states), priors)
             if new_value - value < tol:

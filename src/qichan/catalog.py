@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decoherence
-from .algebras import center, commutant, spans_equal, structure_decompose
+from .algebras import commutant, spans_equal, structure_decompose
 from .channels import (
     Channel,
     DiscreteObservable,
@@ -660,9 +660,12 @@ def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     oracle = commutant([u1, u2], tol)
     match = spans_equal(fixed, oracle, 1e-7)
     structure = structure_decompose(fixed, seed=seed, tol=tol)
-    center_commutative = all(n == 1 for n, _ in structure_decompose(
-        center(fixed, tol), seed=seed, tol=tol
-    ).block_dims)
+    # the center is spanned by the central projectors
+    projs = structure.central_projectors
+    center_commutative = max(
+        (op_norm(p @ q - q @ p) for i, p in enumerate(projs) for q in projs[i + 1 :]),
+        default=0.0,
+    ) <= 1e-8
     passes = match and center_commutative
     return {
         "passes": bool(passes),

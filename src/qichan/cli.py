@@ -287,7 +287,8 @@ def _cmd_capacity(args) -> int:
     )
     results = {
         "bits": estimate.bits,
-        "upper_bound_bits": float(np.log2(x.n_outcomes)),
+        # Holevo: no ensemble carries more than log2 d bits through d-dim states
+        "upper_bound_bits": float(np.log2(min(x.n_outcomes, x.dim))),
         "ensemble": serialize.ensemble_to_dict(estimate.ensemble),
         "lower_bound": True,
     }

@@ -173,31 +173,48 @@ def solve_product_simplex_lsq(
 # alternating maximization for classical channel capacity
 # ---------------------------------------------------------------------------
 
+_LN2 = float(np.log(2.0))
+# weight of the uniform prior mixed into a warm start
+_WARM_MIX = 1e-9
+
 
 def blahut_arimoto(
-    pyx: np.ndarray, tol: float = 1e-12, max_iter: int = 10000
+    pyx: np.ndarray, tol: float = 1e-12, max_iter: int = 10000, prior: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Capacity (bits) of a classical channel by alternating maximization.
 
     pyx: conditional probabilities, rows indexed by input, columns by
-    output (row-stochastic).  Stops when an iteration gains less than
-    ``tol`` bits.  Returns (capacity, optimal prior, per-iteration values);
-    the value sequence is nondecreasing.
+    output (row-stochastic).  ``prior`` warm-starts the iteration; it is
+    mixed with the uniform prior by weight ``_WARM_MIX`` first, since an
+    input whose prior is exactly 0 never regains mass under the
+    multiplicative update.  Without it the start is uniform.
+
+    Output columns no input reaches are dropped and the row entropies
+    ``h_i = sum_j p_ij ln p_ij`` are computed once, so an iteration takes
+    one log of the output distribution ``qy`` (ln 0 read as 0: such a
+    column only meets inputs whose prior is 0) and
+    ``d_i = KL(p(.|i) || qy) = h_i - sum_j p_ij ln qy_j``.  Warm or cold,
+    it stops when an iteration gains less than ``tol`` bits.  Returns
+    (capacity, optimal prior, per-iteration values); the value sequence is
+    nondecreasing.
     """
-    pyx = np.ascontiguousarray(pyx, dtype=np.float64)
+    pyx = np.asarray(pyx, dtype=np.float64)
     n_in = pyx.shape[0]
-    r = np.full(n_in, 1.0 / n_in)
+    pyx = np.ascontiguousarray(pyx[:, pyx.sum(axis=0) > 0])
+    n_out = pyx.shape[1]
+    h = np.sum(pyx * np.log(np.where(pyx > 0, pyx, 1.0)), axis=1)
+    if prior is None:
+        r = np.full(n_in, 1.0 / n_in)
+    else:
+        r = (1.0 - _WARM_MIX) * np.asarray(prior, dtype=np.float64) + _WARM_MIX / n_in
+        r /= r.sum()
     history = []
     c_prev = -np.inf
     for _ in range(max_iter):
         qy = r @ pyx
-        # d_i = KL(p(.|i) || qy); terms with p = 0 vanish, and qy_j = 0
-        # forces p(j|i) = 0 for every supported input
-        safe = (pyx > 0) & (qy[None, :] > 0)
-        ratio = np.divide(pyx, qy[None, :], out=np.ones_like(pyx), where=safe)
-        terms = np.where(safe, pyx * np.log(ratio), 0.0)
-        d = terms.sum(axis=1)
-        c_now = float(np.sum(r * d) / np.log(2.0))
+        logq = np.log(qy, out=np.zeros(n_out), where=qy > 0)
+        d = h - pyx @ logq
+        c_now = float(r @ d) / _LN2
         history.append(c_now)
         if c_now - c_prev < tol and len(history) > 1:
             break

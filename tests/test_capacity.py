@@ -6,7 +6,7 @@ from qichan import kernels
 from qichan.catalog import basis_observable, sic_tetrahedron, PAULI_X, PAULI_Y, PAULI_Z
 from qichan.channels import DiscreteObservable, povm_probabilities
 from qichan.decoherence import StochasticMap
-from qichan.rand import generator, random_povm, random_stochastic
+from qichan.rand import generator, random_density, random_povm, random_stochastic
 
 
 def bloch_state(n):
@@ -76,6 +76,52 @@ class TestHolevoQuantity:
                 if joint[i, j] > 0:
                     mi += joint[i, j] * np.log2(joint[i, j] / (priors[i] * marg_j[j]))
         assert abs(cap.holevo_quantity(x, e) - mi) < 1e-10
+
+
+class TestConditionalMatrix:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_per_state_probabilities(self, d):
+        rng = generator(40 + d)
+        x = random_povm(rng, d, int(rng.integers(2, 6)))
+        states = [random_density(rng, d) for _ in range(5)]
+        expected = np.array([np.clip(povm_probabilities(x, rho), 0.0, None) for rho in states])
+        assert np.abs(cap._conditional_matrix(x, states) - expected).max() < 1e-14
+
+
+def _ascend_states_per_state(x, states, priors, rounds):
+    """Reference coordinate ascent, one state and one eigenproblem at a time."""
+    states = list(states)
+    for _ in range(rounds):
+        pyx = np.array([np.clip(povm_probabilities(x, rho), 0.0, None) for rho in states])
+        qy = np.clip(priors @ pyx, 1e-30, None)
+        improved = False
+        for i in range(len(states)):
+            p_i = np.clip(pyx[i], 1e-30, None)
+            score = np.log2(p_i / qy)
+            g = sum(s * eff for s, eff in zip(score, x.effects))
+            psi = np.linalg.eigh((g + g.conj().T) / 2)[1][:, -1]
+            candidate = np.outer(psi, psi.conj())
+            p_new = np.clip(povm_probabilities(x, candidate), 0.0, None)
+            new = float(p_new @ np.log2(np.clip(p_new, 1e-30, None) / qy))
+            if new > float(pyx[i] @ score) + 1e-15:
+                states[i] = candidate
+                improved = True
+        if not improved:
+            break
+    return states
+
+
+class TestAscendStates:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_state_ascent(self, seed):
+        rng = generator(seed + 60)
+        d = 2 + seed % 3
+        x = random_povm(rng, d, int(rng.integers(2, 5)))
+        states = [random_density(rng, d) for _ in range(int(rng.integers(2, d * d + 1)))]
+        priors = rng.dirichlet(np.ones(len(states)))
+        got = cap._ascend_states(x, states, priors, rounds=3)
+        expected = _ascend_states_per_state(x, states, priors, rounds=3)
+        assert max(np.abs(a - b).max() for a, b in zip(got, expected)) < 1e-12
 
 
 class TestObservableCapacity:

@@ -8,6 +8,7 @@ from qichan import kernels
 from qichan.catalog import PAULI_X, PAULI_Y, PAULI_Z, shrinking_channel, sic_tetrahedron
 from qichan.channels import apply_dual
 from qichan.decoherence import _coordinates
+from qichan.rand import random_stochastic
 
 
 def _simplex_dist(p):
@@ -151,6 +152,68 @@ class TestBlahutArimoto:
         pyx /= pyx.sum(axis=1, keepdims=True)
         _, _, hist = kernels.blahut_arimoto(pyx, tol=1e-14)
         assert np.all(np.diff(hist) >= -1e-12)
+
+
+def _masked_blahut_arimoto(pyx, tol=1e-12, max_iter=10000):
+    """Reference BA: every iteration takes KL(p(.|i) || qy) over the whole
+    matrix, with terms masked where p = 0 or qy = 0."""
+    r = np.full(pyx.shape[0], 1.0 / pyx.shape[0])
+    history = []
+    c_prev = -np.inf
+    for _ in range(max_iter):
+        qy = r @ pyx
+        safe = (pyx > 0) & (qy[None, :] > 0)
+        ratio = np.divide(pyx, qy[None, :], out=np.ones_like(pyx), where=safe)
+        d = np.where(safe, pyx * np.log(ratio), 0.0).sum(axis=1)
+        c_now = float(np.sum(r * d) / np.log(2.0))
+        history.append(c_now)
+        if c_now - c_prev < tol and len(history) > 1:
+            break
+        c_prev = c_now
+        w = r * np.exp(d)
+        r = w / w.sum()
+    return history[-1], r, np.asarray(history)
+
+
+class TestBlahutArimotoEdgeCases:
+    def test_unreached_output_column(self):
+        c, r, _ = kernels.blahut_arimoto(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        assert c == 1.0
+        assert np.allclose(r, [0.5, 0.5])
+
+    def test_prior_underflow_stays_finite(self):
+        # the last row loses half its mass per iteration until it is 0, and
+        # the output only it reaches then has probability 0
+        pyx = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1e-300]])
+        c, r, hist = kernels.blahut_arimoto(pyx, tol=-np.inf, max_iter=10000)
+        assert len(hist) == 10000 and r[3] == 0.0
+        assert np.all(np.isfinite(hist)) and np.all(np.isfinite(r))
+        assert abs(c - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_masked_formula(self, seed):
+        rng = np.random.default_rng(seed + 300)
+        n = 4 + seed % 13
+        pyx = random_stochastic(rng, n, n).T.copy()
+        c_ref, _, hist_ref = _masked_blahut_arimoto(pyx)
+        c, _, hist = kernels.blahut_arimoto(pyx)
+        assert abs(c - c_ref) < 1e-12
+        assert abs(len(hist) - len(hist_ref)) <= 1
+
+    def test_warm_prior_with_zero_entry_recovers(self):
+        # the optimum of the 3-symbol identity channel uses the input whose
+        # warm prior is 0
+        c, r, _ = kernels.blahut_arimoto(np.eye(3), prior=np.array([0.5, 0.5, 0.0]))
+        assert abs(c - np.log2(3)) < 1e-9
+        assert np.allclose(r, 1 / 3, atol=1e-9)
+
+    def test_warm_start_at_optimum_stops_at_once(self):
+        f = 0.25
+        pyx = np.array([[1 - f, f, 0.0], [f, 1 - f, 0.0], [0.0, 0.0, 1.0]])
+        c, r, _ = kernels.blahut_arimoto(pyx, tol=1e-14)
+        c_warm, _, hist = kernels.blahut_arimoto(pyx, tol=1e-14, prior=r)
+        assert len(hist) <= 2
+        assert abs(c_warm - c) < 1e-12
 
 
 class TestBackendSelection:

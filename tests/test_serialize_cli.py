@@ -7,7 +7,7 @@ import pytest
 
 from qichan import serialize
 from qichan.catalog import dephasing_channel, sic_tetrahedron
-from qichan.channels import Channel
+from qichan.channels import Channel, DiscreteObservable
 from qichan.cli import main
 from qichan.correction import CodeSubspace
 from qichan.errors import SchemaError, ValidationError
@@ -207,6 +207,14 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert 0 < report["results"]["bits"] <= 2.0
         assert len(report["results"]["ensemble"]["priors"]) >= 2
+
+    def test_capacity_bound_is_holevo_bound(self, tmp_path, capsys):
+        # three outcomes on a qubit carry at most log2(2) = 1 bit
+        xpath = tmp_path / "x.json"
+        trivial = DiscreteObservable.from_effects([np.eye(2, dtype=complex) / 3] * 3)
+        serialize.write_observable_file(xpath, trivial)
+        assert main(["capacity", str(xpath), "--restarts", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["upper_bound_bits"] == 1.0
 
     def test_report_determinism_modulo_timestamp(self, tmp_path, capsys):
         path = self._channel_file(tmp_path)
