@@ -63,10 +63,10 @@ class OperatorBasisSet:
         return op_norm(x - self.project(x)) <= tol.abs_eps
 
 
-def _gram_schmidt(vecs: np.ndarray, drop: float = GS_DROP) -> np.ndarray:
+def _gram_schmidt(vecs: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt with one re-orthogonalization pass per vector.
 
-    Vectors whose residual falls below ``drop`` times the largest input
+    Vectors whose residual falls below ``GS_DROP`` times the largest input
     norm count as dependent and are discarded.  Projections against the
     kept basis run as single matrix products.
     """
@@ -77,7 +77,7 @@ def _gram_schmidt(vecs: np.ndarray, drop: float = GS_DROP) -> np.ndarray:
     scale = float(norms.max())
     if scale == 0.0:
         return np.zeros((0, length), dtype=np.complex128)
-    floor = drop * scale
+    floor = GS_DROP * scale
     buf = np.empty((min(vecs.shape[0], length), length), dtype=np.complex128)
     m = 0
     for v, nrm0 in zip(vecs, norms):
@@ -310,12 +310,12 @@ def _generic_element(span: OperatorBasisSet, rng: np.random.Generator) -> np.nda
     return span.project(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
-def _cluster(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np.ndarray]:
-    """Group sorted eigenvalue indices into clusters separated by more than gap."""
+def _cluster(values: np.ndarray) -> list[np.ndarray]:
+    """Group sorted eigenvalue indices into clusters separated by more than CLUSTER_GAP."""
     idx = np.argsort(values)
     groups: list[list[int]] = [[int(idx[0])]]
     for i in idx[1:]:
-        if values[i] - values[groups[-1][-1]] < gap:
+        if values[i] - values[groups[-1][-1]] < CLUSTER_GAP:
             groups[-1].append(int(i))
         else:
             groups.append([int(i)])

@@ -21,6 +21,8 @@ from .numlin import asmatrix
 from .rand import generator, random_pure_state
 
 _LOG_FLOOR = 1e-30
+# outer rounds (alternating maximization, then state ascent) per start
+_MAX_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,6 @@ def observable_capacity(
     tol: float = 1e-9,
     seed: int = 0,
     warm_ensembles: tuple[Ensemble, ...] = (),
-    max_rounds: int = 60,
     max_states: int | None = None,
 ) -> CapacityEstimate:
     """Lower-bound estimate of the capacity of an observable.
@@ -154,11 +155,13 @@ def observable_capacity(
         # each round warm-starts BA from the previous round's priors
         priors = np.full(len(states), 1.0 / len(states))
         value = 0.0
-        for _ in range(max_rounds):
-            pyx = _conditional_matrix(x, states)
+        pyx = _conditional_matrix(x, states)
+        for _ in range(_MAX_ROUNDS):
             _, priors, _ = kernels.blahut_arimoto(pyx, tol=tol / 10, max_iter=2000, prior=priors)
             states = _ascend_states(x, states, priors, rounds=2)
-            new_value = _mutual_information(_conditional_matrix(x, states), priors)
+            # the round's value and the next round's channel share this matrix
+            pyx = _conditional_matrix(x, states)
+            new_value = _mutual_information(pyx, priors)
             if new_value - value < tol:
                 value = max(value, new_value)
                 break

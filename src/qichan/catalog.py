@@ -654,7 +654,7 @@ def _analyze_sweep(bundle: ExampleBundle, tol: Tolerance) -> dict:
 
 def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
-    fixed = iterated_fixed_points(c, max_iter=64, tol=tol)
+    fixed = iterated_fixed_points(c, tol=tol)
     u1 = c.elements[0] / np.linalg.norm(c.elements[0], 2)
     u2 = c.elements[1] / np.linalg.norm(c.elements[1], 2)
     oracle = commutant([u1, u2], tol)

@@ -1,4 +1,4 @@
-"""Quantum channels, observables and instruments in element (Kraus) form.
+"""Quantum channels and observables in element (Kraus) form.
 
 A channel is stored as its list of element matrices; no canonical form is
 imposed, so two channels are compared by their action on a full operator
@@ -11,20 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    NotPSD,
-    NotTracePreserving,
-    ZeroProbabilityOutcome,
-)
-from .numlin import (
-    DEFAULT_TOL,
-    Tolerance,
-    asmatrix,
-    dagger,
-    hermitian_eig,
-    op_norm,
-)
+from .errors import DimMismatch, NotPSD, NotTracePreserving
+from .numlin import DEFAULT_TOL, Tolerance, asmatrix, dagger, op_norm, psd_eig
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -85,37 +73,6 @@ class DiscreteObservable:
 
 
 @dataclass(frozen=True)
-class Instrument:
-    """Measurement with state update: one completely positive branch per outcome.
-
-    Branch i is a tuple of element matrices; its effect is
-    X_i = sum_k F_ik^dag F_ik, and the branch sum must be trace preserving.
-    """
-
-    dim: int
-    branches: tuple[tuple[np.ndarray, ...], ...]
-
-    @staticmethod
-    def from_branches(branches) -> "Instrument":
-        groups = tuple(tuple(_freeze(asmatrix(f)) for f in branch) for branch in branches)
-        if not groups or any(not g for g in groups):
-            raise DimMismatch("instrument needs at least one element per branch")
-        d = groups[0][0].shape[1]
-        for g in groups:
-            for f in g:
-                if f.shape[1] != d or f.shape[0] != g[0].shape[0]:
-                    raise DimMismatch("inconsistent branch element shapes")
-        return Instrument(dim=d, branches=groups)
-
-    def effect(self, i: int) -> np.ndarray:
-        """The effect associated with branch i."""
-        return sum(dagger(f) @ f for f in self.branches[i])
-
-    def observable(self) -> DiscreteObservable:
-        return DiscreteObservable.from_effects([self.effect(i) for i in range(len(self.branches))])
-
-
-@dataclass(frozen=True)
 class Isometry:
     """V: H_in -> H_out (x) H_env with V^dag V = 1."""
 
@@ -134,6 +91,15 @@ class ChannelReport:
     completely_positive: bool
     tp_residual: float
     cp_min_eigenvalue: float
+
+
+@dataclass(frozen=True)
+class ObservableReport:
+    """Observable invariant residuals, and the first invariant violated
+    with the amount by which it fails (None for a valid observable)."""
+
+    residuals: dict[str, float]
+    violation: tuple[str, float] | None
 
 
 def _tp_residual(c: Channel) -> float:
@@ -222,13 +188,9 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: Tolerance = DEFAULT_TOL) 
     j = asmatrix(j)
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
         raise DimMismatch(f"Choi shape {j.shape} != {(dim_in * dim_out,) * 2}")
-    w, u = hermitian_eig(j, tol)
-    if w.size and w[0] < -tol.abs_eps:
-        raise NotPSD(float(w[0]), tol.abs_eps)
-    wmax = float(w[-1]) if w.size else 0.0
-    keep = w > tol.rank_rel * max(wmax, 0.0)
+    w, u, support = psd_eig(j, tol)
     elements = []
-    for lam, vec in zip(w[keep], u[:, keep].T):
+    for lam, vec in zip(w[support], u[:, support].T):
         elements.append(np.sqrt(lam) * vec.reshape(dim_in, dim_out).T)
     if not elements:
         raise NotPSD(0.0, tol.abs_eps)
@@ -276,39 +238,7 @@ def povm_probabilities(x: DiscreteObservable, rho) -> np.ndarray:
     return np.array([float(np.trace(rho @ xi).real) for xi in x.effects])
 
 
-def measure_instrument(inst: Instrument, rho, tol: Tolerance = DEFAULT_TOL):
-    """All (probability, post-state) branches; post-state is None at probability ~ 0."""
-    rho = asmatrix(rho)
-    if rho.shape != (inst.dim, inst.dim):
-        raise DimMismatch(f"state shape {rho.shape} != {(inst.dim, inst.dim)}")
-    results = []
-    for branch in inst.branches:
-        out = sum(f @ rho @ dagger(f) for f in branch)
-        p = float(np.trace(out).real)
-        results.append((p, out / p if p > tol.abs_eps else None))
-    return results
-
-
-def luders_collapse(
-    x: DiscreteObservable, rho, outcome: int, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Projective state update P_i rho P_i / tr(P_i rho) for a sharp observable."""
-    rho = asmatrix(rho)
-    p_i = x.effects[outcome]
-    if op_norm(p_i @ p_i - p_i) > tol.abs_eps:
-        raise ValueError(f"effect {outcome} is not a projector; collapse needs a sharp observable")
-    prob = float(np.trace(p_i @ rho).real)
-    if prob <= tol.abs_eps:
-        raise ZeroProbabilityOutcome(f"outcome {outcome} has probability {prob:.3e}")
-    return p_i @ rho @ p_i / prob
-
-
-def instrument_from_sharp(x: DiscreteObservable) -> Instrument:
-    """The projective instrument F_i(rho) = P_i rho P_i of a sharp observable."""
-    return Instrument.from_branches([(p,) for p in x.effects])
-
-
-def validate_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> dict:
+def validate_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> ObservableReport:
     """Residuals for the observable invariants (Hermitian effects in [0,1], summing to 1)."""
     herm = max(op_norm(e - dagger(e)) for e in x.effects)
     spec_low = 0.0
@@ -317,11 +247,21 @@ def validate_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> 
         w = np.linalg.eigvalsh((e + dagger(e)) / 2)
         spec_low = min(spec_low, float(w[0]))
         spec_high = max(spec_high, float(w[-1]))
-    total = sum(x.effects)
-    completeness = op_norm(total - np.eye(x.dim))
-    return {
-        "hermiticity": float(herm),
-        "min_eigenvalue": spec_low,
-        "max_eigenvalue": spec_high,
-        "completeness": float(completeness),
-    }
+    completeness = op_norm(sum(x.effects) - np.eye(x.dim))
+    # (invariant, amount by which it fails), in the order they are checked
+    excess = (
+        ("effects Hermitian", herm),
+        ("effect spectrum >= 0", -spec_low),
+        ("effect spectrum <= 1", spec_high - 1),
+        ("sum X_i = 1", completeness),
+    )
+    violation = next(((name, float(v)) for name, v in excess if v > tol.abs_eps), None)
+    return ObservableReport(
+        residuals={
+            "hermiticity": float(herm),
+            "min_eigenvalue": spec_low,
+            "max_eigenvalue": spec_high,
+            "completeness": float(completeness),
+        },
+        violation=violation,
+    )

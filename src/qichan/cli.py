@@ -102,14 +102,9 @@ def _cmd_validate(args) -> int:
         }
     else:
         x = serialize.observable_from_dict(serialize._load_json(args.input), where=args.input)
-        residuals = validate_observable(x, tol)
-        ok = (
-            residuals["hermiticity"] <= tol.abs_eps
-            and residuals["min_eigenvalue"] >= -tol.abs_eps
-            and residuals["max_eigenvalue"] <= 1 + tol.abs_eps
-            and residuals["completeness"] <= tol.abs_eps
-        )
-        results = {"kind": "observable", **residuals}
+        rep = validate_observable(x, tol)
+        ok = rep.violation is None
+        results = {"kind": "observable", **rep.residuals}
     results["valid"] = bool(ok)
     code = 0 if ok else 2
     _write_report(args, _base_report(args, {"input": args.input}, results, code))

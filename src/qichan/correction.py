@@ -26,15 +26,10 @@ from .algebras import (
 )
 from .channels import Channel, apply_dual, require_trace_preserving
 from .errors import BadFactorization, DimMismatch
-from .numlin import (
-    DEFAULT_TOL,
-    Tolerance,
-    asmatrix,
-    dagger,
-    nullspace,
-    op_norm,
-    psd_sqrt_pinv,
-)
+from .numlin import DEFAULT_TOL, Tolerance, asmatrix, dagger, op_norm, psd_eig
+
+# pairs of preserved-algebra basis elements homomorphism_residual evaluates at most
+HOMOMORPHISM_PAIRS = 256
 
 
 @dataclass(frozen=True)
@@ -109,19 +104,19 @@ def correction_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Channel:
     """Channel R with elements E_k^dag E(1)^(-1/2) that fixes every
     preserved sharp observable of ``c`` under E* after R*.
 
-    R is only determined on the support of E(1); the kernel (orthogonal to
-    the range of every element) is routed to the first basis state of the
-    source so the result is a total trace-preserving channel.
+    R is only determined on the support of E(1).  The kernel (orthogonal
+    to the range of every element) is routed to the first basis state of
+    the source, one element |0><u| per kernel eigenvector u of the same
+    decomposition, so the result is a total trace-preserving channel.
     """
     e_of_one = sum(e @ dagger(e) for e in c.elements)
-    k = psd_sqrt_pinv(e_of_one, tol)
+    w, u, support = psd_eig(e_of_one, tol)
+    k = (u[:, support] / np.sqrt(w[support])) @ dagger(u[:, support])
     elements = [dagger(e) @ k for e in c.elements]
-    kernel = nullspace(e_of_one, tol)
-    if kernel.shape[1]:
-        sink = np.zeros((c.dim_in, 1), dtype=np.complex128)
-        sink[0, 0] = 1.0
-        for i in range(kernel.shape[1]):
-            elements.append(sink @ dagger(kernel[:, i : i + 1]))
+    for vec in u[:, ~support].T:
+        sink = np.zeros((c.dim_in, c.dim_out), dtype=np.complex128)
+        sink[0] = vec.conj()
+        elements.append(sink)
     r = Channel.from_elements(elements)
     require_trace_preserving(r, tol)
     return r
@@ -221,21 +216,20 @@ def homomorphism_residual(
     c: Channel,
     structure: AlgebraStructure,
     tol: Tolerance = DEFAULT_TOL,
-    max_pairs: int = 256,
-    seed: int = 0,
 ) -> float:
     """How far E* is from multiplicative on the image of R*.
 
-    Evaluates ||E*(R*(A) R*(B)) - A B|| over (sampled) pairs of basis
-    elements of the preserved algebra.
+    Evaluates ||E*(R*(A) R*(B)) - A B|| over pairs of basis elements of
+    the preserved algebra, a seeded sample of ``HOMOMORPHISM_PAIRS`` of
+    them when there are more.
     """
     r = correction_channel(c, tol)
     basis = structure.carrier.basis
     k = basis.shape[0]
     pairs = [(i, j) for i in range(k) for j in range(k)]
-    if len(pairs) > max_pairs:
-        rng = np.random.default_rng(seed)
-        pairs = [pairs[t] for t in rng.choice(len(pairs), size=max_pairs, replace=False)]
+    if len(pairs) > HOMOMORPHISM_PAIRS:
+        rng = np.random.default_rng(0)
+        pairs = [pairs[t] for t in rng.choice(len(pairs), size=HOMOMORPHISM_PAIRS, replace=False)]
     lifted = [apply_dual(r, a) for a in basis]
     worst = 0.0
     for i, j in pairs:

@@ -43,6 +43,8 @@ from .numlin import (
 from .rand import generator, random_povm, random_sharp_observable
 
 FEASIBILITY_TOL = 1e-7
+# applications of the dual that iterated_fixed_points uses to expose drift
+FIXED_POINT_ITERATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,6 @@ def coarse_grain_solve(
     x: DiscreteObservable,
     gamma: DiscreteObservable,
     tol: float = FEASIBILITY_TOL,
-    max_iter: int = 20000,
 ) -> StochasticMap:
     """Find a stochastic map pi with X_j = sum_i pi_ji Gamma_i.
 
@@ -210,7 +211,7 @@ def coarse_grain_solve(
         raise DimMismatch(f"observable dims differ: {x.dim} != {gamma.dim}")
     g = _coordinates(gamma.effects).T  # (D, n)
     targets = _coordinates(x.effects)[None, :, :]  # (1, m, D)
-    pi, _ = kernels.solve_product_simplex_lsq(g, targets, max_iter=max_iter, hs_tol=0.5 * tol)
+    pi, _ = kernels.solve_product_simplex_lsq(g, targets, hs_tol=0.5 * tol)
     pi = np.clip(pi[0], 0.0, None)
     pi /= pi.sum(axis=0, keepdims=True)
     residual = _coarse_grain_residual(x, gamma, pi)
@@ -232,12 +233,12 @@ def _coarse_grain_residual(
     return worst
 
 
-def _rank_one_outputs(c: Channel, tol: Tolerance) -> list[np.ndarray] | None:
+def _rank_one_outputs(c: Channel) -> list[np.ndarray] | None:
     """Output vector s_0 u_0 of each element when every element is rank one."""
     outputs = []
     for e in c.elements:
         u, s, _ = np.linalg.svd(e)
-        if s.size > 1 and s[1] > tol.rank_rel * s[0] * 100:
+        if s.size > 1 and s[1] > DEFAULT_TOL.rank_rel * s[0] * 100:
             return None
         outputs.append(u[:, 0] * s[0])
     return outputs
@@ -249,7 +250,6 @@ def full_decoherence_check(
     samples: int = 64,
     tol: float = FEASIBILITY_TOL,
     seed: int = 0,
-    op_tol: Tolerance = DEFAULT_TOL,
 ) -> DecoherenceReport:
     """Statistical test that every observable preserved by ``c`` is a
     coarse-graining of ``gamma``.
@@ -268,7 +268,7 @@ def full_decoherence_check(
     feasible = 0
     explicit_res: float | None = None
     psis = None
-    outputs = _rank_one_outputs(c, op_tol)
+    outputs = _rank_one_outputs(c)
     if outputs is not None:
         canonical = [dagger(e) @ e for e in c.elements]
         match = len(canonical) == gamma.n_outcomes and all(
@@ -482,15 +482,13 @@ def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
     return coeffs @ coords
 
 
-def iterated_fixed_points(
-    c: Channel, max_iter: int = 64, tol: Tolerance = DEFAULT_TOL
-) -> OperatorBasisSet:
+def iterated_fixed_points(c: Channel, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     """Span of operators fixed by the dual map, ||E*(A) - A|| ~ 0.
 
     Found as the near-nullspace of (M - 1) for the dual superoperator M;
-    borderline directions are disambiguated by iterating the dual up to
-    ``max_iter`` times, which amplifies any drift away from eigenvalue
-    one.
+    borderline directions are disambiguated by iterating the dual
+    ``FIXED_POINT_ITERATIONS`` times, which amplifies any drift away from
+    eigenvalue one.
     """
     if c.dim_in != c.dim_out:
         raise NotEndomorphic(f"dual iteration needs dim_in == dim_out, got {c.dim_in}, {c.dim_out}")
@@ -504,8 +502,8 @@ def iterated_fixed_points(
     for vec in candidates:
         a = vec.reshape(d, d)
         drift = a
-        for _ in range(max_iter):
+        for _ in range(FIXED_POINT_ITERATIONS):
             drift = apply_dual(c, drift)
-        if op_norm(drift - a) <= max(tol.abs_eps * max_iter, 1e-7):
+        if op_norm(drift - a) <= max(tol.abs_eps * FIXED_POINT_ITERATIONS, 1e-7):
             kept.append(a)
     return span_of(kept, dim=d)

@@ -78,10 +78,6 @@ class WitnessMismatch(QichanError):
         super().__init__(f"witness {which} mismatch: residual {residual:.3e} > {tol:.3e}")
 
 
-class ZeroProbabilityOutcome(QichanError):
-    """Conditional state update requested for an outcome of (near) zero probability."""
-
-
 class Infeasible(QichanError):
     """No stochastic map reproduces the target observable.
 

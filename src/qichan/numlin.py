@@ -1,8 +1,10 @@
 """Dense complex linear-algebra kernel used by every other module.
 
 All operations are pure functions on immutable ndarrays (complex128,
-row-major).  Comparisons use the operator norm (largest singular value);
-numerical rank is cut at ``rank_rel * sigma_max``.
+row-major).  Comparisons use the operator norm (largest singular value).
+The support of a PSD matrix is cut in one place, :func:`psd_eig`, at
+``rank_rel`` times its largest eigenvalue; everything below the cut is
+its kernel.
 """
 
 from __future__ import annotations
@@ -78,52 +80,20 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     return w, u
 
 
-def nullspace(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical nullspace of ``a``.
+def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of a PSD matrix with its support cut.
 
-    A direction counts as null when its singular value is at most
-    ``rank_rel * sigma_max``; the zero matrix has a full nullspace.
-    """
-    a = asmatrix(a)
-    if a.shape[0] == 0 or a.size == 0:
-        return np.eye(a.shape[1], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    cut = tol.rank_rel * smax
-    rank = int(np.sum(s > cut)) if smax > 0 else 0
-    return dagger(vh)[:, rank:]
-
-
-def psd_sqrt_pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """A^(-1/2) on the support of a PSD matrix, zero on its kernel.
-
-    The result R satisfies R A R = P_supp (the support projector)
-    within tolerance.  Raises NotPSD if an eigenvalue dips below
+    Returns (w, u, support) as :func:`hermitian_eig` does, plus the mask
+    ``support = w > rank_rel * max(w_max, 0)``.  The eigenvectors outside
+    the support span the numerical kernel, so support and kernel together
+    cover every direction.  Raises NotPSD if an eigenvalue dips below
     ``-abs_eps``.
     """
     w, u = hermitian_eig(a, tol)
     if w.size and w[0] < -tol.abs_eps:
         raise NotPSD(float(w[0]), tol.abs_eps)
     wmax = float(w[-1]) if w.size else 0.0
-    cut = tol.rank_rel * max(wmax, 0.0)
-    inv_sqrt = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, cut if cut > 0 else 1.0, None)), 0.0)
-    if wmax <= 0:
-        inv_sqrt = np.zeros_like(w)
-    return (u * inv_sqrt) @ dagger(u)
-
-
-def support_projector(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Projector onto the range of a Hermitian PSD matrix."""
-    w, u = hermitian_eig(a, tol)
-    if w.size and w[0] < -tol.abs_eps:
-        raise NotPSD(float(w[0]), tol.abs_eps)
-    wmax = float(w[-1]) if w.size else 0.0
-    keep = w > tol.rank_rel * max(wmax, 0.0) if wmax > 0 else np.zeros_like(w, dtype=bool)
-    return (u[:, keep]) @ dagger(u[:, keep])
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(asmatrix(a), asmatrix(b))
+    return w, u, w > tol.rank_rel * max(wmax, 0.0)
 
 
 def partial_trace(a, dims: list[int], keep) -> np.ndarray:

@@ -156,15 +156,9 @@ def parse_channel_file(path: str | Path, tol: Tolerance = DEFAULT_TOL) -> Channe
 
 def parse_observable_file(path: str | Path, tol: Tolerance = DEFAULT_TOL) -> DiscreteObservable:
     x = observable_from_dict(_load_json(path), where=str(path))
-    residuals = validate_observable(x, tol)
-    if residuals["hermiticity"] > tol.abs_eps:
-        raise ValidationError("effects Hermitian", residuals["hermiticity"])
-    if residuals["min_eigenvalue"] < -tol.abs_eps:
-        raise ValidationError("effect spectrum >= 0", -residuals["min_eigenvalue"])
-    if residuals["max_eigenvalue"] > 1 + tol.abs_eps:
-        raise ValidationError("effect spectrum <= 1", residuals["max_eigenvalue"] - 1)
-    if residuals["completeness"] > tol.abs_eps:
-        raise ValidationError("sum X_i = 1", residuals["completeness"])
+    report = validate_observable(x, tol)
+    if report.violation is not None:
+        raise ValidationError(*report.violation)
     return x
 
 

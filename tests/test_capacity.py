@@ -162,6 +162,34 @@ class TestObservableCapacity:
         assert abs(est.bits - (2 - np.log2(3))) < 1e-9
         assert est.ensemble.size == 4
 
+    def test_conditional_matrix_built_once_per_round(self, monkeypatch):
+        # the matrix a round ends on is the next round's channel: outside the
+        # state ascent, each start builds it once up front and once per round
+        outer, rounds, inside = [0], [0], [False]
+        real_matrix, real_ascend = cap._conditional_matrix, cap._ascend_states
+
+        def counting_matrix(x, states):
+            outer[0] += not inside[0]
+            return real_matrix(x, states)
+
+        def counting_ascend(*args, **kwargs):
+            rounds[0] += 1
+            inside[0] = True
+            try:
+                return real_ascend(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(cap, "_conditional_matrix", counting_matrix)
+        monkeypatch.setattr(cap, "_ascend_states", counting_ascend)
+        x = sic_tetrahedron()
+        restarts = 3
+        cap.observable_capacity(x, restarts=restarts)
+        # top, bottom, both, one pair per outcome, then the random restarts
+        starts = 3 + x.n_outcomes + restarts - 1
+        assert rounds[0] >= starts
+        assert outer[0] == rounds[0] + starts
+
     def test_witness_reproduces_reported_value(self):
         x = sic_tetrahedron()
         est = cap.observable_capacity(x, restarts=4)

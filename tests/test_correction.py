@@ -13,7 +13,15 @@ from qichan.catalog import (
     repetition_code,
     teleport_channel,
 )
-from qichan.channels import Channel, apply_dual, channels_equal, identity_channel, unitary_channel
+from qichan.channels import (
+    Channel,
+    apply_dual,
+    channels_equal,
+    choi_of,
+    identity_channel,
+    unitary_channel,
+    validate_channel,
+)
 from qichan.errors import BadFactorization
 from qichan.numlin import DEFAULT_TOL, dagger, op_norm
 from qichan.rand import generator, random_channel, random_isometry, random_unitary
@@ -98,9 +106,30 @@ class TestCorrectionChannel:
         v[2, 0] = 1.0
         c0 = co.restrict(c, co.CodeSubspace.from_isometry(v))
         r0 = co.correction_channel(c0)
-        from qichan.channels import validate_channel
-
         assert validate_channel(r0).trace_preserving
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rank_deficient_matches_oracle_form(self, seed):
+        # fewer elements than output levels leave E(1) a kernel; the oracle
+        # builds E_k^dag E(1)^(-1/2) and one sink |0><u| per kernel vector
+        # from its own eigendecomposition
+        rng = generator(seed + 200)
+        d_in = int(rng.integers(2, 4))
+        n = int(rng.integers(1, 3))
+        d_out = d_in * n + int(rng.integers(1, 4))
+        c = random_channel(rng, d_in, d_out, n)
+        e1 = sum(e @ dagger(e) for e in c.elements)
+        w, u = np.linalg.eigh(e1)
+        keep = w > DEFAULT_TOL.rank_rel * w[-1]
+        assert not keep.all()
+        inv_sqrt = (u[:, keep] / np.sqrt(w[keep])) @ dagger(u[:, keep])
+        sink = np.zeros((d_in, 1), dtype=complex)
+        sink[0, 0] = 1.0
+        oracle = [dagger(e) @ inv_sqrt for e in c.elements]
+        oracle += [sink @ dagger(u[:, [i]]) for i in np.flatnonzero(~keep)]
+        r = co.correction_channel(c)
+        assert validate_channel(r).trace_preserving
+        assert op_norm(choi_of(r) - choi_of(Channel.from_elements(oracle))) < 1e-12
 
 
 class TestRestrict:

@@ -6,7 +6,6 @@ from qichan.errors import DimMismatch, NotHermitian, NotPSD, NotSquare
 from qichan.rand import generator, random_density, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 class TestHermitianEig:
@@ -47,37 +46,62 @@ class TestHermitianEig:
             numlin.hermitian_eig(np.zeros((2, 3), dtype=complex))
 
 
+def kernel(a, tol=numlin.DEFAULT_TOL):
+    """Eigenvectors of a PSD matrix outside its support, as columns."""
+    _, u, support = numlin.psd_eig(a, tol)
+    return u[:, ~support]
+
+
+def sqrt_pinv_and_support(a, tol=numlin.DEFAULT_TOL):
+    """A^(-1/2) on the support of a PSD matrix, zero on its kernel, and the
+    support projector, both from one psd_eig call."""
+    w, u, support = numlin.psd_eig(a, tol)
+    us = u[:, support]
+    return (us / np.sqrt(w[support])) @ us.conj().T, us @ us.conj().T
+
+
 class TestNullspace:
     def test_zero_matrix(self):
-        ns = numlin.nullspace(np.zeros((3, 3), dtype=complex))
+        ns = kernel(np.zeros((3, 3), dtype=complex))
         assert ns.shape == (3, 3)
 
     def test_identity(self):
-        assert numlin.nullspace(np.eye(4, dtype=complex)).shape == (4, 0)
+        assert kernel(np.eye(4, dtype=complex)).shape == (4, 0)
 
     def test_rank_one_projector(self):
-        ns = numlin.nullspace(np.diag([1.0, 0.0]).astype(complex))
+        ns = kernel(np.diag([1.0, 0.0]).astype(complex))
         assert ns.shape == (2, 1)
         assert abs(abs(ns[1, 0]) - 1) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_residual_bound(self, seed):
+        # the kernel of the Gram matrix a^dag a is the nullspace of a
         rng = generator(seed)
         a = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
         a[:, -2:] = 0  # force rank deficiency in some direction
-        ns = numlin.nullspace(a)
+        ns = kernel(a.conj().T @ a)
+        assert ns.shape == (8, 2)
         smax = np.linalg.norm(a, 2)
         for k in range(ns.shape[1]):
             assert np.linalg.norm(a @ ns[:, k]) <= numlin.DEFAULT_TOL.rank_rel * smax
         assert numlin.op_norm(ns.conj().T @ ns - np.eye(ns.shape[1])) < 1e-10
 
+    def test_support_and_kernel_cover_every_direction(self):
+        # -1e-12 is within abs_eps of PSD but below the support cut, so it
+        # belongs to the kernel; a second, SVD-based cut would put it in neither
+        tol = numlin.Tolerance(abs_eps=1e-9, rank_rel=1e-14)
+        _, u, support = numlin.psd_eig(np.diag([1.0, -1e-12, 0.0]).astype(complex), tol)
+        assert support.sum() == 1
+        assert u[:, ~support].shape == (3, 2)
+
 
 class TestPsdSqrtPinv:
     def test_identity(self):
-        assert numlin.op_norm(numlin.psd_sqrt_pinv(np.eye(3, dtype=complex)) - np.eye(3)) < 1e-12
+        r, _ = sqrt_pinv_and_support(np.eye(3, dtype=complex))
+        assert numlin.op_norm(r - np.eye(3)) < 1e-12
 
     def test_diag_with_kernel(self):
-        r = numlin.psd_sqrt_pinv(np.diag([4.0, 0.0]).astype(complex))
+        r, _ = sqrt_pinv_and_support(np.diag([4.0, 0.0]).astype(complex))
         assert np.allclose(np.diag(r).real, [0.5, 0.0])
 
     def test_counterexample_channel_normalization(self):
@@ -94,8 +118,7 @@ class TestPsdSqrtPinv:
             elements.append(e)
         a = sum(e @ e.conj().T for e in elements)
         assert np.allclose(np.diag(a).real, [1 / 3, 1 / 3, 1 / 3, 2])
-        r = numlin.psd_sqrt_pinv(a)
-        support = numlin.support_projector(a)
+        r, support = sqrt_pinv_and_support(a)
         assert numlin.op_norm(r @ a @ r - support) < 1e-9
         assert numlin.op_norm(support - np.eye(4)) < 1e-12
 
@@ -104,34 +127,23 @@ class TestPsdSqrtPinv:
         rng = generator(seed)
         g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         a = g @ g.conj().T  # PSD with 3-dim kernel
-        r = numlin.psd_sqrt_pinv(a)
-        support = numlin.support_projector(a)
+        r, support = sqrt_pinv_and_support(a)
+        assert numlin.op_norm(support @ support - support) < 1e-10
+        assert abs(np.trace(support).real - 3) < 1e-10
         assert numlin.op_norm(r @ a @ r - support) < 1e-8
         assert numlin.op_norm(r @ r @ a - support) < 1e-8
 
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
-            numlin.psd_sqrt_pinv(np.diag([1.0, -1.0]).astype(complex))
+            numlin.psd_eig(np.diag([1.0, -1.0]).astype(complex))
 
 
 class TestKronPartialTrace:
-    def test_kron_hand_expansion(self):
-        expected = np.array(
-            [
-                [0, 0, 1, 0],
-                [0, 0, 0, -1],
-                [1, 0, 0, 0],
-                [0, -1, 0, 0],
-            ],
-            dtype=complex,
-        )
-        assert np.array_equal(numlin.kron(SX, SZ), expected)
-
     def test_product_state(self):
         rng = generator(2)
         rho = random_density(rng, 3)
         sigma = random_density(rng, 2)
-        joint = numlin.kron(rho, sigma)
+        joint = np.kron(rho, sigma)
         assert numlin.op_norm(numlin.partial_trace(joint, [3, 2], {0}) - rho) < 1e-12
         assert numlin.op_norm(numlin.partial_trace(joint, [3, 2], {1}) - sigma) < 1e-12
 

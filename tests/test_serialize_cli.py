@@ -118,6 +118,37 @@ class TestCli:
         assert rc == 2
         assert json.loads(capsys.readouterr().out)["results"]["valid"] is False
 
+    @pytest.mark.parametrize(
+        "invariant, effects",
+        [
+            # each breaks its invariant by 10 tol at the default tol = 1e-9
+            ("hermiticity", [[[0.5, 1e-8], [0, 0.5]], [[0.5, -1e-8], [0, 0.5]]]),
+            ("min_eigenvalue", [[[-1e-8, 0], [0, 0]], [[0.5 + 1e-8, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]]),
+            ("max_eigenvalue", [[[1 + 1e-8, 0], [0, 1]]]),
+            ("completeness", [[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.5 + 1e-8]]]),
+        ],
+    )
+    def test_observable_invariants_share_one_rule(self, tmp_path, capsys, invariant, effects):
+        # validate says "no" (2); commands that need a valid observable
+        # refuse the input (1, ValidationError)
+        x = DiscreteObservable.from_effects([np.array(e, dtype=complex) for e in effects])
+        path = tmp_path / "x.json"
+        serialize.write_observable_file(path, x)
+        assert main(["validate", str(path)]) == 2
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["valid"] is False
+        excess = {
+            "hermiticity": results["hermiticity"],
+            "min_eigenvalue": -results["min_eigenvalue"],
+            "max_eigenvalue": results["max_eigenvalue"] - 1,
+            "completeness": results["completeness"],
+        }[invariant]
+        assert excess > 5e-9
+        assert main(["capacity", str(path), "--restarts", "1"]) == 1
+        assert "invariant violated" in capsys.readouterr().err
+        with pytest.raises(ValidationError):
+            serialize.parse_observable_file(path)
+
     def test_missing_file_exits_one(self, capsys):
         rc = main(["validate", "/nonexistent/x.json"])
         assert rc == 1
