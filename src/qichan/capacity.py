@@ -1,7 +1,7 @@
 """Information capacity of observables via reduction to a classical channel.
 
 Feeding an observable with a fixed ensemble of states turns it into a
-classical channel whose capacity is computed by alternating maximization;
+classical channel whose capacity :func:`kernels.blahut_arimoto` certifies;
 the outer search over ensembles (restarts plus coordinate ascent on the
 states) yields a certified lower bound together with the witnessing
 ensemble.
@@ -54,10 +54,15 @@ class CapacityEstimate:
 
 
 def shannon_capacity(p: StochasticMap, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Capacity in bits of a classical channel (column-stochastic matrix)."""
+    """Capacity in bits of a classical channel (column-stochastic matrix).
+
+    Returns the certified lower bound of :func:`kernels.blahut_arimoto`:
+    the capacity lies within ``tol`` bits above it unless ``max_iter``
+    iterations ran out first.
+    """
     pyx = np.ascontiguousarray(p.entries.T)  # rows become inputs
-    value, _, _ = kernels.blahut_arimoto(pyx, tol=tol, max_iter=max_iter)
-    return float(value)
+    lower, _, _, _ = kernels.blahut_arimoto(pyx, tol=tol, max_iter=max_iter)
+    return float(lower)
 
 
 def holevo_quantity(x: DiscreteObservable, e: Ensemble) -> float:
@@ -83,15 +88,17 @@ def _mutual_information(pyx: np.ndarray, priors: np.ndarray) -> float:
 
 
 def _ascend_states(
-    x: DiscreteObservable, states: list[np.ndarray], priors: np.ndarray, rounds: int
+    x: DiscreteObservable, states: list[np.ndarray], pyx: np.ndarray, priors: np.ndarray, rounds: int
 ) -> list[np.ndarray]:
     """Coordinate ascent: push each state toward the maximizer of its
     relative-entropy score against the mixture output, which stays frozen
-    within a round; a state moves only if its score improves."""
+    within a round; a state moves only if its score improves.  ``pyx`` is
+    ``_conditional_matrix(x, states)``."""
     effects = np.asarray(x.effects)
     states = np.asarray(states)
-    for _ in range(rounds):
-        pyx = _conditional_matrix(x, states)
+    for k in range(rounds):
+        if k:
+            pyx = _conditional_matrix(x, states)
         qy = np.clip(priors @ pyx, _LOG_FLOOR, None)
         score = np.log2(np.clip(pyx, _LOG_FLOOR, None) / qy)
         g = np.einsum("ij,jab->iab", score, effects)
@@ -118,7 +125,7 @@ def observable_capacity(
 ) -> CapacityEstimate:
     """Lower-bound estimate of the capacity of an observable.
 
-    Alternates prior optimization (alternating maximization on the induced
+    Alternates prior optimization (the certified capacity of the induced
     classical channel) with coordinate ascent on up to dim^2 pure states,
     over several seeded restarts; returns the best value with its witness
     ensemble.  For a sharp observable the eigenstate warm start already
@@ -146,19 +153,21 @@ def observable_capacity(
         starts.append(
             [np.outer(v, v.conj()) for v in (random_pure_state(rng, d) for _ in range(k))]
         )
+    # BA starts uniform, or from a warm ensemble's priors
+    first_priors: list[np.ndarray | None] = [None] * len(starts)
     for ens in warm_ensembles:
         starts.append([np.array(s) for s in ens.states][:cap])
+        first_priors.append(ens.priors[:cap])
 
     best_bits = 0.0
     best: Ensemble | None = None
-    for states in starts:
-        # each round warm-starts BA from the previous round's priors
-        priors = np.full(len(states), 1.0 / len(states))
+    for states, priors in zip(starts, first_priors):
+        # each later round warm-starts BA from the previous round's priors
         value = 0.0
         pyx = _conditional_matrix(x, states)
         for _ in range(_MAX_ROUNDS):
-            _, priors, _ = kernels.blahut_arimoto(pyx, tol=tol / 10, max_iter=2000, prior=priors)
-            states = _ascend_states(x, states, priors, rounds=2)
+            _, priors, _, _ = kernels.blahut_arimoto(pyx, tol=tol / 10, max_iter=2000, prior=priors)
+            states = _ascend_states(x, states, pyx, priors, rounds=2)
             # the round's value and the next round's channel share this matrix
             pyx = _conditional_matrix(x, states)
             new_value = _mutual_information(pyx, priors)

@@ -3,7 +3,11 @@
 Two inner loops dominate runtime in this package: the simplex-constrained
 least-squares solver behind coarse-graining feasibility (called once per
 sampled observable, tens of thousands of times in a containment scan) and
-the alternating-maximization loop for classical channel capacity.
+classical channel capacity.  Capacity stops on a certificate, the bracket
+``I(r) <= C <= max_i D(p_i || rP)`` that every prior r gives: an
+active-set Newton method on the support of the prior closes it, and
+alternating maximization (Blahut-Arimoto) takes over whenever a face
+solve fails the certificate (see :func:`blahut_arimoto`).
 
 Each kernel has exactly one implementation, vectorized numpy with no
 compiled twin; ``BACKEND`` names it in reports.  Dense eigen/SVD work
@@ -176,12 +180,117 @@ def solve_product_simplex_lsq(
 _LN2 = float(np.log(2.0))
 # weight of the uniform prior mixed into a warm start
 _WARM_MIX = 1e-9
+# BA runs in chunks, the first this long and each later one twice the last
+_CHUNK = 50
+# the face a Newton solve works on: inputs with prior above this over n
+_SUPPORT_CUT = 1e-3
+# Newton steps per face, besides those that drop an input
+_NEWTON_STEPS = 30
+# singular values of P diag(q)^(-1/2) below this times the largest count
+# as zero curvature (their squares are the Hessian's eigenvalues)
+_FLAT = 1e-6
+# prior the certificate gives inputs a face solve leaves out: an output only
+# they reach keeps q > 0, so its bound stays finite, and I moves by ~1e-300
+_OFF_FACE = 1e-300
+
+
+def _divergences(pyx: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
+    """(I, d) in nats at prior ``r``: ``d_i = D(p_i || rP)``, infinite for
+    an input that reaches an output ``rP`` misses."""
+    q = r @ pyx
+    hit = q > 0
+    d = h - pyx[:, hit] @ np.log(q[hit])
+    if not hit.all():
+        d[pyx[:, ~hit].any(axis=1)] = np.inf
+    used = r > 0
+    return float(r[used] @ d[used]), d
+
+
+def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float) -> np.ndarray | None:
+    """Newton ascent of I over the priors supported on the inputs of ``x``.
+
+    ``pyx`` and ``h`` hold the face's rows, ``x > 0`` is the start.  The
+    Hessian of I is ``-H`` with ``H = P diag(1/q) P^T = A A^T``, so one SVD
+    of ``A = P diag(q)^(-1/2)`` gives the KKT system
+    ``[-H, 1; 1^T, 0] (step, nu) = (-d, 0)`` in closed form.  The moves
+    ``v`` with ``P^T v = 0`` (duplicate rows, more inputs than outputs)
+    leave q alone, so I is linear along them, with slope the projection of
+    ``d``.  If that slope is not 0 the step climbs along it, else it is the
+    Newton step on the rest.  A step that leaves the simplex stops at its
+    boundary and drops the input it zeroes; a climb always does.  Returns
+    the prior, 0 on dropped inputs, once ``max d_i - I < gap`` on the
+    inputs still in; None if the steps run out first.
+    """
+    k = x.size
+    live = np.arange(k)
+    # a step that hits the boundary drops an input: k of them come on top
+    for _ in range(_NEWTON_STEPS + k):
+        p = pyx[live]
+        # outputs no input left reaches: p is 0 there
+        q = x @ p
+        q[q == 0] = 1.0
+        d = h[live] - p @ np.log(q)
+        if d.max() - x @ d < gap:
+            r = np.zeros(k)
+            r[live] = x
+            return r
+        # the left singular vectors of A diagonalize H
+        u, sv, _ = np.linalg.svd(p / np.sqrt(q))
+        rank = int(np.sum(sv > _FLAT * sv[0]))
+        null = u[:, rank:]
+        slope = null @ (null.T @ d)
+        climb = slope.min() < 0
+        if climb:
+            step = slope
+        else:
+            # Newton on the range: H step = d + nu 1 with 1^T step = 0
+            b, lam = u[:, :rank], sv[:rank] ** 2
+            g, e = b.T @ d, b.sum(axis=0)
+            nu = -(e @ (g / lam)) / (e @ (e / lam))
+            step = b @ ((g + nu * e) / lam)
+        shrink = step < 0
+        ratios = -x[shrink] / step[shrink]
+        # a Newton step ends at 1, a climb only at the boundary
+        t = ratios.min(initial=np.inf if climb else 1.0)
+        x = x + t * step
+        keep = x > 0
+        if ratios.size and t == ratios.min():
+            keep[np.flatnonzero(shrink)[np.argmin(ratios)]] = False
+        live, x = live[keep], x[keep]
+        x = x / x.sum()
+    return None
+
+
+def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, gap: float) -> np.ndarray | None:
+    """Active-set Newton from the BA iterate ``r``: maximize I on the face
+    ``{i : r_i > _SUPPORT_CUT / n}``; while inputs off the face beat I by
+    more than ``gap``, add them and solve again (at most n times).  Inputs
+    join a face with at least the cut's prior.  Returns the prior once
+    ``max_i d_i - I < gap`` over all inputs, else None.
+    """
+    n = r.size
+    floor = _SUPPORT_CUT / n
+    face = r > floor
+    for _ in range(n):
+        idx = np.flatnonzero(face)
+        x = np.maximum(r[idx], floor)
+        x_face = _maximize_on_face(pyx[idx], h[idx], x / x.sum(), gap)
+        if x_face is None:
+            return None
+        r = np.full(n, _OFF_FACE)
+        r[idx] = np.maximum(x_face, _OFF_FACE)
+        value, d = _divergences(pyx, h, r)
+        out = d > value + gap
+        if not out.any():
+            return r
+        face = (r > _OFF_FACE) | out
+    return None
 
 
 def blahut_arimoto(
     pyx: np.ndarray, tol: float = 1e-12, max_iter: int = 10000, prior: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Capacity (bits) of a classical channel by alternating maximization.
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Capacity (bits) of a classical channel, certified to within ``tol``.
 
     pyx: conditional probabilities, rows indexed by input, columns by
     output (row-stochastic).  ``prior`` warm-starts the iteration; it is
@@ -189,14 +298,30 @@ def blahut_arimoto(
     input whose prior is exactly 0 never regains mass under the
     multiplicative update.  Without it the start is uniform.
 
-    Output columns no input reaches are dropped and the row entropies
-    ``h_i = sum_j p_ij ln p_ij`` are computed once, so an iteration takes
-    one log of the output distribution ``qy`` (ln 0 read as 0: such a
-    column only meets inputs whose prior is 0) and
-    ``d_i = KL(p(.|i) || qy) = h_i - sum_j p_ij ln qy_j``.  Warm or cold,
-    it stops when an iteration gains less than ``tol`` bits.  Returns
-    (capacity, optimal prior, per-iteration values); the value sequence is
-    nondecreasing.
+    Every prior r with output q = rP brackets the capacity,
+    ``I(r) <= C <= max_i D(p_i || q)`` (Blahut 1972), and the call stops
+    once the bracket is narrower than ``tol`` bits.  Two steps close it:
+
+    * alternating maximization (BA).  Output columns no input reaches are
+      dropped and the row entropies ``h_i = sum_j p_ij ln p_ij`` computed
+      once, so an iteration takes one log of q (ln 0 read as 0: such a
+      column only meets inputs whose prior is 0) and
+      ``d_i = D(p_i || q) = h_i - sum_j p_ij ln q_j``; the bracket costs
+      one max.
+    * Newton on the support.  BA closes the bracket sublinearly when an
+      optimal input weight is 0, so it runs in chunks of ``_CHUNK``
+      iterations, doubling, and before the first chunk and after each
+      one I is maximized by an active-set Newton method on the face of
+      the inputs BA keeps (see :func:`_newton_certificate`).  Its point
+      is taken only if the bracket over *all* inputs holds; otherwise BA
+      goes on from its own iterate, so a wrong guess of the support costs
+      time, never the bound.
+
+    Returns (lower, prior, history, upper): the capacity lower bound
+    ``I(prior)`` and upper bound ``max_i D(p_i || q)`` in bits, and the
+    value of every BA iteration, a nondecreasing sequence whose length is
+    the iteration count.  The call converged iff ``upper - lower < tol``;
+    otherwise it stopped at ``max_iter`` BA iterations.
     """
     pyx = np.asarray(pyx, dtype=np.float64)
     n_in = pyx.shape[0]
@@ -208,17 +333,25 @@ def blahut_arimoto(
     else:
         r = (1.0 - _WARM_MIX) * np.asarray(prior, dtype=np.float64) + _WARM_MIX / n_in
         r /= r.sum()
+    gap = tol * _LN2
     history = []
-    c_prev = -np.inf
-    for _ in range(max_iter):
+    newton_at, chunk = 1, _CHUNK
+    while True:
         qy = r @ pyx
         logq = np.log(qy, out=np.zeros(n_out), where=qy > 0)
         d = h - pyx @ logq
-        c_now = float(r @ d) / _LN2
-        history.append(c_now)
-        if c_now - c_prev < tol and len(history) > 1:
+        value = float(r @ d)
+        history.append(value / _LN2)
+        # an output whose q underflowed to 0 leaves the bound infinite
+        if d.max() - value < gap and qy.all() or len(history) >= max_iter:
             break
-        c_prev = c_now
+        if len(history) == newton_at:
+            on_face = _newton_certificate(pyx, h, r, gap)
+            if on_face is not None:
+                r = on_face
+                break
+            newton_at, chunk = newton_at + chunk, 2 * chunk
         w = r * np.exp(d)
         r = w / w.sum()
-    return history[-1], r, np.asarray(history)
+    value, d = _divergences(pyx, h, r)
+    return value / _LN2, r, np.asarray(history), float(d.max()) / _LN2

@@ -3,8 +3,8 @@
 All operations are pure functions on immutable ndarrays (complex128,
 row-major).  Comparisons use the operator norm (largest singular value).
 The support of a PSD matrix is cut in one place, :func:`psd_eig`, at
-``rank_rel`` times its largest eigenvalue; everything below the cut is
-its kernel.
+``rank_rel`` times its largest eigenvalue, but never below rounding level;
+everything below the cut is its kernel.
 """
 
 from __future__ import annotations
@@ -84,8 +84,10 @@ def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np
     """Eigendecomposition of a PSD matrix with its support cut.
 
     Returns (w, u, support) as :func:`hermitian_eig` does, plus the mask
-    ``support = w > rank_rel * max(w_max, 0)``.  The eigenvectors outside
-    the support span the numerical kernel, so support and kernel together
+    ``support = w > max(rank_rel, d eps) * max(w_max, 0)``: the eigenvalues
+    of a d x d matrix carry rounding errors of about ``d eps w_max``, so no
+    ``rank_rel`` lets them into the support.  The eigenvectors outside the
+    support span the numerical kernel, so support and kernel together
     cover every direction.  Raises NotPSD if an eigenvalue dips below
     ``-abs_eps``.
     """
@@ -93,7 +95,8 @@ def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np
     if w.size and w[0] < -tol.abs_eps:
         raise NotPSD(float(w[0]), tol.abs_eps)
     wmax = float(w[-1]) if w.size else 0.0
-    return w, u, w > tol.rank_rel * max(wmax, 0.0)
+    rel = max(tol.rank_rel, w.size * np.finfo(np.float64).eps)
+    return w, u, w > rel * max(wmax, 0.0)
 
 
 def partial_trace(a, dims: list[int], keep) -> np.ndarray:

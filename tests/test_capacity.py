@@ -119,7 +119,7 @@ class TestAscendStates:
         x = random_povm(rng, d, int(rng.integers(2, 5)))
         states = [random_density(rng, d) for _ in range(int(rng.integers(2, d * d + 1)))]
         priors = rng.dirichlet(np.ones(len(states)))
-        got = cap._ascend_states(x, states, priors, rounds=3)
+        got = cap._ascend_states(x, states, cap._conditional_matrix(x, states), priors, rounds=3)
         expected = _ascend_states_per_state(x, states, priors, rounds=3)
         assert max(np.abs(a - b).max() for a, b in zip(got, expected)) < 1e-12
 
@@ -165,20 +165,24 @@ class TestObservableCapacity:
     def test_conditional_matrix_built_once_per_round(self, monkeypatch):
         # the matrix a round ends on is the next round's channel: outside the
         # state ascent, each start builds it once up front and once per round
-        outer, rounds, inside = [0], [0], [False]
+        outer, rounds, inside, per_ascent = [0], [0], [None], []
         real_matrix, real_ascend = cap._conditional_matrix, cap._ascend_states
 
         def counting_matrix(x, states):
-            outer[0] += not inside[0]
+            if inside[0] is None:
+                outer[0] += 1
+            else:
+                inside[0] += 1
             return real_matrix(x, states)
 
         def counting_ascend(*args, **kwargs):
             rounds[0] += 1
-            inside[0] = True
+            inside[0] = 0
             try:
                 return real_ascend(*args, **kwargs)
             finally:
-                inside[0] = False
+                per_ascent.append(inside[0])
+                inside[0] = None
 
         monkeypatch.setattr(cap, "_conditional_matrix", counting_matrix)
         monkeypatch.setattr(cap, "_ascend_states", counting_ascend)
@@ -189,6 +193,10 @@ class TestObservableCapacity:
         starts = 3 + x.n_outcomes + restarts - 1
         assert rounds[0] >= starts
         assert outer[0] == rounds[0] + starts
+        # the ascent is handed the matrix of its states: round k builds the
+        # one of its candidates and, from k = 2 on, the one of its states,
+        # 2k - 1 builds in all
+        assert per_ascent and all(n % 2 == 1 for n in per_ascent)
 
     def test_witness_reproduces_reported_value(self):
         x = sic_tetrahedron()
@@ -275,10 +283,18 @@ class TestDataProcessing:
 
 
 class TestBlahutArimotoContract:
-    def test_iterates_monotone_and_stop_rule(self):
+    def test_iterates_monotone_and_stop_rule(self, monkeypatch):
         rng = generator(77)
         pyx = random_stochastic(rng, 5, 4).T.copy()
-        value, _, hist = kernels.blahut_arimoto(pyx, tol=1e-11)
+        # withhold the first face solve, so that BA runs a chunk
+        real, calls = kernels._newton_certificate, []
+
+        def first_fails(*args):
+            calls.append(args)
+            return None if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(kernels, "_newton_certificate", first_fails)
+        lower, _, hist, upper = kernels.blahut_arimoto(pyx, tol=1e-11)
+        assert len(hist) > 1
         assert np.all(np.diff(hist) >= -1e-12)
-        if len(hist) > 1:
-            assert hist[-1] - hist[-2] < 1e-11
+        assert upper - lower < 1e-11

@@ -23,7 +23,7 @@ from qichan.channels import (
     validate_channel,
 )
 from qichan.errors import BadFactorization
-from qichan.numlin import DEFAULT_TOL, dagger, op_norm
+from qichan.numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
 from qichan.rand import generator, random_channel, random_isometry, random_unitary
 
 
@@ -131,6 +131,17 @@ class TestCorrectionChannel:
         assert validate_channel(r).trace_preserving
         assert op_norm(choi_of(r) - choi_of(Channel.from_elements(oracle))) < 1e-12
 
+
+    def test_rounding_floor_keeps_kernel_out_of_support(self):
+        # at rank_rel 1e-16 the roundoff eigenvalues of E(1)'s kernel pass
+        # the relative cut; psd_eig's floor of d eps keeps them out
+        tol = Tolerance(1e-9, 1e-16)
+        for seed in range(400):
+            rng = generator(seed + 1000)
+            d_in = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 3))
+            c = random_channel(rng, d_in, d_in * n + int(rng.integers(1, 5)), n)
+            assert validate_channel(co.correction_channel(c, tol)).trace_preserving
 
 class TestRestrict:
     def test_full_space_is_identity_restriction(self):

@@ -130,19 +130,19 @@ class TestFeasibilitySolver:
 
 class TestBlahutArimoto:
     def test_identity_channel_bit(self):
-        c, r, hist = kernels.blahut_arimoto(np.eye(2))
+        c, r, hist, _ = kernels.blahut_arimoto(np.eye(2))
         assert abs(c - 1.0) < 1e-9
         assert np.allclose(r, [0.5, 0.5])
 
     def test_constant_channel_zero(self):
-        c, _, _ = kernels.blahut_arimoto(np.array([[0.3, 0.7], [0.3, 0.7]]))
+        c, _, _, _ = kernels.blahut_arimoto(np.array([[0.3, 0.7], [0.3, 0.7]]))
         assert abs(c) < 1e-12
 
     def test_bsc_closed_form(self):
         f = 0.25
         h2 = -(f * np.log2(f) + (1 - f) * np.log2(1 - f))
         pyx = np.array([[1 - f, f], [f, 1 - f]])
-        c, _, _ = kernels.blahut_arimoto(pyx, tol=1e-14)
+        c, _, _, _ = kernels.blahut_arimoto(pyx, tol=1e-14)
         assert abs(c - (1 - h2)) < 1e-8
 
     @pytest.mark.parametrize("seed", range(6))
@@ -150,34 +150,67 @@ class TestBlahutArimoto:
         rng = np.random.default_rng(seed)
         pyx = rng.random((5, 4)) + 0.01
         pyx /= pyx.sum(axis=1, keepdims=True)
-        _, _, hist = kernels.blahut_arimoto(pyx, tol=1e-14)
+        _, _, hist, _ = kernels.blahut_arimoto(pyx, tol=1e-14)
         assert np.all(np.diff(hist) >= -1e-12)
 
 
-def _masked_blahut_arimoto(pyx, tol=1e-12, max_iter=10000):
-    """Reference BA: every iteration takes KL(p(.|i) || qy) over the whole
-    matrix, with terms masked where p = 0 or qy = 0."""
+def _masked_divergences(pyx, r):
+    """KL(p(.|i) || qy) in nats for every input, over the whole matrix, with
+    terms masked where p = 0 or qy = 0 (their ratio is read as 1)."""
+    qy = r @ pyx
+    ratio = np.divide(pyx, qy, out=np.ones_like(pyx), where=(pyx > 0) & (qy > 0))
+    return np.sum(pyx * np.log(ratio), axis=1)
+
+
+def _masked_blahut_arimoto(pyx, tol=1e-12, max_iter=200000):
+    """Reference BA on the masked formula, stopped once the capacity
+    bracket ``max_i KL_i - I`` is below ``tol`` bits.  Returns (I, prior)."""
     r = np.full(pyx.shape[0], 1.0 / pyx.shape[0])
-    history = []
-    c_prev = -np.inf
     for _ in range(max_iter):
-        qy = r @ pyx
-        safe = (pyx > 0) & (qy[None, :] > 0)
-        ratio = np.divide(pyx, qy[None, :], out=np.ones_like(pyx), where=safe)
-        d = np.where(safe, pyx * np.log(ratio), 0.0).sum(axis=1)
-        c_now = float(np.sum(r * d) / np.log(2.0))
-        history.append(c_now)
-        if c_now - c_prev < tol and len(history) > 1:
+        d = _masked_divergences(pyx, r)
+        value = float(r @ d) / np.log(2.0)
+        if d.max() / np.log(2.0) - value < tol:
             break
-        c_prev = c_now
         w = r * np.exp(d)
         r = w / w.sum()
-    return history[-1], r, np.asarray(history)
+    return value, r
+
+
+def _bracket_bits(pyx, r):
+    """(I(r), max_i KL(p(.|i) || rP)) in bits, infinite for an input that
+    reaches an output rP misses."""
+    qy = r @ pyx
+    d = _masked_divergences(pyx, r) / np.log(2.0)
+    d[((pyx > 0) & (qy[None, :] == 0)).any(axis=1)] = np.inf
+    return float(r[r > 0] @ d[r > 0]), float(d.max())
+
+
+def _gain_stop_values(pyxs, tol=1e-12, max_iter=10000):
+    """Values of BA stopped when an iteration gains less than ``tol`` bits,
+    the stop rule before the certificate, run on a stack of channels."""
+    live = np.arange(pyxs.shape[0])
+    values = np.empty(pyxs.shape[0])
+    r = np.full(pyxs.shape[:2], 1.0 / pyxs.shape[1])
+    prev = np.full(live.size, -np.inf)
+    p = pyxs
+    for _ in range(max_iter):
+        qy = np.einsum("kn,knm->km", r, p)
+        ratio = np.divide(p, qy[:, None, :], out=np.ones_like(p), where=p > 0)
+        d = np.where(p > 0, p * np.log(ratio), 0.0).sum(axis=2)
+        c = np.sum(r * d, axis=1) / np.log(2.0)
+        values[live] = c
+        keep = c - prev >= tol
+        if not keep.any():
+            break
+        live, r, d, prev, p = live[keep], r[keep], d[keep], c[keep], p[keep]
+        w = r * np.exp(d)
+        r = w / w.sum(axis=1, keepdims=True)
+    return values
 
 
 class TestBlahutArimotoEdgeCases:
     def test_unreached_output_column(self):
-        c, r, _ = kernels.blahut_arimoto(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        c, r, _, _ = kernels.blahut_arimoto(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         assert c == 1.0
         assert np.allclose(r, [0.5, 0.5])
 
@@ -185,35 +218,111 @@ class TestBlahutArimotoEdgeCases:
         # the last row loses half its mass per iteration until it is 0, and
         # the output only it reaches then has probability 0
         pyx = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1e-300]])
-        c, r, hist = kernels.blahut_arimoto(pyx, tol=-np.inf, max_iter=10000)
+        c, r, hist, upper = kernels.blahut_arimoto(pyx, tol=-np.inf, max_iter=10000)
         assert len(hist) == 10000 and r[3] == 0.0
         assert np.all(np.isfinite(hist)) and np.all(np.isfinite(r))
         assert abs(c - 1.0) < 1e-12
+        # the output only the last row reaches has q = 0: no finite bound
+        assert upper == np.inf
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_masked_formula(self, seed):
         rng = np.random.default_rng(seed + 300)
         n = 4 + seed % 13
         pyx = random_stochastic(rng, n, n).T.copy()
-        c_ref, _, hist_ref = _masked_blahut_arimoto(pyx)
-        c, _, hist = kernels.blahut_arimoto(pyx)
+        c_ref, r_ref = _masked_blahut_arimoto(pyx, tol=1e-12)
+        i_ref, u_ref = _bracket_bits(pyx, r_ref)
+        assert u_ref - i_ref < 1e-12
+        c, _, _, upper = kernels.blahut_arimoto(pyx)
         assert abs(c - c_ref) < 1e-12
-        assert abs(len(hist) - len(hist_ref)) <= 1
+        assert upper - c < 1e-12
 
     def test_warm_prior_with_zero_entry_recovers(self):
         # the optimum of the 3-symbol identity channel uses the input whose
         # warm prior is 0
-        c, r, _ = kernels.blahut_arimoto(np.eye(3), prior=np.array([0.5, 0.5, 0.0]))
+        c, r, _, _ = kernels.blahut_arimoto(np.eye(3), prior=np.array([0.5, 0.5, 0.0]))
         assert abs(c - np.log2(3)) < 1e-9
         assert np.allclose(r, 1 / 3, atol=1e-9)
 
     def test_warm_start_at_optimum_stops_at_once(self):
         f = 0.25
         pyx = np.array([[1 - f, f, 0.0], [f, 1 - f, 0.0], [0.0, 0.0, 1.0]])
-        c, r, _ = kernels.blahut_arimoto(pyx, tol=1e-14)
-        c_warm, _, hist = kernels.blahut_arimoto(pyx, tol=1e-14, prior=r)
+        c, r, _, _ = kernels.blahut_arimoto(pyx, tol=1e-14)
+        c_warm, _, hist, _ = kernels.blahut_arimoto(pyx, tol=1e-14, prior=r)
         assert len(hist) <= 2
         assert abs(c_warm - c) < 1e-12
+
+
+# the fixed random maps of the benchmark's capacity workload
+BANK_SEED = 20090113
+NEAR_DUPLICATE = np.array([[0.7591, 0.0316, 0.2093], [0.1818, 0.3761, 0.442], [0.1783, 0.362, 0.4597]])
+
+
+def _bank_maps():
+    rng = np.random.default_rng(BANK_SEED)
+    return [random_stochastic(rng, n, n) for n in (4,) * 40 + (8,) * 25 + (16,) * 10]
+
+
+def _rows(p):
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _degenerate_channels():
+    """Shapes the observable search feeds BA: states that coincide or
+    nearly do, and many more states than outcomes."""
+    rng = np.random.default_rng(5)
+    base = _rows(rng.random((3, 4)))
+    return {
+        "duplicate_rows": np.vstack([base, base[:2], base[1:2]]),
+        "near_duplicate_3x3": _rows(NEAR_DUPLICATE),
+        "inputs_16_outputs_2": _rows(rng.random((16, 2)) ** 3),
+        "inputs_9_outputs_3": _rows(rng.random((9, 3)) ** 4),
+    }
+
+
+class TestBlahutArimotoCertificate:
+    def test_capacity_bank_certified_and_never_lower(self):
+        maps = _bank_maps()
+        gain_stop = np.concatenate(
+            [_gain_stop_values(np.array([m.T for m in maps if m.shape[0] == n])) for n in (4, 8, 16)]
+        )
+        for m, before in zip(maps, gain_stop):
+            pyx = np.ascontiguousarray(m.T)
+            lower, r, _, upper = kernels.blahut_arimoto(pyx)
+            i_r, u_r = _bracket_bits(pyx, r)
+            assert abs(i_r - lower) < 1e-12 and abs(u_r - upper) < 1e-12
+            assert u_r - i_r <= 1e-9
+            assert lower >= before - 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_degenerate_channels()))
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_degenerate_inputs_certified(self, name, tol):
+        pyx = _degenerate_channels()[name]
+        lower, r, hist, upper = kernels.blahut_arimoto(pyx, tol=tol, max_iter=2000)
+        assert upper - lower < tol and len(hist) < 2000
+        assert r.min() >= 0 and abs(r.sum() - 1) < 1e-12
+        i_r, u_r = _bracket_bits(pyx, r)
+        assert abs(i_r - lower) < 1e-12 and u_r - i_r < tol + 1e-15
+
+    def test_near_duplicate_beats_plain_blahut_arimoto(self):
+        # plain BA creeps along the direction that trades the two close rows
+        pyx = _rows(NEAR_DUPLICATE)
+        c_plain, r_plain = _masked_blahut_arimoto(pyx, tol=1e-10, max_iter=2000)
+        i_plain, u_plain = _bracket_bits(pyx, r_plain)
+        lower, _, _, upper = kernels.blahut_arimoto(pyx, tol=1e-10, max_iter=2000)
+        assert u_plain - i_plain > 1e-5
+        assert upper - lower < 1e-10 and lower > c_plain
+
+    def test_cap_reports_open_gap(self, monkeypatch):
+        pyx = _rows(NEAR_DUPLICATE)
+        lower, _, hist, upper = kernels.blahut_arimoto(pyx, tol=1e-10, max_iter=1)
+        assert len(hist) == 1 and upper - lower >= 1e-10
+        # without the face solve BA alone runs into the cap
+        monkeypatch.setattr(kernels, "_newton_certificate", lambda *args: None)
+        lower, r, hist, upper = kernels.blahut_arimoto(pyx, tol=1e-10, max_iter=2000)
+        assert len(hist) == 2000 and upper - lower >= 1e-10
+        assert np.all(np.diff(hist) >= -1e-12)
+        assert np.allclose(_bracket_bits(pyx, r), (lower, upper), rtol=0, atol=1e-12)
 
 
 class TestBackendSelection:
