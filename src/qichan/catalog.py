@@ -8,6 +8,7 @@ command and the integration tests both go through this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .correction import (
     restrict,
 )
 from .decoherence import (
-    coarse_grain_solve,
     dephasing_sweep,
     effect_region_sample,
     environment_pointer_weights,
@@ -45,27 +45,13 @@ from .decoherence import (
     pointer_algebra,
     broadcast_pointer,
 )
-from .errors import Infeasible, UnknownExample
+from .errors import UnknownExample
 from .numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
 from .rand import generator, random_effect, random_unitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-EXAMPLE_NAMES = (
-    "dephasing",
-    "blocks",
-    "bitflip3",
-    "teleport",
-    "teleport-lossy",
-    "classical-stochastic",
-    "diamonds-n",
-    "sic-cloner",
-    "antisym",
-    "sweep",
-    "iterated",
-)
 
 
 @dataclass(frozen=True)
@@ -257,103 +243,110 @@ def iterated_unital_channel(seed: int = 0, weight: float = 0.5) -> Channel:
     return Channel.from_elements([np.sqrt(weight) * u1, np.sqrt(1 - weight) * u2])
 
 
-def _parse_diamond(name: str) -> int | None:
-    if not name.startswith("diamonds-"):
-        return None
-    suffix = name.split("-", 1)[1]
-    if suffix == "inf":
-        return 64
-    try:
-        n = int(suffix)
-    except ValueError:
-        raise UnknownExample(f"bad diamond size {suffix!r} (use 2..5 or 'inf')")
-    if not 2 <= n <= 5:
-        raise UnknownExample(f"diamond size {n} out of range 2..5")
-    return n
+def _dephasing_bundle(name: str, seed: int) -> ExampleBundle:
+    d = 4
+    return ExampleBundle(
+        name=name,
+        channels={"channel": dephasing_channel(d)},
+        observables={"pointer": basis_observable(d)},
+        params={"dim": d},
+    )
+
+
+def _blocks_bundle(name: str, seed: int) -> ExampleBundle:
+    sizes = (2, 3, 1)
+    chan, projs = block_pinch_channel(sizes, seed)
+    return ExampleBundle(
+        name=name,
+        channels={"channel": chan},
+        observables={"pointer": DiscreteObservable.from_effects(projs)},
+        params={"sizes": list(sizes), "seed": seed},
+    )
+
+
+def _bitflip3_bundle(name: str, seed: int) -> ExampleBundle:
+    p = (0.4, 0.2, 0.2, 0.2)
+    return ExampleBundle(
+        name=name,
+        channels={"channel": bitflip3_channel(p)},
+        codes={"code": repetition_code()},
+        params={"probabilities": list(p)},
+    )
+
+
+def _teleport_bundle(name: str, seed: int) -> ExampleBundle:
+    return ExampleBundle(
+        name=name,
+        channels={"channel": teleport_channel()},
+        codes={"code": CodeSubspace.from_isometry(np.eye(2, dtype=np.complex128))},
+    )
+
+
+def _teleport_lossy_bundle(name: str, seed: int) -> ExampleBundle:
+    return ExampleBundle(
+        name=name,
+        channels={"channel": lossy_teleport_channel((0, 3))},
+        params={"merged_symbols": [0, 3]},
+    )
+
+
+def _classical_bundle(name: str, seed: int) -> ExampleBundle:
+    rng = generator(seed)
+    pi = rng.random((5, 5)) + 0.05
+    pi /= pi.sum(axis=0, keepdims=True)
+    return ExampleBundle(
+        name=name,
+        channels={"channel": classical_channel(pi)},
+        params={"pi": pi.tolist(), "seed": seed},
+    )
+
+
+def _diamond_bundle(name: str, seed: int, n: int) -> ExampleBundle:
+    return ExampleBundle(
+        name=name,
+        channels={"channel": diamond_channel(n)},
+        observables={"pointer": diamond_pointer(n)},
+        params={"n": n, "discretized": name.endswith("inf")},
+    )
+
+
+def _sic_bundle(name: str, seed: int) -> ExampleBundle:
+    return ExampleBundle(
+        name=name,
+        channels={"channel": sic_cloner_channel()},
+        observables={"pointer": sic_tetrahedron()},
+        params={"alpha": 1.0 / 3.0},
+    )
+
+
+def _antisym_bundle(name: str, seed: int) -> ExampleBundle:
+    return ExampleBundle(
+        name=name,
+        channels={"channel": antisym_channel(), "joint": antisym_joint_channel()},
+    )
+
+
+def _sweep_bundle(name: str, seed: int) -> ExampleBundle:
+    return ExampleBundle(
+        name=name,
+        observables={"projectors": basis_observable(4)},
+        params={"N": 4, "T": 1.0, "steps": 11},
+    )
+
+
+def _iterated_bundle(name: str, seed: int) -> ExampleBundle:
+    return ExampleBundle(
+        name=name,
+        channels={"channel": iterated_unital_channel(seed)},
+        params={"seed": seed},
+    )
 
 
 def example_catalog(name: str, seed: int = 0) -> ExampleBundle:
     """Deterministic bundle of objects for a named example."""
-    if name == "dephasing":
-        d = 4
-        return ExampleBundle(
-            name=name,
-            channels={"channel": dephasing_channel(d)},
-            observables={"pointer": basis_observable(d)},
-            params={"dim": d},
-        )
-    if name == "blocks":
-        sizes = (2, 3, 1)
-        chan, projs = block_pinch_channel(sizes, seed)
-        return ExampleBundle(
-            name=name,
-            channels={"channel": chan},
-            observables={"pointer": DiscreteObservable.from_effects(projs)},
-            params={"sizes": list(sizes), "seed": seed},
-        )
-    if name == "bitflip3":
-        p = (0.4, 0.2, 0.2, 0.2)
-        return ExampleBundle(
-            name=name,
-            channels={"channel": bitflip3_channel(p)},
-            codes={"code": repetition_code()},
-            params={"probabilities": list(p)},
-        )
-    if name == "teleport":
-        return ExampleBundle(
-            name=name,
-            channels={"channel": teleport_channel()},
-            codes={"code": CodeSubspace.from_isometry(np.eye(2, dtype=np.complex128))},
-        )
-    if name == "teleport-lossy":
-        return ExampleBundle(
-            name=name,
-            channels={"channel": lossy_teleport_channel((0, 3))},
-            params={"merged_symbols": [0, 3]},
-        )
-    if name == "classical-stochastic":
-        rng = generator(seed)
-        pi = rng.random((5, 5)) + 0.05
-        pi /= pi.sum(axis=0, keepdims=True)
-        return ExampleBundle(
-            name=name,
-            channels={"channel": classical_channel(pi)},
-            params={"pi": pi.tolist(), "seed": seed},
-        )
-    if (n := _parse_diamond(name)) is not None:
-        return ExampleBundle(
-            name=name,
-            channels={"channel": diamond_channel(n)},
-            observables={"pointer": diamond_pointer(n)},
-            params={"n": n, "discretized": name.endswith("inf")},
-        )
-    if name == "sic-cloner":
-        alpha = 1.0 / 3.0
-        return ExampleBundle(
-            name=name,
-            channels={"channel": sic_cloner_channel()},
-            observables={"pointer": sic_tetrahedron()},
-            params={"alpha": alpha},
-        )
-    if name == "antisym":
-        return ExampleBundle(
-            name=name,
-            channels={"channel": antisym_channel(), "joint": antisym_joint_channel()},
-        )
-    if name == "sweep":
-        d = 4
-        return ExampleBundle(
-            name=name,
-            observables={"projectors": basis_observable(d)},
-            params={"N": 4, "T": 1.0, "steps": 11},
-        )
-    if name == "iterated":
-        return ExampleBundle(
-            name=name,
-            channels={"channel": iterated_unital_channel(seed)},
-            params={"seed": seed},
-        )
-    raise UnknownExample(f"unknown example {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
+    if name not in _EXAMPLES:
+        raise UnknownExample(f"unknown example {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
+    return _EXAMPLES[name][0](name, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -370,32 +363,10 @@ def analyze_example(
     residuals behind it; sweep and diamond entries include plot-ready rows.
     """
     bundle = example_catalog(name, seed)
-    if name == "dephasing":
-        return _analyze_dephasing(bundle, tol, seed)
-    if name == "blocks":
-        return _analyze_blocks(bundle, tol, seed)
-    if name == "bitflip3":
-        return _analyze_bitflip3(bundle, tol, seed)
-    if name == "teleport":
-        return _analyze_teleport(bundle, tol, seed)
-    if name == "teleport-lossy":
-        return _analyze_teleport_lossy(bundle, tol, seed)
-    if name == "classical-stochastic":
-        return _analyze_classical(bundle, tol, seed)
-    if name.startswith("diamonds-"):
-        return _analyze_diamond(bundle, tol, seed)
-    if name == "sic-cloner":
-        return _analyze_sic(bundle, tol, seed, samples)
-    if name == "antisym":
-        return _analyze_antisym(bundle, tol, seed)
-    if name == "sweep":
-        return _analyze_sweep(bundle, tol)
-    if name == "iterated":
-        return _analyze_iterated(bundle, tol, seed)
-    raise UnknownExample(name)
+    return _EXAMPLES[name][1](bundle, tol, seed, samples)
 
 
-def _analyze_dephasing(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
+def _analyze_dephasing(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     report = pointer_algebra(c, tol, seed)
     structure = preserved_algebra(c, tol, seed)
@@ -432,7 +403,7 @@ def _match_projector_sets(got: DiscreteObservable, expected: DiscreteObservable)
     return worst
 
 
-def _analyze_blocks(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
+def _analyze_blocks(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     structure = preserved_algebra(c, tol, seed)
     report = pointer_algebra(c, tol, seed)
@@ -447,7 +418,7 @@ def _analyze_blocks(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     }
 
 
-def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
+def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     code = bundle.codes["code"]
     kl = kl_check(c, code, tol)
@@ -483,7 +454,7 @@ def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     }
 
 
-def _analyze_teleport(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
+def _analyze_teleport(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     code = bundle.codes["code"]
     worst = 0.0
@@ -509,7 +480,7 @@ def _analyze_teleport(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     }
 
 
-def _analyze_teleport_lossy(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
+def _analyze_teleport_lossy(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     structure = preserved_algebra(c, tol, seed)
     diagonal = commutant([PAULI_Z], tol)
@@ -523,7 +494,7 @@ def _analyze_teleport_lossy(bundle: ExampleBundle, tol: Tolerance, seed: int) ->
     }
 
 
-def _analyze_classical(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
+def _analyze_classical(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     pi = np.array(bundle.params["pi"])
     r = correction_channel(c, tol)
@@ -542,25 +513,21 @@ def _analyze_classical(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict
     }
 
 
-def _analyze_diamond(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
+def _analyze_diamond(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     gamma = bundle.observables["pointer"]
     points = effect_region_sample(c, grid=12)
     spectra_ok = _region_points_are_effects(points)
-    feas_count = 0
-    worst = 0.0
     rng = generator(seed)
     n_checks = 24
-    for _ in range(n_checks):
-        b = random_effect(rng, c.dim_out)
-        eff = apply_dual(c, b)
-        x = DiscreteObservable.from_effects([eff, np.eye(2, dtype=np.complex128) - eff])
-        try:
-            sm = coarse_grain_solve(x, gamma)
-            feas_count += 1
-            worst = max(worst, decoherence._coarse_grain_residual(x, gamma, sm.entries))
-        except Infeasible as exc:
-            worst = max(worst, exc.residual)
+    effects = np.array([apply_dual(c, random_effect(rng, c.dim_out)) for _ in range(n_checks)])
+    # the binary observables {E, 1 - E}, solved as one stack
+    targets = np.stack([effects, np.eye(2) - effects], axis=1)
+    _, residuals, _ = decoherence._coarse_grain(
+        targets, np.array(gamma.effects), decoherence.FEASIBILITY_TOL
+    )
+    feas_count = int(np.sum(residuals <= decoherence.FEASIBILITY_TOL))
+    worst = float(residuals.max())
     passes = spectra_ok and feas_count == n_checks and worst <= 1e-7
     return {
         "passes": bool(passes),
@@ -608,7 +575,7 @@ def _analyze_sic(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int)
     }
 
 
-def _analyze_antisym(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
+def _analyze_antisym(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     joint = bundle.channels["joint"]
     self_comp = op_norm(choi_of(c) - choi_of(complement(c)))
@@ -622,7 +589,7 @@ def _analyze_antisym(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     }
 
 
-def _analyze_sweep(bundle: ExampleBundle, tol: Tolerance) -> dict:
+def _analyze_sweep(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     n_env = bundle.params["N"]
     total_time = bundle.params["T"]
     steps = bundle.params["steps"]
@@ -652,7 +619,7 @@ def _analyze_sweep(bundle: ExampleBundle, tol: Tolerance) -> dict:
     }
 
 
-def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
+def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     fixed = iterated_fixed_points(c, tol=tol)
     u1 = c.elements[0] / np.linalg.norm(c.elements[0], 2)
@@ -674,3 +641,22 @@ def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
         "fixed_blocks": list(structure.block_dims),
         "center_commutative": bool(center_commutative),
     }
+
+
+# name -> (bundle builder, reference analysis)
+_EXAMPLES = {
+    "dephasing": (_dephasing_bundle, _analyze_dephasing),
+    "blocks": (_blocks_bundle, _analyze_blocks),
+    "bitflip3": (_bitflip3_bundle, _analyze_bitflip3),
+    "teleport": (_teleport_bundle, _analyze_teleport),
+    "teleport-lossy": (_teleport_lossy_bundle, _analyze_teleport_lossy),
+    "classical-stochastic": (_classical_bundle, _analyze_classical),
+    **{f"diamonds-{n}": (partial(_diamond_bundle, n=n), _analyze_diamond) for n in (2, 3, 4, 5)},
+    # the continuum of planar effects, discretized to 64 directions
+    "diamonds-inf": (partial(_diamond_bundle, n=64), _analyze_diamond),
+    "sic-cloner": (_sic_bundle, _analyze_sic),
+    "antisym": (_antisym_bundle, _analyze_antisym),
+    "sweep": (_sweep_bundle, _analyze_sweep),
+    "iterated": (_iterated_bundle, _analyze_iterated),
+}
+EXAMPLE_NAMES = tuple(_EXAMPLES)

@@ -88,9 +88,9 @@ def _base_report(args, inputs: dict[str, str], results: dict, exit_code: int) ->
 
 def _cmd_validate(args) -> int:
     tol = _tolerance(args)
-    kind = serialize.detect_kind(args.input)
+    kind, data = serialize.detect_kind(args.input)
     if kind == "channel":
-        c = serialize.channel_from_dict(serialize._load_json(args.input), where=args.input)
+        c = serialize.channel_from_dict(data, where=args.input)
         rep = validate_channel(c, tol)
         ok = rep.trace_preserving and rep.completely_positive
         results = {
@@ -101,7 +101,7 @@ def _cmd_validate(args) -> int:
             "cp_min_eigenvalue": rep.cp_min_eigenvalue,
         }
     else:
-        x = serialize.observable_from_dict(serialize._load_json(args.input), where=args.input)
+        x = serialize.observable_from_dict(data, where=args.input)
         rep = validate_observable(x, tol)
         ok = rep.violation is None
         results = {"kind": "observable", **rep.residuals}
@@ -193,10 +193,10 @@ def _cmd_oqec(args) -> int:
 def _cmd_classical(args) -> int:
     tol = _tolerance(args)
     gamma = serialize.parse_observable_file(args.gamma, tol)
-    kind = serialize.detect_kind(args.input)
+    kind, data = serialize.detect_kind(args.input)
     inputs = {"input": args.input, "gamma": args.gamma}
     if kind == "observable":
-        x = serialize.parse_observable_file(args.input, tol)
+        x = serialize.checked_observable(serialize.observable_from_dict(data, where=args.input), tol)
         try:
             sm = decoherence.coarse_grain_solve(x, gamma, tol=args.feas_tol)
             results = {
@@ -212,7 +212,7 @@ def _cmd_classical(args) -> int:
             }
             exit_code = 2
     else:
-        c = serialize.parse_channel_file(args.input, tol)
+        c = serialize.checked_channel(serialize.channel_from_dict(data, where=args.input), tol)
         report = decoherence.full_decoherence_check(
             c, gamma, samples=args.samples, tol=args.feas_tol, seed=args.seed
         )
@@ -222,6 +222,7 @@ def _cmd_classical(args) -> int:
             "pass_rate": report.pass_rate,
             "max_residual": report.max_residual,
             "explicit_residual": report.explicit_residual,
+            "certified_lower_bound": report.certified_lower_bound,
         }
         exit_code = 0 if report.feasible == report.samples else 2
     _write_report(args, _base_report(args, inputs, results, exit_code))
@@ -418,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("example", parents=[shared, samples], help="build and check a bundled example")
-    p.add_argument("name", help=f"one of: {', '.join(catalog.EXAMPLE_NAMES)} "
-                   "(diamonds-n takes n in 2..5 or 'inf')")
+    p.add_argument("name", help=f"one of: {', '.join(catalog.EXAMPLE_NAMES)}")
     p.set_defaults(func=_cmd_example)
 
     return parser

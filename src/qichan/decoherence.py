@@ -75,11 +75,7 @@ class StochasticMap:
 
     def compose_observable(self, gamma: DiscreteObservable) -> DiscreteObservable:
         """The coarse-grained observable with effects sum_i pi_ji Gamma_i."""
-        effects = [
-            sum(self.entries[j, i] * gamma.effects[i] for i in range(self.n_inputs))
-            for j in range(self.n_outputs)
-        ]
-        return DiscreteObservable.from_effects(effects)
+        return DiscreteObservable.from_effects(_compose(self.entries, np.array(gamma.effects)))
 
 
 @dataclass(frozen=True)
@@ -116,6 +112,9 @@ class DecoherenceReport:
     max_residual: float
     residuals: tuple[float, ...]
     explicit_residual: float | None
+    # largest Frank-Wolfe lower bound over the samples: above the
+    # tolerance, it certifies that some sample has no coarse-graining
+    certified_lower_bound: float
 
     @property
     def pass_rate(self) -> float:
@@ -191,7 +190,39 @@ def correlation_check(
 
 
 def _coordinates(effects) -> np.ndarray:
-    return np.array([herm_to_coords((e + dagger(e)) / 2) for e in effects])
+    """Coordinates of the Hermitian parts of a stack of effects (..., d, d)."""
+    a = np.asarray(effects)
+    return herm_to_coords((a + a.swapaxes(-1, -2).conj()) / 2)
+
+
+def _compose(pi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Effects sum_i pi_ji Gamma_i of maps (..., m, n) over effects (n, d, d)."""
+    return np.einsum("...ji,iab->...jab", pi, gamma)
+
+
+def _residuals(targets: np.ndarray, gamma: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """max_j ||X_j - sum_i pi_ji Gamma_i|| of each problem in a stack."""
+    return np.linalg.norm(targets - _compose(pi, gamma), 2, axis=(-2, -1)).max(axis=-1)
+
+
+def _coarse_grain(
+    targets: np.ndarray, gamma: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best stochastic maps from the effects ``gamma`` (n, d, d) to each of
+    a stack of observables ``targets`` (S, m, d, d), in one kernel call.
+
+    Returns (pi, residual, lower): the maps (S, m, n) with unit column
+    sums, their operator-norm residuals and, per problem, the Frank-Wolfe
+    lower bound on the residual of every stochastic map.
+    """
+    g = _coordinates(gamma).T  # (D, n)
+    x = _coordinates(targets)  # (S, m, D)
+    pi, _ = kernels.solve_product_simplex_lsq(g, x, hs_tol=0.5 * tol)
+    pi /= pi.sum(axis=1, keepdims=True)
+    # some row keeps f*/m in squared HS norm, and ||A|| >= ||A||_HS / sqrt(d)
+    bound = np.maximum(kernels.simplex_lsq_lower_bound(g, x, pi), 0.0)
+    lower = np.sqrt(bound / (targets.shape[1] * targets.shape[-1]))
+    return pi, _residuals(targets, gamma, pi), lower
 
 
 def coarse_grain_solve(
@@ -209,39 +240,26 @@ def coarse_grain_solve(
     """
     if x.dim != gamma.dim:
         raise DimMismatch(f"observable dims differ: {x.dim} != {gamma.dim}")
-    g = _coordinates(gamma.effects).T  # (D, n)
-    targets = _coordinates(x.effects)[None, :, :]  # (1, m, D)
-    pi, _ = kernels.solve_product_simplex_lsq(g, targets, hs_tol=0.5 * tol)
-    pi = np.clip(pi[0], 0.0, None)
-    pi /= pi.sum(axis=0, keepdims=True)
-    residual = _coarse_grain_residual(x, gamma, pi)
-    if residual > tol:
-        # some row keeps f*/m in squared HS norm, and ||A|| >= ||A||_HS / sqrt(d)
-        bound = kernels.simplex_lsq_lower_bound(g, targets, pi[None])[0]
-        lower = float(np.sqrt(max(bound, 0.0) / (x.n_outcomes * x.dim)))
-        raise Infeasible(residual, tol, lower)
-    return StochasticMap.from_entries(pi)
+    pi, residual, lower = _coarse_grain(np.array(x.effects)[None], np.array(gamma.effects), tol)
+    if residual[0] > tol:
+        raise Infeasible(float(residual[0]), tol, float(lower[0]))
+    return StochasticMap.from_entries(pi[0])
 
 
-def _coarse_grain_residual(
-    x: DiscreteObservable, gamma: DiscreteObservable, pi: np.ndarray
-) -> float:
-    worst = 0.0
-    for j in range(x.n_outcomes):
-        approx = sum(pi[j, i] * gamma.effects[i] for i in range(gamma.n_outcomes))
-        worst = max(worst, op_norm(x.effects[j] - approx))
-    return worst
-
-
-def _rank_one_outputs(c: Channel) -> list[np.ndarray] | None:
-    """Output vector s_0 u_0 of each element when every element is rank one."""
-    outputs = []
-    for e in c.elements:
-        u, s, _ = np.linalg.svd(e)
-        if s.size > 1 and s[1] > DEFAULT_TOL.rank_rel * s[0] * 100:
-            return None
-        outputs.append(u[:, 0] * s[0])
-    return outputs
+def _pointer_states(c: Channel, gamma: DiscreteObservable) -> np.ndarray | None:
+    """Unit output vector psi_i of each element E_i, when every element is
+    rank one and ``gamma`` is the canonical pointer {E_i^dag E_i}."""
+    if c.n_elements != gamma.n_outcomes:
+        return None
+    k = c.stacked()
+    u, s, _ = np.linalg.svd(k)
+    if s.shape[1] > 1 and np.any(s[:, 1] > DEFAULT_TOL.rank_rel * s[:, 0] * 100):
+        return None
+    canonical = k.conj().swapaxes(1, 2) @ k - np.array(gamma.effects)
+    if np.linalg.norm(canonical, 2, axis=(1, 2)).max() > 1e-8:
+        return None
+    psis = u[:, :, 0]
+    return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
 def full_decoherence_check(
@@ -255,54 +273,38 @@ def full_decoherence_check(
     coarse-graining of ``gamma``.
 
     Pulls ``samples`` randomized output observables back through the dual
-    and solves the feasibility problem for each.  For channels with rank
-    one elements whose Gamma matches the canonical pointer, the explicit
-    stochastic map pi_ji = <psi_i| Y_j |psi_i> is also constructed and its
-    reproduction residual reported.
+    and solves the feasibility problem for each, as :func:`coarse_grain_solve`
+    does; the largest Frank-Wolfe bound among them is reported.  For
+    channels with rank one elements whose Gamma matches the canonical
+    pointer, the explicit stochastic map pi_ji = <psi_i| Y_j |psi_i> is
+    also scored by the same residual.
     """
     if gamma.dim != c.dim_in:
         raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
     rng = generator(seed)
-    g = _coordinates(gamma.effects).T
-    residuals = []
-    feasible = 0
-    explicit_res: float | None = None
-    psis = None
-    outputs = _rank_one_outputs(c)
-    if outputs is not None:
-        canonical = [dagger(e) @ e for e in c.elements]
-        match = len(canonical) == gamma.n_outcomes and all(
-            op_norm(canonical[i] - gamma.effects[i]) <= 1e-8 for i in range(len(canonical))
-        )
-        if match:
-            norms = [np.linalg.norm(pout) for pout in outputs]
-            psis = [pout / n if n > 0 else pout for pout, n in zip(outputs, norms)]
+    gammas = np.array(gamma.effects)
+    psis = _pointer_states(c, gamma)
+    residuals, lowers, explicit = [], [], []
     for _ in range(samples):
         n_out = int(rng.integers(2, c.dim_out + 2))
         if rng.random() < 0.5 and n_out <= c.dim_out:
             y = random_sharp_observable(rng, c.dim_out, n_out)
         else:
             y = random_povm(rng, c.dim_out, n_out)
-        x_effects = [apply_dual(c, e) for e in y.effects]
-        targets = _coordinates(x_effects)[None, :, :]
-        pi, _ = kernels.solve_product_simplex_lsq(g, targets, hs_tol=0.5 * tol)
-        x = DiscreteObservable.from_effects(x_effects)
-        res = _coarse_grain_residual(x, gamma, np.clip(pi[0], 0.0, None))
-        residuals.append(res)
-        if res <= tol:
-            feasible += 1
+        targets = np.array([[apply_dual(c, e) for e in y.effects]])
+        _, res, lower = _coarse_grain(targets, gammas, tol)
+        residuals.append(float(res[0]))
+        lowers.append(float(lower[0]))
         if psis is not None:
-            pi_explicit = np.array(
-                [[float((psi.conj() @ ye @ psi).real) for psi in psis] for ye in y.effects]
-            )
-            exp_res = _coarse_grain_residual(x, gamma, pi_explicit)
-            explicit_res = exp_res if explicit_res is None else max(explicit_res, exp_res)
+            pi = np.einsum("ia,jab,ib->ji", psis.conj(), np.array(y.effects), psis).real
+            explicit.append(float(_residuals(targets, gammas, pi[None])[0]))
     return DecoherenceReport(
         samples=samples,
-        feasible=feasible,
-        max_residual=float(max(residuals)) if residuals else 0.0,
-        residuals=tuple(float(r) for r in residuals),
-        explicit_residual=explicit_res,
+        feasible=sum(r <= tol for r in residuals),
+        max_residual=max(residuals, default=0.0),
+        residuals=tuple(residuals),
+        explicit_residual=max(explicit) if explicit else None,
+        certified_lower_bound=max(lowers, default=0.0),
     )
 
 

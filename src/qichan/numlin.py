@@ -128,14 +128,16 @@ def herm_to_coords(m: np.ndarray) -> np.ndarray:
 
     Euclidean norm of the coordinates equals the Hilbert-Schmidt norm
     of the matrix, so linear feasibility problems over effects can run
-    in real arithmetic.
+    in real arithmetic.  A stack (..., d, d) maps to (..., d^2).
     """
-    m = require_square(m)
-    d = m.shape[0]
-    iu = np.triu_indices(d, k=1)
-    re = np.sqrt(2.0) * m[iu].real
-    im = np.sqrt(2.0) * m[iu].imag
-    return np.concatenate([np.diag(m).real, re, im])
+    m = np.asarray(m)
+    d = m.shape[-1]
+    if m.ndim < 2 or m.shape[-2] != d:
+        raise NotSquare(f"expected square matrices, got shape {m.shape}")
+    rows, cols = np.triu_indices(d, k=1)
+    upper = m[..., rows, cols]
+    diag = np.diagonal(m, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
 
 
 def coords_to_herm(v: np.ndarray, d: int) -> np.ndarray:

@@ -142,10 +142,9 @@ def observable_from_dict(data: dict, where: str = "<observable>") -> DiscreteObs
     return DiscreteObservable.from_effects(mats)
 
 
-def parse_channel_file(path: str | Path, tol: Tolerance = DEFAULT_TOL) -> Channel:
-    """Load and validate a channel; trace preservation and complete
-    positivity failures abort with the offending residual."""
-    c = channel_from_dict(_load_json(path), where=str(path))
+def checked_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Channel:
+    """``c`` itself; trace preservation and complete positivity failures
+    abort with the offending residual."""
     report = validate_channel(c, tol)
     if not report.trace_preserving:
         raise ValidationError("sum E^dag E = 1", report.tp_residual)
@@ -154,12 +153,22 @@ def parse_channel_file(path: str | Path, tol: Tolerance = DEFAULT_TOL) -> Channe
     return c
 
 
-def parse_observable_file(path: str | Path, tol: Tolerance = DEFAULT_TOL) -> DiscreteObservable:
-    x = observable_from_dict(_load_json(path), where=str(path))
+def checked_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> DiscreteObservable:
+    """``x`` itself; the first observable invariant that fails aborts
+    with the offending residual."""
     report = validate_observable(x, tol)
     if report.violation is not None:
         raise ValidationError(*report.violation)
     return x
+
+
+def parse_channel_file(path: str | Path, tol: Tolerance = DEFAULT_TOL) -> Channel:
+    """Load and validate a channel (see :func:`checked_channel`)."""
+    return checked_channel(channel_from_dict(_load_json(path), where=str(path)), tol)
+
+
+def parse_observable_file(path: str | Path, tol: Tolerance = DEFAULT_TOL) -> DiscreteObservable:
+    return checked_observable(observable_from_dict(_load_json(path), where=str(path)), tol)
 
 
 def write_channel_file(path: str | Path, c: Channel) -> None:
@@ -170,13 +179,13 @@ def write_observable_file(path: str | Path, x: DiscreteObservable) -> None:
     Path(path).write_text(dumps_canonical(observable_to_dict(x)) + "\n")
 
 
-def detect_kind(path: str | Path) -> str:
-    """'channel' or 'observable', judged by schema fields."""
+def detect_kind(path: str | Path) -> tuple[str, dict]:
+    """('channel' or 'observable', judged by schema fields; the loaded file)."""
     data = _load_json(path)
     if "elements" in data:
-        return "channel"
+        return "channel", data
     if "effects" in data:
-        return "observable"
+        return "observable", data
     raise SchemaError(str(path), "neither a channel ('elements') nor an observable ('effects')")
 
 

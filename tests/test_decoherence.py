@@ -8,6 +8,7 @@ from qichan.algebras import commutant, intersect, spans_equal, structure_decompo
 from qichan.catalog import (
     PAULI_X,
     PAULI_Z,
+    analyze_example,
     antisym_joint_channel,
     basis_observable,
     block_pinch_channel,
@@ -156,6 +157,62 @@ class TestFullDecoherence:
         )
         rep = de.full_decoherence_check(unitary_channel(u), gamma, samples=24, seed=5)
         assert rep.feasible < rep.samples
+        # the "no" rests on a Frank-Wolfe certificate, not on the solver's cap
+        assert rep.certified_lower_bound > de.FEASIBILITY_TOL
+
+
+_ONE_PATH_CASES = [
+    pytest.param(sic_cloner_channel(), sic_tetrahedron(), id="sic-cloner"),
+    pytest.param(dephasing_channel(3), basis_observable(3), id="dephasing-3"),
+    pytest.param(unitary_channel(random_unitary(generator(5), 3)), basis_observable(3), id="qutrit-unitary"),
+]
+
+
+class TestOnePath:
+    """The sampled check, the single solve and the diamond analysis share
+    one coarse-graining routine, so they agree to the last bit."""
+
+    @pytest.mark.parametrize("c,gamma", _ONE_PATH_CASES)
+    def test_sampled_check_matches_single_solves(self, c, gamma, monkeypatch):
+        drawn = []
+        for name in ("random_povm", "random_sharp_observable"):
+            draw = getattr(de, name)
+            monkeypatch.setattr(de, name, lambda *a, _draw=draw: drawn.append(_draw(*a)) or drawn[-1])
+        rep = de.full_decoherence_check(c, gamma, samples=24, seed=5)
+        monkeypatch.undo()
+        assert len(drawn) == len(rep.residuals) == 24
+        solved = []
+        for y in drawn:
+            x = DiscreteObservable.from_effects([apply_dual(c, e) for e in y.effects])
+            try:
+                de.coarse_grain_solve(x, gamma)
+                solved.append(None)
+            except Infeasible as exc:
+                solved.append(exc)
+        tol = de.FEASIBILITY_TOL
+        assert [exc is None for exc in solved] == [r <= tol for r in rep.residuals]
+        assert [exc.residual for exc in solved if exc] == [r for r in rep.residuals if r > tol]
+        bounds = [exc.lower_bound for exc in solved if exc]
+        assert max(bounds, default=0.0) <= rep.certified_lower_bound
+
+    @pytest.mark.parametrize("name", ["diamonds-3", "diamonds-inf"])
+    def test_diamond_stack_equals_single_solves(self, name):
+        bundle = example_catalog(name)
+        c, gamma = bundle.channels["channel"], bundle.observables["pointer"]
+        rng = generator(0)
+        effects = [apply_dual(c, random_effect(rng, c.dim_out)) for _ in range(24)]
+        targets = np.array([[e, np.eye(2) - e] for e in effects])
+        gammas = np.array(gamma.effects)
+        pi, residual, lower = de._coarse_grain(targets, gammas, de.FEASIBILITY_TOL)
+        for s, e in enumerate(effects):
+            pi_1, residual_1, lower_1 = de._coarse_grain(targets[s : s + 1], gammas, de.FEASIBILITY_TOL)
+            assert np.array_equal(pi[s], pi_1[0])
+            assert residual[s] == residual_1[0] and lower[s] == lower_1[0]
+            x = DiscreteObservable.from_effects([e, np.eye(2) - e])
+            assert np.array_equal(de.coarse_grain_solve(x, gamma).entries, pi[s])
+        result = analyze_example(name)
+        assert result["max_residual"] == residual.max()
+        assert result["coarse_grain_feasible"] == 24
 
 
 class TestBroadcast:

@@ -43,11 +43,17 @@ def test_bundles_are_valid_and_deterministic(name):
         assert np.array_equal(choi_of(chan), choi_of(b2.channels[label]))
 
 
+def test_catalog_names_are_the_runnable_examples():
+    assert set(ALL_EXAMPLES) == set(catalog.EXAMPLE_NAMES)
+
+
 def test_unknown_example_rejected():
     with pytest.raises(UnknownExample):
         catalog.example_catalog("does-not-exist")
     with pytest.raises(UnknownExample):
         catalog.example_catalog("diamonds-9")
+    with pytest.raises(UnknownExample):
+        catalog.analyze_example("diamonds-n")
 
 
 def test_teleport_lossy_symmetry_note():

@@ -77,8 +77,8 @@ class TestChannelFiles:
         serialize.write_channel_file(cpath, dephasing_channel(2))
         xpath = tmp_path / "x.json"
         serialize.write_observable_file(xpath, sic_tetrahedron())
-        assert serialize.detect_kind(cpath) == "channel"
-        assert serialize.detect_kind(xpath) == "observable"
+        assert serialize.detect_kind(cpath) == ("channel", json.loads(cpath.read_text()))
+        assert serialize.detect_kind(xpath) == ("observable", json.loads(xpath.read_text()))
 
     def test_code_round_trip(self, tmp_path):
         v = np.zeros((8, 2), dtype=complex)
@@ -210,6 +210,17 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["feasible"] is False
         assert 1e-7 < report["results"]["certified_lower_bound"] <= report["results"]["residual"]
+
+        # the sampled check of a channel certifies its "no" the same way
+        from qichan.channels import unitary_channel
+        from qichan.rand import generator, random_unitary
+
+        upath = tmp_path / "u.json"
+        serialize.write_channel_file(upath, unitary_channel(random_unitary(generator(4), 2)))
+        assert main(["classical", str(upath), "--gamma", str(xb), "--samples", "8"]) == 2
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["feasible"] < results["samples"]
+        assert 1e-7 < results["certified_lower_bound"] <= results["max_residual"]
 
     def test_sweep_csv_row_count(self, tmp_path):
         out = tmp_path / "sweep.csv"
