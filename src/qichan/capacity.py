@@ -17,7 +17,7 @@ from . import kernels
 from .channels import DiscreteObservable
 from .decoherence import StochasticMap
 from .errors import DimMismatch
-from .numlin import asmatrix
+from .numlin import asmatrix, dagger
 from .rand import generator, random_pure_state
 
 _LOG_FLOOR = 1e-30
@@ -75,7 +75,7 @@ def holevo_quantity(x: DiscreteObservable, e: Ensemble) -> float:
 
 def _conditional_matrix(x: DiscreteObservable, states) -> np.ndarray:
     """Rows tr(rho_i X_j) of every state at once, clipped at 0."""
-    probs = np.einsum("iab,jba->ij", np.asarray(states), np.asarray(x.effects)).real
+    probs = np.einsum("iab,jba->ij", np.asarray(states), x.effects).real
     return np.clip(probs, 0.0, None)
 
 
@@ -94,14 +94,13 @@ def _ascend_states(
     relative-entropy score against the mixture output, which stays frozen
     within a round; a state moves only if its score improves.  ``pyx`` is
     ``_conditional_matrix(x, states)``."""
-    effects = np.asarray(x.effects)
     states = np.asarray(states)
     for k in range(rounds):
         if k:
             pyx = _conditional_matrix(x, states)
         qy = np.clip(priors @ pyx, _LOG_FLOOR, None)
         score = np.log2(np.clip(pyx, _LOG_FLOOR, None) / qy)
-        g = np.einsum("ij,jab->iab", score, effects)
+        g = np.einsum("ij,jab->iab", score, x.effects)
         _, u = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
         psi = u[:, :, -1]
         candidates = psi[:, :, None] * psi.conj()[:, None, :]
@@ -136,13 +135,10 @@ def observable_capacity(
     cap = d * d if max_states is None else max(2, min(max_states, d * d))
     rng = generator(seed)
     starts: list[list[np.ndarray]] = []
-    top_states = []
-    bottom_states = []
-    for eff in x.effects:
-        w, u = np.linalg.eigh((eff + eff.conj().T) / 2)
-        top_states.append(np.outer(u[:, -1], u[:, -1].conj()))
-        # a state nulling one outcome is maximally distinguishable there
-        bottom_states.append(np.outer(u[:, 0], u[:, 0].conj()))
+    _, u = np.linalg.eigh((x.effects + dagger(x.effects)) / 2)
+    top_states = [np.outer(v, v.conj()) for v in u[:, :, -1]]
+    # a state nulling one outcome is maximally distinguishable there
+    bottom_states = [np.outer(v, v.conj()) for v in u[:, :, 0]]
     starts.append(top_states[:cap])
     starts.append(bottom_states[:cap])
     starts.append((top_states + bottom_states)[:cap])

@@ -77,12 +77,7 @@ def basis_state(d: int, i: int) -> np.ndarray:
 
 
 def dephasing_channel(d: int) -> Channel:
-    elements = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[i, i] = 1.0
-        elements.append(e)
-    return Channel.from_elements(elements)
+    return Channel.from_elements(np.eye(d)[:, :, None] * np.eye(d)[:, None, :])  # |i><i|
 
 
 def basis_observable(d: int) -> DiscreteObservable:
@@ -190,13 +185,10 @@ def shrinking_channel(alpha: float) -> Channel:
 def sic_cloner_channel() -> Channel:
     """The alpha = 1/3 shrinking channel in its measure-and-prepare form:
     rank-one elements 2^(-1/2) |psi_k><psi_k| over the tetrahedron states."""
-    gamma = sic_tetrahedron()
-    elements = []
-    for eff in gamma.effects:
-        w, u = np.linalg.eigh(eff)
-        psi = u[:, -1]
-        elements.append(np.sqrt(w[-1]) * np.outer(psi, psi.conj()))
-    return Channel.from_elements(elements)
+    w, u = np.linalg.eigh(sic_tetrahedron().effects)
+    psi = u[:, :, -1]  # top eigenvector of each effect
+    projectors = psi[:, :, None] * psi.conj()[:, None, :]
+    return Channel.from_elements(np.sqrt(w[:, -1, None, None]) * projectors)
 
 
 def sic_tetrahedron() -> DiscreteObservable:
@@ -227,9 +219,7 @@ def antisym_isometry() -> np.ndarray:
 def antisym_channel() -> Channel:
     """Embed a qutrit into the two-particle antisymmetric subspace and keep
     one particle; self-complementary with dual A -> (tr(A) 1 - A^T)/2."""
-    v = antisym_isometry()
-    blocks = v.reshape(3, 3, 3)
-    return Channel.from_elements([blocks[:, a, :] for a in range(3)])
+    return Channel.from_elements(antisym_isometry().reshape(3, 3, 3).transpose(1, 0, 2))
 
 
 def antisym_joint_channel() -> Channel:
@@ -427,10 +417,8 @@ def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int, samples:
     r0 = correction_channel(c0, tol)
     fx = fixed_point_residual(c0, r0, a0.carrier)
     s0 = correctable_operator_system(c, code, tol, seed)
-    worst_s0 = 0.0
-    for a in s0.basis:
-        lifted = apply_dual(c, apply_dual(r0, dagger(code.v) @ a @ code.v))
-        worst_s0 = max(worst_s0, op_norm(lifted - a))
+    lifted = apply_dual(c, apply_dual(r0, dagger(code.v) @ s0.basis @ code.v))
+    worst_s0 = op_norm(lifted - s0.basis)
     z_channel = Channel.from_elements(
         [np.sqrt(0.7) * np.eye(8, dtype=np.complex128), np.sqrt(0.3) * pauli_on(3, 0, PAULI_Z)]
     )
@@ -457,11 +445,9 @@ def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int, samples:
 def _analyze_teleport(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     code = bundle.codes["code"]
-    worst = 0.0
-    for i, ei in enumerate(c.elements):
-        for j, ej in enumerate(c.elements):
-            target = (0.25 if i == j else 0.0) * np.eye(2)
-            worst = max(worst, op_norm(dagger(ei) @ ej - target))
+    k = c.elements
+    # E_i^dag E_j = delta_ij 1/4
+    worst = op_norm(dagger(k)[:, None] @ k[None] - 0.25 * np.eye(4)[:, :, None, None] * np.eye(2))
     kl = kl_check(c, code, tol)
     lam_residual = op_norm(kl.lam - np.eye(4) / 4)
     structure = preserved_algebra(c, tol, seed)
@@ -499,12 +485,8 @@ def _analyze_classical(bundle: ExampleBundle, tol: Tolerance, seed: int, samples
     pi = np.array(bundle.params["pi"])
     r = correction_channel(c, tol)
     d = pi.shape[0]
-    recovered = np.zeros((d, d))
-    for j in range(d):
-        ket = np.zeros((d, d), dtype=np.complex128)
-        ket[j, j] = 1.0
-        out = sum(e @ ket @ dagger(e) for e in r.elements)
-        recovered[:, j] = np.diag(out).real
+    # column j is the diagonal of R(|j><j|)
+    recovered = np.diagonal(apply(r, dephasing_channel(d).elements), axis1=1, axis2=2).real.T
     expected = pi.T / pi.T.sum(axis=0, keepdims=True)  # pi^R_ij = pi_ji / sum_k pi_jk
     residual = float(np.abs(recovered - expected).max())
     return {
@@ -520,12 +502,10 @@ def _analyze_diamond(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: 
     spectra_ok = _region_points_are_effects(points)
     rng = generator(seed)
     n_checks = 24
-    effects = np.array([apply_dual(c, random_effect(rng, c.dim_out)) for _ in range(n_checks)])
+    effects = apply_dual(c, np.array([random_effect(rng, c.dim_out) for _ in range(n_checks)]))
     # the binary observables {E, 1 - E}, solved as one stack
     targets = np.stack([effects, np.eye(2) - effects], axis=1)
-    _, residuals, _ = decoherence._coarse_grain(
-        targets, np.array(gamma.effects), decoherence.FEASIBILITY_TOL
-    )
+    _, residuals, _ = decoherence._coarse_grain(targets, gamma.effects, decoherence.FEASIBILITY_TOL)
     feas_count = int(np.sum(residuals <= decoherence.FEASIBILITY_TOL))
     worst = float(residuals.max())
     passes = spectra_ok and feas_count == n_checks and worst <= 1e-7

@@ -1,8 +1,11 @@
 """Quantum channels and observables in element (Kraus) form.
 
-A channel is stored as its list of element matrices; no canonical form is
-imposed, so two channels are compared by their action on a full operator
-basis (equivalently, by their Choi matrices), never element-wise.
+A channel is stored as one read-only array of its element matrices,
+shape (n, dim_out, dim_in), and an observable as one array of its effects,
+shape (n, dim, dim); every computation over the elements is an array
+expression on that stack.  No canonical form is imposed, so two channels
+are compared by their action on a full operator basis (equivalently, by
+their Choi matrices), never element-wise.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotPSD, NotTracePreserving
-from .numlin import DEFAULT_TOL, Tolerance, asmatrix, dagger, op_norm, psd_eig
+from .numlin import DEFAULT_TOL, Tolerance, asmatrices, asmatrix, dagger, op_norm, psd_eig
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -21,32 +24,33 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen_stack(mats, what: str) -> np.ndarray:
+    """Finite matrices of one shape as one read-only array (n, rows, cols)."""
+    mats = [asmatrix(m) for m in mats]
+    if not mats:
+        raise DimMismatch(f"at least one {what} is needed")
+    for m in mats:
+        if m.shape != mats[0].shape:
+            raise DimMismatch(f"{what} shape {m.shape} != {mats[0].shape}")
+    return _freeze(np.stack(mats))
+
+
 @dataclass(frozen=True)
 class Channel:
     """Completely positive map given by elements E_k, rho -> sum E_k rho E_k^dag."""
 
     dim_in: int
     dim_out: int
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray  # (n, dim_out, dim_in), read-only
 
     @staticmethod
     def from_elements(elements) -> "Channel":
-        mats = tuple(_freeze(asmatrix(e)) for e in elements)
-        if not mats:
-            raise DimMismatch("a channel needs at least one element")
-        d_out, d_in = mats[0].shape
-        for e in mats:
-            if e.shape != (d_out, d_in):
-                raise DimMismatch(f"element shape {e.shape} != {(d_out, d_in)}")
-        return Channel(dim_in=d_in, dim_out=d_out, elements=mats)
-
-    def stacked(self) -> np.ndarray:
-        """Elements as one (n, dim_out, dim_in) array."""
-        return np.stack(self.elements)
+        k = _frozen_stack(elements, "element")
+        return Channel(dim_in=k.shape[2], dim_out=k.shape[1], elements=k)
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
 
 @dataclass(frozen=True)
@@ -54,22 +58,18 @@ class DiscreteObservable:
     """Finite-outcome observable: effects X_i summing to the identity."""
 
     dim: int
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray  # (n, dim, dim), read-only
 
     @staticmethod
     def from_effects(effects) -> "DiscreteObservable":
-        mats = tuple(_freeze(asmatrix(x)) for x in effects)
-        if not mats:
-            raise DimMismatch("an observable needs at least one effect")
-        d = mats[0].shape[0]
-        for x in mats:
-            if x.shape != (d, d):
-                raise DimMismatch(f"effect shape {x.shape} != {(d, d)}")
-        return DiscreteObservable(dim=d, effects=mats)
+        x = _frozen_stack(effects, "effect")
+        if x.shape[1] != x.shape[2]:
+            raise DimMismatch(f"effect shape {x.shape[1:]} is not square")
+        return DiscreteObservable(dim=x.shape[1], effects=x)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects)
+        return self.effects.shape[0]
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,8 @@ class ObservableReport:
 
 def _tp_residual(c: Channel) -> float:
     """||sum E^dag E - 1||, the distance from trace preservation."""
-    acc = np.zeros((c.dim_in, c.dim_in), dtype=np.complex128)
-    for e in c.elements:
-        acc += dagger(e) @ e
-    return op_norm(acc - np.eye(c.dim_in))
+    k = c.elements
+    return op_norm((dagger(k) @ k).sum(axis=0) - np.eye(c.dim_in))
 
 
 def validate_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> ChannelReport:
@@ -129,36 +127,49 @@ def require_trace_preserving(c: Channel, tol: Tolerance = DEFAULT_TOL) -> None:
         raise NotTracePreserving(float(res), tol.abs_eps)
 
 
+def _operands(a, d: int, what: str) -> np.ndarray:
+    """``a`` as one (d, d) matrix or a stack (..., d, d) of them."""
+    a = asmatrices(a)
+    if a.shape[-2:] != (d, d):
+        raise DimMismatch(f"{what} shape {a.shape} != (..., {d}, {d})")
+    return a
+
+
+def _sandwich(left: np.ndarray, a: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_k L_k A R_k over the element stacks, for A one matrix or a stack;
+    one term at a time, so a stack of S matrices never holds n S products."""
+    out = left[0] @ a @ right[0]
+    for lk, rk in zip(left[1:], right[1:]):
+        out += lk @ a @ rk
+    return out
+
+
 def apply(c: Channel, rho) -> np.ndarray:
-    """Schroedinger picture: rho -> sum_k E_k rho E_k^dag."""
-    rho = asmatrix(rho)
-    if rho.shape != (c.dim_in, c.dim_in):
-        raise DimMismatch(f"state shape {rho.shape} != {(c.dim_in, c.dim_in)}")
-    k = c.stacked()
-    return (k @ rho @ k.conj().transpose(0, 2, 1)).sum(axis=0)
+    """Schroedinger picture: rho -> sum_k E_k rho E_k^dag, for one state
+    (dim_in, dim_in) or a stack (..., dim_in, dim_in)."""
+    rho = _operands(rho, c.dim_in, "state")
+    return _sandwich(c.elements, rho, dagger(c.elements))
 
 
 def apply_dual(c: Channel, a) -> np.ndarray:
-    """Heisenberg picture: A -> sum_k E_k^dag A E_k."""
-    a = asmatrix(a)
-    if a.shape != (c.dim_out, c.dim_out):
-        raise DimMismatch(f"effect shape {a.shape} != {(c.dim_out, c.dim_out)}")
-    k = c.stacked()
-    return (k.conj().transpose(0, 2, 1) @ a @ k).sum(axis=0)
+    """Heisenberg picture: A -> sum_k E_k^dag A E_k, for one effect
+    (dim_out, dim_out) or a stack (..., dim_out, dim_out)."""
+    a = _operands(a, c.dim_out, "effect")
+    return _sandwich(dagger(c.elements), a, c.elements)
 
 
 def compose(c2: Channel, c1: Channel) -> Channel:
     """Channel running c1 first, then c2; elements are all products."""
     if c1.dim_out != c2.dim_in:
         raise DimMismatch(f"compose: {c1.dim_out} != {c2.dim_in}")
-    elements = [e2 @ e1 for e1 in c1.elements for e2 in c2.elements]
-    return Channel.from_elements(elements)
+    products = c2.elements[None] @ c1.elements[:, None]  # [i, j] = E2_j E1_i
+    return Channel.from_elements(products.reshape(-1, c2.dim_out, c1.dim_in))
 
 
 def tensor(c1: Channel, c2: Channel) -> Channel:
     """Independent parallel action on a tensor product."""
-    elements = [np.kron(e1, e2) for e1 in c1.elements for e2 in c2.elements]
-    return Channel.from_elements(elements)
+    pairs = np.kron(c1.elements[:, None], c2.elements[None])  # [i, j] = E1_i (x) E2_j
+    return Channel.from_elements(pairs.reshape(-1, *pairs.shape[2:]))
 
 
 def identity_channel(d: int) -> Channel:
@@ -171,12 +182,8 @@ def unitary_channel(u) -> Channel:
 
 def choi_of(c: Channel) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) E(|i><j|); PSD exactly when the map is CP."""
-    d_in, d_out = c.dim_in, c.dim_out
-    j = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
-    for e in c.elements:
-        w = e.T.reshape(-1)  # w[(i, o)] = E[o, i]
-        j += np.outer(w, w.conj())
-    return j
+    w = c.elements.swapaxes(1, 2).reshape(c.n_elements, -1)  # w[k, (i, o)] = E_k[o, i]
+    return w.T @ w.conj()
 
 
 def kraus_from_choi(j, dim_in: int, dim_out: int, tol: Tolerance = DEFAULT_TOL) -> Channel:
@@ -189,12 +196,10 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: Tolerance = DEFAULT_TOL) 
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
         raise DimMismatch(f"Choi shape {j.shape} != {(dim_in * dim_out,) * 2}")
     w, u, support = psd_eig(j, tol)
-    elements = []
-    for lam, vec in zip(w[support], u[:, support].T):
-        elements.append(np.sqrt(lam) * vec.reshape(dim_in, dim_out).T)
-    if not elements:
+    if not support.any():
         raise NotPSD(0.0, tol.abs_eps)
-    return Channel.from_elements(elements)
+    vecs = (np.sqrt(w[support]) * u[:, support]).T  # one sqrt(lambda) v per row
+    return Channel.from_elements(vecs.reshape(-1, dim_in, dim_out).swapaxes(1, 2))
 
 
 def dilate(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Isometry:
@@ -203,9 +208,8 @@ def dilate(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Isometry:
     The environment dimension equals the number of elements and its basis
     order follows the element order.
     """
-    k = c.stacked()  # (n, d_out, d_in)
-    n = k.shape[0]
-    v = k.transpose(1, 0, 2).reshape(c.dim_out * n, c.dim_in)
+    n = c.n_elements
+    v = c.elements.transpose(1, 0, 2).reshape(c.dim_out * n, c.dim_in)
     require_trace_preserving(c, tol)
     return Isometry(v=_freeze(v), d_out=c.dim_out, d_env=n)
 
@@ -218,9 +222,7 @@ def complement(c: Channel) -> Channel:
     fixed only up to a unitary on the environment, and this choice is
     the deterministic one induced by element order.
     """
-    k = c.stacked()
-    elements = [np.ascontiguousarray(k[:, j, :]) for j in range(c.dim_out)]
-    return Channel.from_elements(elements)
+    return Channel.from_elements(c.elements.transpose(1, 0, 2))
 
 
 def channels_equal(c1: Channel, c2: Channel, eps: float = 1e-8) -> bool:
@@ -235,19 +237,16 @@ def povm_probabilities(x: DiscreteObservable, rho) -> np.ndarray:
     rho = asmatrix(rho)
     if rho.shape != (x.dim, x.dim):
         raise DimMismatch(f"state shape {rho.shape} != {(x.dim, x.dim)}")
-    return np.array([float(np.trace(rho @ xi).real) for xi in x.effects])
+    return np.einsum("ab,kba->k", rho, x.effects).real
 
 
 def validate_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> ObservableReport:
     """Residuals for the observable invariants (Hermitian effects in [0,1], summing to 1)."""
-    herm = max(op_norm(e - dagger(e)) for e in x.effects)
-    spec_low = 0.0
-    spec_high = 0.0
-    for e in x.effects:
-        w = np.linalg.eigvalsh((e + dagger(e)) / 2)
-        spec_low = min(spec_low, float(w[0]))
-        spec_high = max(spec_high, float(w[-1]))
-    completeness = op_norm(sum(x.effects) - np.eye(x.dim))
+    herm = op_norm(x.effects - dagger(x.effects))
+    w = np.linalg.eigvalsh((x.effects + dagger(x.effects)) / 2)
+    spec_low = min(0.0, float(w[:, 0].min()))
+    spec_high = max(0.0, float(w[:, -1].max()))
+    completeness = op_norm(x.effects.sum(axis=0) - np.eye(x.dim))
     # (invariant, amount by which it fails), in the order they are checked
     excess = (
         ("effects Hermitian", herm),

@@ -139,7 +139,7 @@ def _cmd_correct(args) -> int:
         s0 = correctable_operator_system(c, code, tol, args.seed)
         restricted = preserved_algebra(restrict(c, code), tol, args.seed)
         results["code_algebra"] = serialize.algebra_to_dict(restricted)
-        results["operator_system_basis"] = [serialize.matrix_to_pairs(b) for b in s0.basis]
+        results["operator_system_basis"] = serialize.matrix_to_pairs(s0.basis)
     _write_report(args, _base_report(args, inputs, results, 0))
     return 0
 
@@ -182,7 +182,7 @@ def _cmd_oqec(args) -> int:
     results = {
         "passes": rep.passes,
         "residual": rep.residual,
-        "lambdas": [serialize.matrix_to_pairs(m) for m in rep.lambdas],
+        "lambdas": serialize.matrix_to_pairs(rep.lambdas),
         "split": [d_a, d_b],
     }
     exit_code = 0 if rep.passes else 2
@@ -332,6 +332,23 @@ def _times(text: str) -> list[float]:
     return _number_list(text, float, "numbers")
 
 
+def _count(text: str) -> int:
+    """An integer >= 1 (sample counts, steps, grid and environment sizes);
+    argparse reports a ValueError as an invalid value."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _duration(text: str) -> float:
+    """A finite number > 0."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _split(text: str) -> list[int]:
     dims = _dims(text)
     if len(dims) != 2:
@@ -348,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"RNG seed (default from ${SEED_ENV} or 0)")
     shared.add_argument("--out", default=None, help="output path (directory for `example`)")
     samples = argparse.ArgumentParser(add_help=False)
-    samples.add_argument("--samples", type=int, default=64, help="sample count for randomized checks")
+    samples.add_argument("--samples", type=_count, default=64, help="sample count for randomized checks")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -401,16 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_broadcast)
 
     p = sub.add_parser("sweep", parents=[shared, table], help="time-resolved dephasing weights")
-    p.add_argument("--env-size", type=int, default=4, dest="env_size")
-    p.add_argument("--total-time", type=float, default=1.0, dest="total_time")
-    p.add_argument("--steps", type=int, default=11)
+    p.add_argument("--env-size", type=_count, default=4, dest="env_size")
+    p.add_argument("--total-time", type=_duration, default=1.0, dest="total_time")
+    p.add_argument("--steps", type=_count, default=11)
     p.add_argument("--times", default=None, type=_times,
                    help="comma-separated times (overrides --steps)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("region", parents=[shared, table], help="preserved-effect region coordinates")
     p.add_argument("input")
-    p.add_argument("--grid", type=int, default=24)
+    p.add_argument("--grid", type=_count, default=24)
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("capacity", parents=[shared], help="capacity lower bound of an observable")

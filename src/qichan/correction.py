@@ -75,14 +75,15 @@ class KLReport:
 @dataclass(frozen=True)
 class OQECReport:
     passes: bool
-    lambdas: tuple[np.ndarray, ...]
+    lambdas: np.ndarray  # (n^2, d_B, d_B), Lambda_ij at row i n + j
     residual: float
 
 
 def interaction_span(c: Channel) -> OperatorBasisSet:
     """Orthonormal basis of span{E_i^dag E_j}."""
-    prods = [dagger(a) @ b for a in c.elements for b in c.elements]
-    return span_of(prods)
+    k = c.elements
+    prods = dagger(k)[:, None] @ k[None]  # [i, j] = E_i^dag E_j
+    return span_of(prods.reshape(-1, c.dim_in, c.dim_in))
 
 
 def _preserved_carrier(channels: list[Channel], tol: Tolerance) -> OperatorBasisSet:
@@ -109,15 +110,12 @@ def correction_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Channel:
     the source, one element |0><u| per kernel eigenvector u of the same
     decomposition, so the result is a total trace-preserving channel.
     """
-    e_of_one = sum(e @ dagger(e) for e in c.elements)
-    w, u, support = psd_eig(e_of_one, tol)
-    k = (u[:, support] / np.sqrt(w[support])) @ dagger(u[:, support])
-    elements = [dagger(e) @ k for e in c.elements]
-    for vec in u[:, ~support].T:
-        sink = np.zeros((c.dim_in, c.dim_out), dtype=np.complex128)
-        sink[0] = vec.conj()
-        elements.append(sink)
-    r = Channel.from_elements(elements)
+    k = c.elements
+    w, u, support = psd_eig((k @ dagger(k)).sum(axis=0), tol)
+    inv_sqrt = (u[:, support] / np.sqrt(w[support])) @ dagger(u[:, support])
+    sinks = np.zeros((int((~support).sum()), c.dim_in, c.dim_out), dtype=np.complex128)
+    sinks[:, 0] = u[:, ~support].T.conj()
+    r = Channel.from_elements(np.concatenate([dagger(k) @ inv_sqrt, sinks]))
     require_trace_preserving(r, tol)
     return r
 
@@ -126,15 +124,12 @@ def restrict(c: Channel, code: CodeSubspace) -> Channel:
     """The channel seen by states prepared inside the code subspace."""
     if code.dim != c.dim_in:
         raise DimMismatch(f"code lives in dim {code.dim}, channel input is {c.dim_in}")
-    return Channel.from_elements([e @ code.v for e in c.elements])
+    return Channel.from_elements(c.elements @ code.v)
 
 
 def fixed_point_residual(c: Channel, r: Channel, span: OperatorBasisSet) -> float:
     """max over basis elements A of ||E*(R*(A)) - A||."""
-    worst = 0.0
-    for a in span.basis:
-        worst = max(worst, op_norm(apply_dual(c, apply_dual(r, a)) - a))
-    return worst
+    return op_norm(apply_dual(c, apply_dual(r, span.basis)) - span.basis)
 
 
 def correctable_report(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CorrectableReport:
@@ -159,8 +154,7 @@ def correctable_operator_system(
     c0 = restrict(c, code)
     a0 = preserved_algebra(c0, tol, seed)
     r0 = correction_channel(c0, tol)
-    images = [apply_dual(c, apply_dual(r0, a)) for a in a0.carrier.basis]
-    return span_of(images)
+    return span_of(apply_dual(c, apply_dual(r0, a0.carrier.basis)))
 
 
 def kl_check(c: Channel, code: CodeSubspace, tol: Tolerance = DEFAULT_TOL) -> KLReport:
@@ -185,28 +179,20 @@ def oqec_check(
         raise BadFactorization(f"{d_a} * {d_b} != code dimension {code.dim_code}")
     if code.dim != c.dim_in:
         raise DimMismatch(f"code lives in dim {code.dim}, channel input is {c.dim_in}")
-    n = c.n_elements
-    lambdas = []
-    residual = 0.0
-    eye_a = np.eye(d_a)
-    for i in range(n):
-        for j in range(n):
-            m = dagger(code.v) @ dagger(c.elements[i]) @ c.elements[j] @ code.v
-            blocks = m.reshape(d_a, d_b, d_a, d_b)
-            lam_ij = np.einsum("abad->bd", blocks) / d_a
-            lambdas.append(lam_ij)
-            residual = max(residual, op_norm(m - np.kron(eye_a, lam_ij)))
-    return OQECReport(
-        passes=bool(residual <= tol.abs_eps), lambdas=tuple(lambdas), residual=float(residual)
-    )
+    k = c.elements
+    left = dagger(code.v) @ dagger(k)  # V^dag E_i^dag
+    m = ((left[:, None] @ k[None]) @ code.v).reshape(-1, code.dim_code, code.dim_code)
+    lambdas = np.einsum("nabad->nbd", m.reshape(-1, d_a, d_b, d_a, d_b)) / d_a
+    residual = op_norm(m - np.kron(np.eye(d_a), lambdas))
+    return OQECReport(passes=bool(residual <= tol.abs_eps), lambdas=lambdas, residual=residual)
 
 
 def span_equivalent(c1: Channel, c2: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the element lists span the same operator subspace."""
+    """True when the elements of the two channels span the same operator subspace."""
     if (c1.dim_in, c1.dim_out) != (c2.dim_in, c2.dim_out):
         return False
-    rows1 = _gram_schmidt(np.array([e.reshape(-1) for e in c1.elements]))
-    rows2 = _gram_schmidt(np.array([e.reshape(-1) for e in c2.elements]))
+    rows1 = _gram_schmidt(c1.elements.reshape(c1.n_elements, -1))
+    rows2 = _gram_schmidt(c2.elements.reshape(c2.n_elements, -1))
     p1 = _row_span_projector(rows1)
     p2 = _row_span_projector(rows2)
     return op_norm(p1 - p2) <= max(tol.abs_eps, 1e-8)
@@ -226,13 +212,9 @@ def homomorphism_residual(
     r = correction_channel(c, tol)
     basis = structure.carrier.basis
     k = basis.shape[0]
-    pairs = [(i, j) for i in range(k) for j in range(k)]
-    if len(pairs) > HOMOMORPHISM_PAIRS:
-        rng = np.random.default_rng(0)
-        pairs = [pairs[t] for t in rng.choice(len(pairs), size=HOMOMORPHISM_PAIRS, replace=False)]
-    lifted = [apply_dual(r, a) for a in basis]
-    worst = 0.0
-    for i, j in pairs:
-        lhs = apply_dual(c, lifted[i] @ lifted[j])
-        worst = max(worst, op_norm(lhs - basis[i] @ basis[j]))
-    return worst
+    pairs = np.arange(k * k)
+    if pairs.size > HOMOMORPHISM_PAIRS:
+        pairs = np.random.default_rng(0).choice(pairs.size, size=HOMOMORPHISM_PAIRS, replace=False)
+    i, j = np.divmod(pairs, k)
+    lifted = apply_dual(r, basis)
+    return op_norm(apply_dual(c, lifted[i] @ lifted[j]) - basis[i] @ basis[j])

@@ -11,7 +11,6 @@ kernels in :mod:`qichan.kernels`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
@@ -75,7 +74,7 @@ class StochasticMap:
 
     def compose_observable(self, gamma: DiscreteObservable) -> DiscreteObservable:
         """The coarse-grained observable with effects sum_i pi_ji Gamma_i."""
-        return DiscreteObservable.from_effects(_compose(self.entries, np.array(gamma.effects)))
+        return DiscreteObservable.from_effects(_compose(self.entries, gamma.effects))
 
 
 @dataclass(frozen=True)
@@ -167,32 +166,24 @@ def correlation_check(
     """
     if x.n_outcomes != y.n_outcomes or x.n_outcomes != z.n_outcomes:
         raise DimMismatch("X, Y, Z need matching outcome counts")
-    comp = complement(c)
-    for i in range(x.n_outcomes):
-        res_y = op_norm(apply_dual(c, y.effects[i]) - x.effects[i])
-        if res_y > tol.abs_eps:
-            raise WitnessMismatch("Y", res_y, tol.abs_eps)
-        res_z = op_norm(apply_dual(comp, z.effects[i]) - x.effects[i])
-        if res_z > tol.abs_eps:
-            raise WitnessMismatch("Z", res_z, tol.abs_eps)
-    iso = dilate(c, tol)
-    v = iso.v
-    off = 0.0
-    diag = 0.0
-    for i in range(x.n_outcomes):
-        for j in range(x.n_outcomes):
-            joint = dagger(v) @ np.kron(y.effects[i], z.effects[j]) @ v
-            if i == j:
-                diag = max(diag, op_norm(joint - x.effects[i]))
-            else:
-                off = max(off, op_norm(joint))
-    return off + diag
+    for label, channel, witness in (("Y", c, y), ("Z", complement(c), z)):
+        res = op_norm(apply_dual(channel, witness.effects) - x.effects)
+        if res > tol.abs_eps:
+            raise WitnessMismatch(label, res, tol.abs_eps)
+    n = x.n_outcomes
+    v = dilate(c, tol).v.reshape(c.dim_out, -1, c.dim_in)  # V[o, env, a]
+    # V^dag (Y_i (x) Z_j) V = ((Y_i (x) 1) V)^dag (1 (x) Z_j) V, without the kron
+    left = (y.effects @ v.reshape(c.dim_out, -1)).reshape(n, -1, c.dim_in)
+    right = (z.effects[:, None] @ v).reshape(n, -1, c.dim_in)
+    joint = dagger(left)[:, None] @ right[None]
+    same = np.eye(n, dtype=bool)
+    return op_norm(joint[~same]) + op_norm(joint[same] - x.effects)
 
 
 def _coordinates(effects) -> np.ndarray:
     """Coordinates of the Hermitian parts of a stack of effects (..., d, d)."""
     a = np.asarray(effects)
-    return herm_to_coords((a + a.swapaxes(-1, -2).conj()) / 2)
+    return herm_to_coords((a + dagger(a)) / 2)
 
 
 def _compose(pi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -240,7 +231,7 @@ def coarse_grain_solve(
     """
     if x.dim != gamma.dim:
         raise DimMismatch(f"observable dims differ: {x.dim} != {gamma.dim}")
-    pi, residual, lower = _coarse_grain(np.array(x.effects)[None], np.array(gamma.effects), tol)
+    pi, residual, lower = _coarse_grain(x.effects[None], gamma.effects, tol)
     if residual[0] > tol:
         raise Infeasible(float(residual[0]), tol, float(lower[0]))
     return StochasticMap.from_entries(pi[0])
@@ -251,12 +242,11 @@ def _pointer_states(c: Channel, gamma: DiscreteObservable) -> np.ndarray | None:
     rank one and ``gamma`` is the canonical pointer {E_i^dag E_i}."""
     if c.n_elements != gamma.n_outcomes:
         return None
-    k = c.stacked()
+    k = c.elements
     u, s, _ = np.linalg.svd(k)
     if s.shape[1] > 1 and np.any(s[:, 1] > DEFAULT_TOL.rank_rel * s[:, 0] * 100):
         return None
-    canonical = k.conj().swapaxes(1, 2) @ k - np.array(gamma.effects)
-    if np.linalg.norm(canonical, 2, axis=(1, 2)).max() > 1e-8:
+    if op_norm(dagger(k) @ k - gamma.effects) > 1e-8:
         return None
     psis = u[:, :, 0]
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
@@ -282,7 +272,6 @@ def full_decoherence_check(
     if gamma.dim != c.dim_in:
         raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
     rng = generator(seed)
-    gammas = np.array(gamma.effects)
     psis = _pointer_states(c, gamma)
     residuals, lowers, explicit = [], [], []
     for _ in range(samples):
@@ -291,13 +280,13 @@ def full_decoherence_check(
             y = random_sharp_observable(rng, c.dim_out, n_out)
         else:
             y = random_povm(rng, c.dim_out, n_out)
-        targets = np.array([[apply_dual(c, e) for e in y.effects]])
-        _, res, lower = _coarse_grain(targets, gammas, tol)
+        targets = apply_dual(c, y.effects)[None]
+        _, res, lower = _coarse_grain(targets, gamma.effects, tol)
         residuals.append(float(res[0]))
         lowers.append(float(lower[0]))
         if psis is not None:
-            pi = np.einsum("ia,jab,ib->ji", psis.conj(), np.array(y.effects), psis).real
-            explicit.append(float(_residuals(targets, gammas, pi[None])[0]))
+            pi = np.einsum("ia,jab,ib->ji", psis.conj(), y.effects, psis).real
+            explicit.append(float(_residuals(targets, gamma.effects, pi[None])[0]))
     return DecoherenceReport(
         samples=samples,
         feasible=sum(r <= tol for r in residuals),
@@ -315,14 +304,10 @@ def _marginal_channels(c: Channel, subsystem_dims: list[int]) -> list[Channel]:
     v_tensor = iso.v.reshape(dims + [c.dim_in])
     marginals = []
     for i in range(len(subsystem_dims)):
-        order = [i] + [ax for ax in range(n_factors) if ax != i] + [n_factors]
-        moved = np.transpose(v_tensor, order)
-        d_i = dims[i]
-        rest = int(np.prod([dims[ax] for ax in range(n_factors) if ax != i]))
-        blocks = moved.reshape(d_i, rest, c.dim_in)
-        marginals.append(
-            Channel.from_elements([blocks[:, m, :] for m in range(rest)])
-        )
+        # factor i is the output, every other factor is environment
+        order = [ax for ax in range(n_factors) if ax != i] + [i, n_factors]
+        elements = np.transpose(v_tensor, order).reshape(-1, dims[i], c.dim_in)
+        marginals.append(Channel.from_elements(elements))
     return marginals
 
 
@@ -352,13 +337,11 @@ def broadcast_pointer(
         return report
     if len(witnesses) != len(dims):
         raise DimMismatch("one witness observable per subsystem required")
-    effects_joint = []
-    for combo in product(*[range(w.n_outcomes) for w in witnesses]):
-        joint = witnesses[0].effects[combo[0]]
-        for w, k in zip(witnesses[1:], combo[1:]):
-            joint = np.kron(joint, w.effects[k])
-        effects_joint.append(apply_dual(c, joint))
-    return replace(report, composite=DiscreteObservable.from_effects(effects_joint))
+    joint = witnesses[0].effects
+    for w in witnesses[1:]:
+        pairs = np.kron(joint[:, None], w.effects[None])  # [i, j] = joint_i (x) W_j
+        joint = pairs.reshape(-1, *pairs.shape[2:])
+    return replace(report, composite=DiscreteObservable.from_effects(apply_dual(c, joint)))
 
 
 def dephasing_sweep(projectors, n_env: int, total_time: float, times) -> SweepResult:
@@ -467,7 +450,7 @@ def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
         rows = np.stack([np.column_stack([sc, bx, bz]), np.column_stack([sc, f * bx, f * bz])], axis=1)
         keep = np.column_stack([r <= rmax + 1e-12, (r > 1e-12) & (rmax > 0)])
         coeffs = rows[keep] / 2
-        basis = [np.eye(2, dtype=np.complex128), sx, sz]
+        basis = np.array([np.eye(2), sx, sz])
     else:
         if d_out > len(_PRIMES):
             raise DimMismatch(f"region sampling supports outputs up to dim {len(_PRIMES)}, got {d_out}")
@@ -477,8 +460,8 @@ def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
         if 2**d_out <= n_pts:
             vertices = (np.arange(2**d_out)[:, None] >> np.arange(d_out)) & 1
             coeffs = np.vstack([coeffs, vertices.astype(np.float64)])
-        basis = [np.diag(row) for row in np.eye(d_out, dtype=np.complex128)]
-    images = np.array([apply_dual(c, b) for b in basis])
+        basis = np.eye(d_out, dtype=np.complex128)[:, :, None] * np.eye(d_out)[:, None, :]  # |b><b|
+    images = apply_dual(c, basis)
     # (tr(A s_x), tr(A s_z), tr(A)) of each basis image
     coords = np.einsum("bij,kji->bk", images, np.array([sx, sz, np.eye(2)])).real
     return coeffs @ coords
@@ -495,17 +478,14 @@ def iterated_fixed_points(c: Channel, tol: Tolerance = DEFAULT_TOL) -> OperatorB
     if c.dim_in != c.dim_out:
         raise NotEndomorphic(f"dual iteration needs dim_in == dim_out, got {c.dim_in}, {c.dim_out}")
     d = c.dim_in
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    for e in c.elements:
-        m += np.kron(dagger(e), e.T)
+    k = c.elements
+    # row-major vec(E^dag A E) = sum_k (E_k^dag (x) E_k^T) vec(A)
+    m = np.einsum("kba,kdc->acbd", k.conj(), k).reshape(d * d, d * d)
     _, sv, vh = np.linalg.svd(m - np.eye(d * d))
-    candidates = vh[sv <= max(tol.abs_eps * 10, 1e-8)].conj()
-    kept = []
-    for vec in candidates:
-        a = vec.reshape(d, d)
-        drift = a
-        for _ in range(FIXED_POINT_ITERATIONS):
-            drift = apply_dual(c, drift)
-        if op_norm(drift - a) <= max(tol.abs_eps * FIXED_POINT_ITERATIONS, 1e-7):
-            kept.append(a)
-    return span_of(kept, dim=d)
+    candidates = vh[sv <= max(tol.abs_eps * 10, 1e-8)].conj().reshape(-1, d, d)
+    drift = candidates
+    for _ in range(FIXED_POINT_ITERATIONS):
+        drift = apply_dual(c, drift)
+    bound = max(tol.abs_eps * FIXED_POINT_ITERATIONS, 1e-7)
+    kept = np.linalg.norm(drift - candidates, 2, axis=(1, 2)) <= bound
+    return span_of(candidates[kept], dim=d)

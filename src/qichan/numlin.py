@@ -35,26 +35,37 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def asmatrix(a) -> np.ndarray:
-    """Coerce to a C-contiguous complex128 2-d array."""
+def asmatrices(a) -> np.ndarray:
+    """Coerce to a C-contiguous complex128 matrix, or stack of matrices
+    (..., rows, cols), with finite entries."""
     m = np.ascontiguousarray(a, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise DimMismatch(f"expected a matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.view(np.float64))):
         raise ValueError("matrix entries must be finite")
     return m
 
 
+def asmatrix(a) -> np.ndarray:
+    """Coerce to a C-contiguous complex128 2-d array."""
+    m = asmatrices(a)
+    if m.ndim != 2:
+        raise DimMismatch(f"expected a matrix, got ndim={m.ndim}")
+    return m
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def op_norm(a: np.ndarray) -> float:
-    """Operator (spectral) norm: the largest singular value."""
+    """Operator (spectral) norm: the largest singular value; of a stack
+    (..., m, n), the largest over all its matrices."""
     a = np.atleast_2d(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
 
 
 def require_square(a: np.ndarray) -> np.ndarray:

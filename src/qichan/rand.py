@@ -71,14 +71,14 @@ def random_channel(
     n_elements = max(n_elements, -(-dim_in // dim_out))
     v = random_isometry(rng, dim_out * n_elements, dim_in)
     blocks = v.reshape(dim_out, n_elements, dim_in)
-    return Channel.from_elements([blocks[:, k, :] for k in range(n_elements)])
+    return Channel.from_elements(blocks.transpose(1, 0, 2))
 
 
 def random_povm(rng: np.random.Generator, d: int, n_outcomes: int) -> DiscreteObservable:
     """Random observable from a dilated random isometry: X_i = M_i^dag M_i."""
     w = random_isometry(rng, n_outcomes * d, d)
     blocks = w.reshape(n_outcomes, d, d)
-    return DiscreteObservable.from_effects([b.conj().T @ b for b in blocks])
+    return DiscreteObservable.from_effects(blocks.conj().swapaxes(1, 2) @ blocks)
 
 
 def random_sharp_observable(rng: np.random.Generator, d: int, n_outcomes: int) -> DiscreteObservable:

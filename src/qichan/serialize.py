@@ -62,9 +62,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(m, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+def matrix_to_pairs(m: np.ndarray) -> list:
+    """Row-major [re, im] pairs of a matrix; of a stack (n, rows, cols),
+    one such list per matrix."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1], 2).tolist()
 
 
 def pairs_to_matrix(pairs, rows: int, cols: int, where: str) -> np.ndarray:
@@ -78,6 +80,9 @@ def pairs_to_matrix(pairs, rows: int, cols: int, where: str) -> np.ndarray:
         if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
             raise SchemaError(where, f"entry {idx} has non-numeric parts")
         out[idx] = complex(re, im)
+    if not np.isfinite(out).all():
+        # a literal beyond the float range, such as 1e400, parses to inf
+        raise SchemaError(where, "entries must be finite")
     return out.reshape(rows, cols)
 
 
@@ -85,24 +90,31 @@ def channel_to_dict(c: Channel) -> dict:
     return {
         "dim_in": c.dim_in,
         "dim_out": c.dim_out,
-        "elements": [matrix_to_pairs(e) for e in c.elements],
+        "elements": matrix_to_pairs(c.elements),
     }
 
 
 def observable_to_dict(x: DiscreteObservable) -> dict:
     return {
         "dim": x.dim,
-        "effects": [matrix_to_pairs(e) for e in x.effects],
+        "effects": matrix_to_pairs(x.effects),
     }
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
 
 
 def _load_json(path: str | Path) -> dict:
     p = Path(path)
     try:
-        data = json.loads(p.read_text())
+        # json accepts NaN and Infinity, which no field may hold
+        data = json.loads(p.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except OSError as exc:
         raise SchemaError(str(p), f"cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise SchemaError(str(p), f"not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError, or a non-finite constant
         raise SchemaError(str(p), f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError(str(p), "top level must be an object")
@@ -220,7 +232,7 @@ def algebra_to_dict(structure) -> dict:
         "block_dims": [list(b) for b in structure.block_dims],
         "central_projectors": [matrix_to_pairs(p) for p in structure.central_projectors],
         "basis_change": matrix_to_pairs(structure.basis_change),
-        "basis": [matrix_to_pairs(b) for b in structure.carrier.basis],
+        "basis": matrix_to_pairs(structure.carrier.basis),
     }
 
 

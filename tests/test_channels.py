@@ -35,6 +35,44 @@ class TestValidation:
         assert rep.residuals["min_eigenvalue"] > -1e-12
 
 
+class TestRepresentation:
+    def test_elements_are_one_read_only_array(self):
+        c = random_channel(generator(0), 3, 5, 4)
+        assert isinstance(c.elements, np.ndarray)
+        assert c.elements.shape == (4, 5, 3) and c.elements.dtype == np.complex128
+        assert not c.elements.flags.writeable
+        with pytest.raises(ValueError):
+            c.elements[0, 0, 0] = 1.0
+
+    def test_effects_are_one_read_only_array(self):
+        x = sic_tetrahedron()
+        assert isinstance(x.effects, np.ndarray)
+        assert x.effects.shape == (4, 2, 2) and x.effects.dtype == np.complex128
+        assert not x.effects.flags.writeable
+
+    def test_input_is_copied(self):
+        k = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        c = ch.Channel.from_elements(k)
+        k[0, 0, 0] = 5.0
+        assert c.elements[0, 0, 0] == 1.0
+
+    def test_ragged_elements_rejected(self):
+        with pytest.raises(DimMismatch):
+            ch.Channel.from_elements([np.eye(2), np.eye(3)])
+        with pytest.raises(DimMismatch):
+            ch.Channel.from_elements([np.eye(2), np.ones((2, 3))])
+        with pytest.raises(DimMismatch):
+            ch.DiscreteObservable.from_effects([np.eye(2), np.eye(3)])
+        with pytest.raises(DimMismatch):
+            ch.DiscreteObservable.from_effects([np.ones((2, 3))])
+        with pytest.raises(DimMismatch):
+            ch.Channel.from_elements([])
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ch.Channel.from_elements([np.array([[1.0, np.nan], [0.0, 1.0]])])
+
+
 class TestApplyAndDuality:
     def test_dephasing_kills_coherences(self):
         rho = np.outer(PLUS, PLUS.conj())
@@ -54,17 +92,35 @@ class TestApplyAndDuality:
         rhs = np.trace(rho @ ch.apply_dual(c, a))
         assert abs(lhs - rhs) < 1e-10
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_element_sum(self, seed):
-        # reference: the defining sums over elements, one matrix at a time
+    @pytest.mark.parametrize(
+        "seed, stack",
+        [*(pytest.param(s, (), id=str(s)) for s in range(4)), pytest.param(4, (2, 3), id="stack")],
+    )
+    def test_matches_element_sum(self, seed, stack):
+        # reference: the defining sums over elements, one matrix at a time;
+        # a stack of states or effects maps matrix by matrix
         rng = generator(seed)
         c = random_channel(rng, 3, 5, 4)
-        rho = random_density(rng, 3)
-        a = random_hermitian(rng, 5)
-        want = sum(e @ rho @ dagger(e) for e in c.elements)
-        want_dual = sum(dagger(e) @ a @ e for e in c.elements)
-        assert op_norm(ch.apply(c, rho) - want) < 1e-13
-        assert op_norm(ch.apply_dual(c, a) - want_dual) < 1e-13
+        n = int(np.prod(stack))
+        rhos = [random_density(rng, 3) for _ in range(n)]
+        effects = [random_hermitian(rng, 5) for _ in range(n)]
+        want = [sum(e @ rho @ dagger(e) for e in c.elements) for rho in rhos]
+        want_dual = [sum(dagger(e) @ a @ e for e in c.elements) for a in effects]
+        got = ch.apply(c, np.reshape(rhos, (*stack, 3, 3))).reshape(n, 5, 5)
+        got_dual = ch.apply_dual(c, np.reshape(effects, (*stack, 5, 5))).reshape(n, 3, 3)
+        for k in range(n):
+            assert op_norm(got[k] - want[k]) < 1e-13
+            assert op_norm(got_dual[k] - want_dual[k]) < 1e-13
+            assert op_norm(got[k] - ch.apply(c, rhos[k])) < 1e-13
+            assert op_norm(got_dual[k] - ch.apply_dual(c, effects[k])) < 1e-13
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (4, 5), (5,)])
+    def test_stack_with_wrong_trailing_shape_rejected(self, shape):
+        c = random_channel(generator(0), 3, 5, 4)
+        with pytest.raises(DimMismatch):
+            ch.apply_dual(c, np.zeros(shape))
+        with pytest.raises(DimMismatch):
+            ch.apply(c, np.zeros(shape))
 
 
 class TestComposeTensor:

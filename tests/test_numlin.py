@@ -175,3 +175,27 @@ class TestHermitianCoordinates:
         assert v.dtype == np.float64
         assert np.allclose(numlin.coords_to_herm(v, d), h)
         assert abs(np.linalg.norm(v) - np.linalg.norm(h, "fro")) < 1e-12
+
+
+class TestStacks:
+    def test_op_norm_of_a_stack_is_the_largest_matrix_norm(self):
+        rng = generator(0)
+        stack = rng.standard_normal((2, 3, 4, 5)) + 1j * rng.standard_normal((2, 3, 4, 5))
+        per_matrix = [numlin.op_norm(m) for m in stack.reshape(-1, 4, 5)]
+        assert numlin.op_norm(stack) == max(per_matrix)
+        assert numlin.op_norm(np.zeros((0, 3, 3))) == 0.0
+
+    def test_dagger_of_a_stack_is_per_matrix(self):
+        rng = generator(1)
+        stack = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        got = numlin.dagger(stack)
+        assert all(np.array_equal(g, m.conj().T) for g, m in zip(got, stack))
+
+    def test_asmatrices_checks_rank_and_finiteness(self):
+        assert numlin.asmatrices(np.ones((2, 3, 3))).dtype == np.complex128
+        with pytest.raises(DimMismatch):
+            numlin.asmatrices(np.ones(3))
+        with pytest.raises(DimMismatch):
+            numlin.asmatrix(np.ones((2, 3, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            numlin.asmatrices(np.full((2, 2, 2), np.inf))

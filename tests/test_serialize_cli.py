@@ -154,6 +154,23 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"dim_in": 1, "dim_out": 1, "elements": [[[NaN, 0]]]}',
+            b'{"dim_in": 1, "dim_out": 1, "elements": [[[1, -Infinity]]]}',
+            b'{"dim_in": 1, "dim_out": 1, "elements": [[[1e400, 0]]]}',
+            '{"dim_in": 1, "dim_out": 1, "elements": [[[1, 0]]], "note": "\u00e9"}'.encode("latin-1"),
+        ],
+        ids=["nan", "infinity", "overflow", "not-utf8"],
+    )
+    def test_malformed_file_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_preserved_report(self, tmp_path, capsys):
         rc = main(["preserved", self._channel_file(tmp_path)])
         assert rc == 0
@@ -348,8 +365,18 @@ class TestCli:
             ["sweep", "--times", "a"],
             ["preserved", "{channel}", "--format", "csv"],
             ["pointer", "{channel}", "--samples", "8"],
+            ["sweep", "--steps", "-1"],
+            ["sweep", "--total-time", "0"],
+            ["sweep", "--env-size", "0"],
+            ["region", "{channel}", "--grid", "0"],
+            ["classical", "{channel}", "--gamma", "{channel}", "--samples", "0"],
+            ["example", "sic-cloner", "--samples", "0"],
         ],
-        ids=["kl-without-code", "split", "dims", "times", "format-unread", "samples-unread"],
+        ids=[
+            "kl-without-code", "split", "dims", "times", "format-unread", "samples-unread",
+            "steps-negative", "total-time-zero", "env-size-zero", "grid-zero",
+            "classical-samples-zero", "example-samples-zero",
+        ],
     )
     def test_usage_errors_exit_one(self, tmp_path, capsys, argv):
         code = tmp_path / "code.json"
