@@ -70,48 +70,121 @@ def holevo_quantity(x: DiscreteObservable, e: Ensemble) -> float:
     the mutual information of the classical channel the ensemble induces."""
     if e.states and e.states[0].shape != (x.dim, x.dim):
         raise DimMismatch(f"state dim {e.states[0].shape} != observable dim {x.dim}")
-    return _mutual_information(_conditional_matrix(x, e.states), e.priors)
+    return float(_mutual_information(_conditional_matrix(x, e.states), e.priors))
 
 
 def _conditional_matrix(x: DiscreteObservable, states) -> np.ndarray:
-    """Rows tr(rho_i X_j) of every state at once, clipped at 0."""
-    probs = np.einsum("iab,jba->ij", np.asarray(states), x.effects).real
+    """Rows tr(rho X_j) of every state at once, clipped at 0; states may be
+    a stack of ensembles (S, K, d, d), giving (S, K, n_outcomes)."""
+    probs = np.einsum("...ab,jba->...j", np.asarray(states), x.effects).real
     return np.clip(probs, 0.0, None)
 
 
-def _mutual_information(pyx: np.ndarray, priors: np.ndarray) -> float:
-    qy = priors @ pyx
-    safe = (pyx > 0) & (qy[None, :] > 0)
-    ratio = np.divide(pyx, qy[None, :], out=np.ones_like(pyx), where=safe)
+def _mutual_information(pyx: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """I(X;Y) in bits of the channel ``pyx`` (..., K, m) at ``priors`` (..., K)."""
+    qy = (priors[..., None, :] @ pyx)[..., None, 0, :]
+    safe = (pyx > 0) & (qy > 0)
+    ratio = np.divide(pyx, qy, out=np.ones_like(pyx), where=safe)
     terms = np.where(safe, pyx * np.log2(ratio), 0.0)
-    return float(priors @ terms.sum(axis=1))
+    return (priors * terms.sum(axis=-1)).sum(axis=-1)
 
 
 def _ascend_states(
-    x: DiscreteObservable, states: list[np.ndarray], pyx: np.ndarray, priors: np.ndarray, rounds: int
-) -> list[np.ndarray]:
-    """Coordinate ascent: push each state toward the maximizer of its
-    relative-entropy score against the mixture output, which stays frozen
-    within a round; a state moves only if its score improves.  ``pyx`` is
-    ``_conditional_matrix(x, states)``."""
-    states = np.asarray(states)
+    x: DiscreteObservable, states: np.ndarray, pyx: np.ndarray, priors: np.ndarray, rounds: int
+) -> np.ndarray:
+    """Coordinate ascent on a stack of ensembles: push each state toward
+    the maximizer of its relative-entropy score against its ensemble's
+    mixture output, which stays frozen within a round; a state moves only
+    if its score improves.  ``states`` (S, K, d, d) with ``pyx =
+    _conditional_matrix(x, states)`` and ``priors`` (S, K); padding rows
+    (zero states, prior 0) never move."""
+    inputs = pyx.any(axis=-1)
     for k in range(rounds):
         if k:
             pyx = _conditional_matrix(x, states)
-        qy = np.clip(priors @ pyx, _LOG_FLOOR, None)
+        qy = np.clip((priors[:, None, :] @ pyx)[:, None, 0, :], _LOG_FLOOR, None)
         score = np.log2(np.clip(pyx, _LOG_FLOOR, None) / qy)
-        g = np.einsum("ij,jab->iab", score, x.effects)
-        _, u = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
-        psi = u[:, :, -1]
-        candidates = psi[:, :, None] * psi.conj()[:, None, :]
+        g = np.einsum("skj,jab->skab", score, x.effects)
+        _, u = np.linalg.eigh((g + dagger(g)) / 2)
+        psi = u[..., -1]
+        candidates = psi[..., :, None] * psi.conj()[..., None, :]
         p_new = _conditional_matrix(x, candidates)
-        old = np.sum(pyx * score, axis=1)
-        new = np.sum(p_new * np.log2(np.clip(p_new, _LOG_FLOOR, None) / qy), axis=1)
-        improved = new > old + 1e-15
+        old = np.sum(pyx * score, axis=-1)
+        new = np.sum(p_new * np.log2(np.clip(p_new, _LOG_FLOOR, None) / qy), axis=-1)
+        improved = (new > old + 1e-15) & inputs
         if not improved.any():
             break
-        states = np.where(improved[:, None, None], candidates, states)
-    return list(states)
+        states = np.where(improved[..., None, None], candidates, states)
+    return states
+
+
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """|v><v| for each row of ``vectors``."""
+    return vectors[:, :, None] * vectors.conj()[:, None, :]
+
+
+def _starts(
+    x: DiscreteObservable, restarts: int, seed: int, warm_ensembles: tuple[Ensemble, ...], cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The search's start ensembles as one stack (S, K, d, d), padded with
+    zero states to the largest start, and the priors (W, K) of the last W
+    starts, which come from ``warm_ensembles``; the others start uniform."""
+    d = x.dim
+    _, u = np.linalg.eigh((x.effects + dagger(x.effects)) / 2)
+    top, bottom = _projectors(u[:, :, -1]), _projectors(u[:, :, 0])
+    # a state nulling one outcome is maximally distinguishable there
+    starts = [top[:cap], bottom[:cap], np.concatenate([top, bottom])[:cap]]
+    starts += [np.stack(pair)[:cap] for pair in zip(top, bottom)]
+    rng = generator(seed)
+    for _ in range(max(0, restarts - 1)):
+        k = int(rng.integers(2, cap + 1))
+        starts.append(_projectors(np.array([random_pure_state(rng, d) for _ in range(k)])))
+    starts += [np.array(ens.states[:cap]) for ens in warm_ensembles]
+    states = np.zeros((len(starts), max(len(s) for s in starts), d, d), dtype=np.complex128)
+    for i, start in enumerate(starts):
+        states[i, : len(start)] = start
+    warm = np.zeros((len(warm_ensembles), states.shape[1]))
+    for i, ens in enumerate(warm_ensembles):
+        priors = ens.priors[:cap]
+        warm[i, : priors.size] = priors
+    return states, warm
+
+
+def _lockstep_search(
+    x: DiscreteObservable, states: np.ndarray, warm: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alternate BA and state ascent on every start of a padded stack at
+    once (see :func:`_starts`); returns each start's (value, priors,
+    states).  A start leaves the stack when its round gains less than
+    ``tol``, so its answer does not depend on the other starts."""
+    cold = len(states) - len(warm)
+    values, priors_out, states_out = np.zeros(len(states)), np.zeros(states.shape[:2]), states.copy()
+    # the starts still running, indexed into the stack by `live`
+    live, value = np.arange(len(states)), np.zeros(len(states))
+    pyx = _conditional_matrix(x, states)
+    for rnd in range(_MAX_ROUNDS):
+        if rnd == 0:
+            priors = kernels.blahut_arimoto(pyx[:cold], tol=tol / 10, max_iter=2000)[1]
+            if len(warm):
+                on_warm = kernels.blahut_arimoto(pyx[cold:], tol=tol / 10, max_iter=2000, prior=warm)[1]
+                priors = np.concatenate([priors, on_warm])
+        else:
+            # each later round warm-starts BA from the previous round's priors
+            priors = kernels.blahut_arimoto(pyx, tol=tol / 10, max_iter=2000, prior=priors)[1]
+        states = _ascend_states(x, states, pyx, priors, rounds=2)
+        # the round's value and the next round's channel share this matrix
+        pyx = _conditional_matrix(x, states)
+        new_value = _mutual_information(pyx, priors)
+        stop = (new_value - value < tol) | (rnd == _MAX_ROUNDS - 1)
+        value = np.where(new_value - value < tol, np.maximum(value, new_value), new_value)
+        if stop.any():
+            done = live[stop]
+            values[done], priors_out[done], states_out[done] = value[stop], priors[stop], states[stop]
+            keep = ~stop
+            live, value, priors, states, pyx = (a[keep] for a in (live, value, priors, states, pyx))
+            if not live.size:
+                break
+    return values, priors_out, states_out
 
 
 def observable_capacity(
@@ -130,49 +203,18 @@ def observable_capacity(
     ensemble.  For a sharp observable the eigenstate warm start already
     attains log2(#outcomes).  ``max_states`` caps the ensemble size of the
     search (for comparisons against fixed-size oracles).
+
+    All starts advance in lockstep as one stack padded to the largest
+    start: each round is one stacked BA call, one stacked state ascent and
+    one batched mutual information (see :func:`_lockstep_search`).
     """
     d = x.dim
     cap = d * d if max_states is None else max(2, min(max_states, d * d))
-    rng = generator(seed)
-    starts: list[list[np.ndarray]] = []
-    _, u = np.linalg.eigh((x.effects + dagger(x.effects)) / 2)
-    top_states = [np.outer(v, v.conj()) for v in u[:, :, -1]]
-    # a state nulling one outcome is maximally distinguishable there
-    bottom_states = [np.outer(v, v.conj()) for v in u[:, :, 0]]
-    starts.append(top_states[:cap])
-    starts.append(bottom_states[:cap])
-    starts.append((top_states + bottom_states)[:cap])
-    for top, bottom in zip(top_states, bottom_states):
-        starts.append([top, bottom][:cap])
-    for _ in range(max(0, restarts - 1)):
-        k = int(rng.integers(2, cap + 1))
-        starts.append(
-            [np.outer(v, v.conj()) for v in (random_pure_state(rng, d) for _ in range(k))]
-        )
-    # BA starts uniform, or from a warm ensemble's priors
-    first_priors: list[np.ndarray | None] = [None] * len(starts)
-    for ens in warm_ensembles:
-        starts.append([np.array(s) for s in ens.states][:cap])
-        first_priors.append(ens.priors[:cap])
-
-    best_bits = 0.0
-    best: Ensemble | None = None
-    for states, priors in zip(starts, first_priors):
-        # each later round warm-starts BA from the previous round's priors
-        value = 0.0
-        pyx = _conditional_matrix(x, states)
-        for _ in range(_MAX_ROUNDS):
-            _, priors, _, _ = kernels.blahut_arimoto(pyx, tol=tol / 10, max_iter=2000, prior=priors)
-            states = _ascend_states(x, states, pyx, priors, rounds=2)
-            # the round's value and the next round's channel share this matrix
-            pyx = _conditional_matrix(x, states)
-            new_value = _mutual_information(pyx, priors)
-            if new_value - value < tol:
-                value = max(value, new_value)
-                break
-            value = new_value
-        if value > best_bits or best is None:
-            best_bits = value
-            best = Ensemble.from_states(priors, states)
-    assert best is not None
-    return CapacityEstimate(bits=float(best_bits), ensemble=best)
+    states, warm = _starts(x, restarts, seed, warm_ensembles, cap)
+    values, priors, states = _lockstep_search(x, states, warm, tol)
+    # the first start with the highest value; its arrays are copied out of
+    # the stack, so the answer does not keep the stack alive
+    best = int(np.argmax(values))
+    k = int(states[best].any(axis=(1, 2)).sum())
+    ensemble = Ensemble.from_states(priors[best, :k].copy(), states[best, :k].copy())
+    return CapacityEstimate(bits=float(values[best]), ensemble=ensemble)

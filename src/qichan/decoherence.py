@@ -372,19 +372,15 @@ def dephasing_sweep(projectors, n_env: int, total_time: float, times) -> SweepRe
     omega = 2 * np.pi / n_env
     lam = np.arange(n_proj) / total_time
     times = np.asarray(list(times), dtype=np.float64)
-    snapshots = []
-    gamma = np.zeros((times.size, n_proj, n_env))
-    for t_idx, t in enumerate(times):
-        elements = []
-        for k in range(n_env):
-            phases = np.exp(-1j * omega * k * t * lam)
-            elements.append(sum(ph * p for ph, p in zip(phases, projs)) / np.sqrt(n_env))
-        snapshots.append(Channel.from_elements(elements))
-        ns = np.arange(n_env)
-        for i in range(n_proj):
-            for m in range(n_env):
-                amp = np.exp(-1j * omega * ns * (t * lam[i] - m)).sum()
-                gamma[t_idx, i, m] = (np.abs(amp) / n_env) ** 2
+    ks = np.arange(n_env)
+    # phases[t, i, k] = exp(-i w k t l_i) weighs P_i in the element E_k(t);
+    # the amplitude of P_i on the shift-basis state m is its sum against
+    # exp(i w k m) over k, one matrix product for every (t, i, m)
+    phases = np.exp(-1j * omega * (times[:, None, None] * lam[None, :, None]) * ks)
+    fourier = np.exp(1j * omega * (np.outer(ks, ks) % n_env))
+    gamma = (np.abs(phases @ fourier) / n_env) ** 2
+    elements = np.einsum("tik,iab->tkab", phases, np.array(projs)) / np.sqrt(n_env)
+    snapshots = [Channel.from_elements(e) for e in elements]
     return SweepResult(times=times, gamma=gamma, snapshots=tuple(snapshots))
 
 

@@ -189,123 +189,230 @@ _NEWTON_STEPS = 30
 # singular values of P diag(q)^(-1/2) below this times the largest count
 # as zero curvature (their squares are the Hessian's eigenvalues)
 _FLAT = 1e-6
+# a flat move's slope counts below this times max |d_i| on the face
+_SLOPE_NOISE = 1e-13
 # prior the certificate gives inputs a face solve leaves out: an output only
 # they reach keeps q > 0, so its bound stays finite, and I moves by ~1e-300
 _OFF_FACE = 1e-300
 
 
-def _divergences(pyx: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
-    """(I, d) in nats at prior ``r``: ``d_i = D(p_i || rP)``, infinite for
-    an input that reaches an output ``rP`` misses."""
-    q = r @ pyx
+def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v M`` for one problem (vector, matrix) or each problem of a stack."""
+    return v @ m if v.ndim == 1 else (v[:, None, :] @ m)[:, 0, :]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M v`` for one problem (matrix, vector) or each problem of a stack."""
+    return m @ v if v.ndim == 1 else (m @ v[:, :, None])[:, :, 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``a . b`` for one problem or each problem of a stack."""
+    return a @ b if a.ndim == 1 else np.einsum("ij,ij->i", a, b)
+
+
+def _divergences(pyx: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I, d) in nats at prior ``r``: ``d_i = D(p_i || rP)``, infinite for an
+    input that reaches an output ``rP`` misses."""
+    q = _vecmat(r, pyx)
     hit = q > 0
-    d = h - pyx[:, hit] @ np.log(q[hit])
+    d = h - _matvec(pyx, np.log(q, out=np.zeros_like(q), where=hit))
     if not hit.all():
-        d[pyx[:, ~hit].any(axis=1)] = np.inf
-    used = r > 0
-    return float(r[used] @ d[used]), d
+        d[((pyx > 0) & ~hit[..., None, :]).any(axis=-1)] = np.inf
+    return np.multiply(r, d, out=np.zeros_like(r), where=r > 0).sum(axis=-1), d
 
 
-def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float) -> np.ndarray | None:
-    """Newton ascent of I over the priors supported on the inputs of ``x``.
+def _face_start(r: np.ndarray, face: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Start of a face solve: ``r`` raised to ``floor`` on the face, 0 off
+    it, normalized."""
+    x = np.where(face, np.maximum(r, floor), 0.0)
+    return x / x.sum(axis=-1, keepdims=True)
 
-    ``pyx`` and ``h`` hold the face's rows, ``x > 0`` is the start.  The
-    Hessian of I is ``-H`` with ``H = P diag(1/q) P^T = A A^T``, so one SVD
-    of ``A = P diag(q)^(-1/2)`` gives the KKT system
+
+def _newton_step(pf: np.ndarray, x: np.ndarray, q: np.ndarray, d: np.ndarray, size) -> np.ndarray:
+    """One Newton step of I on the face ``x > 0``; returns x.
+
+    ``pf`` holds the face rows of P (a stack's other rows are 0), ``d``
+    the divergences (0 off the face) and ``size`` the face size.  The
+    Hessian of I on the face is ``-H`` with ``H = P diag(1/q) P^T = A A^T``,
+    so one SVD of ``A = P diag(q)^(-1/2)`` gives the KKT system
     ``[-H, 1; 1^T, 0] (step, nu) = (-d, 0)`` in closed form.  The moves
     ``v`` with ``P^T v = 0`` (duplicate rows, more inputs than outputs)
     leave q alone, so I is linear along them, with slope the projection of
     ``d``.  If that slope is not 0 the step climbs along it, else it is the
     Newton step on the rest.  A step that leaves the simplex stops at its
-    boundary and drops the input it zeroes; a climb always does.  Returns
-    the prior, 0 on dropped inputs, once ``max d_i - I < gap`` on the
-    inputs still in; None if the steps run out first.
+    boundary and drops the input it zeroes; a climb always does.  Zero
+    rows are kernel directions of ``A`` too, but the step never enters
+    them.
     """
-    k = x.size
-    live = np.arange(k)
-    # a step that hits the boundary drops an input: k of them come on top
-    for _ in range(_NEWTON_STEPS + k):
-        p = pyx[live]
-        # outputs no input left reaches: p is 0 there
-        q = x @ p
+    stacked = x.ndim == 2
+    # per-problem values broadcast against per-input ones
+    col = (lambda v: v[:, None]) if stacked else (lambda v: v)
+    # (LAPACK's full SVD of a small matrix is the faster one)
+    u, sv, _ = np.linalg.svd(pf / col(np.sqrt(q)))
+    # the left singular vectors of A diagonalize H: the leading ones whose
+    # singular values pass the cut span its range, the rest its kernel
+    u = u[..., : sv.shape[-1]]
+    keep = sv > _FLAT * sv[..., :1]
+    # H's pseudo-inverse is b b^T
+    b = u / col(np.where(keep, sv, np.inf))
+    g, e = _vecmat(d, b), b.sum(axis=-2)
+    # Newton on the range: H step = d + nu 1 with 1^T step = 0
+    step = _matvec(b, g - col(_dot(e, g) / _dot(e, e)) * e)
+    if stacked:
+        step *= x > 0
+    flat = size > keep.sum(axis=-1)
+    climb = False
+    if flat.any() if stacked else flat:
+        # a face of full rank has no flat move, and a slope at rounding
+        # level (equal d on duplicate rows) is none either
+        slope = d - _matvec(u, np.where(keep, _vecmat(d, u), 0.0))
+        if stacked:
+            slope *= x > 0
+        climb = flat & (slope.min(axis=-1) < -_SLOPE_NOISE * np.abs(d).max(axis=-1))
+        step = np.where(col(climb), slope, step)
+    ratios = np.divide(-x, step, out=np.full(x.shape, np.inf), where=step < 0)
+    first = ratios.min(axis=-1)
+    # a Newton step ends at 1, a climb only at the boundary
+    t = col(np.where(climb, first, np.minimum(first, 1.0)) if stacked else first if climb else min(first, 1.0))
+    x = x + t * step
+    # the input whose boundary the step reached leaves the face
+    x = np.where((ratios == t) | (x <= 0), 0.0, x)
+    return x / x.sum(axis=-1, keepdims=True)
+
+
+def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton ascent of I over the priors supported on ``x > 0``, until
+    ``max d_i - I < gap`` on the face.
+
+    At most ``_NEWTON_STEPS`` steps plus the face size are taken (a step
+    that hits the boundary drops an input); see :func:`_newton_step`.  One
+    problem keeps only its face rows; a stack keeps every row, 0 off each
+    problem's face, and a problem leaves it once solved or out of steps,
+    so its iterates do not depend on the rest.  Returns (x, solved): the
+    last iterate, 0 off the face, and whether it solved the face.
+    """
+    stacked = x.ndim == 2
+    if stacked:
+        face = x > 0
+        pf, hf, size = pyx * face[..., None], h * face, face.sum(axis=1)
+        # problems still climbing, indexed into the stack by `live`
+        live, x_out, solved_out = np.arange(len(x)), x.copy(), np.zeros(len(x), dtype=bool)
+    else:
+        rows = np.flatnonzero(x)
+        pf, hf, x, size = pyx[rows], h[rows], x[rows], rows.size
+    budget = _NEWTON_STEPS + size
+    while True:
+        q = _vecmat(x, pf)
+        # outputs no input on the face reaches: P is 0 there
         q[q == 0] = 1.0
-        d = h[live] - p @ np.log(q)
-        if d.max() - x @ d < gap:
-            r = np.zeros(k)
-            r[live] = x
-            return r
-        # the left singular vectors of A diagonalize H
-        u, sv, _ = np.linalg.svd(p / np.sqrt(q))
-        rank = int(np.sum(sv > _FLAT * sv[0]))
-        null = u[:, rank:]
-        slope = null @ (null.T @ d)
-        climb = slope.min() < 0
-        if climb:
-            step = slope
+        d = hf - _matvec(pf, np.log(q))
+        solved = d.max(axis=-1) - _dot(x, d) < gap
+        budget = budget - 1
+        if not stacked:
+            if solved or not budget:
+                x_out = np.zeros(h.shape)
+                x_out[rows] = x
+                return x_out, solved
+            done = None
         else:
-            # Newton on the range: H step = d + nu 1 with 1^T step = 0
-            b, lam = u[:, :rank], sv[:rank] ** 2
-            g, e = b.T @ d, b.sum(axis=0)
-            nu = -(e @ (g / lam)) / (e @ (e / lam))
-            step = b @ ((g + nu * e) / lam)
-        shrink = step < 0
-        ratios = -x[shrink] / step[shrink]
-        # a Newton step ends at 1, a climb only at the boundary
-        t = ratios.min(initial=np.inf if climb else 1.0)
-        x = x + t * step
-        keep = x > 0
-        if ratios.size and t == ratios.min():
-            keep[np.flatnonzero(shrink)[np.argmin(ratios)]] = False
-        live, x = live[keep], x[keep]
-        x = x / x.sum()
-    return None
+            done = solved | (budget == 0)
+        if done is not None and done.any():
+            x_out[live[done]], solved_out[live[done]] = x[done], solved[done]
+            keep = ~done
+            if not keep.any():
+                return x_out, solved_out
+            live, pyx, h, x, q, d, face, pf, hf, size, budget = (
+                a[keep] for a in (live, pyx, h, x, q, d, face, pf, hf, size, budget)
+            )
+        x = _newton_step(pf, x, q, d, size)
+        moved = x > 0
+        if not stacked:
+            if not moved.all():
+                rows, pf, hf, x, size = rows[moved], pf[moved], hf[moved], x[moved], moved.sum()
+        elif (moved != face).any():
+            face = moved
+            pf, hf, size = pyx * face[..., None], h * face, face.sum(axis=1)
 
 
-def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, gap: float) -> np.ndarray | None:
+def _newton_certificate(
+    pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: np.ndarray, gap: float
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Active-set Newton from the BA iterate ``r``: maximize I on the face
-    ``{i : r_i > _SUPPORT_CUT / n}``; while inputs off the face beat I by
-    more than ``gap``, add them and solve again (at most n times).  Inputs
-    join a face with at least the cut's prior.  Returns the prior once
-    ``max_i d_i - I < gap`` over all inputs, else None.
+    ``{i : r_i > _SUPPORT_CUT / n}``, n the number of inputs (``inputs``
+    marks them); while inputs off the face beat I by more than ``gap``,
+    add them and solve again (at most n times).  Inputs join a face with
+    at least the cut's prior; those a face solve leaves out get
+    ``_OFF_FACE``, padding rows 0.  The problems of a stack solve their
+    faces together, one pass at a time.
+
+    Returns None if no problem is certified, else (certified, prior):
+    where ``certified`` holds, ``max_i d_i - I < gap`` over all inputs at
+    ``prior``.
     """
-    n = r.size
-    floor = _SUPPORT_CUT / n
-    face = r > floor
-    for _ in range(n):
-        idx = np.flatnonzero(face)
-        x = np.maximum(r[idx], floor)
-        x_face = _maximize_on_face(pyx[idx], h[idx], x / x.sum(), gap)
-        if x_face is None:
+    stacked = r.ndim == 2
+    sizes = inputs.sum(axis=-1)
+    floor = (_SUPPORT_CUT / sizes)[..., None]
+    x = _face_start(r, r > floor, floor)
+    if stacked:
+        # problems still to certify, indexed into the stack by `todo`
+        todo, certified, priors = np.arange(len(r)), np.zeros(len(r), dtype=bool), np.zeros_like(r)
+    for passes in range(1, int(sizes.max()) + 1):
+        x, solved = _maximize_on_face(pyx, h, x, gap)
+        if not stacked and not solved:
             return None
-        r = np.full(n, _OFF_FACE)
-        r[idx] = np.maximum(x_face, _OFF_FACE)
+        if stacked and not solved.all():
+            todo, pyx, h, inputs, sizes, floor, x = (
+                a[solved] for a in (todo, pyx, h, inputs, sizes, floor, x)
+            )
+            if not todo.size:
+                break
+        r = np.maximum(x, _OFF_FACE) * inputs
         value, d = _divergences(pyx, h, r)
-        out = d > value + gap
-        if not out.any():
-            return r
-        face = (r > _OFF_FACE) | out
-    return None
+        out = (d > value[..., None] + gap) & inputs
+        ok = ~out.any(axis=-1)
+        # inputs that beat I join the face, and it is solved again
+        again = ~ok & (passes < sizes)
+        if not stacked:
+            if ok or not again:
+                return (ok, r) if ok else None
+        else:
+            certified[todo[ok]], priors[todo[ok]] = True, r[ok]
+            if not again.any():
+                break
+            todo, pyx, h, inputs, sizes, floor, r, out = (
+                a[again] for a in (todo, pyx, h, inputs, sizes, floor, r, out)
+            )
+        x = _face_start(r, (r > _OFF_FACE) | out, floor)
+    if not stacked or not certified.any():
+        return None
+    return certified, priors
 
 
 def blahut_arimoto(
     pyx: np.ndarray, tol: float = 1e-12, max_iter: int = 10000, prior: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Capacity (bits) of a classical channel, certified to within ``tol``.
+) -> tuple:
+    """Capacity (bits) of a classical channel, or of each channel of a
+    stack, certified to within ``tol``.
 
     pyx: conditional probabilities, rows indexed by input, columns by
-    output (row-stochastic).  ``prior`` warm-starts the iteration; it is
-    mixed with the uniform prior by weight ``_WARM_MIX`` first, since an
-    input whose prior is exactly 0 never regains mass under the
-    multiplicative update.  Without it the start is uniform.
+    output (row-stochastic), as one (n_in, n_out) matrix or a stack
+    (S, n_in, n_out).  Rows of zeros are padding, not inputs: channels of
+    different sizes share a stack padded with zero rows and columns, and
+    padding keeps prior 0.  ``prior`` warm-starts the iteration (one row
+    per channel of a stack); it is mixed with the uniform prior on the
+    inputs by weight ``_WARM_MIX`` first, since an input whose prior is
+    exactly 0 never regains mass under the multiplicative update.
+    Without it the start is uniform.
 
     Every prior r with output q = rP brackets the capacity,
-    ``I(r) <= C <= max_i D(p_i || q)`` (Blahut 1972), and the call stops
-    once the bracket is narrower than ``tol`` bits.  Two steps close it:
+    ``I(r) <= C <= max_i D(p_i || q)`` (Blahut 1972), and a channel stops
+    once its bracket is narrower than ``tol`` bits.  Two steps close it:
 
-    * alternating maximization (BA).  Output columns no input reaches are
-      dropped and the row entropies ``h_i = sum_j p_ij ln p_ij`` computed
-      once, so an iteration takes one log of q (ln 0 read as 0: such a
-      column only meets inputs whose prior is 0) and
+    * alternating maximization (BA).  Output columns no channel reaches
+      are dropped and the row entropies ``h_i = sum_j p_ij ln p_ij``
+      computed once, so an iteration takes one log of q (ln 0 read as 0:
+      such a column only meets inputs whose prior is 0, or none) and
       ``d_i = D(p_i || q) = h_i - sum_j p_ij ln q_j``; the bracket costs
       one max.
     * Newton on the support.  BA closes the bracket sublinearly when an
@@ -317,41 +424,81 @@ def blahut_arimoto(
       goes on from its own iterate, so a wrong guess of the support costs
       time, never the bound.
 
+    The channels of a stack advance together: each BA iteration, and each
+    Newton step of the face solves, is one batched step over the channels
+    still running, and a channel leaves as soon as its bracket closes, so
+    its iterates are those it has alone.  A single matrix runs the same
+    steps on vectors.
+
     Returns (lower, prior, history, upper): the capacity lower bound
     ``I(prior)`` and upper bound ``max_i D(p_i || q)`` in bits, and the
     value of every BA iteration, a nondecreasing sequence whose length is
-    the iteration count.  The call converged iff ``upper - lower < tol``;
-    otherwise it stopped at ``max_iter`` BA iterations.
+    the iteration count.  For a stack, lower and upper have shape (S,),
+    prior (S, n_in) and history (iterations, S), column s holding channel
+    s's values and NaN after it stopped.  A channel converged iff
+    ``upper - lower < tol``; otherwise it stopped at ``max_iter`` BA
+    iterations.
     """
     pyx = np.asarray(pyx, dtype=np.float64)
-    n_in = pyx.shape[0]
-    pyx = np.ascontiguousarray(pyx[:, pyx.sum(axis=0) > 0])
-    n_out = pyx.shape[1]
-    h = np.sum(pyx * np.log(np.where(pyx > 0, pyx, 1.0)), axis=1)
+    stacked = pyx.ndim == 3
+    pyx = np.ascontiguousarray(pyx[..., pyx.reshape(-1, pyx.shape[-1]).sum(axis=0) > 0])
+    inputs = pyx.any(axis=-1)
+    padded = not inputs.all()
+    sizes = inputs.sum(axis=-1, keepdims=True)
+    # outputs a channel misses although others of its stack reach them
+    missed = pyx.sum(axis=-2) == 0
+    ragged = missed.any()
+    h = np.sum(pyx * np.log(np.where(pyx > 0, pyx, 1.0)), axis=-1)
     if prior is None:
-        r = np.full(n_in, 1.0 / n_in)
+        r = inputs / sizes
     else:
-        r = (1.0 - _WARM_MIX) * np.asarray(prior, dtype=np.float64) + _WARM_MIX / n_in
-        r /= r.sum()
+        r = np.where(inputs, (1.0 - _WARM_MIX) * np.asarray(prior, dtype=np.float64) + _WARM_MIX / sizes, 0.0)
+        r /= r.sum(axis=-1, keepdims=True)
     gap = tol * _LN2
     history = []
     newton_at, chunk = 1, _CHUNK
-    while True:
-        qy = r @ pyx
-        logq = np.log(qy, out=np.zeros(n_out), where=qy > 0)
-        d = h - pyx @ logq
-        value = float(r @ d)
-        history.append(value / _LN2)
+    p, hl, inp, miss = pyx, h, inputs, missed
+    if stacked:
+        # channels still running, indexed into the stack by `live`
+        live, priors = np.arange(len(r)), np.zeros_like(r)
+    while not stacked or live.size:
+        qy = _vecmat(r, p)
+        d = hl - _matvec(p, np.log(qy, out=np.zeros_like(qy), where=qy > 0))
+        value = (r * d).sum(axis=-1)
+        if stacked:
+            history.append(np.full(len(priors), np.nan))
+            history[-1][live] = value / _LN2
+        else:
+            history.append(float(value) / _LN2)
+        upper = (np.where(inp, d, -np.inf) if padded else d).max(axis=-1)
         # an output whose q underflowed to 0 leaves the bound infinite
-        if d.max() - value < gap and qy.all() or len(history) >= max_iter:
-            break
-        if len(history) == newton_at:
-            on_face = _newton_certificate(pyx, h, r, gap)
-            if on_face is not None:
-                r = on_face
-                break
+        done = (upper - value < gap) & (((qy > 0) | miss) if ragged else qy > 0).all(axis=-1)
+        if len(history) >= max_iter:
+            done = np.ones_like(done)
+        elif len(history) == newton_at:
+            todo = np.flatnonzero(~done) if stacked else None
+            if stacked and todo.size:
+                found = _newton_certificate(p[todo], hl[todo], r[todo], inp[todo], gap)
+            else:
+                found = None if stacked or done else _newton_certificate(p, hl, r, inp, gap)
+            if found is not None and stacked:
+                ok, on_face = found
+                r[todo[ok]], done[todo[ok]] = on_face[ok], True
+            elif found is not None:
+                done, r = found
             newton_at, chunk = newton_at + chunk, 2 * chunk
+        if done.any():
+            if not stacked:
+                break
+            priors[live[done]] = r[done]
+            keep = ~done
+            live, r, d, p, hl, inp, miss = (a[keep] for a in (live, r, d, p, hl, inp, miss))
         w = r * np.exp(d)
-        r = w / w.sum()
-    value, d = _divergences(pyx, h, r)
-    return value / _LN2, r, np.asarray(history), float(d.max()) / _LN2
+        r = w / w.sum(axis=-1, keepdims=True)
+    if not stacked:
+        priors = r
+    value, d = _divergences(pyx, h, priors)
+    upper = (np.where(inputs, d, -np.inf) if padded else d).max(axis=-1)
+    if stacked:
+        return value / _LN2, priors, np.array(history).reshape(len(history), len(priors)), upper / _LN2
+    return float(value) / _LN2, priors, np.asarray(history), float(upper) / _LN2

@@ -6,7 +6,7 @@ from qichan import kernels
 from qichan.catalog import basis_observable, sic_tetrahedron, PAULI_X, PAULI_Y, PAULI_Z
 from qichan.channels import DiscreteObservable, povm_probabilities
 from qichan.decoherence import StochasticMap
-from qichan.rand import generator, random_density, random_povm, random_stochastic
+from qichan.rand import generator, random_density, random_povm, random_pure_state, random_stochastic
 
 
 def bloch_state(n):
@@ -117,11 +117,135 @@ class TestAscendStates:
         rng = generator(seed + 60)
         d = 2 + seed % 3
         x = random_povm(rng, d, int(rng.integers(2, 5)))
-        states = [random_density(rng, d) for _ in range(int(rng.integers(2, d * d + 1)))]
+        states = np.array([random_density(rng, d) for _ in range(int(rng.integers(2, d * d + 1)))])
         priors = rng.dirichlet(np.ones(len(states)))
-        got = cap._ascend_states(x, states, cap._conditional_matrix(x, states), priors, rounds=3)
+        # a stack of one ensemble
+        got = cap._ascend_states(x, states[None], cap._conditional_matrix(x, states)[None], priors[None], rounds=3)
         expected = _ascend_states_per_state(x, states, priors, rounds=3)
-        assert max(np.abs(a - b).max() for a, b in zip(got, expected)) < 1e-12
+        assert got.shape == (1, *states.shape)
+        assert max(np.abs(a - b).max() for a, b in zip(got[0], expected)) < 1e-12
+
+    def test_padded_stack_matches_each_ensemble(self):
+        rng = generator(70)
+        x = random_povm(rng, 3, 4)
+        ensembles = [np.array([random_density(rng, 3) for _ in range(k)]) for k in (2, 5, 3)]
+        states = np.zeros((3, 5, 3, 3), dtype=complex)
+        priors = np.zeros((3, 5))
+        for s, ens in enumerate(ensembles):
+            states[s, : len(ens)] = ens
+            priors[s, : len(ens)] = rng.dirichlet(np.ones(len(ens)))
+        got = cap._ascend_states(x, states, cap._conditional_matrix(x, states), priors, rounds=3)
+        for s, ens in enumerate(ensembles):
+            expected = _ascend_states_per_state(x, ens, priors[s, : len(ens)], rounds=3)
+            assert max(np.abs(a - b).max() for a, b in zip(got[s], expected)) < 1e-12
+            # padding rows stay zero states
+            assert not got[s, len(ens) :].any()
+
+
+def _information_bits(pyx, priors):
+    """I(X;Y) in bits, term by term."""
+    qy = priors @ pyx
+    return sum(
+        priors[i] * pyx[i, j] * np.log2(pyx[i, j] / qy[j])
+        for i in range(pyx.shape[0])
+        for j in range(pyx.shape[1])
+        if pyx[i, j] > 0 and priors[i] > 0
+    )
+
+
+def _observable_capacity_per_start(x, restarts, tol=1e-9, seed=0, warm_ensembles=(), max_states=None):
+    """Reference search, one start after another: each start alternates a
+    BA call on its own channel with the per-state ascent until a round
+    gains less than ``tol``.  Returns the value of every start, in the
+    order of the program's starts."""
+    d = x.dim
+    cap_ = d * d if max_states is None else max(2, min(max_states, d * d))
+    rng = generator(seed)
+    _, u = np.linalg.eigh((x.effects + x.effects.conj().transpose(0, 2, 1)) / 2)
+    top = [np.outer(v, v.conj()) for v in u[:, :, -1]]
+    bottom = [np.outer(v, v.conj()) for v in u[:, :, 0]]
+    starts = [top[:cap_], bottom[:cap_], (top + bottom)[:cap_]]
+    starts += [[t, b][:cap_] for t, b in zip(top, bottom)]
+    for _ in range(max(0, restarts - 1)):
+        k = int(rng.integers(2, cap_ + 1))
+        starts.append([np.outer(v, v.conj()) for v in (random_pure_state(rng, d) for _ in range(k))])
+    first = [None] * len(starts)
+    for ens in warm_ensembles:
+        starts.append([np.array(rho) for rho in ens.states][:cap_])
+        first.append(ens.priors[:cap_])
+
+    def channel(states):
+        return np.array([np.clip(povm_probabilities(x, rho), 0.0, None) for rho in states])
+
+    values = []
+    for states, priors in zip(starts, first):
+        value, pyx = 0.0, channel(states)
+        for _ in range(cap._MAX_ROUNDS):
+            _, priors, _, _ = kernels.blahut_arimoto(pyx, tol=tol / 10, max_iter=2000, prior=priors)
+            states = _ascend_states_per_state(x, states, priors, rounds=2)
+            pyx = channel(states)
+            new_value = _information_bits(pyx, priors)
+            if new_value - value < tol:
+                value = max(value, new_value)
+                break
+            value = new_value
+        values.append(value)
+    return np.array(values)
+
+
+def _pair():
+    """A coarse-grained observable and its fine one, as in criterion 10."""
+    rng = generator(52)
+    x = random_povm(rng, 3, 4)
+    pi = StochasticMap.from_entries(random_stochastic(rng, 3, 4))
+    return pi.compose_observable(x), x
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize(
+        "name, restarts, seed",
+        [("sic", 4, 11), ("basis2", 2, 0), ("basis3", 2, 5), ("basis4", 3, 7), ("warm_pair", 2, 3)],
+    )
+    def test_matches_per_start_reference(self, name, restarts, seed):
+        warm = ()
+        if name == "sic":
+            x = sic_tetrahedron()
+        elif name.startswith("basis"):
+            x = basis_observable(int(name[-1]))
+        else:
+            coarse, x = _pair()
+            warm = (cap.observable_capacity(coarse, restarts=restarts, seed=seed).ensemble,)
+        states, warm_priors = cap._starts(x, restarts, seed, warm, x.dim**2)
+        values, _, _ = cap._lockstep_search(x, states, warm_priors, 1e-9)
+        expected = _observable_capacity_per_start(x, restarts, seed=seed, warm_ensembles=warm)
+        assert values.shape == expected.shape
+        assert np.abs(values - expected).max() < 1e-12
+        est = cap.observable_capacity(x, restarts=restarts, seed=seed, warm_ensembles=warm)
+        assert abs(est.bits - expected.max()) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_start_does_not_depend_on_its_stack(self, seed):
+        coarse, x = _pair()
+        warm = (cap.observable_capacity(coarse, restarts=2, seed=seed).ensemble,)
+        states, warm_priors = cap._starts(x, 4, seed, warm, x.dim**2)
+        values, priors, finals = cap._lockstep_search(x, states, warm_priors, 1e-9)
+        cold = len(states) - len(warm_priors)
+        for s in range(len(states)):
+            alone = warm_priors[s - cold : s - cold + 1] if s >= cold else warm_priors[:0]
+            v, p, f = cap._lockstep_search(x, states[s : s + 1], alone, 1e-9)
+            assert v[0] == values[s] and np.array_equal(p[0], priors[s]) and np.array_equal(f[0], finals[s])
+
+    def test_answers_share_no_memory(self):
+        x = sic_tetrahedron()
+        a = cap.observable_capacity(x, restarts=4, seed=1)
+        b = cap.observable_capacity(x, restarts=4, seed=2)
+        arrays_a = [a.ensemble.priors, *a.ensemble.states]
+        arrays_b = [b.ensemble.priors, *b.ensemble.states]
+        assert not any(np.shares_memory(u, v) for u in arrays_a for v in arrays_b)
+        # each answer holds its own ensemble only, not the padded stack
+        k, d = a.ensemble.size, x.dim
+        for arr in arrays_a:
+            assert arr.base is None or arr.base.size <= k * d * d
 
 
 class TestObservableCapacity:
@@ -163,14 +287,15 @@ class TestObservableCapacity:
         assert est.ensemble.size == 4
 
     def test_conditional_matrix_built_once_per_round(self, monkeypatch):
-        # the matrix a round ends on is the next round's channel: outside the
-        # state ascent, each start builds it once up front and once per round
-        outer, rounds, inside, per_ascent = [0], [0], [None], []
+        # all starts advance in lockstep, and the matrix a round ends on is
+        # the next round's channel: outside the state ascent, one build of
+        # the whole stack up front and one per round for the live starts
+        outer, rounds, inside, per_ascent = [], [0], [None], []
         real_matrix, real_ascend = cap._conditional_matrix, cap._ascend_states
 
         def counting_matrix(x, states):
             if inside[0] is None:
-                outer[0] += 1
+                outer.append(np.shape(states)[0])
             else:
                 inside[0] += 1
             return real_matrix(x, states)
@@ -191,8 +316,10 @@ class TestObservableCapacity:
         cap.observable_capacity(x, restarts=restarts)
         # top, bottom, both, one pair per outcome, then the random restarts
         starts = 3 + x.n_outcomes + restarts - 1
-        assert rounds[0] >= starts
-        assert outer[0] == rounds[0] + starts
+        assert 1 <= rounds[0] <= cap._MAX_ROUNDS
+        assert len(outer) == rounds[0] + 1 and outer[0] == starts
+        # the stack only loses starts
+        assert all(a >= b for a, b in zip(outer, outer[1:]))
         # the ascent is handed the matrix of its states: round k builds the
         # one of its candidates and, from k = 2 on, the one of its states,
         # 2k - 1 builds in all

@@ -358,6 +358,16 @@ class TestDephasingSweep:
             brute = de.environment_pointer_weights(sweep.snapshots[idx], projs, 4)
             assert np.abs(brute - sweep.gamma[idx]).max() < 1e-9
 
+    @pytest.mark.parametrize("n_env", [4, 64])
+    def test_broadcast_gamma_matches_brute_force_every_time(self, n_env):
+        projs = self._projectors(4)
+        times = np.linspace(0.0, 1.0, 11)
+        sweep = de.dephasing_sweep(projs, n_env, 1.0, times)
+        assert sweep.gamma.shape == (times.size, 4, n_env)
+        for idx in range(times.size):
+            brute = de.environment_pointer_weights(sweep.snapshots[idx], projs, n_env)
+            assert np.abs(brute - sweep.gamma[idx]).max() < 1e-12
+
     def test_rows_normalized(self):
         sweep = de.dephasing_sweep(self._projectors(3), 5, 2.0, np.linspace(0, 2, 9))
         assert np.abs(sweep.gamma.sum(axis=2) - 1).max() < 1e-10

@@ -325,6 +325,81 @@ class TestBlahutArimotoCertificate:
         assert np.allclose(_bracket_bits(pyx, r), (lower, upper), rtol=0, atol=1e-12)
 
 
+def _padded(maps):
+    """Maps of mixed shapes as one stack, padded with zero rows and columns."""
+    stack = np.zeros((len(maps), max(m.shape[0] for m in maps), max(m.shape[1] for m in maps)))
+    for s, m in enumerate(maps):
+        stack[s, : m.shape[0], : m.shape[1]] = m
+    return stack
+
+
+def _stack_maps():
+    """Bank maps of every size, degenerate shapes, an output column no input
+    reaches, and duplicate rows next to a duplicated input that the face
+    solve has to drop."""
+    rng = np.random.default_rng(5)
+    base = _rows(rng.random((3, 4)))
+    mix = (base[0] + base[1]) / 2
+    degenerate = _degenerate_channels()
+    return [m.T.copy() for m in _bank_maps()[::9]] + [
+        np.vstack([base, base[:1], mix, mix]),
+        degenerate["inputs_16_outputs_2"],
+        degenerate["inputs_9_outputs_3"],
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    ]
+
+
+class TestBlahutArimotoStack:
+    def test_face_drop_map_is_certified_by_newton(self):
+        m = _stack_maps()[-4]
+        _, r, hist, _ = kernels.blahut_arimoto(m)
+        # certified at the first iteration, with the duplicated mixture of
+        # two inputs dropped from the face
+        assert len(hist) == 1 and np.all(r[-2:] == kernels._OFF_FACE)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10])
+    def test_stack_matches_per_map_calls(self, tol):
+        maps = _stack_maps()
+        lower, prior, hist, upper = kernels.blahut_arimoto(_padded(maps), tol=tol)
+        assert lower.shape == upper.shape == (len(maps),) and hist.shape[1] == len(maps)
+        for s, m in enumerate(maps):
+            lower_1, prior_1, hist_1, upper_1 = kernels.blahut_arimoto(m, tol=tol)
+            assert abs(lower[s] - lower_1) <= 1e-15 and abs(upper[s] - upper_1) <= 1e-15
+            # the stacked face solve keeps zero rows a single problem drops,
+            # so its SVDs round differently: a few ulps of the prior
+            assert np.abs(prior[s, : m.shape[0]] - prior_1).max() <= 1e-14
+            assert np.all(prior[s, m.shape[0] :] == 0)
+            # the column of a problem holds its values, NaN once it stopped
+            ran = np.isfinite(hist[:, s])
+            assert ran.sum() == len(hist_1) and ran[: len(hist_1)].all()
+            assert np.abs(hist[: len(hist_1), s] - hist_1).max() <= 1e-15
+
+    def test_problem_does_not_depend_on_its_stack(self):
+        maps = _stack_maps()
+        stack = _padded(maps)
+        lower, prior, _, upper = kernels.blahut_arimoto(stack)
+        # the 16 x 16 map reaches every column, so each pair below keeps
+        # the stack's shape and only the company of problem s changes
+        wide = next(s for s, m in enumerate(maps) if m.shape == (16, 16))
+        for s in range(len(maps)):
+            pair = [s, wide] if s != wide else [s]
+            lower_2, prior_2, _, upper_2 = kernels.blahut_arimoto(stack[pair])
+            assert lower_2[0] == lower[s] and upper_2[0] == upper[s]
+            assert np.array_equal(prior_2[0], prior[s])
+        reverse = kernels.blahut_arimoto(stack[::-1])
+        assert np.array_equal(reverse[0][::-1], lower) and np.array_equal(reverse[1][::-1], prior)
+
+    def test_warm_stack_and_bracket(self):
+        maps = _stack_maps()
+        stack = _padded(maps)
+        _, prior, _, _ = kernels.blahut_arimoto(stack)
+        lower, warm_prior, hist, upper = kernels.blahut_arimoto(stack, tol=1e-10, prior=prior)
+        assert len(hist) == 1 and np.all(upper - lower < 1e-10)
+        for s, m in enumerate(maps):
+            i_r, u_r = _bracket_bits(m, warm_prior[s, : m.shape[0]])
+            assert abs(i_r - lower[s]) < 1e-12 and abs(u_r - upper[s]) < 1e-12
+
+
 class TestBackendSelection:
     def test_default_backend_reported(self):
         assert kernels.BACKEND == "numpy"
