@@ -76,8 +76,11 @@ def holevo_quantity(x: DiscreteObservable, e: Ensemble) -> float:
 def _conditional_matrix(x: DiscreteObservable, states) -> np.ndarray:
     """Rows tr(rho X_j) of every state at once, clipped at 0; states may be
     a stack of ensembles (S, K, d, d), giving (S, K, n_outcomes)."""
-    probs = np.einsum("...ab,jba->...j", np.asarray(states), x.effects).real
-    return np.clip(probs, 0.0, None)
+    states = np.asarray(states)
+    d = x.dim
+    # tr(rho X) is the dot product of rho and X^T flattened
+    probs = (states.reshape(-1, d * d) @ x.effects.transpose(0, 2, 1).reshape(-1, d * d).T).real
+    return np.clip(probs.reshape(*states.shape[:-2], -1), 0.0, None)
 
 
 def _mutual_information(pyx: np.ndarray, priors: np.ndarray) -> np.ndarray:

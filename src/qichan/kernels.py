@@ -208,7 +208,7 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray):
     """``a . b`` for one problem or each problem of a stack."""
-    return a @ b if a.ndim == 1 else np.einsum("ij,ij->i", a, b)
+    return a @ b if a.ndim == 1 else (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _divergences(pyx: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,9 +335,7 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
             pf, hf, size = pyx * face[..., None], h * face, face.sum(axis=1)
 
 
-def _newton_certificate(
-    pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: np.ndarray, gap: float
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: np.ndarray, gap: float) -> tuple | None:
     """Active-set Newton from the BA iterate ``r``: maximize I on the face
     ``{i : r_i > _SUPPORT_CUT / n}``, n the number of inputs (``inputs``
     marks them); while inputs off the face beat I by more than ``gap``,
@@ -346,9 +344,10 @@ def _newton_certificate(
     ``_OFF_FACE``, padding rows 0.  The problems of a stack solve their
     faces together, one pass at a time.
 
-    Returns None if no problem is certified, else (certified, prior):
-    where ``certified`` holds, ``max_i d_i - I < gap`` over all inputs at
-    ``prior``.
+    Returns None if no problem is certified, else (certified, prior, I,
+    max_i d_i), the last two in nats: where ``certified`` holds, the
+    bracket ``max_i d_i - I`` over all inputs at ``prior`` is below
+    ``gap``.
     """
     stacked = r.ndim == 2
     sizes = inputs.sum(axis=-1)
@@ -356,7 +355,8 @@ def _newton_certificate(
     x = _face_start(r, r > floor, floor)
     if stacked:
         # problems still to certify, indexed into the stack by `todo`
-        todo, certified, priors = np.arange(len(r)), np.zeros(len(r), dtype=bool), np.zeros_like(r)
+        todo, certified = np.arange(len(r)), np.zeros(len(r), dtype=bool)
+        priors, lower, upper = np.zeros_like(r), np.zeros(len(r)), np.zeros(len(r))
     for passes in range(1, int(sizes.max()) + 1):
         x, solved = _maximize_on_face(pyx, h, x, gap)
         if not stacked and not solved:
@@ -369,15 +369,17 @@ def _newton_certificate(
                 break
         r = np.maximum(x, _OFF_FACE) * inputs
         value, d = _divergences(pyx, h, r)
-        out = (d > value[..., None] + gap) & inputs
+        d = np.where(inputs, d, -np.inf)
+        out = d > value[..., None] + gap
         ok = ~out.any(axis=-1)
         # inputs that beat I join the face, and it is solved again
         again = ~ok & (passes < sizes)
         if not stacked:
             if ok or not again:
-                return (ok, r) if ok else None
+                return (True, r, value, d.max()) if ok else None
         else:
-            certified[todo[ok]], priors[todo[ok]] = True, r[ok]
+            done = todo[ok]
+            certified[done], priors[done], lower[done], upper[done] = True, r[ok], value[ok], d[ok].max(axis=1)
             if not again.any():
                 break
             todo, pyx, h, inputs, sizes, floor, r, out = (
@@ -386,7 +388,7 @@ def _newton_certificate(
         x = _face_start(r, (r > _OFF_FACE) | out, floor)
     if not stacked or not certified.any():
         return None
-    return certified, priors
+    return certified, priors, lower, upper
 
 
 def blahut_arimoto(
@@ -441,13 +443,14 @@ def blahut_arimoto(
     """
     pyx = np.asarray(pyx, dtype=np.float64)
     stacked = pyx.ndim == 3
-    pyx = np.ascontiguousarray(pyx[..., pyx.reshape(-1, pyx.shape[-1]).sum(axis=0) > 0])
+    reached = pyx.reshape(-1, pyx.shape[-1]).any(axis=0)
+    pyx = np.ascontiguousarray(pyx if reached.all() else pyx[..., reached])
     inputs = pyx.any(axis=-1)
     padded = not inputs.all()
     sizes = inputs.sum(axis=-1, keepdims=True)
     # outputs a channel misses although others of its stack reach them
-    missed = pyx.sum(axis=-2) == 0
-    ragged = missed.any()
+    missed = pyx.sum(axis=-2) == 0 if stacked else None
+    ragged = stacked and missed.any()
     h = np.sum(pyx * np.log(np.where(pyx > 0, pyx, 1.0)), axis=-1)
     if prior is None:
         r = inputs / sizes
@@ -456,15 +459,15 @@ def blahut_arimoto(
         r /= r.sum(axis=-1, keepdims=True)
     gap = tol * _LN2
     history = []
-    newton_at, chunk = 1, _CHUNK
+    newton_at, chunk, capped = 1, _CHUNK, False
     p, hl, inp, miss = pyx, h, inputs, missed
     if stacked:
         # channels still running, indexed into the stack by `live`
-        live, priors = np.arange(len(r)), np.zeros_like(r)
+        live, priors, lower, upper_out = np.arange(len(r)), np.zeros_like(r), np.zeros(len(r)), np.zeros(len(r))
     while not stacked or live.size:
         qy = _vecmat(r, p)
         d = hl - _matvec(p, np.log(qy, out=np.zeros_like(qy), where=qy > 0))
-        value = (r * d).sum(axis=-1)
+        value = _dot(r, d)
         if stacked:
             history.append(np.full(len(priors), np.nan))
             history[-1][live] = value / _LN2
@@ -473,32 +476,43 @@ def blahut_arimoto(
         upper = (np.where(inp, d, -np.inf) if padded else d).max(axis=-1)
         # an output whose q underflowed to 0 leaves the bound infinite
         done = (upper - value < gap) & (((qy > 0) | miss) if ragged else qy > 0).all(axis=-1)
-        if len(history) >= max_iter:
+        capped = len(history) >= max_iter
+        if capped:
             done = np.ones_like(done)
         elif len(history) == newton_at:
-            todo = np.flatnonzero(~done) if stacked else None
-            if stacked and todo.size:
-                found = _newton_certificate(p[todo], hl[todo], r[todo], inp[todo], gap)
-            else:
-                found = None if stacked or done else _newton_certificate(p, hl, r, inp, gap)
-            if found is not None and stacked:
-                ok, on_face = found
-                r[todo[ok]], done[todo[ok]] = on_face[ok], True
-            elif found is not None:
-                done, r = found
+            if stacked:
+                todo = np.flatnonzero(~done)
+                found = _newton_certificate(p[todo], hl[todo], r[todo], inp[todo], gap) if todo.size else None
+                if found is not None:
+                    ok, on_face, face_value, face_upper = found
+                    at = todo[ok]
+                    r[at], value[at], upper[at], done[at] = on_face[ok], face_value[ok], face_upper[ok], True
+            elif not done:
+                found = _newton_certificate(p, hl, r, inp, gap)
+                if found is not None:
+                    done, r, value, upper = found
             newton_at, chunk = newton_at + chunk, 2 * chunk
-        if done.any():
-            if not stacked:
+        if not stacked:
+            if done:
                 break
-            priors[live[done]] = r[done]
+        elif done.any():
+            at = live[done]
+            priors[at], lower[at], upper_out[at] = r[done], value[done], upper[done]
+            if capped:
+                break
             keep = ~done
             live, r, d, p, hl, inp, miss = (a[keep] for a in (live, r, d, p, hl, inp, miss))
         w = r * np.exp(d)
         r = w / w.sum(axis=-1, keepdims=True)
-    if not stacked:
-        priors = r
-    value, d = _divergences(pyx, h, priors)
-    upper = (np.where(inputs, d, -np.inf) if padded else d).max(axis=-1)
+    if capped:
+        # q may have underflowed on an output, and then an input that
+        # reaches it has no finite bound
+        if stacked:
+            value, d = _divergences(pyx[at], h[at], priors[at])
+            lower[at], upper_out[at] = value, (np.where(inputs[at], d, -np.inf) if padded else d).max(axis=-1)
+        else:
+            value, d = _divergences(pyx, h, r)
+            upper = (np.where(inputs, d, -np.inf) if padded else d).max()
     if stacked:
-        return value / _LN2, priors, np.array(history).reshape(len(history), len(priors)), upper / _LN2
-    return float(value) / _LN2, priors, np.asarray(history), float(upper) / _LN2
+        return lower / _LN2, priors, np.array(history).reshape(len(history), len(priors)), upper_out / _LN2
+    return float(value) / _LN2, r, np.asarray(history), float(upper) / _LN2
