@@ -100,24 +100,26 @@ def _ascend_states(
     mixture output, which stays frozen within a round; a state moves only
     if its score improves.  ``states`` (S, K, d, d) with ``pyx =
     _conditional_matrix(x, states)`` and ``priors`` (S, K); padding rows
-    (zero states, prior 0) never move."""
-    inputs = pyx.any(axis=-1)
+    (zero states, prior 0) are left out."""
+    start, row = np.nonzero(pyx.any(axis=-1))
     for k in range(rounds):
         if k:
             pyx = _conditional_matrix(x, states)
-        qy = np.clip((priors[:, None, :] @ pyx)[:, None, 0, :], _LOG_FLOOR, None)
-        score = np.log2(np.clip(pyx, _LOG_FLOOR, None) / qy)
-        g = np.einsum("skj,jab->skab", score, x.effects)
+        qy = np.clip((priors[:, None, :] @ pyx)[:, 0, :], _LOG_FLOOR, None)[start]
+        p_old = pyx[start, row]
+        score = np.log2(np.clip(p_old, _LOG_FLOOR, None) / qy)
+        g = np.einsum("ij,jab->iab", score, x.effects)
         _, u = np.linalg.eigh((g + dagger(g)) / 2)
         psi = u[..., -1]
-        candidates = psi[..., :, None] * psi.conj()[..., None, :]
+        candidates = psi[:, :, None] * psi.conj()[:, None, :]
         p_new = _conditional_matrix(x, candidates)
-        old = np.sum(pyx * score, axis=-1)
+        old = np.sum(p_old * score, axis=-1)
         new = np.sum(p_new * np.log2(np.clip(p_new, _LOG_FLOOR, None) / qy), axis=-1)
-        improved = (new > old + 1e-15) & inputs
+        improved = new > old + 1e-15
         if not improved.any():
             break
-        states = np.where(improved[..., None, None], candidates, states)
+        states = states.copy()
+        states[start[improved], row[improved]] = candidates[improved]
     return states
 
 

@@ -389,6 +389,10 @@ class TestBlahutArimotoStack:
         reverse = kernels.blahut_arimoto(stack[::-1])
         assert np.array_equal(reverse[0][::-1], lower) and np.array_equal(reverse[1][::-1], prior)
 
+    def test_empty_stack(self):
+        lower, prior, hist, upper = kernels.blahut_arimoto(np.zeros((0, 3, 2)))
+        assert lower.shape == upper.shape == (0,) and prior.shape == (0, 3) and hist.shape == (0, 0)
+
     def test_warm_stack_and_bracket(self):
         maps = _stack_maps()
         stack = _padded(maps)
