@@ -5,6 +5,15 @@ classical channel whose capacity :func:`kernels.blahut_arimoto` certifies;
 the outer search over ensembles (restarts plus coordinate ascent on the
 states) yields a certified lower bound together with the witnessing
 ensemble.
+
+The search advances all its starts in lockstep.  The starts form one
+stack of states (S, K, d, d), K the largest start size, whose padding
+rows are zero states with prior 0, and their induced channels one stack
+(S, K, m).  Each round is one stacked BA call, one stacked state ascent
+(one einsum, one stacked ``eigh`` over the real rows) and one batched
+mutual information; a start leaves the stack when its own round gains
+less than the tolerance, so its answer does not depend on the others.
+The witness ensemble is copied out of the stack.
 """
 
 from __future__ import annotations

@@ -9,6 +9,14 @@ active-set Newton method on the support of the prior closes it, and
 alternating maximization (Blahut-Arimoto) takes over whenever a face
 solve fails the certificate (see :func:`blahut_arimoto`).
 
+Capacity also runs on a stack of channels, as the observable-capacity
+search needs for its starts: the channels are padded to one shape with
+zero rows and columns, every BA iteration and every Newton step of the
+face solves is one batched step over the channels still running, and a
+channel leaves the stack when its bracket closes.  A single channel runs
+the same steps on vectors and matrices, since a stack of one would pay
+numpy's per-call cost twice over.
+
 Each kernel has exactly one implementation, vectorized numpy with no
 compiled twin; ``BACKEND`` names it in reports.  Dense eigen/SVD work
 stays on LAPACK in :mod:`qichan.numlin`.
@@ -274,7 +282,10 @@ def _newton_step(pf: np.ndarray, x: np.ndarray, q: np.ndarray, d: np.ndarray, si
     ratios = np.divide(-x, step, out=np.full(x.shape, np.inf), where=step < 0)
     first = ratios.min(axis=-1)
     # a Newton step ends at 1, a climb only at the boundary
-    t = col(np.where(climb, first, np.minimum(first, 1.0)) if stacked else first if climb else min(first, 1.0))
+    if stacked:
+        t = np.where(climb, first, np.minimum(first, 1.0))[:, None]
+    else:
+        t = first if climb else min(first, 1.0)
     x = x + t * step
     # the input whose boundary the step reached leaves the face
     x = np.where((ratios == t) | (x <= 0), 0.0, x)
@@ -314,17 +325,16 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
                 x_out = np.zeros(h.shape)
                 x_out[rows] = x
                 return x_out, solved
-            done = None
         else:
             done = solved | (budget == 0)
-        if done is not None and done.any():
-            x_out[live[done]], solved_out[live[done]] = x[done], solved[done]
-            keep = ~done
-            if not keep.any():
-                return x_out, solved_out
-            live, pyx, h, x, q, d, face, pf, hf, size, budget = (
-                a[keep] for a in (live, pyx, h, x, q, d, face, pf, hf, size, budget)
-            )
+            if done.any():
+                x_out[live[done]], solved_out[live[done]] = x[done], solved[done]
+                keep = ~done
+                if not keep.any():
+                    return x_out, solved_out
+                live, pyx, h, x, q, d, face, pf, hf, size, budget = (
+                    a[keep] for a in (live, pyx, h, x, q, d, face, pf, hf, size, budget)
+                )
         x = _newton_step(pf, x, q, d, size)
         moved = x > 0
         if not stacked:
@@ -429,8 +439,9 @@ def blahut_arimoto(
     The channels of a stack advance together: each BA iteration, and each
     Newton step of the face solves, is one batched step over the channels
     still running, and a channel leaves as soon as its bracket closes, so
-    its iterates are those it has alone.  A single matrix runs the same
-    steps on vectors.
+    its iterates do not depend on the other channels.  A single matrix
+    runs the same steps on vectors and keeps only the rows of its face, so
+    its results agree with a stacked run up to rounding.
 
     Returns (lower, prior, history, upper): the capacity lower bound
     ``I(prior)`` and upper bound ``max_i D(p_i || q)`` in bits, and the
