@@ -189,8 +189,9 @@ def _lockstep_search(
         # the round's value and the next round's channel share this matrix
         pyx = _conditional_matrix(x, states)
         new_value = _mutual_information(pyx, priors)
-        stop = (new_value - value < tol) | (rnd == _MAX_ROUNDS - 1)
-        value = np.where(new_value - value < tol, np.maximum(value, new_value), new_value)
+        settled = new_value - value < tol
+        value = np.where(settled, np.maximum(value, new_value), new_value)
+        stop = settled | (rnd == _MAX_ROUNDS - 1)
         if stop.any():
             done = live[stop]
             values[done], priors_out[done], states_out[done] = value[stop], priors[stop], states[stop]
