@@ -224,10 +224,12 @@ def _divergences(pyx: np.ndarray, h: np.ndarray, r: np.ndarray) -> tuple[np.ndar
     input that reaches an output ``rP`` misses."""
     q = _vecmat(r, pyx)
     hit = q > 0
-    d = h - _matvec(pyx, np.log(q, out=np.zeros_like(q), where=hit))
-    if not hit.all():
+    if hit.all():
+        d = h - _matvec(pyx, np.log(q))
+    else:
+        d = h - _matvec(pyx, np.log(q, out=np.zeros_like(q), where=hit))
         d[((pyx > 0) & ~hit[..., None, :]).any(axis=-1)] = np.inf
-    return np.multiply(r, d, out=np.zeros_like(r), where=r > 0).sum(axis=-1), d
+    return _dot(r, np.where(r > 0, d, 0.0)), d
 
 
 def _face_start(r: np.ndarray, face: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -361,7 +363,7 @@ def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: n
     """
     stacked = r.ndim == 2
     sizes = inputs.sum(axis=-1)
-    floor = (_SUPPORT_CUT / sizes)[..., None]
+    floor = _SUPPORT_CUT / (sizes[:, None] if stacked else sizes)
     x = _face_start(r, r > floor, floor)
     if stacked:
         # problems still to certify, indexed into the stack by `todo`
@@ -380,7 +382,7 @@ def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: n
         r = np.maximum(x, _OFF_FACE) * inputs
         value, d = _divergences(pyx, h, r)
         d = np.where(inputs, d, -np.inf)
-        out = d > value[..., None] + gap
+        out = d > (value[:, None] if stacked else value) + gap
         ok = ~out.any(axis=-1)
         # inputs that beat I join the face, and it is solved again
         again = ~ok & (passes < sizes)

@@ -97,6 +97,39 @@ class TestGenerateStarAlgebra:
             al.generate_star_algebra([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
 
 
+class TestSpanOf:
+    def test_stack_and_list_give_one_span(self):
+        rng = generator(8)
+        mats = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        assert al.spans_equal(al.span_of(mats), al.span_of(list(mats)), 1e-12)
+        assert al.span_of(mats).dimension == 5
+
+    @pytest.mark.parametrize(
+        "mats",
+        [
+            [np.eye(2), np.eye(3)],
+            [np.ones((2, 3)), np.ones((2, 3))],
+            np.ones((2, 2, 3)),
+            np.eye(2),
+        ],
+        ids=["ragged-list", "non-square-list", "non-square-stack", "one-matrix"],
+    )
+    def test_shape_errors(self, mats):
+        with pytest.raises(DimMismatch):
+            al.span_of(mats)
+
+    def test_non_finite_stack_rejected(self):
+        mats = np.ones((2, 2, 2))
+        mats[1, 0, 1] = np.nan
+        with pytest.raises(ValueError):
+            al.span_of(mats)
+
+    def test_empty_needs_dimension(self):
+        assert al.span_of(np.zeros((0, 3, 3)), dim=3).dimension == 0
+        with pytest.raises(DimMismatch):
+            al.span_of([])
+
+
 class TestCommutant:
     def test_of_identity_is_everything(self):
         assert al.commutant([np.eye(3, dtype=complex)]).dimension == 9
