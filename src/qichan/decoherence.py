@@ -380,8 +380,8 @@ def dephasing_sweep(projectors, n_env: int, total_time: float, times) -> SweepRe
     fourier = np.exp(1j * omega * (np.outer(ks, ks) % n_env))
     gamma = (np.abs(phases @ fourier) / n_env) ** 2
     elements = np.einsum("tik,iab->tkab", phases, np.array(projs)) / np.sqrt(n_env)
-    snapshots = [Channel.from_elements(e) for e in elements]
-    return SweepResult(times=times, gamma=gamma, snapshots=tuple(snapshots))
+    snapshots = tuple(Channel.from_elements(e) for e in elements)
+    return SweepResult(times=times, gamma=gamma, snapshots=snapshots)
 
 
 def environment_pointer_weights(snapshot: Channel, projectors, n_env: int) -> np.ndarray:
