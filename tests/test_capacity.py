@@ -153,13 +153,13 @@ def _information_bits(pyx, priors):
     )
 
 
-def _observable_capacity_per_start(x, restarts, tol=1e-9, seed=0, warm_ensembles=(), max_states=None):
+def _observable_capacity_per_start(x, restarts, tol=1e-9, seed=0, warm_ensembles=()):
     """Reference search, one start after another: each start alternates a
     BA call on its own channel with the per-state ascent until a round
     gains less than ``tol``.  Returns the value of every start, in the
     order of the program's starts."""
     d = x.dim
-    cap_ = d * d if max_states is None else max(2, min(max_states, d * d))
+    cap_ = d * d
     rng = generator(seed)
     _, u = np.linalg.eigh((x.effects + x.effects.conj().transpose(0, 2, 1)) / 2)
     top = [np.outer(v, v.conj()) for v in u[:, :, -1]]
