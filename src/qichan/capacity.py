@@ -12,8 +12,11 @@ rows are zero states with prior 0, and their induced channels one stack
 (S, K, m).  Each round is one stacked BA call, one stacked state ascent
 (one einsum, one stacked ``eigh`` over the real rows) and one batched
 mutual information; a start leaves the stack when its own round gains
-less than the tolerance, so its answer does not depend on the others.
-The witness ensemble is copied out of the stack.
+less than the tolerance.  The other starts reach a start's iterates only
+through the stack's padded shape, which sets the shapes its products and
+SVDs run on: with the same shape it gets the same answer bit for bit,
+and run by itself the same answer up to rounding.  The witness ensemble
+is copied out of the stack.
 """
 
 from __future__ import annotations
@@ -170,7 +173,8 @@ def _lockstep_search(
     """Alternate BA and state ascent on every start of a padded stack at
     once (see :func:`_starts`); returns each start's (value, priors,
     states).  A start leaves the stack when its round gains less than
-    ``tol``, so its answer does not depend on the other starts."""
+    ``tol``; the other starts reach its iterates only through the stack's
+    padded shape."""
     cold = len(states) - len(warm)
     values, priors_out, states_out = np.zeros(len(states)), np.zeros(states.shape[:2]), states.copy()
     # the starts still running, indexed into the stack by `live`

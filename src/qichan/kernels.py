@@ -14,8 +14,11 @@ search needs for its starts: the channels are padded to one shape with
 zero rows and columns, every BA iteration and every Newton step of the
 face solves is one batched step over the channels still running, and a
 channel leaves the stack when its bracket closes.  A single channel runs
-the same steps on vectors and matrices: as a stack of one, a call on a
-4x4 to 16x16 channel took 1.3 to 1.6 times as long.
+the same steps on vectors and matrices.  Solving it as a stack of one
+raised the capacity benchmark's median request latency, which its
+``shannon`` requests set, from 1.23 to 1.61 ms (2 vCPUs, one BLAS
+thread): numpy's per-call cost on the stacked reductions outweighs a
+small channel's arithmetic.
 
 Each kernel has exactly one implementation, vectorized numpy with no
 compiled twin; ``BACKEND`` names it in reports.  Dense eigen/SVD work
@@ -197,7 +200,9 @@ _NEWTON_STEPS = 30
 # singular values of P diag(q)^(-1/2) below this times the largest count
 # as zero curvature (their squares are the Hessian's eigenvalues)
 _FLAT = 1e-6
-# a flat move's slope counts below this times max |d_i| on the face
+# a flat move's slope counts below this times max |d_i| on the face: copies
+# of a row have equal d_i, and a slope at rounding level must not decide
+# how they split, or a channel could take another face in a stack than alone
 _SLOPE_NOISE = 1e-13
 # prior the certificate gives inputs a face solve leaves out: an output only
 # they reach keeps q > 0, so its bound stays finite, and I moves by ~1e-300
@@ -302,8 +307,9 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
     that hits the boundary drops an input); see :func:`_newton_step`.  One
     problem keeps only its face rows; a stack keeps every row, 0 off each
     problem's face, and a problem leaves it once solved or out of steps,
-    so its iterates do not depend on the rest.  Returns (x, solved): the
-    last iterate, 0 off the face, and whether it solved the face.
+    so the rest reach its iterates only through the stack's shape.
+    Returns (x, solved): the last iterate, 0 off the face, and whether it
+    solved the face.
     """
     stacked = x.ndim == 2
     if stacked:
@@ -440,10 +446,12 @@ def blahut_arimoto(
 
     The channels of a stack advance together: each BA iteration, and each
     Newton step of the face solves, is one batched step over the channels
-    still running, and a channel leaves as soon as its bracket closes, so
-    its iterates do not depend on the other channels.  A single matrix
-    runs the same steps on vectors and keeps only the rows of its face, so
-    its results agree with a stacked run up to rounding.
+    still running, and a channel leaves as soon as its bracket closes.
+    The other channels reach its iterates only through the stack's padded
+    shape (its rows, and the output columns some channel reaches), which
+    sets the shapes its products and SVDs run on.  A single matrix runs
+    the same steps on vectors and keeps only the rows of its face, so its
+    results agree with a stacked run up to rounding.
 
     Returns (lower, prior, history, upper): the capacity lower bound
     ``I(prior)`` and upper bound ``max_i D(p_i || q)`` in bits, and the

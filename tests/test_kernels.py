@@ -389,6 +389,16 @@ class TestBlahutArimotoStack:
         reverse = kernels.blahut_arimoto(stack[::-1])
         assert np.array_equal(reverse[0][::-1], lower) and np.array_equal(reverse[1][::-1], prior)
 
+    @pytest.mark.parametrize("name", ["stack_face_drop", "duplicate_rows"])
+    def test_duplicate_rows_take_one_face_alone_and_stacked(self, name):
+        # copies of a row have equal divergences, so the slope along the
+        # move that trades them is 0 up to rounding; a climb along it would
+        # let the rounding of the call's shape decide how they split
+        m = _stack_maps()[-4] if name == "stack_face_drop" else _degenerate_channels()[name]
+        _, alone, _, _ = kernels.blahut_arimoto(m)
+        _, stacked, _, _ = kernels.blahut_arimoto(_padded([m, _bank_maps()[-1].T]))
+        assert np.abs(stacked[0, : m.shape[0]] - alone).max() <= 1e-14
+
     def test_empty_stack(self):
         lower, prior, hist, upper = kernels.blahut_arimoto(np.zeros((0, 3, 2)))
         assert lower.shape == upper.shape == (0,) and prior.shape == (0, 3) and hist.shape == (0, 0)
