@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionFailed, DimMismatch, NotAnAlgebra
-from .numlin import DEFAULT_TOL, Tolerance, asmatrices, asmatrix, dagger, op_norm
+from .numlin import DEFAULT_TOL, Tolerance, asmatrix, asstack, dagger, op_norm
 
 # eigenvalue clusters of generic elements merge below this gap
 CLUSTER_GAP = 1e-6
@@ -97,20 +97,9 @@ def _gram_schmidt(vecs: np.ndarray) -> np.ndarray:
 
 
 def span_of(mats, dim: int | None = None) -> OperatorBasisSet:
-    """Orthonormalized span of a stack (k, d, d) or a list of d x d matrices.
-
-    A stack is coerced (and checked finite) in one call; a list matrix by
-    matrix, so that ragged shapes raise ``DimMismatch``.
-    """
-    if isinstance(mats, np.ndarray):
-        stack = asmatrices(mats)
-    else:
-        listed = [asmatrix(m) for m in mats]
-        if len({m.shape for m in listed}) > 1:
-            raise DimMismatch("span elements must share one shape")
-        stack = np.array(listed) if listed else np.zeros((0, 0, 0), dtype=np.complex128)
-    if stack.ndim != 3:
-        raise DimMismatch(f"expected a stack of matrices, got ndim={stack.ndim}")
+    """Orthonormalized span of a stack (k, d, d) or a list of d x d matrices,
+    coerced by :func:`numlin.asstack`."""
+    stack = asstack(mats)
     if stack.shape[0] == 0:
         if dim is None:
             raise DimMismatch("empty span needs an explicit dimension")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotPSD, NotTracePreserving
-from .numlin import DEFAULT_TOL, Tolerance, asmatrices, asmatrix, dagger, op_norm, psd_eig
+from .numlin import DEFAULT_TOL, Tolerance, asmatrices, asmatrix, asstack, dagger, op_norm, psd_eig
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -25,14 +25,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _frozen_stack(mats, what: str) -> np.ndarray:
-    """Finite matrices of one shape as one read-only array (n, rows, cols)."""
-    mats = [asmatrix(m) for m in mats]
-    if not mats:
+    """Finite matrices of one shape as one read-only array (n, rows, cols),
+    copied, so that the caller's array cannot change it."""
+    stack = asstack(mats)
+    if not len(stack):
         raise DimMismatch(f"at least one {what} is needed")
-    for m in mats:
-        if m.shape != mats[0].shape:
-            raise DimMismatch(f"{what} shape {m.shape} != {mats[0].shape}")
-    return _freeze(np.stack(mats))
+    return _freeze(stack.copy())
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .numlin import (
     asmatrix,
     dagger,
     herm_to_coords,
+    max_commutator_norm,
     op_norm,
 )
 from .rand import generator, random_povm, random_sharp_observable
@@ -120,15 +121,6 @@ class DecoherenceReport:
         return self.feasible / self.samples if self.samples else 1.0
 
 
-def _commutativity_residual(span: OperatorBasisSet) -> float:
-    worst = 0.0
-    for i in range(span.dimension):
-        for j in range(i + 1, span.dimension):
-            a, b = span.basis[i], span.basis[j]
-            worst = max(worst, op_norm(a @ b - b @ a))
-    return worst
-
-
 def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> PointerReport:
     """Algebra preserved by every channel in ``channels`` (one commutant of
     all their interaction spans), decomposed, with its central projectors
@@ -139,7 +131,7 @@ def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> Poi
     return PointerReport(
         pointer_algebra=structure,
         pointer_effects=effects,
-        commutativity_residual=_commutativity_residual(carrier),
+        commutativity_residual=max_commutator_norm(carrier.basis),
     )
 
 

@@ -54,6 +54,24 @@ def asmatrix(a) -> np.ndarray:
     return m
 
 
+def asstack(mats) -> np.ndarray:
+    """Coerce a stack (k, rows, cols), or a list of matrices of one shape,
+    to one finite complex128 stack.  An ndarray is coerced in one call; a
+    list matrix by matrix, so that ragged shapes raise ``DimMismatch``.
+    An empty list gives a (0, 0, 0) stack."""
+    if isinstance(mats, np.ndarray):
+        stack = asmatrices(mats)
+    else:
+        listed = [asmatrix(m) for m in mats]
+        shapes = {m.shape for m in listed}
+        if len(shapes) > 1:
+            raise DimMismatch(f"matrices must share one shape, got {sorted(shapes)}")
+        stack = np.array(listed) if listed else np.zeros((0, 0, 0), dtype=np.complex128)
+    if stack.ndim != 3:
+        raise DimMismatch(f"expected a stack of matrices, got ndim={stack.ndim}")
+    return stack
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -66,6 +84,19 @@ def op_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
+
+
+def max_commutator_norm(a: np.ndarray) -> float:
+    """max_{i<j} ||[A_i, A_j]|| over a stack (k, d, d); 0 for fewer than two.
+
+    Each row i of pairs is one batched product and one :func:`op_norm`
+    call, so a call holds at most k commutators at once.
+    """
+    worst = 0.0
+    for i in range(len(a) - 1):
+        rest = a[i + 1 :]
+        worst = max(worst, op_norm(a[i] @ rest - rest @ a[i]))
+    return worst
 
 
 def require_square(a: np.ndarray) -> np.ndarray:

@@ -5,8 +5,17 @@ from qichan import capacity as cap
 from qichan import kernels
 from qichan.catalog import basis_observable, sic_tetrahedron, PAULI_X, PAULI_Y, PAULI_Z
 from qichan.channels import DiscreteObservable, povm_probabilities
+from qichan.errors import DimMismatch
 from qichan.decoherence import StochasticMap
-from qichan.rand import generator, random_density, random_povm, random_pure_state, random_stochastic
+from qichan.rand import (
+    generator,
+    random_density,
+    random_hermitian,
+    random_povm,
+    random_pure_state,
+    random_stochastic,
+    random_unitary,
+)
 
 
 def bloch_state(n):
@@ -76,6 +85,16 @@ class TestHolevoQuantity:
                 if joint[i, j] > 0:
                     mi += joint[i, j] * np.log2(joint[i, j] / (priors[i] * marg_j[j]))
         assert abs(cap.holevo_quantity(x, e) - mi) < 1e-10
+
+
+class TestEnsemble:
+    def test_states_of_different_shapes_rejected(self):
+        with pytest.raises(DimMismatch):
+            cap.Ensemble.from_states([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3])
+
+    def test_non_square_state_rejected(self):
+        with pytest.raises(DimMismatch):
+            cap.Ensemble.from_states([1.0], [np.ones((2, 3)) / 2])
 
 
 class TestConditionalMatrix:
@@ -236,16 +255,90 @@ class TestLockstepSearch:
             assert v[0] == values[s] and np.array_equal(p[0], priors[s]) and np.array_equal(f[0], finals[s])
 
     def test_answers_share_no_memory(self):
-        x = sic_tetrahedron()
-        a = cap.observable_capacity(x, restarts=4, seed=1)
-        b = cap.observable_capacity(x, restarts=4, seed=2)
-        arrays_a = [a.ensemble.priors, *a.ensemble.states]
-        arrays_b = [b.ensemble.priors, *b.ensemble.states]
-        assert not any(np.shares_memory(u, v) for u in arrays_a for v in arrays_b)
-        # each answer holds its own ensemble only, not the padded stack
-        k, d = a.ensemble.size, x.dim
-        for arr in arrays_a:
-            assert arr.base is None or arr.base.size <= k * d * d
+        # the search, and the classical path of a commuting observable
+        for x in (sic_tetrahedron(), _commuting_povm(generator(5), 3, 4)):
+            a = cap.observable_capacity(x, restarts=4, seed=1)
+            b = cap.observable_capacity(x, restarts=4, seed=2)
+            arrays_a = [a.ensemble.priors, *a.ensemble.states]
+            arrays_b = [b.ensemble.priors, *b.ensemble.states]
+            assert not any(np.shares_memory(u, v) for u in arrays_a for v in arrays_b)
+            # each answer holds its own ensemble only, not the padded stack
+            # or the eigenvectors it was read from
+            k, d = a.ensemble.size, x.dim
+            assert a.ensemble.priors.base is None or a.ensemble.priors.base.size == k
+            for arr in a.ensemble.states:
+                assert arr.base is None or arr.base.size <= k * d * d
+
+
+def _commuting_povm(rng, d, m, pi=None):
+    """Effects U diag(pi_j) U^dag, U Haar: a commuting observable whose
+    joint-eigenvalue channel is the column-stochastic ``pi`` (m x d)."""
+    pi = random_stochastic(rng, m, d) if pi is None else pi
+    u = random_unitary(rng, d)
+    return DiscreteObservable.from_effects(u @ (pi[:, None, :] * np.eye(d)) @ u.conj().T)
+
+
+def _searched(x, restarts, seed, cap_):
+    """The search's values over its starts, as the program runs it."""
+    states, warm = cap._starts(x, restarts, seed, (), cap_)
+    return cap._lockstep_search(x, states, warm, 1e-9)
+
+
+class TestClassicalPath:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coarse_grained_basis_is_shannon_capacity(self, d, seed, monkeypatch):
+        rng = generator(300 + 10 * d + seed)
+        u = random_unitary(rng, d)
+        x = DiscreteObservable.from_effects([u @ e @ u.conj().T for e in basis_observable(d).effects])
+        pi = StochasticMap.from_entries(random_stochastic(rng, int(rng.integers(2, 6)), d))
+        coarse = pi.compose_observable(x)
+
+        def no_search(*args):
+            raise AssertionError("a commuting observable took the search")
+
+        monkeypatch.setattr(cap, "_lockstep_search", no_search)
+        est = cap.observable_capacity(coarse, seed=seed)
+        assert abs(est.bits - cap.shannon_capacity(pi)) < 1e-9
+        assert abs(cap.holevo_quantity(coarse, est.ensemble) - est.bits) < 1e-12
+        assert 1 <= est.ensemble.size <= d and np.all(est.ensemble.priors > 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_not_below_the_search(self, seed):
+        rng = generator(400 + seed)
+        d, m = 2 + seed % 4, int(rng.integers(2, 6))
+        pi = random_stochastic(rng, m, d)
+        if seed % 2:
+            # two joint eigenstates share their eigenvalues
+            pi[:, -1] = pi[:, 0]
+        if seed % 5 == 0:
+            # an effect with a repeated eigenvalue in distinct joint eigenspaces
+            pi[0, :] = pi[0, 0]
+            pi /= pi.sum(axis=0)
+        x = _commuting_povm(rng, d, m, pi)
+        assert cap._classical_estimate(x, 1e-9) is not None
+        best = _searched(x, 4, seed, d * d)[0].max()
+        assert cap.observable_capacity(x, restarts=4, seed=seed).bits >= best - 1e-12
+
+    def test_near_commuting_takes_the_search(self):
+        rng = generator(500)
+        x = _commuting_povm(rng, 3, 3)
+        h = random_hermitian(rng, 3) * 1e-6
+        near = DiscreteObservable.from_effects(x.effects + np.stack([h, -h, np.zeros((3, 3))]))
+        assert 1e-7 < np.linalg.norm(near.effects[0] @ near.effects[1] - near.effects[1] @ near.effects[0], 2) < 1e-5
+        assert cap._classical_estimate(near, 1e-9) is None
+        values, priors, states = _searched(near, 3, 2, 9)
+        est = cap.observable_capacity(near, restarts=3, seed=2)
+        best = int(np.argmax(values))
+        assert est.bits == values[best]
+        assert np.array_equal(est.ensemble.priors, priors[best, : est.ensemble.size])
+        assert np.array_equal(np.array(est.ensemble.states), states[best, : est.ensemble.size])
+
+    def test_fewer_states_than_dim_takes_the_search(self):
+        x = _commuting_povm(generator(501), 4, 4)
+        values, _, _ = _searched(x, 3, 1, 2)
+        assert cap.observable_capacity(x, restarts=3, seed=1, max_states=2).bits == values.max()
+        assert cap.observable_capacity(x, restarts=3, seed=1, max_states=2).ensemble.size <= 2
 
 
 class TestObservableCapacity:

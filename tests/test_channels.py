@@ -72,6 +72,32 @@ class TestRepresentation:
         with pytest.raises(ValueError, match="finite"):
             ch.Channel.from_elements([np.array([[1.0, np.nan], [0.0, 1.0]])])
 
+    def test_list_and_stack_inputs_agree(self):
+        k = random_channel(generator(4), 3, 2, 5).elements
+        from_list = ch.Channel.from_elements(list(k)).elements
+        from_stack = ch.Channel.from_elements(np.array(k)).elements
+        assert np.array_equal(from_list, from_stack)
+        for got in (from_list, from_stack):
+            assert got.shape == (5, 2, 3) and got.dtype == np.complex128 and not got.flags.writeable
+        x = sic_tetrahedron().effects
+        assert np.array_equal(ch.DiscreteObservable.from_effects(list(x)).effects, ch.DiscreteObservable.from_effects(x).effects)
+
+    def test_stack_input_is_copied_and_checked(self):
+        k = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        c = ch.Channel.from_elements(k)
+        assert not np.shares_memory(c.elements, k) and k.flags.writeable
+        bad = k.copy()
+        bad[1, 0, 1] = np.nan
+        for stack in (bad, list(bad)):
+            with pytest.raises(ValueError, match="finite"):
+                ch.Channel.from_elements(stack)
+        # a single matrix, a stack of stacks, an empty stack, non-square effects
+        for stack in (np.eye(2), np.zeros((2, 2, 2, 2)), np.zeros((0, 2, 2))):
+            with pytest.raises(DimMismatch):
+                ch.Channel.from_elements(stack)
+        with pytest.raises(DimMismatch):
+            ch.DiscreteObservable.from_effects(np.ones((2, 2, 3)))
+
 
 class TestApplyAndDuality:
     def test_dephasing_kills_coherences(self):

@@ -199,3 +199,17 @@ class TestStacks:
             numlin.asmatrix(np.ones((2, 3, 3)))
         with pytest.raises(ValueError, match="finite"):
             numlin.asmatrices(np.full((2, 2, 2), np.inf))
+
+    def test_max_commutator_norm_matches_pair_loop(self):
+        rng = generator(2)
+        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        pairs = [numlin.op_norm(a @ b - b @ a) for i, a in enumerate(stack) for b in stack[i + 1 :]]
+        assert numlin.max_commutator_norm(stack) == max(pairs)
+        assert numlin.max_commutator_norm(stack[:1]) == 0.0
+        assert numlin.max_commutator_norm(np.zeros((0, 3, 3))) == 0.0
+
+    def test_max_commutator_norm_of_a_commuting_family(self):
+        rng = generator(3)
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        stack = u @ (rng.random((6, 1, 4)) * np.eye(4)) @ u.conj().T
+        assert numlin.max_commutator_norm(stack) < 1e-14
