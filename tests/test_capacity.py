@@ -5,8 +5,8 @@ from qichan import capacity as cap
 from qichan import kernels
 from qichan.catalog import basis_observable, sic_tetrahedron, PAULI_X, PAULI_Y, PAULI_Z
 from qichan.channels import DiscreteObservable, povm_probabilities
-from qichan.errors import DimMismatch
 from qichan.decoherence import StochasticMap
+from qichan.errors import DimMismatch
 from qichan.rand import (
     generator,
     random_density,
@@ -279,7 +279,8 @@ def _commuting_povm(rng, d, m, pi=None):
 
 
 def _searched(x, restarts, seed, cap_):
-    """The search's values over its starts, as the program runs it."""
+    """The search's (values, priors, states) over its starts, as
+    :func:`cap.observable_capacity` runs it without warm ensembles."""
     states, warm = cap._starts(x, restarts, seed, (), cap_)
     return cap._lockstep_search(x, states, warm, 1e-9)
 
@@ -337,8 +338,8 @@ class TestClassicalPath:
     def test_fewer_states_than_dim_takes_the_search(self):
         x = _commuting_povm(generator(501), 4, 4)
         values, _, _ = _searched(x, 3, 1, 2)
-        assert cap.observable_capacity(x, restarts=3, seed=1, max_states=2).bits == values.max()
-        assert cap.observable_capacity(x, restarts=3, seed=1, max_states=2).ensemble.size <= 2
+        est = cap.observable_capacity(x, restarts=3, seed=1, max_states=2)
+        assert est.bits == values.max() and est.ensemble.size <= 2
 
 
 class TestObservableCapacity:

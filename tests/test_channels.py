@@ -80,7 +80,8 @@ class TestRepresentation:
         for got in (from_list, from_stack):
             assert got.shape == (5, 2, 3) and got.dtype == np.complex128 and not got.flags.writeable
         x = sic_tetrahedron().effects
-        assert np.array_equal(ch.DiscreteObservable.from_effects(list(x)).effects, ch.DiscreteObservable.from_effects(x).effects)
+        from_list, from_stack = ch.DiscreteObservable.from_effects(list(x)), ch.DiscreteObservable.from_effects(x)
+        assert np.array_equal(from_list.effects, from_stack.effects)
 
     def test_stack_input_is_copied_and_checked(self):
         k = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
