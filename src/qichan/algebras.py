@@ -213,14 +213,12 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
 
     Memory is O(d^4) however many operators there are.
     """
-    mats = [asmatrix(s) for s in operators]
-    if not mats:
+    ops = asstack(operators)
+    if ops.shape[0] == 0:
         raise DimMismatch("need at least one operator")
-    d = mats[0].shape[0]
-    for s in mats:
-        if s.shape != (d, d):
-            raise DimMismatch("operators must be square of equal dimension")
-    ops = np.stack(mats)
+    d = ops.shape[1]
+    if ops.shape[2] != d:
+        raise DimMismatch("operators must be square of equal dimension")
     # adjoints have the same norm as the operators
     scale = _max_op_norm(ops)
     eye = np.eye(d)

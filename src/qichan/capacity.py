@@ -34,8 +34,8 @@ import numpy as np
 from . import kernels
 from .channels import DiscreteObservable
 from .decoherence import StochasticMap
-from .errors import DimMismatch
-from .numlin import asmatrix, dagger, max_commutator_norm, op_norm
+from .errors import DimMismatch, NotPSD
+from .numlin import DEFAULT_TOL, asmatrix, dagger, max_commutator_norm, op_norm
 from .rand import generator, random_pure_state
 
 _LOG_FLOOR = 1e-30
@@ -273,7 +273,14 @@ def observable_capacity(
     All starts advance in lockstep as one stack padded to the largest
     start: each round is one stacked BA call, one stacked state ascent and
     one batched mutual information (see :func:`_lockstep_search`).
+
+    Raises ``NotPSD`` when an effect has an eigenvalue below
+    ``-DEFAULT_TOL.abs_eps``: the clipped mutual information maximized
+    here is then no mutual information.
     """
+    min_eig = float(np.linalg.eigvalsh((x.effects + dagger(x.effects)) / 2).min())
+    if min_eig < -DEFAULT_TOL.abs_eps:
+        raise NotPSD(min_eig, DEFAULT_TOL.abs_eps)
     d = x.dim
     if max_states is None or max_states >= d:
         exact = _classical_estimate(x, tol)

@@ -352,8 +352,15 @@ def analyze_example(
     Returns a JSON-ready dict with a top-level ``passes`` flag plus the
     residuals behind it; sweep and diamond entries include plot-ready rows.
     """
-    bundle = example_catalog(name, seed)
-    return _EXAMPLES[name][1](bundle, tol, seed, samples)
+    return analyze_bundle(example_catalog(name, seed), tol, seed, samples)
+
+
+def analyze_bundle(
+    bundle: ExampleBundle, tol: Tolerance = DEFAULT_TOL, seed: int = 0, samples: int = 64
+) -> dict:
+    """:func:`analyze_example` on a bundle already built by
+    :func:`example_catalog` (with the same ``seed``)."""
+    return _EXAMPLES[bundle.name][1](bundle, tol, seed, samples)
 
 
 def _analyze_dephasing(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:

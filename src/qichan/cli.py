@@ -9,6 +9,7 @@ failed code check, infeasible coarse-graining), 1 software or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import catalog, decoherence, serialize
+from .algebras import commutant, structure_decompose
 from .channels import validate_channel, validate_observable
 from .correction import (
     correctable_operator_system,
@@ -62,11 +64,7 @@ def _write_report(args, report: dict) -> None:
 
 def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            cells.append(serialize.format_float(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+    lines += [",".join(map(serialize.format_scalar, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -114,9 +112,11 @@ def _cmd_validate(args) -> int:
 def _cmd_preserved(args) -> int:
     tol = _tolerance(args)
     c = serialize.parse_channel_file(args.input, tol)
-    structure = preserved_algebra(c, tol, args.seed)
+    span = interaction_span(c)
+    # preserved_algebra(c), on the span already built
+    structure = structure_decompose(commutant(span.basis, tol), seed=args.seed, tol=tol)
     results = {
-        "interaction_span_dimension": interaction_span(c).dimension,
+        "interaction_span_dimension": span.dimension,
         "preserved_algebra": serialize.algebra_to_dict(structure),
     }
     _write_report(args, _base_report(args, {"input": args.input}, results, 0))
@@ -294,8 +294,8 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_example(args) -> int:
     tol = _tolerance(args)
-    results = catalog.analyze_example(args.name, tol, args.seed, args.samples)
     bundle = catalog.example_catalog(args.name, args.seed)
+    results = catalog.analyze_bundle(bundle, tol, args.seed, args.samples)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -356,13 +356,19 @@ def _split(text: str) -> list[int]:
     return dims
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _seed_default() -> str:
+    # a string default goes through ``type``, so a malformed $QICHAN_SEED is a usage error
+    return os.environ.get(SEED_ENV, "0")
+
+
+def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The command-line parser and its ``--seed`` action, which every
+    subcommand shares (parents hand their actions on, not copies)."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", type=float, default=1e-9, help="absolute operator-norm tolerance")
     shared.add_argument("--rank-rel", type=float, default=1e-10, help="relative rank cutoff")
-    # a string default goes through ``type``, so a malformed $QICHAN_SEED is a usage error
-    shared.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"),
-                        help=f"RNG seed (default from ${SEED_ENV} or 0)")
+    seed = shared.add_argument("--seed", type=int, default=_seed_default(),
+                               help=f"RNG seed (default from ${SEED_ENV} or 0)")
     shared.add_argument("--out", default=None, help="output path (directory for `example`)")
     samples = argparse.ArgumentParser(add_help=False)
     samples.add_argument("--samples", type=_count, default=64, help="sample count for randomized checks")
@@ -439,11 +445,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help=f"one of: {', '.join(catalog.EXAMPLE_NAMES)}")
     p.set_defaults(func=_cmd_example)
 
-    return parser
+    return parser, seed
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parser_and_seed()[0]
+
+
+# built on the first call of main, not at import
+_main_parser = functools.cache(_parser_and_seed)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, seed = _main_parser()
+    # $QICHAN_SEED is read at each call, not when the parser was built
+    seed.default = _seed_default()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

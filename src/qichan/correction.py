@@ -93,7 +93,7 @@ def _preserved_carrier(channels: list[Channel], tol: Tolerance) -> OperatorBasis
     commutant(S_1) & commutant(S_2) = commutant(S_1 | S_2), so the common
     algebra is one commutant of the union of the spans.
     """
-    return commutant([b for ch in channels for b in interaction_span(ch).basis], tol)
+    return commutant(np.concatenate([interaction_span(ch).basis for ch in channels]), tol)
 
 
 def preserved_algebra(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> AlgebraStructure:

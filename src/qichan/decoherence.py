@@ -409,6 +409,24 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 6
            239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311)
 
 
+# output projectors |b><b| pulled back through the dual at once
+_PROJECTORS_PER_CALL = 16
+
+
+def _pulled_back_projectors(c: Channel) -> np.ndarray:
+    """E*(|b><b|) for every output basis state b, a few projectors per
+    ``apply_dual`` call: all of them at once hold dim_out^3 entries, 4 MiB
+    at dim_out = 64.  Each projector gets the same products either way."""
+    d = c.dim_out
+    images = np.empty((d, c.dim_in, c.dim_in), dtype=np.complex128)
+    for start in range(0, d, _PROJECTORS_PER_CALL):
+        b = np.arange(start, min(start + _PROJECTORS_PER_CALL, d))
+        projectors = np.zeros((b.size, d, d), dtype=np.complex128)
+        projectors[np.arange(b.size), b, b] = 1.0
+        images[b] = apply_dual(c, projectors)
+    return images
+
+
 def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
     """Coordinates (tr(A s_x), tr(A s_z), tr(A)) of preserved effects
     A = E*(B) over a deterministic grid of output effects B.
@@ -438,7 +456,7 @@ def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
         rows = np.stack([np.column_stack([sc, bx, bz]), np.column_stack([sc, f * bx, f * bz])], axis=1)
         keep = np.column_stack([r <= rmax + 1e-12, (r > 1e-12) & (rmax > 0)])
         coeffs = rows[keep] / 2
-        basis = np.array([np.eye(2), sx, sz])
+        images = apply_dual(c, np.array([np.eye(2), sx, sz]))
     else:
         if d_out > len(_PRIMES):
             raise DimMismatch(f"region sampling supports outputs up to dim {len(_PRIMES)}, got {d_out}")
@@ -448,8 +466,7 @@ def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
         if 2**d_out <= n_pts:
             vertices = (np.arange(2**d_out)[:, None] >> np.arange(d_out)) & 1
             coeffs = np.vstack([coeffs, vertices.astype(np.float64)])
-        basis = np.eye(d_out, dtype=np.complex128)[:, :, None] * np.eye(d_out)[:, None, :]  # |b><b|
-    images = apply_dual(c, basis)
+        images = _pulled_back_projectors(c)
     # (tr(A s_x), tr(A s_z), tr(A)) of each basis image
     coords = np.einsum("bij,kji->bk", images, np.array([sx, sz, np.eye(2)])).real
     return coeffs @ coords

@@ -2,13 +2,18 @@
 
 Channels: {"dim_in": n, "dim_out": m, "elements": [[[re, im], ...], ...]}
 with each element a flat row-major list of [re, im] pairs; observables use
-"dim"/"effects" analogously.  Numbers are written with 17 significant
-digits so emitted files re-parse to bit-identical floats.
+"dim"/"effects" analogously.  One number formatter,
+:func:`format_scalar`, serves the JSON and the CSV writers: numbers get 17
+significant digits, so emitted files re-parse to bit-identical floats, and
+a non-finite number is an error.  A matrix is read from its pair list as
+one array.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,42 +29,55 @@ from .errors import SchemaError, ValidationError
 from .numlin import DEFAULT_TOL, Tolerance
 
 
-def format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("non-finite number in output")
-    return format(float(x), ".17g")
+def format_scalar(v) -> str:
+    """The one scalar formatter of the JSON and CSV writers: floats with
+    17 significant digits (a non-finite one is an error), integers exactly,
+    JSON literals for None and bools, strings JSON-quoted."""
+    if isinstance(v, (float, np.floating)):  # most of what is written
+        if not math.isfinite(v):
+            raise ValueError("non-finite number in output")
+        return format(float(v), ".17g")
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return json.dumps(v)
+    raise TypeError(f"cannot serialize {type(v)!r}")
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting."""
-    pad = " " * indent
+# a list whose items all have these types (or are None) is written on one line
+_FLAT = (int, float, bool, str, type(None))
+
+
+def _is_flat(seq) -> bool:
+    return all(issubclass(t, _FLAT) for t in set(map(type, seq)))
+
+
+def _dump(obj, pad: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(f'{pad}  "{key}": ' + dumps_canonical(obj[key], indent + 2).lstrip())
+        inner = pad + "  "
+        items = [f'{inner}"{key}": {_dump(obj[key], inner)}' for key in sorted(obj)]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        flat = all(isinstance(v, (int, float, bool, str)) or v is None for v in seq)
-        if flat:
-            return "[" + ", ".join(dumps_canonical(v) for v in seq) + "]"
-        items = [pad + "  " + dumps_canonical(v, indent + 2) for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        if _is_flat(obj):
+            return "[" + ", ".join(map(format_scalar, obj)) + "]"
+        inner = pad + "  "
+        return "[\n" + ",\n".join([inner + _dump(v, inner) for v in obj]) + "\n" + pad + "]"
+    return format_scalar(obj)
+
+
+def dumps_canonical(obj, indent: int = 0) -> str:
+    """Deterministic JSON: sorted keys, two-space indent, fixed float
+    formatting.  Containers nest one per line; a list of scalars is one
+    line, formatted in one pass of :func:`format_scalar`."""
+    return _dump(obj, " " * indent)
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -69,21 +87,38 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return a.view(np.float64).reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1], 2).tolist()
 
 
+def _bad_entry(pairs: list, where: str) -> SchemaError:
+    """The error naming the first malformed entry of ``pairs``: not an
+    [re, im] pair, or with a part that is not a JSON number.  With none,
+    an integer part is too large for a float."""
+    for idx, pair in enumerate(pairs):
+        if type(pair) is not list or len(pair) != 2:
+            return SchemaError(where, f"entry {idx} is not an [re, im] pair")
+        if not all(type(part) in (int, float) for part in pair):
+            return SchemaError(where, f"entry {idx} has non-numeric parts")
+    return SchemaError(where, "entries must be finite")
+
+
 def pairs_to_matrix(pairs, rows: int, cols: int, where: str) -> np.ndarray:
+    """The rows x cols matrix of a row-major list of [re, im] pairs, each
+    part a JSON number (bools are not)."""
     if not isinstance(pairs, list) or len(pairs) != rows * cols:
         raise SchemaError(where, f"expected {rows * cols} [re, im] pairs")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for idx, pair in enumerate(pairs):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(where, f"entry {idx} is not an [re, im] pair")
-        re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise SchemaError(where, f"entry {idx} has non-numeric parts")
-        out[idx] = complex(re, im)
-    if not np.isfinite(out).all():
+    well_formed = (
+        set(map(type, pairs)) <= {list}
+        and set(map(len, pairs)) <= {2}
+        and set(map(type, chain.from_iterable(pairs))) <= {int, float}
+    )
+    try:
+        parts = np.array(pairs, dtype=np.float64) if well_formed else None
+    except OverflowError:  # an integer beyond the float range
+        parts = None
+    if parts is None:
+        raise _bad_entry(pairs, where)
+    if not np.isfinite(parts).all():
         # a literal beyond the float range, such as 1e400, parses to inf
         raise SchemaError(where, "entries must be finite")
-    return out.reshape(rows, cols)
+    return parts.view(np.complex128).reshape(rows, cols)
 
 
 def channel_to_dict(c: Channel) -> dict:

@@ -148,6 +148,20 @@ class TestCommutant:
             for s in ops:
                 assert al.op_norm(b @ s - s @ b) < 1e-8
 
+    def test_stack_and_list_give_identical_bases(self):
+        rng = generator(5)
+        ops = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        assert np.array_equal(al.commutant(ops).basis, al.commutant(list(ops)).basis)
+
+    @pytest.mark.parametrize(
+        "operators",
+        [[np.eye(2), np.eye(3)], [], np.zeros((0, 2, 2)), np.ones((2, 2, 3)), np.eye(2)],
+        ids=["ragged-list", "empty-list", "empty-stack", "non-square-stack", "one-matrix"],
+    )
+    def test_shape_errors(self, operators):
+        with pytest.raises(DimMismatch):
+            al.commutant(operators)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_double_commutant(self, seed):
         rng = generator(seed)

@@ -6,7 +6,7 @@ from qichan import kernels
 from qichan.catalog import basis_observable, sic_tetrahedron, PAULI_X, PAULI_Y, PAULI_Z
 from qichan.channels import DiscreteObservable, povm_probabilities
 from qichan.decoherence import StochasticMap
-from qichan.errors import DimMismatch
+from qichan.errors import DimMismatch, NotPSD
 from qichan.rand import (
     generator,
     random_density,
@@ -352,6 +352,29 @@ class TestObservableCapacity:
     def test_trivial_observable(self):
         x = DiscreteObservable.from_effects([np.eye(3, dtype=complex)])
         assert cap.observable_capacity(x, restarts=2).bits < 1e-9
+
+    @pytest.mark.parametrize(
+        "effects",
+        [
+            # commuting: the classical path and the search read different numbers
+            [np.diag([1.2, 0.3]), np.diag([-0.2, 0.7])],
+            # not commuting: the search alone; the third effect completes the POVM
+            [(np.eye(2) + PAULI_X) / 4 - 1e-8 * np.eye(2), (np.eye(2) + PAULI_Z) / 4,
+             (1 + 1e-8) * np.eye(2) / 2 - (PAULI_X + PAULI_Z) / 4],
+        ],
+        ids=["commuting", "not-commuting"],
+    )
+    def test_rejects_effects_that_are_not_psd(self, effects):
+        x = DiscreteObservable.from_effects([np.asarray(e, dtype=complex) for e in effects])
+        with pytest.raises(NotPSD) as err:
+            cap.observable_capacity(x, restarts=2)
+        assert err.value.min_eig < -1e-9
+
+    def test_accepts_rounding_below_the_cut(self):
+        # eigenvalues of -1e-12 are rounding of a PSD effect, not a violation
+        eps = 1e-12 * PAULI_Z
+        x = DiscreteObservable.from_effects([np.diag([1.0, 0.0]) + eps, np.diag([0.0, 1.0]) - eps])
+        assert abs(cap.observable_capacity(x, restarts=2).bits - 1.0) < 1e-6
 
     def test_never_exceeds_outcome_entropy(self):
         rng = generator(3)

@@ -35,6 +35,15 @@ def full_support_channel(seed, d, k):
     return c
 
 
+class TestPreservedCarrier:
+    def test_one_commutant_of_the_joined_span_bases(self):
+        # the parent's reference: every basis matrix of every span, one by one
+        channels = [random_channel(generator(s), 3, 3, 2) for s in (1, 2)]
+        listed = [b for ch in channels for b in co.interaction_span(ch).basis]
+        expected = co.commutant(listed, DEFAULT_TOL)
+        assert np.array_equal(co._preserved_carrier(channels, DEFAULT_TOL).basis, expected.basis)
+
+
 class TestInteractionSpan:
     def test_unitary_span_is_scalars(self):
         u = random_unitary(generator(0), 3)

@@ -426,6 +426,12 @@ class TestEffectRegion:
         with pytest.raises(DimMismatch):
             de.effect_region_sample(dephasing_channel(3), grid=5)
 
+    @pytest.mark.parametrize("d_out", [3, 16, 17, 64])
+    def test_projectors_pulled_back_in_chunks_match_one_stack(self, d_out):
+        c = random_channel(generator(d_out), 2, d_out, 3)
+        projectors = np.eye(d_out, dtype=complex)[:, :, None] * np.eye(d_out)[:, None, :]
+        assert np.array_equal(de._pulled_back_projectors(c), apply_dual(c, projectors))
+
     @staticmethod
     def _reference_points(c, grid):
         """Per-point E*(B) for the grid of output effects, in sampling order."""

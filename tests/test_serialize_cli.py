@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qichan import serialize
+from qichan import catalog, serialize
 from qichan.catalog import dephasing_channel, sic_tetrahedron
 from qichan.channels import Channel, DiscreteObservable
 from qichan.cli import main
@@ -14,7 +14,112 @@ from qichan.errors import SchemaError, ValidationError
 from qichan.rand import generator, random_channel
 
 
+def _reference_dumps(obj, indent: int = 0) -> str:
+    """The writer as it was before flat lists were formatted in one pass:
+    a recursive call per value, scalars included."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key in sorted(obj):
+            items.append(f'{pad}  "{key}": ' + _reference_dumps(obj[key], indent + 2).lstrip())
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (int, float, bool, str)) or v is None for v in seq)
+        if flat:
+            return "[" + ", ".join(_reference_dumps(v) for v in seq) + "]"
+        items = [pad + "  " + _reference_dumps(v, indent + 2) for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x != x or x in (float("inf"), float("-inf")):
+            raise ValueError("non-finite number in output")
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _reference_pairs_to_matrix(pairs, rows, cols):
+    """One complex(re, im) per entry."""
+    out = np.empty(rows * cols, dtype=np.complex128)
+    for idx, (re, im) in enumerate(pairs):
+        out[idx] = complex(re, im)
+    return out.reshape(rows, cols)
+
+
 class TestCanonicalJson:
+    @pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
+    def test_example_report_matches_reference(self, name):
+        results = catalog.analyze_example(name, samples=8)
+        report = {"command": "example", "inputs": {}, "seed": 0, "results": {**results, "example": name}}
+        assert serialize.dumps_canonical(report) == _reference_dumps(report)
+
+    def test_file_dicts_match_reference(self):
+        objs = [
+            serialize.channel_to_dict(random_channel(generator(1), 3, 2, 4)),
+            serialize.observable_to_dict(sic_tetrahedron()),
+            serialize.code_to_dict(catalog.repetition_code()),
+        ]
+        for obj in objs:
+            assert serialize.dumps_canonical(obj) == _reference_dumps(obj)
+            assert serialize.dumps_canonical(obj, indent=4) == _reference_dumps(obj, indent=4)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1, 2.5, True, None, 'say "hi"', -0.0, 1e-300, 10**30, False, "", 0],
+            {"a": [0.1, 7, None], "b": [[1, 2.0], ["x", True]], "c": ("t", 1.5)},
+            [[1, 2], 3.0, [None, [False, "é"]]],
+            [np.float64(0.1), np.float32(0.5), np.int64(-3), np.int8(4)],
+            [np.float64(1 / 3), np.float64(2.0)],
+            [1.5, np.int64(2)],
+            {"x": np.float64(np.pi), "n": np.int32(12), "s": np.float16(0.25)},
+            np.float64(1e-7),
+            np.int64(2**40),
+            [],
+            {},
+            (),
+            [[], {}, ()],
+            {"empty": [], "nested": {"none": {}}},
+        ],
+        ids=[
+            "mixed-flat", "mixed-dict", "nested-lists", "numpy-scalar-list", "numpy-float-list", "numpy-int-list",
+            "numpy-scalar-dict", "numpy-float", "numpy-int", "empty-list", "empty-dict",
+            "empty-tuple", "empty-inside-list", "empty-inside-dict",
+        ],
+    )
+    def test_matches_reference(self, obj):
+        assert serialize.dumps_canonical(obj) == _reference_dumps(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [float("nan"), [1.0, float("nan")], {"x": [float("-inf")]}, np.float64("inf"), [np.float64("nan")]],
+        ids=["nan", "nan-in-list", "inf-in-dict", "numpy-inf", "numpy-nan-in-list"],
+    )
+    def test_rejects_non_finite_like_reference(self, obj):
+        with pytest.raises(ValueError):
+            _reference_dumps(obj)
+        with pytest.raises(ValueError):
+            serialize.dumps_canonical(obj)
+
+    @pytest.mark.parametrize("obj", [np.bool_(True), [np.bool_(False)], {"a": object()}, np.zeros(2)])
+    def test_rejects_unknown_types_like_reference(self, obj):
+        with pytest.raises(TypeError):
+            _reference_dumps(obj)
+        with pytest.raises(TypeError):
+            serialize.dumps_canonical(obj)
+
     def test_floats_survive_round_trip(self):
         values = [0.1, 1 / 3, np.pi, 1e-300, -0.0, 123456.789]
         text = serialize.dumps_canonical(values)
@@ -29,6 +134,55 @@ class TestCanonicalJson:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             serialize.dumps_canonical(float("nan"))
+
+    def test_csv_shares_the_json_number_formatter(self):
+        from qichan.cli import _csv_text
+
+        rows = [[0.1, 2, 1 / 3], [np.float64(1e-300), -4, 2.0]]
+        text = _csv_text(["a", "b", "c"], rows)
+        lines = text.splitlines()
+        assert lines[0] == "a,b,c"
+        for line, row in zip(lines[1:], rows):
+            assert "[" + line.replace(",", ", ") + "]" == _reference_dumps(row)
+        with pytest.raises(ValueError):
+            _csv_text(["a"], [[float("inf")]])
+
+
+class TestPairsToMatrix:
+    def test_matches_per_entry_reference(self):
+        rng = generator(2)
+        pairs = [
+            [1, 0], [0.5, -2], [-0.0, 3], [2**53 + 1, -(2**63) - 5],
+            [10**300, 1e-320], [-7, 0.1], *rng.standard_normal((6, 2)).tolist(),
+        ]
+        got = serialize.pairs_to_matrix(pairs, 3, 4, "m")
+        want = _reference_pairs_to_matrix(pairs, 3, 4)
+        assert got.dtype == np.complex128 and got.shape == (3, 4)
+        assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([[1, 0], [1, 0, 0]], "entry 1 is not an [re, im] pair"),
+            ([[1, 0], 3], "entry 1 is not an [re, im] pair"),
+            ([[1, 0], (1, 0)], "entry 1 is not an [re, im] pair"),
+            ([[1, "0"], [1, 0]], "entry 0 has non-numeric parts"),
+            ([[1, 0], [None, 0]], "entry 1 has non-numeric parts"),
+            ([[1, 0], [True, 0]], "entry 1 has non-numeric parts"),
+            ([[1, [0]], [1, 0]], "entry 0 has non-numeric parts"),
+            ([[1, 0], [10**400, 0]], "entries must be finite"),
+            ([[1, 0], [1e400, 0]], "entries must be finite"),
+            ([[1, 0]], "expected 2 [re, im] pairs"),
+        ],
+        ids=[
+            "long-pair", "number", "tuple", "string", "null", "bool", "nested",
+            "huge-int", "inf", "count",
+        ],
+    )
+    def test_names_the_bad_entry(self, pairs, message):
+        with pytest.raises(SchemaError) as err:
+            serialize.pairs_to_matrix(pairs, 1, 2, "m")
+        assert message in str(err.value)
 
 
 class TestChannelFiles:
@@ -161,8 +315,10 @@ class TestCli:
             b'{"dim_in": 1, "dim_out": 1, "elements": [[[1, -Infinity]]]}',
             b'{"dim_in": 1, "dim_out": 1, "elements": [[[1e400, 0]]]}',
             '{"dim_in": 1, "dim_out": 1, "elements": [[[1, 0]]], "note": "\u00e9"}'.encode("latin-1"),
+            b'{"dim_in": 1, "dim_out": 1, "elements": [[[1' + b"0" * 400 + b', 0]]]}',
+            b'{"dim_in": 1, "dim_out": 1, "elements": [[[true, false]]]}',
         ],
-        ids=["nan", "infinity", "overflow", "not-utf8"],
+        ids=["nan", "infinity", "overflow", "not-utf8", "huge-int", "bool"],
     )
     def test_malformed_file_exits_one(self, tmp_path, capsys, content):
         path = tmp_path / "c.json"
@@ -340,6 +496,19 @@ class TestCli:
         parser = cli_mod.build_parser()
         args = parser.parse_args(["preserved", self._channel_file(tmp_path)])
         assert args.seed == 17
+
+    def test_seed_env_read_at_each_call(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process; the seed default must not stick
+        path = self._channel_file(tmp_path)
+        seeds = []
+        for value in ("23", "41"):
+            monkeypatch.setenv("QICHAN_SEED", value)
+            assert main(["preserved", path]) == 0
+            seeds.append(json.loads(capsys.readouterr().out)["seed"])
+        monkeypatch.delenv("QICHAN_SEED")
+        assert main(["preserved", path]) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["seed"])
+        assert seeds == [23, 41, 0]
 
     def test_malformed_seed_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QICHAN_SEED", "abc")
