@@ -7,15 +7,23 @@ off one eigendecomposition of a generic element of the algebra.
 The commutant of F_1..F_k and their adjoints is the joint kernel of the
 maps A -> [F, A].  Stacked, those maps form a 2k d^2 x d^2 matrix; its
 Gram matrix, the commutator Laplacian L, is d^2 x d^2 however large k is
-and comes from one matrix product.  One eigendecomposition of L picks the
-r candidate directions with small eigenvalues, and only the stack
-restricted to those r columns is factored: ``_streamed_svd`` runs its row
-blocks through a blocked QR a few thousand rows at a time and keeps only
-the r x r triangle, whose singular values and right vectors are those of
-the restricted stack.  So the rank cut is made on singular values, not on
-their squares, and memory is O(d^4) whatever the number of operators.
-The center is spanned by the central projectors of the block
-decomposition, so it needs no solve of its own.
+and comes from one matrix product.  The generators are closed under the
+adjoint, so the commutant is spanned by Hermitian matrices and both
+stages run in real arithmetic: L folds into a real symmetric matrix in
+the Hermitian coordinates of ``numlin.herm_to_coords``, whose one real
+eigendecomposition picks the r candidate directions with small
+eigenvalues, and only the stack restricted to those r Hermitian
+candidates is factored, as real rows [Re; Im] of the commutators.
+``_streamed_svd`` runs them through a real blocked QR (TSQR) a few
+thousand rows at a time and keeps only the r x r triangle, whose
+singular values and right vectors are those of the restricted stack.  So
+the rank cut is made on singular values, not on their squares, memory is
+O(d^4) whatever the number of operators, and the basis returned is
+Hermitian.  The center is spanned by the central projectors of the block
+decomposition, so it needs no solve of its own.  Yes/no norm checks
+(``contains``, ``spans_equal``, the block pattern certificate) go through
+``numlin.op_norm_at_most``, which computes an SVD only when Frobenius
+norms cannot settle the answer.
 """
 
 from __future__ import annotations
@@ -25,13 +33,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionFailed, DimMismatch, NotAnAlgebra
-from .numlin import DEFAULT_TOL, Tolerance, asmatrix, asstack, dagger, op_norm
+from .numlin import (
+    DEFAULT_TOL,
+    Tolerance,
+    asmatrix,
+    asstack,
+    coords_to_herm,
+    dagger,
+    op_norm,
+    op_norm_at_most,
+    superop_to_coords,
+)
 
 # eigenvalue clusters of generic elements merge below this gap
 CLUSTER_GAP = 1e-6
 # relative norm below which a Gram-Schmidt residual counts as dependent
 GS_DROP = 1e-7
-# rows of a stacked matrix QR-factored at once by _streamed_svd
+# real commutator rows QR-factored at once by _streamed_svd
 QR_ROWS = 4096
 # seeds structure_decompose tries (seed, seed + 1, ...) before giving up
 DECOMPOSE_SEEDS = 3
@@ -60,7 +78,7 @@ class OperatorBasisSet:
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
         x = asmatrix(x)
-        return op_norm(x - self.project(x)) <= tol.abs_eps
+        return op_norm_at_most(x - self.project(x), tol.abs_eps)
 
 
 def _gram_schmidt(vecs: np.ndarray) -> np.ndarray:
@@ -119,7 +137,7 @@ def _row_span_projector(rows: np.ndarray) -> np.ndarray:
 def spans_equal(a: OperatorBasisSet, b: OperatorBasisSet, eps: float = 1e-8) -> bool:
     if a.dim != b.dim:
         return False
-    return op_norm(_row_span_projector(a.vecs()) - _row_span_projector(b.vecs())) <= eps
+    return op_norm_at_most(_row_span_projector(a.vecs()) - _row_span_projector(b.vecs()), eps)
 
 
 def generate_star_algebra(gens, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
@@ -158,34 +176,41 @@ def generate_star_algebra(gens, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSe
 
 def _streamed_svd(blocks, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and right singular vectors (rows of ``vh``, all
-    ``ncols`` of them) of the vertical stack of ``blocks``.
+    ``ncols`` of them) of the vertical stack of real row ``blocks``.
 
-    Row blocks are gathered until about ``QR_ROWS`` rows are pending, then
-    QR-factored together with the triangle kept so far (TSQR); only that
-    ``ncols x ncols`` triangle survives, so the stack is never held whole.
-    R has the singular values and right vectors of the stack, and QR
-    followed by the SVD of R is as backward stable as the direct SVD.
+    Each block is QR-factored together with the triangle kept so far
+    (TSQR); only that ``ncols x ncols`` triangle survives, so the stack is
+    never held whole.  R has the singular values and right vectors of the
+    stack, and QR followed by the SVD of R is as backward stable as the
+    direct SVD.
     """
-    r = np.zeros((0, ncols), dtype=np.complex128)
-    pending: list[np.ndarray] = []
-    rows = 0
+    r = np.zeros((0, ncols))
     for block in blocks:
-        pending.append(block)
-        rows += block.shape[0]
-        if rows >= QR_ROWS:
-            r = np.linalg.qr(np.vstack([r, *pending]), mode="r")
-            pending, rows = [], 0
-    if pending:
-        r = np.linalg.qr(np.vstack([r, *pending]), mode="r")
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
     _, sv, vh = np.linalg.svd(r, full_matrices=True)
     return sv, vh
 
 
-def _max_op_norm(mats: np.ndarray) -> float:
-    """Largest operator norm in a stack of matrices."""
-    if mats.size == 0:
-        return 0.0
-    return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
+def _commutator_rows(ops: np.ndarray, cands: np.ndarray):
+    """Real row blocks [Re; Im] of the commutators [F, C], one column per
+    Hermitian candidate C, in chunks of at most ``QR_ROWS`` rows (one
+    operator's 2 d^2 rows when that is more).
+
+    Each chunk is two matrix products over all its operators and all
+    candidates: F C with the candidates laid side by side, and C F, read
+    transposed, as F^T C^T with C^T = conj C.
+    """
+    r, d = cands.shape[0], cands.shape[1]
+    side = cands.transpose(1, 2, 0).reshape(d, d * r)  # [m, (b, C)] = C_mb
+    step = max(1, QR_ROWS // (2 * d * d))
+    for start in range(0, ops.shape[0], step):
+        f = ops[start : start + step]
+        c = f.shape[0]
+        fc = (f.reshape(c * d, d) @ side).reshape(c, d, d, r)  # [F, a, b, C] = (F C)_ab
+        # [F, b, a, C] = sum_m F_mb conj(C)_ma = (C F)_ab
+        cf = (f.transpose(0, 2, 1).reshape(c * d, d) @ side.conj()).reshape(c, d, d, r)
+        comm = (fc - cf.swapaxes(1, 2)).reshape(-1, r)
+        yield np.concatenate([comm.real, comm.imag])
 
 
 def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
@@ -200,18 +225,30 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
        ad_g^dag ad_g over g in {F0, F0^dag} is the d^2 x d^2 PSD Laplacian
        L = Q (x) 1 + 1 (x) Q^T - 2 (K + K^dag), with Q = sum F0^dag F0 +
        F0 F0^dag and K = sum F0 (x) conj(F0), the realigned V^T conj(V) of
-       the stacked vec(F0) rows V: one matrix product.  L's eigenvalues
+       the stacked vec(F0) rows V: one matrix product.  The generators are
+       closed under the adjoint, so L maps Hermitian matrices to Hermitian
+       matrices and its kernel is spanned by Hermitian ones: in the real
+       Hermitian coordinates of ``numlin.herm_to_coords`` L folds into a
+       real symmetric matrix with the same spectrum (``superop_to_coords``),
+       and one real ``eigh`` of it picks the candidates.  L's eigenvalues
        are squared singular values of the stacked maps, too coarse for the
-       cut, so one ``eigh`` only picks candidates: the r eigenvectors with
+       cut, so they only pick candidates: the r eigenvectors with
        eigenvalue at most max(1e-6 tr Q, (2 rank_rel)^2 lmax,
        (2 abs_eps scale)^2), lmax the largest.  Every direction left out
        has a singular value above twice either cut, and, as tr Q is at
        least lmax / 4, above 5e-4 sqrt(lmax), far beyond eigh's roundoff.
-    2. The blocks [g, C] of the r candidate matrices C stream through
-       ``_streamed_svd`` with r columns, and their singular values are cut
-       against the largest one of the whole stack.
+    2. The r candidates, mapped back to Hermitian matrices C by
+       ``coords_to_herm``, enter the commutators [F0, C] as real rows
+       [Re; Im], streamed through ``_streamed_svd`` (a real TSQR) with r
+       columns.  [F0^dag, C] = -[F0, C]^dag, so the adjoints' rows carry
+       the conjugate Gram matrix and the whole stack's restricted Gram
+       matrix is twice the real one of these rows: its singular values are
+       sqrt 2 times theirs.  They are cut against the largest one of the
+       whole stack.
 
-    Memory is O(d^4) however many operators there are.
+    The right vectors are real, so the basis returned is Hermitian and
+    Hilbert-Schmidt orthonormal.  Memory is O(d^4) however many operators
+    there are.
     """
     ops = asstack(operators)
     if ops.shape[0] == 0:
@@ -220,28 +257,33 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     if ops.shape[2] != d:
         raise DimMismatch("operators must be square of equal dimension")
     # adjoints have the same norm as the operators
-    scale = _max_op_norm(ops)
+    scale = op_norm(ops)
     eye = np.eye(d)
     f = ops - (np.trace(ops, axis1=1, axis2=2) / d)[:, None, None] * eye
     stacked = f.reshape(-1, d)  # F0 stacked vertically
     side = f.transpose(1, 0, 2).reshape(d, -1)  # F0 side by side
     q = stacked.conj().T @ stacked + side @ side.conj().T
     v = f.reshape(-1, d * d)
-    k = (v.T @ v.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    lap = -2 * (k + k.conj().T)
-    lap4 = lap.reshape(d, d, d, d)
+    # V^T conj(V) is Hermitian, so K[ij, kl] = vv[ik, jl] and
+    # K^dag[ij, kl] = vv[lj, ki]: one strided add realigns both
+    vv = (v.T @ v.conj()).reshape(d, d, d, d)
+    lap4 = np.add(vv.transpose(0, 2, 1, 3), vv.transpose(3, 1, 2, 0), order="C")
+    del vv
+    lap4 *= -2
     np.einsum("ijkj->ijk", lap4)[...] += q[:, None, :]  # Q (x) 1
     np.einsum("ijil->ijl", lap4)[...] += q.T  # 1 (x) Q^T
-    lam, vecs = np.linalg.eigh(lap)
+    folded = superop_to_coords(lap4.reshape(d * d, d * d))
+    del lap4  # before eigh allocates its copy and workspace
+    lam, vecs = np.linalg.eigh(folded)
     trace_q = float(np.trace(q).real)
     candidate = lam <= max(
         1e-6 * trace_q, (2 * tol.rank_rel) ** 2 * lam[-1], (2 * tol.abs_eps * scale) ** 2
     )
-    cand_vecs = np.ascontiguousarray(vecs[:, candidate].T)
-    r = cand_vecs.shape[0]
-    cands = cand_vecs.reshape(r, d, d)
-    blocks = ((g @ cands - cands @ g).reshape(r, d * d).T for s in f for g in (s, dagger(s)))
-    sv, vh = _streamed_svd(blocks, r)
+    coords = np.ascontiguousarray(vecs[:, candidate].T)
+    del vecs
+    r = coords.shape[0]
+    sv, vh = _streamed_svd(_commutator_rows(f, coords_to_herm(coords, d)), r)
+    sv *= np.sqrt(2.0)  # the adjoints' rows, see 2. above
     # with the top eigenvalue a candidate, every direction is one and sv covers the stack
     smax = sv[0] if candidate[-1] else float(np.sqrt(lam[-1]))
     # a direction commutes below rank_rel of smax or below abs_eps at the
@@ -249,8 +291,7 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     # as structure when everything nearly commutes
     cut = max(tol.rank_rel * smax, tol.abs_eps * scale)
     rank = int(np.sum(sv > cut)) if smax > 0 else 0
-    coeffs = vh[rank:].conj()
-    return OperatorBasisSet(dim=d, basis=(coeffs @ cand_vecs).reshape(-1, d, d))
+    return OperatorBasisSet(dim=d, basis=coords_to_herm(vh[rank:] @ coords, d))
 
 
 def intersect(a: OperatorBasisSet, b: OperatorBasisSet) -> OperatorBasisSet:
@@ -414,27 +455,33 @@ def _decompose_with(a: OperatorBasisSet, rng: np.random.Generator) -> AlgebraStr
         block_dims=dims,
         basis_change=np.ascontiguousarray(basis_change),
     )
-    residual = block_pattern_residual(structure)
-    if residual > 1e-6:
-        raise DecompositionFailed(f"block pattern residual {residual:.3e}")
+    deviation = _pattern_deviation(structure)
+    if not op_norm_at_most(deviation, 1e-6):
+        raise DecompositionFailed(f"block pattern residual {op_norm(deviation):.3e}")
     # the span lies inside sum_k M_{n_k} (x) 1_{m_k}; equal dimensions make it all of it
     if sum(n * n for n, _ in dims) != a.dimension:
         raise NotAnAlgebra("span is not closed under multiplication")
     return structure
 
 
-def block_pattern_residual(structure: AlgebraStructure) -> float:
-    """Largest deviation of a conjugated carrier element from the canonical
-    block-diagonal M (x) 1 pattern."""
+def _pattern_deviation(structure: AlgebraStructure) -> np.ndarray:
+    """Conjugated carrier elements minus their canonical M (x) 1 model,
+    block-diagonal with each block's partial trace over 1_m spread back
+    over it; the model is subtracted in place through einsum views."""
     u = structure.basis_change
     t = dagger(u) @ structure.carrier.basis @ u
-    model = np.zeros_like(t)
     offset = 0
     for n_k, m_k in structure.block_dims:
         d_k = n_k * m_k
         block = slice(offset, offset + d_k)
         cells = t[:, block, block].reshape(-1, n_k, m_k, n_k, m_k)
         m = np.einsum("bpjqj->bpq", cells) / m_k
-        model[:, block, block] = np.kron(m, np.eye(m_k))
+        np.einsum("bpjqj->bpjq", cells)[...] -= m[:, :, None, :]
         offset += d_k
-    return _max_op_norm(t - model)
+    return t
+
+
+def block_pattern_residual(structure: AlgebraStructure) -> float:
+    """Largest deviation of a conjugated carrier element from the canonical
+    block-diagonal M (x) 1 pattern."""
+    return op_norm(_pattern_deviation(structure))

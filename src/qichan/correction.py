@@ -26,7 +26,7 @@ from .algebras import (
 )
 from .channels import Channel, apply_dual, require_trace_preserving
 from .errors import BadFactorization, DimMismatch
-from .numlin import DEFAULT_TOL, Tolerance, asmatrix, dagger, op_norm, psd_eig
+from .numlin import DEFAULT_TOL, Tolerance, asmatrix, dagger, op_norm, op_norm_at_most, psd_eig
 
 # pairs of preserved-algebra basis elements homomorphism_residual evaluates at most
 HOMOMORPHISM_PAIRS = 256
@@ -195,7 +195,7 @@ def span_equivalent(c1: Channel, c2: Channel, tol: Tolerance = DEFAULT_TOL) -> b
     rows2 = _gram_schmidt(c2.elements.reshape(c2.n_elements, -1))
     p1 = _row_span_projector(rows1)
     p2 = _row_span_projector(rows2)
-    return op_norm(p1 - p2) <= max(tol.abs_eps, 1e-8)
+    return op_norm_at_most(p1 - p2, max(tol.abs_eps, 1e-8))
 
 
 def homomorphism_residual(

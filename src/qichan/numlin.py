@@ -10,6 +10,7 @@ everything below the cut is its kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +85,26 @@ def op_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
+
+
+def op_norm_at_most(a: np.ndarray, bound: float) -> bool:
+    """Whether ``op_norm(a) <= bound``, deciding from Frobenius norms where
+    they settle it.
+
+    Each m x n matrix A has ||A||_F / sqrt(min(m, n)) <= ||A||_2 <= ||A||_F,
+    so a Frobenius norm at most ``bound`` says yes and one above
+    sqrt(min(m, n)) ``bound`` says no.  Only the matrices of a stack whose
+    Frobenius norm falls in between get an SVD.
+    """
+    a = np.atleast_2d(a)
+    if a.size == 0:
+        return 0.0 <= bound
+    fro = np.linalg.norm(a, axis=(-2, -1))
+    if np.any(fro > np.sqrt(min(a.shape[-2:])) * bound):
+        return False
+    # NaN settles neither way, so it reaches the SVD
+    open_ = ~(fro <= bound)
+    return not open_.any() or op_norm(a[open_]) <= bound
 
 
 def max_commutator_norm(a: np.ndarray) -> float:
@@ -165,33 +186,105 @@ def partial_trace(a, dims: list[int], keep) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
+@lru_cache(maxsize=64)
+def _herm_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the basis of :func:`herm_to_coords` on d x d matrices.
+
+    ``order``: row-major vec indices of the diagonal (a, a), the upper
+    entries (a, b) with a < b, then their mirrors (b, a), a permutation of
+    range(d^2).  ``source`` and ``weight``: entry p of a Hermitian matrix,
+    as the pair (real, imaginary), is ``weight * coords[source]``.
+    """
+    rows, cols = np.triu_indices(d, k=1)
+    k = rows.size
+    order = np.concatenate([np.arange(d) * (d + 1), rows * d + cols, cols * d + rows])
+    h = np.sqrt(0.5)
+    source = np.zeros((d * d, 2), dtype=np.intp)
+    weight = np.zeros((d * d, 2))
+    pair = np.arange(d, d + k)
+    source[order[:d], 0], weight[order[:d], 0] = np.arange(d), 1.0
+    source[order[d : d + k]], weight[order[d : d + k]] = np.stack([pair, pair + k], 1), [h, h]
+    source[order[d + k :]], weight[order[d + k :]] = np.stack([pair, pair + k], 1), [h, -h]
+    tables = (order, source.ravel(), weight.ravel())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def herm_to_coords(m: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in an orthonormal Hermitian basis.
 
     Euclidean norm of the coordinates equals the Hilbert-Schmidt norm
     of the matrix, so linear feasibility problems over effects can run
-    in real arithmetic.  A stack (..., d, d) maps to (..., d^2).
+    in real arithmetic.  A stack (..., d, d) maps to (..., d^2).  The
+    basis is E_aa, (E_ab + E_ba) / sqrt 2 and i (E_ab - E_ba) / sqrt 2 for
+    a < b, in that order.
     """
     m = np.asarray(m)
     d = m.shape[-1]
     if m.ndim < 2 or m.shape[-2] != d:
         raise NotSquare(f"expected square matrices, got shape {m.shape}")
-    rows, cols = np.triu_indices(d, k=1)
-    upper = m[..., rows, cols]
-    diag = np.diagonal(m, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
+    k = d * (d - 1) // 2
+    picked = m.reshape(m.shape[:-2] + (d * d,)).take(_herm_index(d)[0][: d + k], axis=-1)
+    upper = picked[..., d:]
+    return np.concatenate(
+        [picked[..., :d].real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1
+    )
 
 
 def coords_to_herm(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_coords`."""
+    """Inverse of :func:`herm_to_coords`: a stack (..., d^2) of coordinate
+    vectors maps to Hermitian matrices (..., d, d)."""
     v = np.asarray(v, dtype=np.float64)
-    if v.size != d * d:
-        raise DimMismatch(f"coordinate vector of length {v.size} != {d * d}")
-    m = np.zeros((d, d), dtype=np.complex128)
-    np.fill_diagonal(m, v[:d])
-    iu = np.triu_indices(d, k=1)
-    k = iu[0].size
-    off = (v[d : d + k] + 1j * v[d + k :]) / np.sqrt(2.0)
-    m[iu] += off
-    m[(iu[1], iu[0])] += off.conj()
-    return m
+    if v.ndim == 0 or v.shape[-1] != d * d:
+        raise DimMismatch(f"coordinate vectors of shape {v.shape} need length {d * d}")
+    _, source, weight = _herm_index(d)
+    pairs = v.take(source, axis=-1) * weight  # (real, imaginary) of each entry
+    return pairs.view(np.complex128).reshape(v.shape[:-1] + (d, d))
+
+
+def superop_to_coords(s: np.ndarray) -> np.ndarray:
+    """Real matrix T^T S T of a self-adjoint superoperator S that maps
+    Hermitian matrices to Hermitian matrices, in the basis T of
+    :func:`herm_to_coords`.
+
+    S is d^2 x d^2 on row-major vec.  Each column of T has at most two
+    nonzeros, so the fold is sums and differences of the real and
+    imaginary parts of S, gathered in the order of the basis; no complex
+    d^2 x d^2 temporary is made.  T is orthonormal, so the result has S's
+    spectrum.  It is exactly symmetric.
+    """
+    n = s.shape[0]
+    d = int(round(np.sqrt(n)))
+    if s.shape != (n, n) or d * d != n:
+        raise DimMismatch(f"expected a d^2 x d^2 superoperator, got shape {s.shape}")
+    order = _herm_index(d)[0]
+    k = d * (d - 1) // 2
+    # rows and columns in the order diagonal, upper (a, b), lower (b, a);
+    # the real part is folded and freed before the imaginary one is gathered
+    basis_order = np.ix_(order, order)
+    dd, up, lo = slice(0, d), slice(d, d + k), slice(d + k, n)
+    half = np.sqrt(0.5)
+    out = np.empty((n, n))
+    a = s.real[basis_order]
+    out[dd, dd] = a[dd, dd]
+    out[dd, up] = (a[dd, up] + a[dd, lo]) * half
+    same = a[up, up] + a[lo, lo]
+    cross = a[up, lo] + a[lo, up]
+    del a
+    out[up, up] = (same + cross) / 2
+    out[lo, lo] = (same - cross) / 2
+    del same, cross
+    b = s.imag[basis_order]
+    out[dd, lo] = (b[dd, lo] - b[dd, up]) * half
+    out[up, lo] = (b[up, lo] + b[lo, lo] - b[up, up] - b[lo, up]) / 2
+    del b
+    # S is self-adjoint only up to roundoff: symmetrize the diagonal
+    # blocks and mirror the upper ones
+    for block in (dd, up, lo):
+        x = out[block, block]
+        out[block, block] = (x + x.T) / 2
+    out[up, dd] = out[dd, up].T
+    out[lo, dd] = out[dd, lo].T
+    out[lo, up] = out[up, lo].T
+    return out

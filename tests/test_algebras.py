@@ -574,6 +574,49 @@ class TestExactCommutant:
         assert _projector_error(got, want) < 1e-10
 
 
+class TestHermitianBasis:
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("d", (2, 5, 8, 12))
+    def test_commutant_basis_is_hermitian_and_orthonormal(self, d, scale):
+        got = al.commutant(planted_ops(generator(300 + d), d, scale, 2))
+        assert got.dimension > 1
+        assert np.abs(got.basis - al.dagger(got.basis)).max() <= 1e-14
+        v = got.vecs()
+        assert np.abs(v.conj() @ v.T - np.eye(got.dimension)).max() <= 1e-12
+
+
+def _kron_pattern_residual(structure):
+    """block_pattern_residual with its M (x) 1 model built by np.kron."""
+    u = structure.basis_change
+    t = al.dagger(u) @ structure.carrier.basis @ u
+    model = np.zeros_like(t)
+    offset = 0
+    for n_k, m_k in structure.block_dims:
+        block = slice(offset, offset + n_k * m_k)
+        cells = t[:, block, block].reshape(-1, n_k, m_k, n_k, m_k)
+        model[:, block, block] = np.kron(np.einsum("bpjqj->bpq", cells) / m_k, np.eye(m_k))
+        offset += n_k * m_k
+    return float(np.linalg.norm(t - model, 2, axis=(1, 2)).max())
+
+
+def test_block_pattern_residual_matches_kron_reference(monkeypatch):
+    from qichan import catalog
+
+    seen = []
+    decompose = al._decompose_with
+
+    def record(a, rng):
+        seen.append(decompose(a, rng))
+        return seen[-1]
+
+    monkeypatch.setattr(al, "_decompose_with", record)
+    for name in catalog.EXAMPLE_NAMES:
+        catalog.analyze_example(name, samples=4)
+    assert len({st.block_dims for st in seen}) > 5
+    for st in seen:
+        assert al.block_pattern_residual(st) == _kron_pattern_residual(st)
+
+
 def _planted_channel(kind, d, rng):
     """Channel on C^d and the block dims of the algebra it preserves."""
     if kind == "pinch":

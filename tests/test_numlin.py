@@ -176,6 +176,126 @@ class TestHermitianCoordinates:
         assert np.allclose(numlin.coords_to_herm(v, d), h)
         assert abs(np.linalg.norm(v) - np.linalg.norm(h, "fro")) < 1e-12
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_stacks_round_trip_and_keep_norms(self, d):
+        rng = generator(10 + d)
+        x = rng.standard_normal((3, 2, d, d)) + 1j * rng.standard_normal((3, 2, d, d))
+        h = x + np.swapaxes(x, -1, -2).conj()
+        v = numlin.herm_to_coords(h)
+        assert v.shape == (3, 2, d * d) and v.dtype == np.float64
+        back = numlin.coords_to_herm(v, d)
+        assert back.shape == h.shape
+        assert np.abs(back - h).max() <= 1e-15 * np.abs(h).max()
+        assert np.array_equal(back, np.swapaxes(back, -1, -2).conj())
+        hs = np.linalg.norm(h, axis=(-2, -1))
+        assert np.abs(np.linalg.norm(v, axis=-1) - hs).max() <= 1e-14 * hs.max()
+        # a stack maps matrix by matrix
+        assert np.array_equal(numlin.coords_to_herm(v[1, 0], d), back[1, 0])
+        assert np.array_equal(numlin.herm_to_coords(h[2, 1]), v[2, 1])
+
+    def test_coords_of_wrong_length_rejected(self):
+        with pytest.raises(DimMismatch):
+            numlin.coords_to_herm(np.zeros((2, 8)), 3)
+        with pytest.raises(DimMismatch):
+            numlin.coords_to_herm(np.float64(1.0), 1)
+
+
+def dense_laplacian(ops):
+    """sum of ad_g^dag ad_g over the operators and their adjoints, with
+    ad_g = g (x) 1 - 1 (x) g^T on row-major vec."""
+    d = ops[0].shape[0]
+    eye = np.eye(d)
+    lap = np.zeros((d * d, d * d), dtype=complex)
+    for s in ops:
+        for g in (s, s.conj().T):
+            ad = np.kron(g, eye) - np.kron(eye, g.T)
+            lap += ad.conj().T @ ad
+    return lap
+
+
+def laplacian_cases():
+    cases = []
+    for d in range(2, 9):
+        rng = generator(40 + d)
+        ops = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        cases.append(pytest.param(list(ops), id=f"generic-{d}"))
+        y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mixed = [1e3 * np.diag(np.arange(d)).astype(complex), 1e-6 * y]
+        cases.append(pytest.param(mixed, id=f"mixed-scales-{d}"))
+    return cases
+
+
+class TestSuperopToCoords:
+    @pytest.mark.parametrize("ops", laplacian_cases())
+    def test_exactly_symmetric_with_the_laplacians_spectrum(self, ops):
+        lap = dense_laplacian(ops)
+        folded = numlin.superop_to_coords(lap)
+        assert folded.dtype == np.float64 and np.array_equal(folded, folded.T)
+        want = np.linalg.eigvalsh(lap)
+        assert np.abs(np.linalg.eigvalsh(folded) - want).max() <= 1e-13 * want[-1]
+
+    @pytest.mark.parametrize("d", (2, 3, 5))
+    def test_is_the_laplacian_in_the_hermitian_basis(self, d):
+        rng = generator(d)
+        lap = dense_laplacian(list(rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))))
+        # column j of t is vec of the j-th basis matrix of herm_to_coords
+        t = numlin.coords_to_herm(np.eye(d * d), d).reshape(d * d, d * d).T
+        dense = t.conj().T @ lap @ t
+        scale = np.abs(lap).max()
+        assert np.abs(dense.imag).max() <= 1e-13 * scale
+        assert np.abs(numlin.superop_to_coords(lap) - dense.real).max() <= 1e-13 * scale
+
+    def test_rejects_non_square_dimension(self):
+        with pytest.raises(DimMismatch):
+            numlin.superop_to_coords(np.zeros((8, 8), dtype=complex))
+
+
+class TestOpNormAtMost:
+    def _no_svd(self, monkeypatch):
+        def fail(a):
+            raise AssertionError("Frobenius norms settle this case")
+
+        monkeypatch.setattr(numlin, "op_norm", fail)
+
+    def test_frobenius_at_most_bound_is_yes_without_svd(self, monkeypatch):
+        self._no_svd(monkeypatch)
+        assert numlin.op_norm_at_most(np.diag([0.3, 0.4]), 0.5)
+
+    def test_frobenius_above_sqrt_rank_bound_is_no_without_svd(self, monkeypatch):
+        self._no_svd(monkeypatch)
+        assert not numlin.op_norm_at_most(np.eye(4), 0.9)
+
+    def test_norm_at_most_bound_below_frobenius(self):
+        # ||A|| = 0.5 <= 0.6 < ||A||_F = 0.71
+        assert numlin.op_norm_at_most(0.5 * np.eye(2), 0.6)
+
+    def test_norm_above_bound_inside_bracket(self):
+        # ||A||_F / sqrt 2 = 0.71 <= 0.9 < ||A|| = 1
+        assert not numlin.op_norm_at_most(np.diag([1.0, 0.1]), 0.9)
+
+    def test_rank_one_norm_is_frobenius(self):
+        rng = generator(0)
+        a = np.outer(rng.standard_normal(5), rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        fro = np.linalg.norm(a)
+        assert numlin.op_norm_at_most(a, fro)
+        assert not numlin.op_norm_at_most(a, fro * (1 - 1e-12))
+
+    def test_stack_verdict_is_that_of_the_largest_norm(self):
+        stack = np.stack([np.diag([0.1, 0.1]), 0.5 * np.eye(2), np.diag([0.59, 0.0])])
+        assert numlin.op_norm_at_most(stack, 0.6)
+        assert not numlin.op_norm_at_most(stack, 0.55)
+        assert numlin.op_norm_at_most(np.zeros((0, 3, 3)), 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_svd_verdict(self, seed):
+        rng = generator(seed)
+        a = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+        a *= rng.random((6, 1, 1))
+        norm = numlin.op_norm(a)
+        fro = np.linalg.norm(a, axis=(-2, -1)).max()
+        for bound in (0.5 * norm, norm * (1 - 1e-9), norm, norm * (1 + 1e-9), 0.5 * (norm + fro), fro):
+            assert numlin.op_norm_at_most(a, bound) == (norm <= bound)
+
 
 class TestStacks:
     def test_op_norm_of_a_stack_is_the_largest_matrix_norm(self):
