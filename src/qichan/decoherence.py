@@ -129,7 +129,8 @@ def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> Poi
     structure = structure_decompose(carrier, seed=seed, tol=tol)
     effects = DiscreteObservable.from_effects(list(structure.central_projectors))
     return PointerReport(
-        pointer_algebra=structure,
+        # the projectors are kept once, as the read-only rows of the effects
+        pointer_algebra=replace(structure, central_projectors=tuple(effects.effects)),
         pointer_effects=effects,
         commutativity_residual=max_commutator_norm(carrier.basis),
     )

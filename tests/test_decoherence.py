@@ -76,6 +76,15 @@ class TestPointerAlgebra:
         rep = de.pointer_algebra(unitary_channel(u))
         assert rep.pointer_algebra.dimension == 1
 
+    def test_central_projectors_are_the_pointer_effects(self):
+        c, _ = block_pinch_channel((2, 1, 1), seed=2)
+        rep = de.pointer_algebra(c)
+        projs = rep.pointer_algebra.central_projectors
+        assert np.array_equal(np.stack(projs), rep.pointer_effects.effects)
+        # kept once: each projector is a read-only row of the effects stack
+        assert all(np.shares_memory(p, rep.pointer_effects.effects) for p in projs)
+        assert not any(p.flags.writeable for p in projs)
+
 
 class TestCorrelationCheck:
     def test_dephasing_fully_correlated(self):
