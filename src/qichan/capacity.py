@@ -79,15 +79,15 @@ class CapacityEstimate:
     ensemble: Ensemble
 
 
-def shannon_capacity(p: StochasticMap, tol: float = 1e-12, max_iter: int = 10000) -> float:
+def shannon_capacity(p: StochasticMap, tol: float = 1e-12) -> float:
     """Capacity in bits of a classical channel (column-stochastic matrix).
 
     Returns the certified lower bound of :func:`kernels.blahut_arimoto`:
-    the capacity lies within ``tol`` bits above it unless ``max_iter``
-    iterations ran out first.
+    the capacity lies within ``tol`` bits above it unless the kernel's
+    iteration cap ran out first.
     """
     pyx = np.ascontiguousarray(p.entries.T)  # rows become inputs
-    lower, _, _, _ = kernels.blahut_arimoto(pyx, tol=tol, max_iter=max_iter)
+    lower, _, _, _ = kernels.blahut_arimoto(pyx, tol=tol)
     return float(lower)
 
 

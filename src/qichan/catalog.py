@@ -46,7 +46,7 @@ from .decoherence import (
     broadcast_pointer,
 )
 from .errors import UnknownExample
-from .numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
+from .numlin import DEFAULT_TOL, Tolerance, dagger, max_commutator_norm, op_norm
 from .rand import generator, random_effect, random_unitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -615,11 +615,7 @@ def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int, samples:
     match = spans_equal(fixed, oracle, 1e-7)
     structure = structure_decompose(fixed, seed=seed, tol=tol)
     # the center is spanned by the central projectors
-    projs = structure.central_projectors
-    center_commutative = max(
-        (op_norm(p @ q - q @ p) for i, p in enumerate(projs) for q in projs[i + 1 :]),
-        default=0.0,
-    ) <= 1e-8
+    center_commutative = max_commutator_norm(np.asarray(structure.central_projectors)) <= 1e-8
     passes = match and center_commutative
     return {
         "passes": bool(passes),

@@ -41,10 +41,6 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(abs_eps=args.tol, rank_rel=args.rank_rel)
-
-
 def _emit(out: str | None, default_name: str, text: str) -> None:
     """Write ``text`` to ``out`` (``default_name`` inside it when it is a
     directory), or to stdout when no path is given."""
@@ -58,34 +54,34 @@ def _emit(out: str | None, default_name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _write_report(args, report: dict) -> None:
-    _emit(args.out, f"{report['command']}.json", serialize.dumps_canonical(report) + "\n")
-
-
 def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(map(serialize.format_scalar, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(args, header: list[str], rows) -> None:
-    _emit(args.out, f"{args.command}.csv", _csv_text(header, rows))
+# CSV headers: the dephasing weights of a sweep and the effect-region points
+_HEADERS = {"gamma": ["t", "i", "m", "gamma"], "region": ["x", "z", "t"]}
 
 
-def _base_report(args, inputs: dict[str, str], results: dict, exit_code: int) -> dict:
-    return {
+def _write_report(args, results: dict, exit_code: int, default_name: str) -> None:
+    """The one report format; ``inputs`` names each file argument the
+    command was given (``input``, ``code``, ``gamma``) with its sha256."""
+    names = ("input", "code", "gamma")
+    paths = {name: getattr(args, name) for name in names if getattr(args, name, None)}
+    report = {
         "command": args.command,
-        "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in inputs.items()},
+        "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in paths.items()},
         "tolerance": {"abs_eps": args.tol, "rank_rel": args.rank_rel},
         "seed": args.seed,
         "results": results,
         "exit_code": exit_code,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
+    _emit(args.out, default_name, serialize.dumps_canonical(report) + "\n")
 
 
-def _cmd_validate(args) -> int:
-    tol = _tolerance(args)
+def _cmd_validate(args, tol: Tolerance) -> tuple[dict | None, int]:
     kind, data = serialize.detect_kind(args.input)
     if kind == "channel":
         c = serialize.channel_from_dict(data, where=args.input)
@@ -104,29 +100,22 @@ def _cmd_validate(args) -> int:
         ok = rep.violation is None
         results = {"kind": "observable", **rep.residuals}
     results["valid"] = bool(ok)
-    code = 0 if ok else 2
-    _write_report(args, _base_report(args, {"input": args.input}, results, code))
-    return code
+    return results, 0 if ok else 2
 
 
-def _cmd_preserved(args) -> int:
-    tol = _tolerance(args)
+def _cmd_preserved(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
     span = interaction_span(c)
     # preserved_algebra(c), on the span already built
     structure = structure_decompose(commutant(span.basis, tol), seed=args.seed, tol=tol)
-    results = {
+    return {
         "interaction_span_dimension": span.dimension,
         "preserved_algebra": serialize.algebra_to_dict(structure),
-    }
-    _write_report(args, _base_report(args, {"input": args.input}, results, 0))
-    return 0
+    }, 0
 
 
-def _cmd_correct(args) -> int:
-    tol = _tolerance(args)
+def _cmd_correct(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
-    inputs = {"input": args.input}
     report = correctable_report(c, tol, args.seed)
     results = {
         "preserved_algebra": serialize.algebra_to_dict(report.preserved_algebra),
@@ -134,170 +123,128 @@ def _cmd_correct(args) -> int:
         "residuals": report.residuals,
     }
     if args.code:
-        inputs["code"] = args.code
         code = serialize.parse_code_file(args.code)
         s0 = correctable_operator_system(c, code, tol, args.seed)
         restricted = preserved_algebra(restrict(c, code), tol, args.seed)
         results["code_algebra"] = serialize.algebra_to_dict(restricted)
         results["operator_system_basis"] = serialize.matrix_to_pairs(s0.basis)
-    _write_report(args, _base_report(args, inputs, results, 0))
-    return 0
+    return results, 0
 
 
-def _cmd_pointer(args) -> int:
-    tol = _tolerance(args)
-    c = serialize.parse_channel_file(args.input, tol)
-    report = decoherence.pointer_algebra(c, tol, args.seed)
-    results = {
-        "pointer_algebra": serialize.algebra_to_dict(report.pointer_algebra),
+def _pointer_results(report, algebra_key: str) -> dict:
+    """The fields ``pointer`` and ``broadcast`` share."""
+    return {
+        algebra_key: serialize.algebra_to_dict(report.pointer_algebra),
         "pointer_effects": serialize.observable_to_dict(report.pointer_effects),
         "commutativity_residual": report.commutativity_residual,
     }
-    _write_report(args, _base_report(args, {"input": args.input}, results, 0))
-    return 0
 
 
-def _cmd_kl(args) -> int:
-    tol = _tolerance(args)
+def _cmd_pointer(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
-    code = serialize.parse_code_file(args.code)
-    rep = kl_check(c, code, tol)
-    results = {
+    return _pointer_results(decoherence.pointer_algebra(c, tol, args.seed), "pointer_algebra"), 0
+
+
+def _cmd_broadcast(args, tol: Tolerance) -> tuple[dict | None, int]:
+    c = serialize.parse_channel_file(args.input, tol)
+    report = decoherence.broadcast_pointer(c, args.dims, tol, seed=args.seed)
+    return {"subsystem_dims": args.dims, **_pointer_results(report, "broadcast_algebra")}, 0
+
+
+def _cmd_kl(args, tol: Tolerance) -> tuple[dict | None, int]:
+    c = serialize.parse_channel_file(args.input, tol)
+    rep = kl_check(c, serialize.parse_code_file(args.code), tol)
+    return {
         "passes": rep.passes,
         "residual": rep.residual,
         "lambda": serialize.matrix_to_pairs(rep.lam),
         "n_elements": c.n_elements,
-    }
-    exit_code = 0 if rep.passes else 2
-    _write_report(args, _base_report(args, {"input": args.input, "code": args.code}, results, exit_code))
-    return exit_code
+    }, 0 if rep.passes else 2
 
 
-def _cmd_oqec(args) -> int:
-    tol = _tolerance(args)
+def _cmd_oqec(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
-    code = serialize.parse_code_file(args.code)
-    d_a, d_b = args.split
-    rep = oqec_check(c, code, (d_a, d_b), tol)
-    results = {
+    rep = oqec_check(c, serialize.parse_code_file(args.code), tuple(args.split), tol)
+    return {
         "passes": rep.passes,
         "residual": rep.residual,
         "lambdas": serialize.matrix_to_pairs(rep.lambdas),
-        "split": [d_a, d_b],
-    }
-    exit_code = 0 if rep.passes else 2
-    _write_report(args, _base_report(args, {"input": args.input, "code": args.code}, results, exit_code))
-    return exit_code
+        "split": args.split,
+    }, 0 if rep.passes else 2
 
 
-def _cmd_classical(args) -> int:
-    tol = _tolerance(args)
+def _cmd_classical(args, tol: Tolerance) -> tuple[dict | None, int]:
     gamma = serialize.parse_observable_file(args.gamma, tol)
     kind, data = serialize.detect_kind(args.input)
-    inputs = {"input": args.input, "gamma": args.gamma}
     if kind == "observable":
         x = serialize.checked_observable(serialize.observable_from_dict(data, where=args.input), tol)
         try:
             sm = decoherence.coarse_grain_solve(x, gamma, tol=args.feas_tol)
-            results = {
-                "feasible": True,
-                "stochastic_map": serialize.stochastic_to_dict(sm),
-            }
-            exit_code = 0
         except Infeasible as exc:
-            results = {
+            return {
                 "feasible": False,
                 "residual": exc.residual,
                 "certified_lower_bound": exc.lower_bound,
-            }
-            exit_code = 2
-    else:
-        c = serialize.checked_channel(serialize.channel_from_dict(data, where=args.input), tol)
-        report = decoherence.full_decoherence_check(
-            c, gamma, samples=args.samples, tol=args.feas_tol, seed=args.seed
-        )
-        results = {
-            "samples": report.samples,
-            "feasible": report.feasible,
-            "pass_rate": report.pass_rate,
-            "max_residual": report.max_residual,
-            "explicit_residual": report.explicit_residual,
-            "certified_lower_bound": report.certified_lower_bound,
-        }
-        exit_code = 0 if report.feasible == report.samples else 2
-    _write_report(args, _base_report(args, inputs, results, exit_code))
-    return exit_code
+            }, 2
+        return {"feasible": True, "stochastic_map": serialize.stochastic_to_dict(sm)}, 0
+    c = serialize.checked_channel(serialize.channel_from_dict(data, where=args.input), tol)
+    report = decoherence.full_decoherence_check(
+        c, gamma, samples=args.samples, tol=args.feas_tol, seed=args.seed
+    )
+    return {
+        "samples": report.samples,
+        "feasible": report.feasible,
+        "pass_rate": report.pass_rate,
+        "max_residual": report.max_residual,
+        "explicit_residual": report.explicit_residual,
+        "certified_lower_bound": report.certified_lower_bound,
+    }, 0 if report.feasible == report.samples else 2
 
 
-def _cmd_broadcast(args) -> int:
-    tol = _tolerance(args)
-    c = serialize.parse_channel_file(args.input, tol)
-    report = decoherence.broadcast_pointer(c, args.dims, tol, seed=args.seed)
-    results = {
-        "subsystem_dims": args.dims,
-        "broadcast_algebra": serialize.algebra_to_dict(report.pointer_algebra),
-        "pointer_effects": serialize.observable_to_dict(report.pointer_effects),
-        "commutativity_residual": report.commutativity_residual,
-    }
-    _write_report(args, _base_report(args, {"input": args.input}, results, 0))
-    return 0
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, tol: Tolerance) -> tuple[dict | None, int]:
     times = args.times or np.linspace(0.0, args.total_time, args.steps).tolist()
     projs = catalog.basis_observable(args.env_size).effects
     sweep = decoherence.dephasing_sweep(list(projs), args.env_size, args.total_time, times)
     rows = sweep.rows()
     if args.format == "csv":
-        _write_csv(args, ["t", "i", "m", "gamma"], rows)
-        return 0
-    results = {
+        _emit(args.out, "sweep.csv", _csv_text(_HEADERS["gamma"], rows))
+        return None, 0
+    return {
         "env_size": args.env_size,
         "total_time": args.total_time,
         "times": [float(t) for t in sweep.times],
         "gamma_rows": rows,
         "snapshots": [serialize.channel_to_dict(s) for s in sweep.snapshots],
-    }
-    _write_report(args, _base_report(args, {}, results, 0))
-    return 0
+    }, 0
 
 
-def _cmd_region(args) -> int:
-    tol = _tolerance(args)
+def _cmd_region(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
     points = decoherence.effect_region_sample(c, args.grid)
     rows = [[float(x), float(z), float(t)] for x, z, t in points]
     if args.format == "csv":
-        _write_csv(args, ["x", "z", "t"], rows)
-        return 0
-    results = {"grid": args.grid, "points": rows}
-    _write_report(args, _base_report(args, {"input": args.input}, results, 0))
-    return 0
+        _emit(args.out, "region.csv", _csv_text(_HEADERS["region"], rows))
+        return None, 0
+    return {"grid": args.grid, "points": rows}, 0
 
 
-def _cmd_capacity(args) -> int:
-    tol = _tolerance(args)
+def _cmd_capacity(args, tol: Tolerance) -> tuple[dict | None, int]:
     x = serialize.parse_observable_file(args.input, tol)
-    estimate = capacity_mod.observable_capacity(
-        x, restarts=args.restarts, seed=args.seed
-    )
-    results = {
+    estimate = capacity_mod.observable_capacity(x, restarts=args.restarts, seed=args.seed)
+    return {
         "bits": estimate.bits,
         # Holevo: no ensemble carries more than log2 d bits through d-dim states
         "upper_bound_bits": float(np.log2(min(x.n_outcomes, x.dim))),
         "ensemble": serialize.ensemble_to_dict(estimate.ensemble),
         "lower_bound": True,
-    }
-    _write_report(args, _base_report(args, {"input": args.input}, results, 0))
-    return 0
+    }, 0
 
 
-def _cmd_example(args) -> int:
-    tol = _tolerance(args)
+def _cmd_example(args, tol: Tolerance) -> tuple[dict | None, int]:
     bundle = catalog.example_catalog(args.name, args.seed)
     results = catalog.analyze_bundle(bundle, tol, args.seed, args.samples)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
+    if args.out:
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for label, chan in bundle.channels.items():
             serialize.write_channel_file(out_dir / f"{args.name}.{label}.channel.json", chan)
@@ -305,16 +252,12 @@ def _cmd_example(args) -> int:
             serialize.write_observable_file(out_dir / f"{args.name}.{label}.observable.json", obs)
         for label, code in bundle.codes.items():
             serialize.write_code_file(out_dir / f"{args.name}.{label}.code.json", code)
-        if "gamma_rows" in results:
-            csv = _csv_text(["t", "i", "m", "gamma"], results["gamma_rows"])
-            _emit(args.out, f"{args.name}.gamma.csv", csv)
-        if "region_points" in results:
-            csv = _csv_text(["x", "z", "t"], results["region_points"])
-            _emit(args.out, f"{args.name}.region.csv", csv)
+        for table, key in (("gamma", "gamma_rows"), ("region", "region_points")):
+            if key in results:
+                _emit(args.out, f"{args.name}.{table}.csv", _csv_text(_HEADERS[table], results[key]))
     exit_code = 0 if results.get("passes", False) else 2
-    report = _base_report(args, {}, {**results, "example": args.name}, exit_code)
-    _emit(args.out, f"{args.name}.report.json", serialize.dumps_canonical(report) + "\n")
-    return exit_code
+    _write_report(args, {**results, "example": args.name}, exit_code, f"{args.name}.report.json")
+    return None, exit_code
 
 
 def _number_list(text: str, kind, what: str) -> list:
@@ -341,8 +284,8 @@ def _count(text: str) -> int:
     return value
 
 
-def _duration(text: str) -> float:
-    """A finite number > 0."""
+def _positive(text: str) -> float:
+    """A finite number > 0 (tolerances, durations)."""
     value = float(text)
     if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
@@ -365,8 +308,8 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
     """The command-line parser and its ``--seed`` action, which every
     subcommand shares (parents hand their actions on, not copies)."""
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, default=1e-9, help="absolute operator-norm tolerance")
-    shared.add_argument("--rank-rel", type=float, default=1e-10, help="relative rank cutoff")
+    shared.add_argument("--tol", type=_positive, default=1e-9, help="absolute operator-norm tolerance")
+    shared.add_argument("--rank-rel", type=_positive, default=1e-10, help="relative rank cutoff")
     seed = shared.add_argument("--seed", type=int, default=_seed_default(),
                                help=f"RNG seed (default from ${SEED_ENV} or 0)")
     shared.add_argument("--out", default=None, help="output path (directory for `example`)")
@@ -425,7 +368,7 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
     p = sub.add_parser("sweep", parents=[shared, table], help="time-resolved dephasing weights")
     p.add_argument("--env-size", type=_count, default=4, dest="env_size")
-    p.add_argument("--total-time", type=_duration, default=1.0, dest="total_time")
+    p.add_argument("--total-time", type=_positive, default=1.0, dest="total_time")
     p.add_argument("--steps", type=_count, default=11)
     p.add_argument("--times", default=None, type=_times,
                    help="comma-separated times (overrides --steps)")
@@ -457,6 +400,9 @@ _main_parser = functools.cache(_parser_and_seed)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and write its results as ``{command}.json``; a
+    command that returns None for them wrote its own output (CSV tables,
+    the files and report of ``example``)."""
     parser, seed = _main_parser()
     # $QICHAN_SEED is read at each call, not when the parser was built
     seed.default = _seed_default()
@@ -466,7 +412,10 @@ def main(argv: list[str] | None = None) -> int:
         # usage errors (argparse exits 2) are input errors, not a "no"
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        results, exit_code = args.func(args, Tolerance(abs_eps=args.tol, rank_rel=args.rank_rel))
+        if results is not None:
+            _write_report(args, results, exit_code, f"{args.command}.json")
+        return exit_code
     except QichanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -73,11 +73,11 @@ def _dump(obj, pad: str) -> str:
     return format_scalar(obj)
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
+def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, fixed float
     formatting.  Containers nest one per line; a list of scalars is one
     line, formatted in one pass of :func:`format_scalar`."""
-    return _dump(obj, " " * indent)
+    return _dump(obj, "")
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:

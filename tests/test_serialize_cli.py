@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +75,6 @@ class TestCanonicalJson:
         ]
         for obj in objs:
             assert serialize.dumps_canonical(obj) == _reference_dumps(obj)
-            assert serialize.dumps_canonical(obj, indent=4) == _reference_dumps(obj, indent=4)
 
     @pytest.mark.parametrize(
         "obj",
@@ -248,6 +249,32 @@ def _strip_timestamp(text):
     data = json.loads(text)
     data.pop("generated_at", None)
     return json.dumps(data, sort_keys=True)
+
+
+# the files a report case writes before it runs
+_CASE_FILES = ("channel", "bitflip", "joint", "code", "x", "gamma")
+
+# one case per command and form: argv with file placeholders, and the file
+# arguments its report names (argument -> placeholder)
+_REPORT_CASES = {
+    "validate": (["validate", "{channel}"], {"input": "channel"}),
+    "preserved": (["preserved", "{channel}"], {"input": "channel"}),
+    "correct": (["correct", "{channel}"], {"input": "channel"}),
+    "correct-code": (["correct", "{bitflip}", "--code", "{code}"], {"input": "bitflip", "code": "code"}),
+    "pointer": (["pointer", "{channel}"], {"input": "channel"}),
+    "kl": (["kl", "{bitflip}", "--code", "{code}"], {"input": "bitflip", "code": "code"}),
+    "oqec": (["oqec", "{bitflip}", "--code", "{code}", "--split", "2,1"], {"input": "bitflip", "code": "code"}),
+    "classical-observable": (["classical", "{x}", "--gamma", "{gamma}"], {"input": "x", "gamma": "gamma"}),
+    "classical-channel": (
+        ["classical", "{channel}", "--gamma", "{gamma}", "--samples", "4"],
+        {"input": "channel", "gamma": "gamma"},
+    ),
+    "broadcast": (["broadcast", "{joint}", "--dims", "3,3"], {"input": "joint"}),
+    "sweep": (["sweep", "--steps", "3", "--env-size", "2"], {}),
+    "region": (["region", "{channel}", "--grid", "4"], {"input": "channel"}),
+    "capacity": (["capacity", "{x}", "--restarts", "2"], {"input": "x"}),
+    "example": (["example", "dephasing", "--samples", "4"], {}),
+}
 
 
 class TestCli:
@@ -431,13 +458,79 @@ class TestCli:
         assert main(["capacity", str(xpath), "--restarts", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["upper_bound_bits"] == 1.0
 
-    def test_report_determinism_modulo_timestamp(self, tmp_path, capsys):
-        path = self._channel_file(tmp_path)
-        main(["preserved", path, "--seed", "3"])
+    @staticmethod
+    def _report_case(tmp_path, case):
+        """The argv of one report case on freshly written files, and the
+        paths its report must name."""
+        from qichan.catalog import antisym_joint_channel, basis_observable, bitflip3_channel, repetition_code
+
+        paths = {name: str(tmp_path / f"{name}.json") for name in _CASE_FILES}
+        serialize.write_channel_file(paths["channel"], dephasing_channel(2))
+        serialize.write_channel_file(paths["bitflip"], bitflip3_channel((0.4, 0.2, 0.2, 0.2)))
+        serialize.write_channel_file(paths["joint"], antisym_joint_channel())
+        serialize.write_code_file(paths["code"], repetition_code())
+        serialize.write_observable_file(paths["x"], basis_observable(2))
+        serialize.write_observable_file(paths["gamma"], sic_tetrahedron())
+        argv, inputs = _REPORT_CASES[case]
+        return [a.format(**paths) for a in argv], {name: paths[f] for name, f in inputs.items()}
+
+    @pytest.mark.parametrize("case", list(_REPORT_CASES))
+    def test_report_names_the_files_read(self, tmp_path, capsys, case):
+        argv, inputs = self._report_case(tmp_path, case)
+        assert main(argv) in (0, 2)
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"] == {
+            name: {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+            for name, path in inputs.items()
+        }
+
+    @pytest.mark.parametrize("case", list(_REPORT_CASES))
+    def test_report_determinism_modulo_timestamp(self, tmp_path, capsys, case):
+        argv, _ = self._report_case(tmp_path, case)
+        main(argv + ["--seed", "3"])
         first = capsys.readouterr().out
-        main(["preserved", path, "--seed", "3"])
+        main(argv + ["--seed", "3"])
         second = capsys.readouterr().out
         assert _strip_timestamp(first) == _strip_timestamp(second)
+
+    @pytest.mark.parametrize("case", list(_REPORT_CASES))
+    def test_out_dir_default_names(self, tmp_path, capsys, case):
+        argv, _ = self._report_case(tmp_path, case)
+        out = tmp_path / "out"
+        out.mkdir()
+        main(argv + ["--out", str(out)])
+        assert capsys.readouterr().out == ""
+        names = {p.name for p in out.iterdir()}
+        if argv[0] == "example":  # its artifacts: test_example_out_dir_names
+            assert f"{argv[1]}.report.json" in names
+        else:
+            assert names == {f"{argv[0]}.json"}
+
+    @pytest.mark.parametrize("command", ["sweep", "region"])
+    def test_out_dir_default_csv_name(self, tmp_path, capsys, command):
+        argv, _ = self._report_case(tmp_path, command)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in out.iterdir()] == [f"{command}.csv"]
+
+    @pytest.mark.parametrize(
+        "name, files",
+        [
+            ("bitflip3", ["bitflip3.channel.channel.json", "bitflip3.code.code.json"]),
+            ("diamonds-2", ["diamonds-2.channel.channel.json", "diamonds-2.pointer.observable.json",
+                            "diamonds-2.region.csv"]),
+            ("sweep", ["sweep.projectors.observable.json", "sweep.gamma.csv"]),
+        ],
+    )
+    def test_example_out_dir_names(self, tmp_path, capsys, name, files):
+        out = tmp_path / "out"
+        assert main(["example", name, "--samples", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert {p.name for p in out.iterdir()} == {f"{name}.report.json", *files}
+        report = json.loads((out / f"{name}.report.json").read_text())
+        assert report["command"] == "example" and report["results"]["example"] == name
 
     def test_example_writes_artifacts(self, tmp_path):
         outdir = tmp_path / "bundle"
@@ -540,11 +633,13 @@ class TestCli:
             ["region", "{channel}", "--grid", "0"],
             ["classical", "{channel}", "--gamma", "{channel}", "--samples", "0"],
             ["example", "sic-cloner", "--samples", "0"],
+            ["preserved", "{channel}", "--tol", "0"],
+            ["sweep", "--rank-rel", "nan"],
         ],
         ids=[
             "kl-without-code", "split", "dims", "times", "format-unread", "samples-unread",
             "steps-negative", "total-time-zero", "env-size-zero", "grid-zero",
-            "classical-samples-zero", "example-samples-zero",
+            "classical-samples-zero", "example-samples-zero", "tol-zero", "rank-rel-nan",
         ],
     )
     def test_usage_errors_exit_one(self, tmp_path, capsys, argv):
