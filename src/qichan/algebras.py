@@ -317,13 +317,14 @@ def intersect(a: OperatorBasisSet, b: OperatorBasisSet) -> OperatorBasisSet:
 class AlgebraStructure:
     """A *-algebra with its block decomposition sum_k M_{n_k} (x) 1_{m_k}.
 
-    ``central_projectors[k]`` projects onto the k-th block;
-    conjugating a carrier element by ``basis_change`` (columns are the new
-    basis) exhibits the block pattern.
+    ``central_projectors[k]`` projects onto the k-th block, one read-only
+    stack (k, d, d) like ``Channel.elements``; conjugating a carrier element
+    by ``basis_change`` (columns are the new basis) exhibits the block
+    pattern.
     """
 
     carrier: OperatorBasisSet
-    central_projectors: tuple[np.ndarray, ...]
+    central_projectors: np.ndarray  # (k, dim, dim), read-only
     block_dims: tuple[tuple[int, int], ...]
     basis_change: np.ndarray
 
@@ -371,8 +372,8 @@ def center(a: OperatorBasisSet, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSe
     P_k / sqrt(tr P_k) are a Hilbert-Schmidt orthonormal basis.
     """
     projs = structure_decompose(a, tol=tol).central_projectors
-    basis = np.stack([p / np.sqrt(np.trace(p).real) for p in projs])
-    return OperatorBasisSet(dim=a.dim, basis=basis)
+    norms = np.sqrt(np.trace(projs, axis1=1, axis2=2).real)
+    return OperatorBasisSet(dim=a.dim, basis=projs / norms[:, None, None])
 
 
 def structure_decompose(
@@ -447,7 +448,8 @@ def _decompose_with(a: OperatorBasisSet, rng: np.random.Generator) -> AlgebraStr
         ),
     )
     dims = tuple(blocks[i][0] for i in order)
-    projs = tuple(np.ascontiguousarray(blocks[i][1]) for i in order)
+    projs = np.array([blocks[i][1] for i in order])
+    projs.setflags(write=False)
     basis_change = np.hstack([blocks[i][2] for i in order])
     structure = AlgebraStructure(
         carrier=a,

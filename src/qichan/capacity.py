@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .channels import DiscreteObservable
+from .channels import DiscreteObservable, _frozen_stack
 from .decoherence import StochasticMap
 from .errors import DimMismatch, NotPSD
-from .numlin import DEFAULT_TOL, asmatrix, dagger, max_commutator_norm, op_norm
+from .numlin import DEFAULT_TOL, dagger, max_commutator_norm, op_norm
 from .rand import generator, random_pure_state
 
 _LOG_FLOOR = 1e-30
@@ -52,18 +52,19 @@ _MAX_ROUNDS = 60
 class Ensemble:
     """Prior probabilities over a finite family of states."""
 
-    priors: np.ndarray
-    states: tuple[np.ndarray, ...]
+    priors: np.ndarray  # (k,), read-only
+    states: np.ndarray  # (k, d, d), read-only
 
     @staticmethod
     def from_states(priors, states) -> "Ensemble":
-        priors = np.ascontiguousarray(priors, dtype=np.float64)
-        states = tuple(asmatrix(s) for s in states)
+        """Both arrays are copied, read-only, so the caller's cannot change them."""
+        priors = np.array(priors, dtype=np.float64)
+        priors.setflags(write=False)
+        states = _frozen_stack(states, "state")
         if priors.ndim != 1 or priors.size != len(states):
             raise DimMismatch("one prior per state required")
-        shapes = {s.shape for s in states}
-        if len(shapes) > 1 or any(rows != cols for rows, cols in shapes):
-            raise DimMismatch(f"states must be square matrices of one shape, got {sorted(shapes)}")
+        if states.shape[1] != states.shape[2]:
+            raise DimMismatch(f"states must be square, got {states.shape[1:]}")
         if abs(priors.sum() - 1.0) > 1e-9 or priors.min() < -1e-12:
             raise ValueError("priors must form a probability vector")
         return Ensemble(priors=priors, states=states)
@@ -94,8 +95,8 @@ def shannon_capacity(p: StochasticMap, tol: float = 1e-12) -> float:
 def holevo_quantity(x: DiscreteObservable, e: Ensemble) -> float:
     """S(X(avg)) - sum_i mu_i S(X(rho_i)) in bits, for the output distributions:
     the mutual information of the classical channel the ensemble induces."""
-    if e.states and e.states[0].shape != (x.dim, x.dim):
-        raise DimMismatch(f"state dim {e.states[0].shape} != observable dim {x.dim}")
+    if e.states.shape[1:] != (x.dim, x.dim):
+        raise DimMismatch(f"state dim {e.states.shape[1:]} != observable dim {x.dim}")
     return float(_mutual_information(_conditional_matrix(x, e.states), e.priors))
 
 
@@ -170,7 +171,7 @@ def _starts(
     for _ in range(max(0, restarts - 1)):
         k = int(rng.integers(2, cap + 1))
         starts.append(_projectors(np.array([random_pure_state(rng, d) for _ in range(k)])))
-    starts += [np.array(ens.states[:cap]) for ens in warm_ensembles]
+    starts += [ens.states[:cap] for ens in warm_ensembles]
     states = np.zeros((len(starts), max(len(s) for s in starts), d, d), dtype=np.complex128)
     for i, start in enumerate(starts):
         states[i, : len(start)] = start
@@ -289,9 +290,9 @@ def observable_capacity(
     cap = d * d if max_states is None else max(2, min(max_states, d * d))
     states, warm = _starts(x, restarts, seed, warm_ensembles, cap)
     values, priors, states = _lockstep_search(x, states, warm, tol)
-    # the first start with the highest value; its arrays are copied out of
-    # the stack, so the answer does not keep the stack alive
+    # the first start with the highest value; from_states copies its arrays
+    # out of the stack, so the answer does not keep the stack alive
     best = int(np.argmax(values))
     k = int(states[best].any(axis=(1, 2)).sum())
-    ensemble = Ensemble.from_states(priors[best, :k].copy(), states[best, :k].copy())
+    ensemble = Ensemble.from_states(priors[best, :k], states[best, :k])
     return CapacityEstimate(bits=float(values[best]), ensemble=ensemble)

@@ -30,9 +30,9 @@ from .channels import (
 )
 from .correction import (
     CodeSubspace,
-    correction_channel,
     correctable_operator_system,
-    fixed_point_residual,
+    correctable_report,
+    correction_channel,
     kl_check,
     preserved_algebra,
     restrict,
@@ -366,9 +366,9 @@ def analyze_bundle(
 def _analyze_dephasing(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
     c = bundle.channels["channel"]
     report = pointer_algebra(c, tol, seed)
-    structure = preserved_algebra(c, tol, seed)
-    r = correction_channel(c, tol)
-    fx = fixed_point_residual(c, r, structure.carrier)
+    correctable = correctable_report(c, tol, seed)
+    structure = correctable.preserved_algebra
+    fx = correctable.residuals["fixed_point"]
     expected = bundle.observables["pointer"]
     match = _match_projector_sets(report.pointer_effects, expected)
     passes = (
@@ -419,10 +419,9 @@ def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int, samples:
     c = bundle.channels["channel"]
     code = bundle.codes["code"]
     kl = kl_check(c, code, tol)
-    c0 = restrict(c, code)
-    a0 = preserved_algebra(c0, tol, seed)
-    r0 = correction_channel(c0, tol)
-    fx = fixed_point_residual(c0, r0, a0.carrier)
+    on_code = correctable_report(restrict(c, code), tol, seed)
+    a0, r0 = on_code.preserved_algebra, on_code.correction
+    fx = on_code.residuals["fixed_point"]
     s0 = correctable_operator_system(c, code, tol, seed)
     lifted = apply_dual(c, apply_dual(r0, dagger(code.v) @ s0.basis @ code.v))
     worst_s0 = op_norm(lifted - s0.basis)
@@ -615,7 +614,7 @@ def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int, samples:
     match = spans_equal(fixed, oracle, 1e-7)
     structure = structure_decompose(fixed, seed=seed, tol=tol)
     # the center is spanned by the central projectors
-    center_commutative = max_commutator_norm(np.asarray(structure.central_projectors)) <= 1e-8
+    center_commutative = max_commutator_norm(structure.central_projectors) <= 1e-8
     passes = match and center_commutative
     return {
         "passes": bool(passes),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -260,19 +261,23 @@ def _cmd_example(args, tol: Tolerance) -> tuple[dict | None, int]:
     return None, exit_code
 
 
-def _number_list(text: str, kind, what: str) -> list:
+def _number_list(text: str, kind, what: str, ok) -> list:
+    """Comma-separated values of type ``kind``, each passing ``ok``."""
     try:
-        return [kind(v) for v in text.split(",")]
+        values = [kind(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+        values = None
+    if values is None or not all(map(ok, values)):
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return values
 
 
 def _dims(text: str) -> list[int]:
-    return _number_list(text, int, "integers")
+    return _number_list(text, int, "integers >= 1", lambda v: v >= 1)
 
 
 def _times(text: str) -> list[float]:
-    return _number_list(text, float, "numbers")
+    return _number_list(text, float, "finite numbers", math.isfinite)
 
 
 def _count(text: str) -> int:
@@ -281,6 +286,14 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """An integer >= 0, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return value
 
 
@@ -310,7 +323,7 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", type=_positive, default=1e-9, help="absolute operator-norm tolerance")
     shared.add_argument("--rank-rel", type=_positive, default=1e-10, help="relative rank cutoff")
-    seed = shared.add_argument("--seed", type=int, default=_seed_default(),
+    seed = shared.add_argument("--seed", type=_seed, default=_seed_default(),
                                help=f"RNG seed (default from ${SEED_ENV} or 0)")
     shared.add_argument("--out", default=None, help="output path (directory for `example`)")
     samples = argparse.ArgumentParser(add_help=False)
@@ -357,7 +370,7 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
                        help="coarse-graining feasibility against a reference observable")
     p.add_argument("input", help="observable (single solve) or channel (sampled check)")
     p.add_argument("--gamma", required=True, help="reference observable JSON")
-    p.add_argument("--feas-tol", type=float, default=decoherence.FEASIBILITY_TOL)
+    p.add_argument("--feas-tol", type=_positive, default=decoherence.FEASIBILITY_TOL)
     p.set_defaults(func=_cmd_classical)
 
     p = sub.add_parser("broadcast", parents=[shared], help="algebra broadcast to every subsystem")

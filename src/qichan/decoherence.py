@@ -19,6 +19,7 @@ from .algebras import AlgebraStructure, OperatorBasisSet, span_of, structure_dec
 from .channels import (
     Channel,
     DiscreteObservable,
+    apply,
     apply_dual,
     complement,
     dilate,
@@ -127,11 +128,10 @@ def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> Poi
     as the pointer observable."""
     carrier = _preserved_carrier(channels, tol)
     structure = structure_decompose(carrier, seed=seed, tol=tol)
-    effects = DiscreteObservable.from_effects(list(structure.central_projectors))
     return PointerReport(
-        # the projectors are kept once, as the read-only rows of the effects
-        pointer_algebra=replace(structure, central_projectors=tuple(effects.effects)),
-        pointer_effects=effects,
+        pointer_algebra=structure,
+        # the algebra's read-only stack itself: the projectors are kept once
+        pointer_effects=DiscreteObservable(structure.dim, effects=structure.central_projectors),
         commutativity_residual=max_commutator_norm(carrier.basis),
     )
 
@@ -410,24 +410,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 6
            239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311)
 
 
-# output projectors |b><b| pulled back through the dual at once
-_PROJECTORS_PER_CALL = 16
-
-
-def _pulled_back_projectors(c: Channel) -> np.ndarray:
-    """E*(|b><b|) for every output basis state b, a few projectors per
-    ``apply_dual`` call: all of them at once hold dim_out^3 entries, 4 MiB
-    at dim_out = 64.  Each projector gets the same products either way."""
-    d = c.dim_out
-    images = np.empty((d, c.dim_in, c.dim_in), dtype=np.complex128)
-    for start in range(0, d, _PROJECTORS_PER_CALL):
-        b = np.arange(start, min(start + _PROJECTORS_PER_CALL, d))
-        projectors = np.zeros((b.size, d, d), dtype=np.complex128)
-        projectors[np.arange(b.size), b, b] = 1.0
-        images[b] = apply_dual(c, projectors)
-    return images
-
-
 def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
     """Coordinates (tr(A s_x), tr(A s_z), tr(A)) of preserved effects
     A = E*(B) over a deterministic grid of output effects B.
@@ -436,14 +418,18 @@ def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
     densification; larger outputs grid the diagonal effect coefficients
     (a low-discrepancy Kronecker sequence plus binary vertices), which
     exhausts the dual image for rank-one element channels.  Each B is a
-    coefficient row over a fixed operator basis, so by linearity only the
-    basis images are pulled back through the dual.
+    coefficient row over a fixed operator basis B_j, and by duality
+    tr(E*(B_j) X) = tr(B_j E(X)), so one forward ``apply`` of s_x, s_z
+    and 1 gives every coordinate.
     """
     if c.dim_in != 2:
         raise DimMismatch(f"region sampling needs a qubit input, got dim {c.dim_in}")
     d_out = c.dim_out
+    if d_out > len(_PRIMES):
+        raise DimMismatch(f"region sampling supports outputs up to dim {len(_PRIMES)}, got {d_out}")
     sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     sz = np.diag([1.0, -1.0]).astype(np.complex128)
+    images = apply(c, np.array([sx, sz, np.eye(2)]))  # E(X), X = s_x, s_z, 1
     if d_out == 2:
         # rows (s, b_x, b_z) of B = (s 1 + b_x s_x + b_z s_z) / 2, in grid
         # order: the point itself when inside the slice, then its radial
@@ -457,19 +443,16 @@ def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
         rows = np.stack([np.column_stack([sc, bx, bz]), np.column_stack([sc, f * bx, f * bz])], axis=1)
         keep = np.column_stack([r <= rmax + 1e-12, (r > 1e-12) & (rmax > 0)])
         coeffs = rows[keep] / 2
-        images = apply_dual(c, np.array([np.eye(2), sx, sz]))
+        coords = np.einsum("bij,kji->bk", np.array([np.eye(2), sx, sz]), images).real
     else:
-        if d_out > len(_PRIMES):
-            raise DimMismatch(f"region sampling supports outputs up to dim {len(_PRIMES)}, got {d_out}")
         n_pts = grid**3
         alphas = np.sqrt(np.array(_PRIMES[:d_out], dtype=np.float64))
         coeffs = np.mod(np.arange(n_pts)[:, None] * alphas, 1.0)
         if 2**d_out <= n_pts:
             vertices = (np.arange(2**d_out)[:, None] >> np.arange(d_out)) & 1
             coeffs = np.vstack([coeffs, vertices.astype(np.float64)])
-        images = _pulled_back_projectors(c)
-    # (tr(A s_x), tr(A s_z), tr(A)) of each basis image
-    coords = np.einsum("bij,kji->bk", images, np.array([sx, sz, np.eye(2)])).real
+        # B_b = |b><b|, so tr(B_b E(X)) is the diagonal entry E(X)_bb
+        coords = np.diagonal(images, axis1=1, axis2=2).T.real
     return coeffs @ coords
 
 

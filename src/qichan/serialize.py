@@ -265,7 +265,7 @@ def algebra_to_dict(structure) -> dict:
         "dim": structure.dim,
         "dimension": structure.dimension,
         "block_dims": [list(b) for b in structure.block_dims],
-        "central_projectors": [matrix_to_pairs(p) for p in structure.central_projectors],
+        "central_projectors": matrix_to_pairs(structure.central_projectors),
         "basis_change": matrix_to_pairs(structure.basis_change),
         "basis": matrix_to_pairs(structure.carrier.basis),
     }
@@ -282,5 +282,5 @@ def stochastic_to_dict(sm) -> dict:
 def ensemble_to_dict(ens) -> dict:
     return {
         "priors": [float(p) for p in ens.priors],
-        "states": [matrix_to_pairs(s) for s in ens.states],
+        "states": matrix_to_pairs(ens.states),
     }

@@ -227,6 +227,12 @@ class TestStructureDecompose:
         assert sum(n * m for n, m in st.block_dims) == st.dim
         assert al.block_pattern_residual(st) < 1e-7
 
+    def test_central_projectors_are_one_read_only_stack(self):
+        st = al.structure_decompose(two_by_two_plus_three_algebra())
+        projs = st.central_projectors
+        assert isinstance(projs, np.ndarray) and projs.shape == (2, 7, 7)
+        assert projs.dtype == np.complex128 and not projs.flags.writeable
+
     def test_projector_partition(self):
         st = al.structure_decompose(two_by_two_plus_three_algebra())
         total = sum(st.central_projectors)

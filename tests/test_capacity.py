@@ -88,6 +88,20 @@ class TestHolevoQuantity:
 
 
 class TestEnsemble:
+    def test_states_are_one_read_only_stack(self):
+        e = cap.Ensemble.from_states([0.5, 0.5], [np.eye(2) / 2, np.diag([1.0, 0.0])])
+        assert e.states.shape == (2, 2, 2) and e.states.dtype == np.complex128
+        assert not e.states.flags.writeable and not e.priors.flags.writeable
+
+    def test_copies_the_callers_arrays(self):
+        priors = np.array([0.25, 0.75])
+        states = np.stack([np.eye(2) / 2, np.diag([0.0, 1.0])]).astype(complex)
+        e = cap.Ensemble.from_states(priors, states)
+        priors[:] = 0.5
+        states[:] = 0.0
+        assert np.array_equal(e.priors, [0.25, 0.75])
+        assert np.array_equal(e.states[1], np.diag([0.0, 1.0]))
+
     def test_states_of_different_shapes_rejected(self):
         with pytest.raises(DimMismatch):
             cap.Ensemble.from_states([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3])

@@ -80,10 +80,10 @@ class TestPointerAlgebra:
         c, _ = block_pinch_channel((2, 1, 1), seed=2)
         rep = de.pointer_algebra(c)
         projs = rep.pointer_algebra.central_projectors
-        assert np.array_equal(np.stack(projs), rep.pointer_effects.effects)
-        # kept once: each projector is a read-only row of the effects stack
-        assert all(np.shares_memory(p, rep.pointer_effects.effects) for p in projs)
-        assert not any(p.flags.writeable for p in projs)
+        assert projs.shape == (3, 4, 4) and not projs.flags.writeable
+        # kept once: the effects are the algebra's own read-only stack
+        assert np.shares_memory(projs, rep.pointer_effects.effects)
+        assert np.array_equal(projs, rep.pointer_effects.effects)
 
 
 class TestCorrelationCheck:
@@ -435,11 +435,15 @@ class TestEffectRegion:
         with pytest.raises(DimMismatch):
             de.effect_region_sample(dephasing_channel(3), grid=5)
 
-    @pytest.mark.parametrize("d_out", [3, 16, 17, 64])
-    def test_projectors_pulled_back_in_chunks_match_one_stack(self, d_out):
-        c = random_channel(generator(d_out), 2, d_out, 3)
-        projectors = np.eye(d_out, dtype=complex)[:, :, None] * np.eye(d_out)[:, None, :]
-        assert np.array_equal(de._pulled_back_projectors(c), apply_dual(c, projectors))
+    def test_output_beyond_the_grid_primes_rejected(self, monkeypatch):
+        c = random_channel(generator(65), 2, 65, 1)
+
+        def no_apply(*args):
+            raise AssertionError("the output dimension is checked before any work")
+
+        monkeypatch.setattr(de, "apply", no_apply)
+        with pytest.raises(DimMismatch):
+            de.effect_region_sample(c, grid=2)
 
     @staticmethod
     def _reference_points(c, grid):
@@ -479,8 +483,9 @@ class TestEffectRegion:
         assert pts.shape == ref.shape
         assert np.abs(pts - ref).max() <= 1e-12
 
-    def test_matches_per_point_dual_on_random_qubit_channel(self):
-        c = random_channel(generator(9), 2, 2, 3)
+    @pytest.mark.parametrize("d_out", [2, 3, 16, 17, 64])
+    def test_matches_per_point_dual_on_random_qubit_channel(self, d_out):
+        c = random_channel(generator(9), 2, d_out, 3)
         pts = de.effect_region_sample(c, grid=9)
         ref = self._reference_points(c, grid=9)
         assert pts.shape == ref.shape

@@ -532,14 +532,6 @@ class TestCli:
         report = json.loads((out / f"{name}.report.json").read_text())
         assert report["command"] == "example" and report["results"]["example"] == name
 
-    def test_example_writes_artifacts(self, tmp_path):
-        outdir = tmp_path / "bundle"
-        rc = main(["example", "sweep", "--out", str(outdir)])
-        assert rc == 0
-        names = {p.name for p in outdir.iterdir()}
-        assert "sweep.report.json" in names
-        assert "sweep.gamma.csv" in names
-
     def test_oqec_command(self, tmp_path, capsys):
         from qichan.catalog import bitflip3_channel, repetition_code
 
@@ -604,11 +596,13 @@ class TestCli:
         assert seeds == [23, 41, 0]
 
     def test_malformed_seed_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QICHAN_SEED", "abc")
-        rc = main(["preserved", self._channel_file(tmp_path)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "usage:" in err and "Traceback" not in err
+        path = self._channel_file(tmp_path)
+        for value in ("abc", "-3"):
+            monkeypatch.setenv("QICHAN_SEED", value)
+            rc = main(["preserved", path])
+            out, err = capsys.readouterr()
+            assert rc == 1, value
+            assert out == "" and "usage:" in err and "Traceback" not in err
 
     def test_samples_where_read(self):
         from qichan import cli as cli_mod
@@ -635,11 +629,21 @@ class TestCli:
             ["example", "sic-cloner", "--samples", "0"],
             ["preserved", "{channel}", "--tol", "0"],
             ["sweep", "--rank-rel", "nan"],
+            ["classical", "{channel}", "--gamma", "{channel}", "--feas-tol", "nan"],
+            ["classical", "{channel}", "--gamma", "{channel}", "--feas-tol", "inf"],
+            ["classical", "{channel}", "--gamma", "{channel}", "--feas-tol", "-1"],
+            ["broadcast", "{channel}", "--dims=-2,-4"],
+            ["oqec", "{channel}", "--code", "{code}", "--split=-1,-2"],
+            ["sweep", "--times", "0,nan"],
+            ["sweep", "--times", "0,inf"],
+            ["preserved", "{channel}", "--seed", "-1"],
         ],
         ids=[
             "kl-without-code", "split", "dims", "times", "format-unread", "samples-unread",
             "steps-negative", "total-time-zero", "env-size-zero", "grid-zero",
             "classical-samples-zero", "example-samples-zero", "tol-zero", "rank-rel-nan",
+            "feas-tol-nan", "feas-tol-inf", "feas-tol-negative", "dims-negative",
+            "split-negative", "times-nan", "times-inf", "seed-negative",
         ],
     )
     def test_usage_errors_exit_one(self, tmp_path, capsys, argv):
@@ -647,9 +651,25 @@ class TestCli:
         serialize.write_code_file(code, CodeSubspace.from_isometry(np.eye(2, dtype=complex)))
         paths = {"channel": self._channel_file(tmp_path), "code": str(code)}
         rc = main([a.format(**paths) for a in argv])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert rc == 1
-        assert "usage:" in err and "Traceback" not in err
+        # nothing ran, so no report was written
+        assert out == "" and "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("feas_tol", ["nan", "inf"])
+    def test_meaningless_feas_tol_is_no_verdict(self, tmp_path, capsys, feas_tol):
+        # Z-basis observable against the SIC tetrahedron: infeasible, exit 2
+        # by default; a tolerance that is no finite number > 0 must not turn
+        # it into a "yes"
+        x, gamma = tmp_path / "z.json", tmp_path / "sic.json"
+        serialize.write_observable_file(x, catalog.basis_observable(2))
+        serialize.write_observable_file(gamma, sic_tetrahedron())
+        argv = ["classical", str(x), "--gamma", str(gamma)]
+        assert main(argv) == 2
+        capsys.readouterr()
+        assert main(argv + ["--feas-tol", feas_tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
