@@ -21,12 +21,11 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import catalog, decoherence, serialize
-from .algebras import commutant, structure_decompose
 from .channels import validate_channel, validate_observable
 from .correction import (
     correctable_operator_system,
     correctable_report,
-    interaction_span,
+    interaction_rank,
     kl_check,
     oqec_check,
     preserved_algebra,
@@ -106,12 +105,9 @@ def _cmd_validate(args, tol: Tolerance) -> tuple[dict | None, int]:
 
 def _cmd_preserved(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
-    span = interaction_span(c)
-    # preserved_algebra(c), on the span already built
-    structure = structure_decompose(commutant(span.basis, tol), seed=args.seed, tol=tol)
     return {
-        "interaction_span_dimension": span.dimension,
-        "preserved_algebra": serialize.algebra_to_dict(structure),
+        "interaction_span_dimension": interaction_rank(c, tol),
+        "preserved_algebra": serialize.algebra_to_dict(preserved_algebra(c, tol, args.seed)),
     }, 0
 
 
@@ -281,7 +277,7 @@ def _times(text: str) -> list[float]:
 
 
 def _count(text: str) -> int:
-    """An integer >= 1 (sample counts, steps, grid and environment sizes);
+    """An integer >= 1 (sample counts, steps, restarts, grid and environment sizes);
     argparse reports a ValueError as an invalid value."""
     value = int(text)
     if value < 1:
@@ -394,7 +390,7 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
     p = sub.add_parser("capacity", parents=[shared], help="capacity lower bound of an observable")
     p.add_argument("input")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_count, default=8)
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("example", parents=[shared, samples], help="build and check a bundled example")

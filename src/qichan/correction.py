@@ -2,10 +2,12 @@
 
 The algebra of operators commuting with every product E_i^dag E_j collects
 all sharp observables that survive the channel; the same data yields a
-single correction channel that restores every one of them.  Restricting to
-a code subspace turns the construction into standard, subsystem and hybrid
-error-correcting codes, plus the operator systems correctable without any
-restriction on states.
+single correction channel that restores every one of them.  The products
+go to ``algebras.commutant`` as they are, each at its own weight, with no
+orthonormal span built first, so the caller's tolerance decides which weak
+interaction counts.  Restricting to a code subspace turns the
+construction into standard, subsystem and hybrid error-correcting codes,
+plus the operator systems correctable without any restriction on states.
 """
 
 from __future__ import annotations
@@ -79,21 +81,50 @@ class OQECReport:
     residual: float
 
 
-def interaction_span(c: Channel) -> OperatorBasisSet:
-    """Orthonormal basis of span{E_i^dag E_j}."""
+def _kraus_products(c: Channel) -> np.ndarray:
+    """The products E_i^dag E_j as one stack (k^2, d_in, d_in), E_i^dag E_j
+    at row i k + j, from one batched product."""
     k = c.elements
-    prods = dagger(k)[:, None] @ k[None]  # [i, j] = E_i^dag E_j
-    return span_of(prods.reshape(-1, c.dim_in, c.dim_in))
+    return (dagger(k)[:, None] @ k[None]).reshape(-1, c.dim_in, c.dim_in)
+
+
+def _roundoff_floor(n: int) -> float:
+    """Relative size at or below which one of ``n`` stacked products is
+    roundoff: n eps of the largest."""
+    return n * np.finfo(np.float64).eps
+
+
+def interaction_span(c: Channel) -> OperatorBasisSet:
+    """Orthonormal basis of span{E_i^dag E_j}, by Gram-Schmidt with its
+    fixed ``GS_DROP`` cut.  The analyses do not go through it: they hand the
+    products themselves to ``commutant`` (see :func:`_preserved_carrier`)."""
+    return span_of(_kraus_products(c))
+
+
+def interaction_rank(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Dimension of span{E_i^dag E_j}: the singular values of the stacked
+    products above max(rank_rel, n eps) of the largest, n products."""
+    prods = _kraus_products(c)
+    n = prods.shape[0]
+    sv = np.linalg.svd(prods.reshape(n, -1), compute_uv=False)
+    return int(np.sum(sv > max(tol.rank_rel, _roundoff_floor(n)) * sv[0]))
 
 
 def _preserved_carrier(channels: list[Channel], tol: Tolerance) -> OperatorBasisSet:
     """Algebra of the operators preserved by every channel in ``channels``.
 
-    Each channel preserves the commutant of its interaction span, and
+    Each channel preserves the commutant of its products E_i^dag E_j, and
     commutant(S_1) & commutant(S_2) = commutant(S_1 | S_2), so the common
-    algebra is one commutant of the union of the spans.
+    algebra is one commutant of all the products, stacked at their own
+    weights.  Products with Frobenius norm at most n eps of the largest (n
+    products in all) are dropped: they move no singular value of the
+    commutator map above roundoff, and they are the exact zeros of
+    dephasing and pinch channels.
     """
-    return commutant(np.concatenate([interaction_span(ch).basis for ch in channels]), tol)
+    prods = np.concatenate([_kraus_products(ch) for ch in channels])
+    norms = np.linalg.norm(prods.reshape(prods.shape[0], -1), axis=1)
+    prods = prods[norms > _roundoff_floor(norms.size) * norms.max()]
+    return commutant(prods, tol)
 
 
 def preserved_algebra(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> AlgebraStructure:

@@ -124,7 +124,7 @@ class DecoherenceReport:
 
 def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> PointerReport:
     """Algebra preserved by every channel in ``channels`` (one commutant of
-    all their interaction spans), decomposed, with its central projectors
+    all their Kraus products E_i^dag E_j), decomposed, with its central projectors
     as the pointer observable."""
     carrier = _preserved_carrier(channels, tol)
     structure = structure_decompose(carrier, seed=seed, tol=tol)
@@ -138,7 +138,7 @@ def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> Poi
 
 def pointer_algebra(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> PointerReport:
     """Algebra preserved by both the channel and its complement: the
-    commutant of their joint interaction spans.  Commutative, with the
+    commutant of their joint Kraus products E_i^dag E_j.  Commutative, with the
     central projectors as the sharp pointer observable."""
     return _common_preserved([c, complement(c)], tol, seed)
 
@@ -315,7 +315,7 @@ def broadcast_pointer(
     tensor product of destination subsystems.
 
     Computes each marginal by tracing the dilated action down to one
-    factor, takes the commutant of all their interaction spans (the
+    factor, takes the commutant of all their Kraus products (the
     algebra every marginal preserves), and reports it as a pointer
     structure.  When per-factor witness observables are given,
     the composite observable (Y_1 (x) ... (x) Y_n) o E is attached.

@@ -711,6 +711,7 @@ def test_pointer_d12_fits_in_two_gib():
 
 
 def test_pointer_d32_fits_in_two_gib():
-    # 1024 x 1024 Laplacian and a 512-element union span: about 200 MiB and
-    # a few seconds; streaming the whole commutator stack took minutes
+    # 1024 x 1024 Laplacian from the 1088 Kraus products of the channel and
+    # its complement: about 110 MiB and under a second; streaming the whole
+    # commutator stack took minutes
     assert _pointer_dims_under_two_gib(16, timeout=120) == "((1, 16), (1, 16))"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qichan import correction as co
-from qichan.algebras import span_of, spans_equal
+from qichan.algebras import block_pattern_residual, span_of, spans_equal
 from qichan.catalog import (
     PAULI_X,
     PAULI_Z,
@@ -18,10 +18,13 @@ from qichan.channels import (
     apply_dual,
     channels_equal,
     choi_of,
+    complement,
     identity_channel,
+    tensor,
     unitary_channel,
     validate_channel,
 )
+from qichan.decoherence import pointer_algebra
 from qichan.errors import BadFactorization
 from qichan.numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
 from qichan.rand import generator, random_channel, random_isometry, random_unitary
@@ -35,13 +38,86 @@ def full_support_channel(seed, d, k):
     return c
 
 
+def _dephased_qubit_times_random(seed, m):
+    """Dephased qubit (seeded basis) times a random 2-element channel on C^m."""
+    rng = generator(seed)
+    u = random_unitary(rng, 2)
+    qubit = Channel.from_elements([np.diag(np.eye(2)[i]) @ u for i in range(2)])
+    return tensor(qubit, random_channel(rng, m, m, 2))
+
+
+def _weak_bitflip(p):
+    return Channel.from_elements([np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * PAULI_X])
+
+
+def _noisy_pinch(sizes, eta, seed):
+    """``block_pinch_channel`` with complex Gaussian noise of operator norm
+    ``eta`` added to each element, renormalized to trace preserving."""
+    c, _ = block_pinch_channel(sizes, seed=seed)
+    rng = generator(100 + seed)
+    k = c.elements
+    g = rng.standard_normal(k.shape) + 1j * rng.standard_normal(k.shape)
+    e = k + eta * g / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+    w, u = np.linalg.eigh((dagger(e) @ e).sum(axis=0))
+    return Channel.from_elements(e @ (u / np.sqrt(w)) @ dagger(u))
+
+
 class TestPreservedCarrier:
-    def test_one_commutant_of_the_joined_span_bases(self):
-        # the parent's reference: every basis matrix of every span, one by one
-        channels = [random_channel(generator(s), 3, 3, 2) for s in (1, 2)]
+    @pytest.mark.parametrize(
+        "channels",
+        [
+            lambda: [random_channel(generator(s), 3, 3, 2) for s in (1, 2)],
+            lambda: [block_pinch_channel((2, 3, 1), seed=4)[0], dephasing_channel(6)],
+            lambda: [c := _dephased_qubit_times_random(7, 4), complement(c)],
+        ],
+        ids=["random-pair", "pinch-and-dephasing", "pointer-d8"],
+    )
+    def test_same_algebra_as_commutant_of_the_joined_span_bases(self, channels):
+        # the Gram-Schmidt route: every basis matrix of every unit-weight span
+        channels = channels()
         listed = [b for ch in channels for b in co.interaction_span(ch).basis]
         expected = co.commutant(listed, DEFAULT_TOL)
-        assert np.array_equal(co._preserved_carrier(channels, DEFAULT_TOL).basis, expected.basis)
+        carrier = co._preserved_carrier(channels, DEFAULT_TOL)
+        assert carrier.dimension == expected.dimension
+        assert spans_equal(carrier, expected, 1e-10)
+
+    def test_kraus_mixing_keeps_the_pointer_effects(self):
+        # the plain dephasing's off-diagonal products are exact zeros and are
+        # dropped; after a unitary mixing of its elements none is zero
+        plain = dephasing_channel(8)
+        w = random_unitary(generator(3), 8)
+        mixed = Channel.from_elements(np.einsum("ab,bij->aij", w, plain.elements))
+        assert channels_equal(plain, mixed)
+        effects = [pointer_algebra(c).pointer_effects.effects for c in (plain, mixed)]
+        assert op_norm(effects[0] - effects[1]) <= 1e-10
+        assert op_norm(effects[0] - dephasing_channel(8).elements) <= 1e-10
+
+
+class TestToleranceDecides:
+    """The caller's tolerance, not a fixed span cut, decides which weak
+    interaction counts."""
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-12, 1e-15])
+    @pytest.mark.parametrize("rank_rel", [1e-10, 1e-14])
+    def test_weak_bitflip_keeps_its_x_term(self, p, rank_rel):
+        # the products span {1, X}, whose commutant is the algebra of X
+        st = co.preserved_algebra(_weak_bitflip(p), Tolerance(rank_rel=rank_rel))
+        assert st.block_dims == ((1, 1), (1, 1))
+        for proj in st.central_projectors:
+            assert op_norm(PAULI_X @ proj - proj @ PAULI_X) <= 1e-10
+
+    @pytest.mark.parametrize("sizes", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("eta", [1e-6, 1e-5, 1e-4])
+    def test_pinch_noise_below_the_tolerance_keeps_the_blocks(self, sizes, eta):
+        st = co.preserved_algebra(_noisy_pinch(sizes, eta, seed=1), Tolerance(1e-3, 1e-3))
+        assert sorted(st.block_dims) == sorted((s, 1) for s in sizes)
+        assert block_pattern_residual(st) <= 1e-6
+
+    @pytest.mark.parametrize("sizes", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("eta", [1e-6, 1e-5, 1e-4])
+    def test_pinch_noise_above_the_tolerance_leaves_the_scalars(self, sizes, eta):
+        st = co.preserved_algebra(_noisy_pinch(sizes, eta, seed=1), Tolerance(1e-9, 1e-9))
+        assert st.block_dims == ((1, sum(sizes)),)
 
 
 class TestInteractionSpan:
@@ -59,6 +135,26 @@ class TestInteractionSpan:
     def test_teleport_span_is_scalars(self):
         span = co.interaction_span(teleport_channel())
         assert span.dimension == 1
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            lambda: unitary_channel(random_unitary(generator(0), 3)),
+            lambda: dephasing_channel(3),
+            teleport_channel,
+            lambda: block_pinch_channel((2, 3, 1), seed=9)[0],
+        ],
+        ids=["unitary", "dephasing", "teleport", "pinch"],
+    )
+    def test_rank_is_the_span_dimension(self, channel):
+        c = channel()
+        assert co.interaction_rank(c) == co.interaction_span(c).dimension
+
+    def test_rank_counts_a_product_below_the_span_cut(self):
+        # sqrt(p (1 - p)) X is 3e-8, below Gram-Schmidt's fixed 1e-7 cut
+        c = _weak_bitflip(1e-15)
+        assert co.interaction_span(c).dimension == 1
+        assert co.interaction_rank(c) == 2
 
 
 class TestPreservedAlgebra:

@@ -361,6 +361,18 @@ class TestCli:
         blocks = report["results"]["preserved_algebra"]["block_dims"]
         assert blocks == [[1, 1], [1, 1]]
 
+    def test_preserved_counts_a_weak_interaction(self, tmp_path, capsys):
+        # E = {sqrt(1 - p) 1, sqrt(p) X}: the products span {1, X} however
+        # small p is, and the preserved algebra is the one X generates
+        p = 1e-15
+        path = tmp_path / "weak.json"
+        c = Channel.from_elements([np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * catalog.PAULI_X])
+        serialize.write_channel_file(path, c)
+        assert main(["preserved", str(path)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["interaction_span_dimension"] == 2
+        assert results["preserved_algebra"]["block_dims"] == [[1, 1], [1, 1]]
+
     def test_kl_pass_and_fail_exit_codes(self, tmp_path, capsys):
         from qichan.catalog import bitflip3_channel, repetition_code
 
@@ -449,6 +461,14 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert 0 < report["results"]["bits"] <= 2.0
         assert len(report["results"]["ensemble"]["priors"]) >= 2
+
+    @pytest.mark.parametrize("restarts", ["-5", "0"])
+    def test_capacity_restarts_below_one_is_usage_error(self, tmp_path, capsys, restarts):
+        xpath = tmp_path / "x.json"
+        serialize.write_observable_file(xpath, sic_tetrahedron())
+        assert main(["capacity", str(xpath), "--restarts", restarts]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err and "Traceback" not in err
 
     def test_capacity_bound_is_holevo_bound(self, tmp_path, capsys):
         # three outcomes on a qubit carry at most log2(2) = 1 bit
