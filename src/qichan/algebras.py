@@ -1,8 +1,11 @@
 """Finite-dimensional *-algebra machinery.
 
 Operator spans are stored as stacks of matrices whose vectorizations are
-orthonormal in the Hilbert-Schmidt inner product.  Block structure is read
-off one eigendecomposition of a generic element of the algebra.
+orthonormal in the Hilbert-Schmidt inner product.  A span is the right
+singular vectors of its stacked vectors that pass ``numlin.above_cut``, the
+one rank rule of the package, at the caller's ``rank_rel``.  Block
+structure is read off one eigendecomposition of a generic element of the
+algebra.
 
 The commutant of F_1..F_k and their adjoints is the joint kernel of the
 maps A -> [F, A].  Stacked, those maps form a 2k d^2 x d^2 matrix; its
@@ -36,6 +39,7 @@ from .errors import DecompositionFailed, DimMismatch, NotAnAlgebra
 from .numlin import (
     DEFAULT_TOL,
     Tolerance,
+    above_cut,
     asmatrix,
     asstack,
     coords_to_herm,
@@ -47,8 +51,8 @@ from .numlin import (
 
 # eigenvalue clusters of generic elements merge below this gap
 CLUSTER_GAP = 1e-6
-# relative norm below which a Gram-Schmidt residual counts as dependent
-GS_DROP = 1e-7
+# decimals of the block sort key, coarse enough that roundoff cannot reorder
+ORDER_DIGITS = 8
 # real commutator rows QR-factored at once by _streamed_svd
 QR_ROWS = 4096
 # seeds structure_decompose tries (seed, seed + 1, ...) before giving up
@@ -81,42 +85,24 @@ class OperatorBasisSet:
         return op_norm_at_most(x - self.project(x), tol.abs_eps)
 
 
-def _gram_schmidt(vecs: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass per vector.
+def _orthonormal_rows(vecs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal rows spanning the rows of ``vecs`` (n, length): the right
+    singular vectors whose singular values ``numlin.above_cut`` keeps, at
+    ``tol.rank_rel`` with the n rows counted.
 
-    Vectors whose residual falls below ``GS_DROP`` times the largest input
-    norm count as dependent and are discarded.  Projections against the
-    kept basis run as single matrix products.
+    A stack taller than it is long is QR-factored first; R has the stack's
+    singular values and row space, so no n-row U is formed.
     """
-    length = vecs.shape[1]
-    if vecs.shape[0] == 0:
-        return np.zeros((0, length), dtype=np.complex128)
-    norms = np.linalg.norm(vecs, axis=1)
-    scale = float(norms.max())
-    if scale == 0.0:
-        return np.zeros((0, length), dtype=np.complex128)
-    floor = GS_DROP * scale
-    buf = np.empty((min(vecs.shape[0], length), length), dtype=np.complex128)
-    m = 0
-    for v, nrm0 in zip(vecs, norms):
-        if nrm0 <= floor or m == length:
-            continue
-        w = v / nrm0
-        for _ in range(2):
-            if m:
-                q = buf[:m]
-                # conj(q @ conj(w)) is q.conj() @ w without copying the basis
-                w = w - q.T @ (q @ w.conj()).conj()
-        nrm = np.linalg.norm(w)
-        if nrm * nrm0 > floor:
-            buf[m] = w / nrm
-            m += 1
-    return buf[:m].copy()
+    n, length = vecs.shape
+    if n > length:
+        vecs = np.linalg.qr(vecs, mode="r")
+    _, sv, vh = np.linalg.svd(vecs, full_matrices=False)
+    return vh[above_cut(sv, tol.rank_rel, n)]
 
 
-def span_of(mats, dim: int | None = None) -> OperatorBasisSet:
-    """Orthonormalized span of a stack (k, d, d) or a list of d x d matrices,
-    coerced by :func:`numlin.asstack`."""
+def span_of(mats, dim: int | None = None, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
+    """Orthonormal basis of the span of a stack (k, d, d) or a list of d x d
+    matrices, coerced by :func:`numlin.asstack`, cut at ``tol.rank_rel``."""
     stack = asstack(mats)
     if stack.shape[0] == 0:
         if dim is None:
@@ -125,7 +111,7 @@ def span_of(mats, dim: int | None = None) -> OperatorBasisSet:
     d = stack.shape[1]
     if stack.shape[2] != d:
         raise DimMismatch(f"span elements must be square, got {stack.shape[1:]}")
-    vecs = _gram_schmidt(stack.reshape(stack.shape[0], -1))
+    vecs = _orthonormal_rows(stack.reshape(stack.shape[0], -1), tol)
     return OperatorBasisSet(dim=d, basis=vecs.reshape(-1, d, d))
 
 
@@ -142,7 +128,7 @@ def spans_equal(a: OperatorBasisSet, b: OperatorBasisSet, eps: float = 1e-8) -> 
 
 def generate_star_algebra(gens, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     """Smallest adjoint-closed, multiplication-closed span containing the
-    generators and the identity.
+    generators and the identity, every span cut at ``tol.rank_rel``.
 
     Grows the span by products until a fixed point; terminates at dimension
     d^2 at the latest.
@@ -158,18 +144,21 @@ def generate_star_algebra(gens, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSe
     for g in gens:
         seed.append(g)
         seed.append(dagger(g))
-    current = span_of(seed)
+    current = span_of(seed, tol=tol)
     fresh = current.basis  # only products touching new directions can grow the span
     while current.dimension < d * d:
         left = np.einsum("aij,bjk->abik", current.basis, fresh)
         right = np.einsum("aij,bjk->abik", fresh, current.basis)
-        products = np.concatenate(
-            [left.reshape(-1, d * d), right.reshape(-1, d * d)]
+        v = current.vecs()
+        grown = _orthonormal_rows(
+            np.vstack([v, left.reshape(-1, d * d), right.reshape(-1, d * d)]), tol
         )
-        grown = _gram_schmidt(np.vstack([current.vecs(), products]))
-        if grown.shape[0] == current.dimension:
+        new = grown.shape[0] - current.dimension
+        if new <= 0:
             break
-        fresh = grown[current.dimension :].reshape(-1, d, d)
+        # the new directions: the part of the grown span orthogonal to the current one
+        outside = grown - (grown @ v.conj().T) @ v
+        fresh = np.linalg.svd(outside, full_matrices=False)[2][:new].reshape(-1, d, d)
         current = OperatorBasisSet(dim=d, basis=grown.reshape(-1, d, d))
     return current
 
@@ -439,14 +428,7 @@ def _decompose_with(a: OperatorBasisSet, rng: np.random.Generator) -> AlgebraStr
         block_cols = np.hstack(cols)
         blocks.append(((members.size, m_k), block_cols @ dagger(block_cols), block_cols))
 
-    order = sorted(
-        range(len(blocks)),
-        key=lambda i: (
-            -blocks[i][0][0],
-            -blocks[i][0][1],
-            float(np.trace(blocks[i][1] @ np.diag(np.arange(d))).real),
-        ),
-    )
+    order = sorted(range(len(blocks)), key=lambda i: _block_key(*blocks[i][:2]))
     dims = tuple(blocks[i][0] for i in order)
     projs = np.array([blocks[i][1] for i in order])
     projs.setflags(write=False)
@@ -464,6 +446,19 @@ def _decompose_with(a: OperatorBasisSet, rng: np.random.Generator) -> AlgebraStr
     if sum(n * n for n, _ in dims) != a.dimension:
         raise NotAnAlgebra("span is not closed under multiplication")
     return structure
+
+
+def _block_key(dims: tuple[int, int], proj: np.ndarray) -> tuple:
+    """Sort key of a block: larger n, then larger m, then tr(P diag(0..d-1)),
+    then the real and imaginary parts of P's entries in row-major order.
+
+    The floats are rounded to ``ORDER_DIGITS`` decimals, so blocks whose
+    traces differ only by roundoff (the eight rank-one projectors of the
+    bit-flip code all give 3.5) are ordered by the projectors themselves.
+    """
+    position = float(np.diagonal(proj).real @ np.arange(proj.shape[0]))
+    entries = np.round(proj.view(np.float64).ravel(), ORDER_DIGITS)
+    return (-dims[0], -dims[1], round(position, ORDER_DIGITS), *entries.tolist())
 
 
 def _pattern_deviation(structure: AlgebraStructure) -> np.ndarray:

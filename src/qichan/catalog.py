@@ -30,7 +30,7 @@ from .channels import (
 )
 from .correction import (
     CodeSubspace,
-    correctable_operator_system,
+    _operator_system,
     correctable_report,
     correction_channel,
     kl_check,
@@ -422,7 +422,7 @@ def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int, samples:
     on_code = correctable_report(restrict(c, code), tol, seed)
     a0, r0 = on_code.preserved_algebra, on_code.correction
     fx = on_code.residuals["fixed_point"]
-    s0 = correctable_operator_system(c, code, tol, seed)
+    s0 = _operator_system(c, a0, r0, tol)
     lifted = apply_dual(c, apply_dual(r0, dagger(code.v) @ s0.basis @ code.v))
     worst_s0 = op_norm(lifted - s0.basis)
     z_channel = Channel.from_elements(

@@ -21,11 +21,13 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import catalog, decoherence, serialize
+from .algebras import block_pattern_residual
 from .channels import validate_channel, validate_observable
 from .correction import (
-    correctable_operator_system,
+    _operator_system,
     correctable_report,
-    interaction_rank,
+    correction_channel,
+    interaction_span,
     kl_check,
     oqec_check,
     preserved_algebra,
@@ -106,7 +108,7 @@ def _cmd_validate(args, tol: Tolerance) -> tuple[dict | None, int]:
 def _cmd_preserved(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
     return {
-        "interaction_span_dimension": interaction_rank(c, tol),
+        "interaction_span_dimension": interaction_span(c, tol).dimension,
         "preserved_algebra": serialize.algebra_to_dict(preserved_algebra(c, tol, args.seed)),
     }, 0
 
@@ -114,16 +116,17 @@ def _cmd_preserved(args, tol: Tolerance) -> tuple[dict | None, int]:
 def _cmd_correct(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
     report = correctable_report(c, tol, args.seed)
+    structure = report.preserved_algebra
     results = {
-        "preserved_algebra": serialize.algebra_to_dict(report.preserved_algebra),
+        "preserved_algebra": serialize.algebra_to_dict(structure),
         "correction_channel": serialize.channel_to_dict(report.correction),
-        "residuals": report.residuals,
+        "residuals": {**report.residuals, "block_pattern": block_pattern_residual(structure)},
     }
     if args.code:
-        code = serialize.parse_code_file(args.code)
-        s0 = correctable_operator_system(c, code, tol, args.seed)
-        restricted = preserved_algebra(restrict(c, code), tol, args.seed)
-        results["code_algebra"] = serialize.algebra_to_dict(restricted)
+        c0 = restrict(c, serialize.parse_code_file(args.code))
+        a0 = preserved_algebra(c0, tol, args.seed)
+        s0 = _operator_system(c, a0, correction_channel(c0, tol), tol)
+        results["code_algebra"] = serialize.algebra_to_dict(a0)
         results["operator_system_basis"] = serialize.matrix_to_pairs(s0.basis)
     return results, 0
 

@@ -19,16 +19,15 @@ import numpy as np
 from .algebras import (
     AlgebraStructure,
     OperatorBasisSet,
-    _gram_schmidt,
+    _orthonormal_rows,
     _row_span_projector,
-    block_pattern_residual,
     commutant,
     span_of,
     structure_decompose,
 )
 from .channels import Channel, apply_dual, require_trace_preserving
 from .errors import BadFactorization, DimMismatch
-from .numlin import DEFAULT_TOL, Tolerance, asmatrix, dagger, op_norm, op_norm_at_most, psd_eig
+from .numlin import DEFAULT_TOL, Tolerance, above_cut, asmatrix, dagger, op_norm, op_norm_at_most, psd_eig
 
 # pairs of preserved-algebra basis elements homomorphism_residual evaluates at most
 HOMOMORPHISM_PAIRS = 256
@@ -88,26 +87,11 @@ def _kraus_products(c: Channel) -> np.ndarray:
     return (dagger(k)[:, None] @ k[None]).reshape(-1, c.dim_in, c.dim_in)
 
 
-def _roundoff_floor(n: int) -> float:
-    """Relative size at or below which one of ``n`` stacked products is
-    roundoff: n eps of the largest."""
-    return n * np.finfo(np.float64).eps
-
-
-def interaction_span(c: Channel) -> OperatorBasisSet:
-    """Orthonormal basis of span{E_i^dag E_j}, by Gram-Schmidt with its
-    fixed ``GS_DROP`` cut.  The analyses do not go through it: they hand the
+def interaction_span(c: Channel, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
+    """Orthonormal basis of span{E_i^dag E_j}, cut at ``tol.rank_rel`` by
+    :func:`algebras.span_of`.  The analyses do not build it: they hand the
     products themselves to ``commutant`` (see :func:`_preserved_carrier`)."""
-    return span_of(_kraus_products(c))
-
-
-def interaction_rank(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Dimension of span{E_i^dag E_j}: the singular values of the stacked
-    products above max(rank_rel, n eps) of the largest, n products."""
-    prods = _kraus_products(c)
-    n = prods.shape[0]
-    sv = np.linalg.svd(prods.reshape(n, -1), compute_uv=False)
-    return int(np.sum(sv > max(tol.rank_rel, _roundoff_floor(n)) * sv[0]))
+    return span_of(_kraus_products(c), tol=tol)
 
 
 def _preserved_carrier(channels: list[Channel], tol: Tolerance) -> OperatorBasisSet:
@@ -117,13 +101,13 @@ def _preserved_carrier(channels: list[Channel], tol: Tolerance) -> OperatorBasis
     commutant(S_1) & commutant(S_2) = commutant(S_1 | S_2), so the common
     algebra is one commutant of all the products, stacked at their own
     weights.  Products with Frobenius norm at most n eps of the largest (n
-    products in all) are dropped: they move no singular value of the
-    commutator map above roundoff, and they are the exact zeros of
-    dephasing and pinch channels.
+    products in all, ``numlin.above_cut`` with no ``rank_rel``) are dropped:
+    they move no singular value of the commutator map above roundoff, and
+    they are the exact zeros of dephasing and pinch channels.
     """
     prods = np.concatenate([_kraus_products(ch) for ch in channels])
     norms = np.linalg.norm(prods.reshape(prods.shape[0], -1), axis=1)
-    prods = prods[norms > _roundoff_floor(norms.size) * norms.max()]
+    prods = prods[above_cut(norms)]
     return commutant(prods, tol)
 
 
@@ -166,10 +150,7 @@ def fixed_point_residual(c: Channel, r: Channel, span: OperatorBasisSet) -> floa
 def correctable_report(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> CorrectableReport:
     structure = preserved_algebra(c, tol, seed)
     r = correction_channel(c, tol)
-    residuals = {
-        "fixed_point": fixed_point_residual(c, r, structure.carrier),
-        "block_pattern": block_pattern_residual(structure),
-    }
+    residuals = {"fixed_point": fixed_point_residual(c, r, structure.carrier)}
     return CorrectableReport(preserved_algebra=structure, correction=r, residuals=residuals)
 
 
@@ -183,9 +164,13 @@ def correctable_operator_system(
     correction channel of the restricted channel.
     """
     c0 = restrict(c, code)
-    a0 = preserved_algebra(c0, tol, seed)
-    r0 = correction_channel(c0, tol)
-    return span_of(apply_dual(c, apply_dual(r0, a0.carrier.basis)))
+    return _operator_system(c, preserved_algebra(c0, tol, seed), correction_channel(c0, tol), tol)
+
+
+def _operator_system(c: Channel, a0: AlgebraStructure, r0: Channel, tol: Tolerance) -> OperatorBasisSet:
+    """:func:`correctable_operator_system` from the restricted channel's
+    preserved algebra ``a0`` and correction ``r0``, already derived."""
+    return span_of(apply_dual(c, apply_dual(r0, a0.carrier.basis)), tol=tol)
 
 
 def kl_check(c: Channel, code: CodeSubspace, tol: Tolerance = DEFAULT_TOL) -> KLReport:
@@ -222,10 +207,10 @@ def span_equivalent(c1: Channel, c2: Channel, tol: Tolerance = DEFAULT_TOL) -> b
     """True when the elements of the two channels span the same operator subspace."""
     if (c1.dim_in, c1.dim_out) != (c2.dim_in, c2.dim_out):
         return False
-    rows1 = _gram_schmidt(c1.elements.reshape(c1.n_elements, -1))
-    rows2 = _gram_schmidt(c2.elements.reshape(c2.n_elements, -1))
-    p1 = _row_span_projector(rows1)
-    p2 = _row_span_projector(rows2)
+    p1, p2 = (
+        _row_span_projector(_orthonormal_rows(ch.elements.reshape(ch.n_elements, -1), tol))
+        for ch in (c1, c2)
+    )
     return op_norm_at_most(p1 - p2, max(tol.abs_eps, 1e-8))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .algebras import AlgebraStructure, OperatorBasisSet, span_of, structure_decompose
+from .algebras import AlgebraStructure, OperatorBasisSet, structure_decompose
 from .channels import (
     Channel,
     DiscreteObservable,
@@ -477,4 +477,5 @@ def iterated_fixed_points(c: Channel, tol: Tolerance = DEFAULT_TOL) -> OperatorB
         drift = apply_dual(c, drift)
     bound = max(tol.abs_eps * FIXED_POINT_ITERATIONS, 1e-7)
     kept = np.linalg.norm(drift - candidates, 2, axis=(1, 2)) <= bound
-    return span_of(candidates[kept], dim=d)
+    # rows of one unitary vh: already Hilbert-Schmidt orthonormal
+    return OperatorBasisSet(dim=d, basis=candidates[kept])

@@ -2,9 +2,11 @@
 
 All operations are pure functions on immutable ndarrays (complex128,
 row-major).  Comparisons use the operator norm (largest singular value).
-The support of a PSD matrix is cut in one place, :func:`psd_eig`, at
-``rank_rel`` times its largest eigenvalue, but never below rounding level;
-everything below the cut is its kernel.
+Every span and support in the package is cut by one rule,
+:func:`above_cut`: keep the singular values (or PSD eigenvalues) above
+max(rank_rel, n eps) times the largest, so ``rank_rel`` decides the cut but
+never below rounding level.  :func:`psd_eig` cuts the support of a PSD
+matrix with it; everything below the cut is its kernel.
 """
 
 from __future__ import annotations
@@ -143,23 +145,33 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     return w, u
 
 
+def above_cut(values: np.ndarray, rank_rel: float = 0.0, n: int | None = None) -> np.ndarray:
+    """Mask of the nonnegative ``values`` (singular values, PSD eigenvalues,
+    norms) above max(``rank_rel``, n eps) times the largest.
+
+    ``n`` (by default ``values.size``) counts the vectors or entries behind
+    the values: their rounding errors are about n eps of the largest, so no
+    ``rank_rel`` lets them past the cut.  ``rank_rel`` = 0 leaves only that
+    roundoff floor.
+    """
+    n = values.size if n is None else n
+    top = max(float(values.max()), 0.0) if values.size else 0.0
+    return values > max(rank_rel, n * np.finfo(np.float64).eps) * top
+
+
 def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of a PSD matrix with its support cut.
 
     Returns (w, u, support) as :func:`hermitian_eig` does, plus the mask
-    ``support = w > max(rank_rel, d eps) * max(w_max, 0)``: the eigenvalues
-    of a d x d matrix carry rounding errors of about ``d eps w_max``, so no
-    ``rank_rel`` lets them into the support.  The eigenvectors outside the
-    support span the numerical kernel, so support and kernel together
-    cover every direction.  Raises NotPSD if an eigenvalue dips below
-    ``-abs_eps``.
+    ``support`` of the eigenvalues :func:`above_cut` keeps at ``rank_rel``.
+    The eigenvectors outside the support span the numerical kernel, so
+    support and kernel together cover every direction.  Raises NotPSD if an
+    eigenvalue dips below ``-abs_eps``.
     """
     w, u = hermitian_eig(a, tol)
     if w.size and w[0] < -tol.abs_eps:
         raise NotPSD(float(w[0]), tol.abs_eps)
-    wmax = float(w[-1]) if w.size else 0.0
-    rel = max(tol.rank_rel, w.size * np.finfo(np.float64).eps)
-    return w, u, w > rel * max(wmax, 0.0)
+    return w, u, above_cut(w, tol.rank_rel)
 
 
 def partial_trace(a, dims: list[int], keep) -> np.ndarray:

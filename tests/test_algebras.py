@@ -96,6 +96,15 @@ class TestGenerateStarAlgebra:
         with pytest.raises(DimMismatch):
             al.generate_star_algebra([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
 
+    def test_rank_rel_decides_a_weak_generator(self):
+        # 1e-9 X is above the default rank_rel 1e-10, so with Z it generates
+        # all of M_2; at 1e-6 it is roundoff and Z gives the diagonal
+        gens = [PAULI_Z, 1e-9 * PAULI_X]
+        assert al.generate_star_algebra(gens).dimension == 4
+        diag = al.generate_star_algebra(gens, Tolerance(rank_rel=1e-6))
+        assert diag.dimension == 2
+        assert diag.contains(np.diag([3.0, -7.0]).astype(complex))
+
 
 class TestSpanOf:
     def test_stack_and_list_give_one_span(self):
@@ -123,6 +132,21 @@ class TestSpanOf:
         mats[1, 0, 1] = np.nan
         with pytest.raises(ValueError):
             al.span_of(mats)
+
+    def test_rank_rel_cuts_the_singular_values(self):
+        # singular values 1 and 1e-8 of the stacked vectors
+        mats = [np.eye(2, dtype=complex), np.eye(2) + 1e-8 * PAULI_X]
+        assert al.span_of(mats).dimension == 2
+        assert al.span_of(mats, tol=Tolerance(rank_rel=1e-6)).dimension == 1
+
+    def test_tall_stack_keeps_its_span(self):
+        # more matrices than entries goes through the QR first
+        rng = generator(5)
+        coeffs = rng.standard_normal((40, 3))
+        mats = np.einsum("kb,bij->kij", coeffs, np.array([PAULI_X, PAULI_Y, PAULI_Z]))
+        span = al.span_of(mats)
+        assert span.dimension == 3
+        assert al.spans_equal(span, al.span_of([PAULI_X, PAULI_Y, PAULI_Z]), 1e-12)
 
     def test_empty_needs_dimension(self):
         assert al.span_of(np.zeros((0, 3, 3)), dim=3).dimension == 0

@@ -73,7 +73,7 @@ class TestPreservedCarrier:
         ids=["random-pair", "pinch-and-dephasing", "pointer-d8"],
     )
     def test_same_algebra_as_commutant_of_the_joined_span_bases(self, channels):
-        # the Gram-Schmidt route: every basis matrix of every unit-weight span
+        # the span route: every basis matrix of every unit-weight span
         channels = channels()
         listed = [b for ch in channels for b in co.interaction_span(ch).basis]
         expected = co.commutant(listed, DEFAULT_TOL)
@@ -137,24 +137,30 @@ class TestInteractionSpan:
         assert span.dimension == 1
 
     @pytest.mark.parametrize(
-        "channel",
+        "channel, rank",
         [
-            lambda: unitary_channel(random_unitary(generator(0), 3)),
-            lambda: dephasing_channel(3),
-            teleport_channel,
-            lambda: block_pinch_channel((2, 3, 1), seed=9)[0],
+            (lambda: unitary_channel(random_unitary(generator(0), 3)), 1),
+            (lambda: dephasing_channel(3), 3),
+            (teleport_channel, 1),
+            (lambda: block_pinch_channel((2, 3, 1), seed=9)[0], 3),
         ],
         ids=["unitary", "dephasing", "teleport", "pinch"],
     )
-    def test_rank_is_the_span_dimension(self, channel):
+    @pytest.mark.parametrize("rank_rel", [1e-10, 1e-6])
+    def test_rank_is_the_span_dimension(self, channel, rank, rank_rel):
+        # the rank of the stacked products, with no product near the cut
         c = channel()
-        assert co.interaction_rank(c) == co.interaction_span(c).dimension
+        k = c.elements
+        prods = (dagger(k)[:, None] @ k[None]).reshape(c.n_elements**2, -1)
+        assert np.linalg.matrix_rank(prods, tol=1e-6) == rank
+        assert co.interaction_span(c, Tolerance(rank_rel=rank_rel)).dimension == rank
 
-    def test_rank_counts_a_product_below_the_span_cut(self):
-        # sqrt(p (1 - p)) X is 3e-8, below Gram-Schmidt's fixed 1e-7 cut
+    def test_rank_rel_decides_a_weak_product(self):
+        # sqrt(p (1 - p)) X is 3e-8 of the identity's weight: above the
+        # default rank_rel 1e-10, below 1e-6
         c = _weak_bitflip(1e-15)
-        assert co.interaction_span(c).dimension == 1
-        assert co.interaction_rank(c) == 2
+        assert co.interaction_span(c).dimension == 2
+        assert co.interaction_span(c, Tolerance(rank_rel=1e-6)).dimension == 1
 
 
 class TestPreservedAlgebra:
@@ -174,6 +180,17 @@ class TestPreservedAlgebra:
         u = random_unitary(generator(1), 3)
         st = co.preserved_algebra(unitary_channel(u))
         assert st.block_dims == ((3, 1),)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_order_survives_kraus_mixing(self, seed):
+        # the eight rank-one blocks of the bit flip tie on (n, m) and on
+        # tr(P diag(0..7)) = 3.5; the projectors themselves fix their order
+        c = bitflip3_channel((0.4, 0.2, 0.2, 0.2))
+        w = random_unitary(generator(seed), c.n_elements)
+        mixed = Channel.from_elements(np.einsum("ab,bij->aij", w, c.elements))
+        projs = [co.preserved_algebra(ch).central_projectors for ch in (c, mixed)]
+        assert projs[0].shape == (8, 8, 8)
+        assert op_norm(projs[0] - projs[1]) <= 1e-10
 
 
 class TestCorrectionChannel:
@@ -411,6 +428,13 @@ class TestSpanEquivalence:
         a1 = co.preserved_algebra(c)
         a2 = co.preserved_algebra(mixed)
         assert spans_equal(a1.carrier, a2.carrier, 1e-8)
+
+    def test_rank_rel_decides_a_weak_element(self):
+        # sqrt(p) X is 3e-8 of the identity's weight: a second direction at
+        # the default rank_rel 1e-10, roundoff-sized at 1e-6
+        weak, plain = _weak_bitflip(1e-15), identity_channel(2)
+        assert not co.span_equivalent(weak, plain)
+        assert co.span_equivalent(weak, plain, Tolerance(rank_rel=1e-6))
 
     def test_different_channels_not_equivalent(self):
         assert not co.span_equivalent(dephasing_channel(2), unitary_channel(np.eye(2, dtype=complex)))

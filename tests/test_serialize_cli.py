@@ -578,6 +578,28 @@ class TestCli:
         assert results["code_algebra"]["block_dims"] == [[2, 1]]
         assert len(results["operator_system_basis"]) == 4
         assert results["residuals"]["fixed_point"] < 1e-7
+        assert results["residuals"]["block_pattern"] < 1e-7
+
+    def test_correct_with_code_decomposes_each_algebra_once(self, tmp_path, capsys, monkeypatch):
+        # the channel's algebra and the restricted channel's, one call each
+        from qichan import correction
+        from qichan.catalog import bitflip3_channel, repetition_code
+
+        calls = []
+        decompose = correction.structure_decompose
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].dim)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(correction, "structure_decompose", counted)
+        cpath = tmp_path / "bf.json"
+        serialize.write_channel_file(cpath, bitflip3_channel((0.4, 0.2, 0.2, 0.2)))
+        kpath = tmp_path / "code.json"
+        serialize.write_code_file(kpath, repetition_code())
+        assert main(["correct", str(cpath), "--code", str(kpath)]) == 0
+        capsys.readouterr()
+        assert calls == [8, 2]
 
     def test_pointer_and_broadcast_commands(self, tmp_path, capsys):
         from qichan.catalog import antisym_joint_channel
