@@ -56,12 +56,6 @@ def _emit(out: str | None, default_name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(map(serialize.format_scalar, row)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 # CSV headers: the dephasing weights of a sweep and the effect-region points
 _HEADERS = {"gamma": ["t", "i", "m", "gamma"], "region": ["x", "z", "t"]}
 
@@ -207,7 +201,7 @@ def _cmd_sweep(args, tol: Tolerance) -> tuple[dict | None, int]:
     sweep = decoherence.dephasing_sweep(list(projs), args.env_size, args.total_time, times)
     rows = sweep.rows()
     if args.format == "csv":
-        _emit(args.out, "sweep.csv", _csv_text(_HEADERS["gamma"], rows))
+        _emit(args.out, "sweep.csv", serialize.dumps_csv(_HEADERS["gamma"], rows))
         return None, 0
     return {
         "env_size": args.env_size,
@@ -221,9 +215,9 @@ def _cmd_sweep(args, tol: Tolerance) -> tuple[dict | None, int]:
 def _cmd_region(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
     points = decoherence.effect_region_sample(c, args.grid)
-    rows = [[float(x), float(z), float(t)] for x, z, t in points]
+    rows = points.tolist()
     if args.format == "csv":
-        _emit(args.out, "region.csv", _csv_text(_HEADERS["region"], rows))
+        _emit(args.out, "region.csv", serialize.dumps_csv(_HEADERS["region"], rows))
         return None, 0
     return {"grid": args.grid, "points": rows}, 0
 
@@ -254,7 +248,8 @@ def _cmd_example(args, tol: Tolerance) -> tuple[dict | None, int]:
             serialize.write_code_file(out_dir / f"{args.name}.{label}.code.json", code)
         for table, key in (("gamma", "gamma_rows"), ("region", "region_points")):
             if key in results:
-                _emit(args.out, f"{args.name}.{table}.csv", _csv_text(_HEADERS[table], results[key]))
+                text = serialize.dumps_csv(_HEADERS[table], results[key])
+                _emit(args.out, f"{args.name}.{table}.csv", text)
     exit_code = 0 if results.get("passes", False) else 2
     _write_report(args, {**results, "example": args.name}, exit_code, f"{args.name}.report.json")
     return None, exit_code

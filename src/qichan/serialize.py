@@ -1,12 +1,15 @@
-"""File formats and canonical JSON emission.
+"""File formats and canonical JSON and CSV emission.
 
 Channels: {"dim_in": n, "dim_out": m, "elements": [[[re, im], ...], ...]}
 with each element a flat row-major list of [re, im] pairs; observables use
-"dim"/"effects" analogously.  One number formatter,
-:func:`format_scalar`, serves the JSON and the CSV writers: numbers get 17
-significant digits, so emitted files re-parse to bit-identical floats, and
-a non-finite number is an error.  A matrix is read from its pair list as
-one array.
+"dim"/"effects" analogously.  The JSON and the CSV writer share one
+number format with :func:`format_scalar`: floats get 17 significant
+digits, so emitted files re-parse to bit-identical floats, and a
+non-finite number is an error.  Each writer makes one pass over its
+document: it builds one skeleton string with a slot of that float format
+per float (other scalars formatted by :func:`format_scalar`, literal ``%``
+escaped), checks once that every float is finite, and fills all slots with
+one ``%``.  A matrix is read from its pair list as one array.
 """
 
 from __future__ import annotations
@@ -29,14 +32,19 @@ from .errors import SchemaError, ValidationError
 from .numlin import DEFAULT_TOL, Tolerance
 
 
+# the one float format: 17 significant digits re-parse to the same double
+_SLOT = "%.17g"
+
+
 def format_scalar(v) -> str:
-    """The one scalar formatter of the JSON and CSV writers: floats with
-    17 significant digits (a non-finite one is an error), integers exactly,
+    """The scalar format of the JSON and CSV writers (which write the
+    floats of a document through ``_SLOT`` in bulk): floats with 17
+    significant digits (a non-finite one is an error), integers exactly,
     JSON literals for None and bools, strings JSON-quoted."""
-    if isinstance(v, (float, np.floating)):  # most of what is written
+    if isinstance(v, (float, np.floating)):
         if not math.isfinite(v):
             raise ValueError("non-finite number in output")
-        return format(float(v), ".17g")
+        return _SLOT % float(v)
     if v is None:
         return "null"
     if isinstance(v, bool):
@@ -56,28 +64,81 @@ def _is_flat(seq) -> bool:
     return all(issubclass(t, _FLAT) for t in set(map(type, seq)))
 
 
-def _dump(obj, pad: str) -> str:
+def _scalars(seq, sep: str, floats: list) -> str:
+    """The skeleton of the scalars of ``seq`` joined by ``sep``: a float
+    slot per float, whose value is appended to ``floats``, and every other
+    scalar formatted by :func:`format_scalar` with its ``%`` escaped."""
+    parts = []
+    for v in seq:
+        if isinstance(v, float):
+            floats.append(v)
+            parts.append(_SLOT)
+        else:
+            parts.append(format_scalar(v).replace("%", "%%"))
+    return sep.join(parts)
+
+
+def _float_row(rows, sep: str, floats: list) -> str | None:
+    """The skeleton every row shares, its slots joined by ``sep``, when
+    ``rows`` are sequences of one length that hold floats only; their
+    values are then appended to ``floats``.  None otherwise."""
+    if not all(issubclass(t, (list, tuple)) for t in set(map(type, rows))):
+        return None
+    lengths = set(map(len, rows))
+    entry_types = set(map(type, chain.from_iterable(rows)))
+    if len(lengths) != 1 or not all(issubclass(t, float) for t in entry_types):
+        return None
+    floats.extend(chain.from_iterable(rows))
+    return sep.join([_SLOT] * lengths.pop())
+
+
+def _dump(obj, pad: str, floats: list) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
-        items = [f'{inner}"{key}": {_dump(obj[key], inner)}' for key in sorted(obj)]
+        items = [
+            f'{inner}"{key}": '.replace("%", "%%") + _dump(obj[key], inner, floats)
+            for key in sorted(obj)
+        ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if _is_flat(obj):
-            return "[" + ", ".join(map(format_scalar, obj)) + "]"
+            return "[" + _scalars(obj, ", ", floats) + "]"
         inner = pad + "  "
-        return "[\n" + ",\n".join([inner + _dump(v, inner) for v in obj]) + "\n" + pad + "]"
-    return format_scalar(obj)
+        row = _float_row(obj, ", ", floats)
+        items = [f"[{row}]"] * len(obj) if row is not None else [_dump(v, inner, floats) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return _scalars((obj,), "", floats)
+
+
+def _fill(skeleton: str, floats: list) -> str:
+    """``skeleton`` with its float slots filled from ``floats`` in one
+    ``%``, after one check that every float is finite."""
+    if not all(map(math.isfinite, floats)):
+        raise ValueError("non-finite number in output")
+    return skeleton % tuple(floats)
 
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, fixed float
     formatting.  Containers nest one per line; a list of scalars is one
-    line, formatted in one pass of :func:`format_scalar`."""
-    return _dump(obj, "")
+    line.  Written in one pass (see the module docstring); rows of one
+    length holding floats only, such as the [re, im] pairs of a matrix or
+    region points, repeat one row skeleton."""
+    floats: list = []
+    return _fill(_dump(obj, "", floats), floats)
+
+
+def dumps_csv(header: list[str], rows) -> str:
+    """CSV text: the header line, then one line per row, written in one
+    pass like :func:`dumps_canonical` and in the same number format."""
+    floats: list = []
+    row = _float_row(rows, ",", floats)
+    lines = [row] * len(rows) if row is not None else [_scalars(r, ",", floats) for r in rows]
+    return _fill("\n".join([",".join(header).replace("%", "%%"), *lines]) + "\n", floats)
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -275,12 +336,12 @@ def stochastic_to_dict(sm) -> dict:
     return {
         "rows": sm.n_outputs,
         "cols": sm.n_inputs,
-        "entries": [float(v) for v in sm.entries.reshape(-1)],
+        "entries": sm.entries.reshape(-1).tolist(),
     }
 
 
 def ensemble_to_dict(ens) -> dict:
     return {
-        "priors": [float(p) for p in ens.priors],
+        "priors": ens.priors.tolist(),
         "states": matrix_to_pairs(ens.states),
     }

@@ -60,6 +60,9 @@ def _reference_pairs_to_matrix(pairs, rows, cols):
     return out.reshape(rows, cols)
 
 
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
 class TestCanonicalJson:
     @pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
     def test_example_report_matches_reference(self, name):
@@ -93,20 +96,44 @@ class TestCanonicalJson:
             (),
             [[], {}, ()],
             {"empty": [], "nested": {"none": {}}},
+            [[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308], [0.1, -5e-324]],
+            [[0.1, 0.2], [0.3], [0.4, 0.5, 0.6], []],
+            [[1, 0.5, True], [None, "s", 2.5], [0.25, 2, False]],
+            [[0.5, 1], [0.25, 2]],
+            [[np.float64(0.1), 0.2], [0.3, np.float64(-1e-300)]],
+            [(0.1, 0.2), (0.3, 0.4)],
+            [[], []],
+            [{}, {}],
+            [[0.5, np.float32(0.25)], [0.125, 1.0]],
+            {"a%sb": ["%", "%s", "%%", "%(x)s", 0.5], "%(x)s": "100%", "%%": {"%d": [[1.5, 2.5]]}},
         ],
         ids=[
             "mixed-flat", "mixed-dict", "nested-lists", "numpy-scalar-list", "numpy-float-list", "numpy-int-list",
             "numpy-scalar-dict", "numpy-float", "numpy-int", "empty-list", "empty-dict",
             "empty-tuple", "empty-inside-list", "empty-inside-dict",
+            "pairs-extreme-floats", "ragged-rows", "mixed-type-rows", "int-float-rows", "numpy-float-rows",
+            "tuple-rows", "empty-rows", "empty-dict-rows", "float32-in-rows", "percent-strings-and-keys",
         ],
     )
     def test_matches_reference(self, obj):
         assert serialize.dumps_canonical(obj) == _reference_dumps(obj)
 
+    def test_random_doubles_match_reference(self):
+        rng = generator(5)
+        mantissas = rng.standard_normal(4000)
+        values = (mantissas * 10.0 ** rng.integers(-320, 308, mantissas.size)).tolist()
+        values += [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.0**-1022, 0.1, 1 / 3]
+        obj = {"flat": values, "pairs": np.reshape(values[: len(values) // 2 * 2], (-1, 2)).tolist()}
+        assert serialize.dumps_canonical(obj) == _reference_dumps(obj)
+
     @pytest.mark.parametrize(
         "obj",
-        [[1.0, float("nan")], {"x": [float("-inf")]}, np.float64("inf"), [np.float64("nan")]],
-        ids=["nan-in-list", "inf-in-dict", "numpy-inf", "numpy-nan-in-list"],
+        [
+            [1.0, float("nan")], {"x": [float("-inf")]}, np.float64("inf"), [np.float64("nan")],
+            *([[0.5 * k, -0.25 * k] for k in range(500)] + [[0.0, bad]] for bad in _NON_FINITE),
+        ],
+        ids=["nan-in-list", "inf-in-dict", "numpy-inf", "numpy-nan-in-list",
+             "nan-last-pair", "inf-last-pair", "minus-inf-last-pair"],
     )
     def test_rejects_non_finite_like_reference(self, obj):
         with pytest.raises(ValueError):
@@ -136,17 +163,51 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             serialize.dumps_canonical(float("nan"))
 
-    def test_csv_shares_the_json_number_formatter(self):
-        from qichan.cli import _csv_text
-
-        rows = [[0.1, 2, 1 / 3], [np.float64(1e-300), -4, 2.0]]
-        text = _csv_text(["a", "b", "c"], rows)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.1, 2, 1 / 3], [np.float64(1e-300), -4, 2.0]],
+            [[0.5, True, 1.5], [0.25, False, -0.0]],
+            [[np.float64(0.1), np.float64(2.0), 0.5], [0.5, np.float64(-0.0), 5e-324]],
+            [[1.7976931348623157e308, 0.1, 1 / 3], [-5e-324, 2.5, 1e22]],
+            [[None, "%s", 1], [0.5, "100%", 2]],
+            [],
+        ],
+        ids=["mixed-int-float", "bool-column", "numpy-float", "all-float", "null-and-percent-strings", "no-rows"],
+    )
+    def test_csv_shares_the_json_number_formatter(self, rows):
+        text = serialize.dumps_csv(["a", "b%s", "c"], rows)
         lines = text.splitlines()
-        assert lines[0] == "a,b,c"
+        assert text.endswith("\n")
+        assert lines[0] == "a,b%s,c"
+        assert len(lines) == 1 + len(rows)
         for line, row in zip(lines[1:], rows):
             assert "[" + line.replace(",", ", ") + "]" == _reference_dumps(row)
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("first", [0.5, 1], ids=["float-rows", "int-float-rows"])
+    def test_csv_rejects_non_finite_in_last_row(self, bad, first):
+        rows = [[first, 0.25 * k] for k in range(50)] + [[first, bad]]
         with pytest.raises(ValueError):
-            _csv_text(["a"], [[float("inf")]])
+            serialize.dumps_csv(["a", "b"], rows)
+
+    def test_pair_lists_take_the_bulk_path(self, monkeypatch):
+        formatted, dumped = [], []
+        format_scalar, dump = serialize.format_scalar, serialize._dump
+        monkeypatch.setattr(serialize, "format_scalar", lambda v: formatted.append(v) or format_scalar(v))
+        monkeypatch.setattr(serialize, "_dump", lambda obj, *a: dumped.append(obj) or dump(obj, *a))
+        obj = serialize.channel_to_dict(random_channel(generator(1), 8, 8, 4))
+        assert serialize.dumps_canonical(obj) == _reference_dumps(obj)
+        assert formatted == [8, 8]  # dim_in and dim_out; no pair entry is formatted one by one
+        assert len(dumped) == 8  # the document, its three values, the four pair lists: no call per pair
+
+    def test_non_finite_channel_writes_no_file(self, tmp_path):
+        elements = np.eye(2, dtype=np.complex128)[None].copy()
+        elements[0, 1, 1] = complex(1.0, float("nan"))
+        path = tmp_path / "c.json"
+        with pytest.raises(ValueError):
+            serialize.write_channel_file(path, Channel.from_elements(elements))
+        assert not path.exists()
 
 
 class TestPairsToMatrix:
@@ -716,6 +777,14 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_percent_in_input_path(self, tmp_path, capsys):
+        path = tmp_path / "a%sb%%.json"
+        serialize.write_channel_file(path, dephasing_channel(2))
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert json.dumps(str(path)) in out
+        assert json.loads(out)["inputs"]["input"]["path"] == str(path)
 
     def test_console_entry_point(self, tmp_path):
         path = self._channel_file(tmp_path)
