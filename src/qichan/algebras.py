@@ -44,13 +44,12 @@ from .numlin import (
     asstack,
     coords_to_herm,
     dagger,
+    null_cut,
     op_norm,
     op_norm_at_most,
     superop_to_coords,
 )
 
-# eigenvalue clusters of generic elements merge below this gap
-CLUSTER_GAP = 1e-6
 # decimals of the block sort key, coarse enough that roundoff cannot reorder
 ORDER_DIGITS = 8
 # real commutator rows QR-factored at once by _streamed_svd
@@ -275,11 +274,7 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     sv *= np.sqrt(2.0)  # the adjoints' rows, see 2. above
     # with the top eigenvalue a candidate, every direction is one and sv covers the stack
     smax = sv[0] if candidate[-1] else float(np.sqrt(lam[-1]))
-    # a direction commutes below rank_rel of smax or below abs_eps at the
-    # operators' scale; the relative cut alone would misread pure roundoff
-    # as structure when everything nearly commutes
-    cut = max(tol.rank_rel * smax, tol.abs_eps * scale)
-    rank = int(np.sum(sv > cut)) if smax > 0 else 0
+    rank = int(np.sum(sv > null_cut(smax, scale, tol)))
     return OperatorBasisSet(dim=d, basis=coords_to_herm(vh[rank:] @ coords, d))
 
 
@@ -339,16 +334,12 @@ def _generic_element(span: OperatorBasisSet, rng: np.random.Generator) -> np.nda
     return span.project(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
-def _cluster(values: np.ndarray) -> list[np.ndarray]:
-    """Group sorted eigenvalue indices into clusters separated by more than CLUSTER_GAP."""
+def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Indices of ``values`` in ascending order of value, split into clusters
+    wherever a value exceeds the one before it by at least ``gap``."""
     idx = np.argsort(values)
-    groups: list[list[int]] = [[int(idx[0])]]
-    for i in idx[1:]:
-        if values[i] - values[groups[-1][-1]] < CLUSTER_GAP:
-            groups[-1].append(int(i))
-        else:
-            groups.append([int(i)])
-    return [np.array(g) for g in groups]
+    cuts = [0, *(np.flatnonzero(np.diff(values[idx]) >= gap) + 1).tolist(), idx.size]
+    return [idx[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def center(a: OperatorBasisSet, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
@@ -379,33 +370,34 @@ def structure_decompose(
     dimensions that it is all of it; a smaller span is not closed under
     multiplication and raises ``NotAnAlgebra``.  An unlucky draw is retried
     with the next seed, up to ``DECOMPOSE_SEEDS`` seeds, before
-    ``DecompositionFailed`` is raised.
+    ``DecompositionFailed`` is raised.  Cuts scale with the input: clusters
+    and couplings of g at ``tol.abs_eps ||g||``, the residual of the
+    unit-norm basis and the identity's distance from the span at ``abs_eps``.
     """
-    d = a.dim
-    eye = np.eye(d)
-    if not a.contains(eye, Tolerance(max(tol.abs_eps, 1e-8), tol.rank_rel)):
+    if not a.contains(np.eye(a.dim), tol):
         raise NotAnAlgebra("algebra must contain the identity")
     for attempt in range(DECOMPOSE_SEEDS):
         try:
-            return _decompose_with(a, np.random.default_rng(seed + attempt))
+            return _decompose_with(a, np.random.default_rng(seed + attempt), tol)
         except DecompositionFailed:
             if attempt == DECOMPOSE_SEEDS - 1:
                 raise
 
 
-def _decompose_with(a: OperatorBasisSet, rng: np.random.Generator) -> AlgebraStructure:
-    """One seeded decomposition attempt of ``a`` from one generic element."""
+def _decompose_with(a: OperatorBasisSet, rng: np.random.Generator, tol: Tolerance) -> AlgebraStructure:
+    """One seeded decomposition attempt of ``a`` from one generic element, at ``tol``."""
     d = a.dim
     g = _generic_element(a, rng)
+    gap = tol.abs_eps * op_norm(g)
     w, u = np.linalg.eigh((g + dagger(g)) / 2)
-    clusters = _cluster(w)
+    clusters = _cluster(w, gap)
     t = dagger(u) @ g @ u
     member = np.zeros((d, len(clusters)))
     for k, c in enumerate(clusters):
         member[c, k] = 1.0
-    # Frobenius norms of t's cluster-by-cluster sub-blocks; g is unit-scale,
-    # and across blocks its coupling is zero up to roundoff
-    coupled = np.sqrt(member.T @ np.abs(t) ** 2 @ member) > CLUSTER_GAP * op_norm(g)
+    # Frobenius norms of t's cluster-by-cluster sub-blocks: across blocks
+    # g's coupling is zero up to the tolerance
+    coupled = np.sqrt(member.T @ np.abs(t) ** 2 @ member) > gap
     np.fill_diagonal(coupled, True)
     taken = np.zeros(len(clusters), dtype=bool)
     blocks = []
@@ -440,7 +432,7 @@ def _decompose_with(a: OperatorBasisSet, rng: np.random.Generator) -> AlgebraStr
         basis_change=np.ascontiguousarray(basis_change),
     )
     deviation = _pattern_deviation(structure)
-    if not op_norm_at_most(deviation, 1e-6):
+    if not op_norm_at_most(deviation, tol.abs_eps):
         raise DecompositionFailed(f"block pattern residual {op_norm(deviation):.3e}")
     # the span lies inside sum_k M_{n_k} (x) 1_{m_k}; equal dimensions make it all of it
     if sum(n * n for n, _ in dims) != a.dimension:

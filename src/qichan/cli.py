@@ -34,7 +34,7 @@ from .correction import (
     restrict,
 )
 from .errors import Infeasible, QichanError
-from .numlin import Tolerance
+from .numlin import DEFAULT_TOL, Tolerance
 
 SEED_ENV = "QICHAN_SEED"
 
@@ -315,8 +315,10 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
     """The command-line parser and its ``--seed`` action, which every
     subcommand shares (parents hand their actions on, not copies)."""
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=_positive, default=1e-9, help="absolute operator-norm tolerance")
-    shared.add_argument("--rank-rel", type=_positive, default=1e-10, help="relative rank cutoff")
+    shared.add_argument("--tol", type=_positive, default=DEFAULT_TOL.abs_eps,
+                        help="absolute operator-norm tolerance")
+    shared.add_argument("--rank-rel", type=_positive, default=DEFAULT_TOL.rank_rel,
+                        help="relative rank cutoff")
     seed = shared.add_argument("--seed", type=_seed, default=_seed_default(),
                                help=f"RNG seed (default from ${SEED_ENV} or 0)")
     shared.add_argument("--out", default=None, help="output path (directory for `example`)")

@@ -211,7 +211,7 @@ def span_equivalent(c1: Channel, c2: Channel, tol: Tolerance = DEFAULT_TOL) -> b
         _row_span_projector(_orthonormal_rows(ch.elements.reshape(ch.n_elements, -1), tol))
         for ch in (c1, c2)
     )
-    return op_norm_at_most(p1 - p2, max(tol.abs_eps, 1e-8))
+    return op_norm_at_most(p1 - p2, tol.abs_eps)
 
 
 def homomorphism_residual(

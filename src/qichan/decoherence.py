@@ -35,17 +35,19 @@ from .errors import (
 from .numlin import (
     DEFAULT_TOL,
     Tolerance,
+    above_cut,
     asmatrix,
+    asstack,
     dagger,
     herm_to_coords,
     max_commutator_norm,
+    null_cut,
     op_norm,
+    op_norm_at_most,
 )
 from .rand import generator, random_povm, random_sharp_observable
 
 FEASIBILITY_TOL = 1e-7
-# applications of the dual that iterated_fixed_points uses to expose drift
-FIXED_POINT_ITERATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class StochasticMap:
         if m.min() < -tol.abs_eps:
             raise ValueError(f"negative entry {m.min():.3e}")
         sums = m.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > max(tol.abs_eps, 1e-8):
+        if np.max(np.abs(sums - 1.0)) > tol.abs_eps:
             raise ValueError("columns must sum to one")
         return StochasticMap(entries=m)
 
@@ -230,16 +232,16 @@ def coarse_grain_solve(
     return StochasticMap.from_entries(pi[0])
 
 
-def _pointer_states(c: Channel, gamma: DiscreteObservable) -> np.ndarray | None:
+def _pointer_states(c: Channel, gamma: DiscreteObservable, tol: float) -> np.ndarray | None:
     """Unit output vector psi_i of each element E_i, when every element is
-    rank one and ``gamma`` is the canonical pointer {E_i^dag E_i}."""
+    rank one and ``gamma`` is the canonical pointer {E_i^dag E_i}, at ``tol``."""
     if c.n_elements != gamma.n_outcomes:
         return None
     k = c.elements
     u, s, _ = np.linalg.svd(k)
-    if s.shape[1] > 1 and np.any(s[:, 1] > DEFAULT_TOL.rank_rel * s[:, 0] * 100):
+    if any(np.count_nonzero(above_cut(row, tol)) > 1 for row in s):
         return None
-    if op_norm(dagger(k) @ k - gamma.effects) > 1e-8:
+    if not op_norm_at_most(dagger(k) @ k - gamma.effects, tol):
         return None
     psis = u[:, :, 0]
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
@@ -265,7 +267,7 @@ def full_decoherence_check(
     if gamma.dim != c.dim_in:
         raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
     rng = generator(seed)
-    psis = _pointer_states(c, gamma)
+    psis = _pointer_states(c, gamma, tol)
     residuals, lowers, explicit = [], [], []
     for _ in range(samples):
         n_out = int(rng.integers(2, c.dim_out + 2))
@@ -347,19 +349,18 @@ def dephasing_sweep(projectors, n_env: int, total_time: float, times) -> SweepRe
     the coefficient of P_i in the environment-basis effect pulled back
     through the complementary channel.
     """
-    projs = [asmatrix(p) for p in projectors]
-    if not projs:
+    projs = asstack(projectors)
+    n_proj, d, _ = projs.shape
+    if not n_proj:
         raise BadProjectors("need at least one projector")
-    d = projs[0].shape[0]
-    total = sum(projs)
-    if op_norm(total - np.eye(d)) > 1e-9:
+    if not op_norm_at_most(projs.sum(axis=0) - np.eye(d), DEFAULT_TOL.abs_eps):
         raise BadProjectors("projectors must sum to the identity")
+    # P_i P_j - delta_ij P_i, one row i at a time: n d^2 entries, not n^2 d^2
     for i, p in enumerate(projs):
-        for j, q in enumerate(projs):
-            expect = p if i == j else np.zeros_like(p)
-            if op_norm(p @ q - expect) > 1e-9:
-                raise BadProjectors("projectors must be orthogonal idempotents")
-    n_proj = len(projs)
+        deviation = p @ projs
+        deviation[i] -= p
+        if not op_norm_at_most(deviation, DEFAULT_TOL.abs_eps):
+            raise BadProjectors("projectors must be orthogonal idempotents")
     if n_env < n_proj:
         raise BadProjectors(f"environment size {n_env} < number of projectors {n_proj}")
     omega = 2 * np.pi / n_env
@@ -372,7 +373,7 @@ def dephasing_sweep(projectors, n_env: int, total_time: float, times) -> SweepRe
     phases = np.exp(-1j * omega * (times[:, None, None] * lam[None, :, None]) * ks)
     fourier = np.exp(1j * omega * (np.outer(ks, ks) % n_env))
     gamma = (np.abs(phases @ fourier) / n_env) ** 2
-    elements = np.einsum("tik,iab->tkab", phases, np.array(projs)) / np.sqrt(n_env)
+    elements = np.einsum("tik,iab->tkab", phases, projs) / np.sqrt(n_env)
     snapshots = tuple(Channel.from_elements(e) for e in elements)
     return SweepResult(times=times, gamma=gamma, snapshots=snapshots)
 
@@ -459,10 +460,10 @@ def effect_region_sample(c: Channel, grid: int) -> np.ndarray:
 def iterated_fixed_points(c: Channel, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     """Span of operators fixed by the dual map, ||E*(A) - A|| ~ 0.
 
-    Found as the near-nullspace of (M - 1) for the dual superoperator M;
-    borderline directions are disambiguated by iterating the dual
-    ``FIXED_POINT_ITERATIONS`` times, which amplifies any drift away from
-    eigenvalue one.
+    Found as the nullspace of (M - 1) for the dual superoperator M: the
+    right singular vectors whose singular values lie under
+    ``numlin.null_cut`` at ``tol``, with the largest singular value s_0 of
+    M - 1 on top and 1 + s_0, a bound on ||M||, as the scale.
     """
     if c.dim_in != c.dim_out:
         raise NotEndomorphic(f"dual iteration needs dim_in == dim_out, got {c.dim_in}, {c.dim_out}")
@@ -471,11 +472,6 @@ def iterated_fixed_points(c: Channel, tol: Tolerance = DEFAULT_TOL) -> OperatorB
     # row-major vec(E^dag A E) = sum_k (E_k^dag (x) E_k^T) vec(A)
     m = np.einsum("kba,kdc->acbd", k.conj(), k).reshape(d * d, d * d)
     _, sv, vh = np.linalg.svd(m - np.eye(d * d))
-    candidates = vh[sv <= max(tol.abs_eps * 10, 1e-8)].conj().reshape(-1, d, d)
-    drift = candidates
-    for _ in range(FIXED_POINT_ITERATIONS):
-        drift = apply_dual(c, drift)
-    bound = max(tol.abs_eps * FIXED_POINT_ITERATIONS, 1e-7)
-    kept = np.linalg.norm(drift - candidates, 2, axis=(1, 2)) <= bound
     # rows of one unitary vh: already Hilbert-Schmidt orthonormal
-    return OperatorBasisSet(dim=d, basis=candidates[kept])
+    fixed = vh[sv <= null_cut(sv[0], 1 + sv[0], tol)].conj().reshape(-1, d, d)
+    return OperatorBasisSet(dim=d, basis=fixed)

@@ -2,11 +2,11 @@
 
 All operations are pure functions on immutable ndarrays (complex128,
 row-major).  Comparisons use the operator norm (largest singular value).
-Every span and support in the package is cut by one rule,
-:func:`above_cut`: keep the singular values (or PSD eigenvalues) above
-max(rank_rel, n eps) times the largest, so ``rank_rel`` decides the cut but
-never below rounding level.  :func:`psd_eig` cuts the support of a PSD
-matrix with it; everything below the cut is its kernel.
+Every span and support in the package is cut by one rule, :func:`above_cut`:
+keep the singular values (or PSD eigenvalues) above max(rank_rel, n eps)
+times the largest, so ``rank_rel`` decides the cut but never below rounding
+level.  :func:`psd_eig` cuts the support of a PSD matrix with it.  Every
+nullspace of a map is cut by :func:`null_cut`.
 """
 
 from __future__ import annotations
@@ -157,6 +157,13 @@ def above_cut(values: np.ndarray, rank_rel: float = 0.0, n: int | None = None) -
     n = values.size if n is None else n
     top = max(float(values.max()), 0.0) if values.size else 0.0
     return values > max(rank_rel, n * np.finfo(np.float64).eps) * top
+
+
+def null_cut(top: float, scale: float, tol: Tolerance) -> float:
+    """Largest singular value of a map that counts as zero: max(rank_rel ``top``,
+    abs_eps ``scale``), ``top`` its largest and ``scale`` its operators' size;
+    the relative cut alone reads roundoff as structure in a map near zero."""
+    return max(tol.rank_rel * top, tol.abs_eps * scale)
 
 
 def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

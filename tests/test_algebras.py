@@ -283,11 +283,11 @@ class TestStructureDecompose:
         attempt = al._decompose_with
         states = []
 
-        def fails_first(a, rng):
+        def fails_first(a, rng, tol):
             states.append(rng.bit_generator.state)
             if len(states) == 1:
                 raise DecompositionFailed("unlucky draw")
-            return attempt(a, rng)
+            return attempt(a, rng, tol)
 
         monkeypatch.setattr(al, "_decompose_with", fails_first)
         st = al.structure_decompose(two_by_two_plus_three_algebra(), seed=5)
@@ -297,7 +297,7 @@ class TestStructureDecompose:
     def test_gives_up_after_decompose_seeds(self, monkeypatch):
         calls = []
 
-        def always_fails(a, rng):
+        def always_fails(a, rng, tol):
             calls.append(rng)
             raise DecompositionFailed("unlucky draw")
 
@@ -635,8 +635,8 @@ def test_block_pattern_residual_matches_kron_reference(monkeypatch):
     seen = []
     decompose = al._decompose_with
 
-    def record(a, rng):
-        seen.append(decompose(a, rng))
+    def record(a, rng, tol):
+        seen.append(decompose(a, rng, tol))
         return seen[-1]
 
     monkeypatch.setattr(al, "_decompose_with", record)

@@ -31,7 +31,7 @@ from qichan.channels import (
 )
 from qichan.correction import interaction_span
 from qichan.errors import BadProjectors, DimMismatch, Infeasible, NotEndomorphic, WitnessMismatch
-from qichan.numlin import dagger, op_norm
+from qichan.numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
 from qichan.rand import generator, random_channel, random_density, random_effect, random_unitary
 
 
@@ -41,6 +41,12 @@ class TestStochasticMap:
             de.StochasticMap.from_entries(np.array([[0.5, 0.2], [0.2, 0.2]]))
         with pytest.raises(ValueError):
             de.StochasticMap.from_entries(np.array([[1.5, 0.0], [-0.5, 1.0]]))
+
+    def test_column_sums_at_the_callers_abs_eps(self):
+        entries = np.array([[0.5, 1.0], [0.5 + 3e-9, 0.0]])  # a column sum of 1 + 3e-9
+        de.StochasticMap.from_entries(entries, Tolerance(abs_eps=1e-8))
+        with pytest.raises(ValueError):
+            de.StochasticMap.from_entries(entries, Tolerance(abs_eps=1e-9))
 
     def test_compose_observable(self):
         gamma = basis_observable(2)
@@ -511,6 +517,13 @@ class TestIteratedFixedPoints:
         c = Channel.from_elements([np.sqrt(0.3) * u1, np.sqrt(0.7) * u2])
         fixed = de.iterated_fixed_points(c)
         assert spans_equal(fixed, commutant([u1, u2]), 1e-7)
+
+    @pytest.mark.parametrize("tol, dimension", [(DEFAULT_TOL, 4), (Tolerance(1e-12, 1e-10), 2)])
+    def test_tolerance_decides_a_weak_phase_flip(self, tol, dimension):
+        # E*(|0><1|) = (1 - 2p) |0><1|: the off-diagonals drift by 2p = 1e-10
+        p = 5e-11
+        c = Channel.from_elements([np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * PAULI_Z])
+        assert de.iterated_fixed_points(c, tol).dimension == dimension
 
     def test_requires_endomorphic(self):
         c = diamond_channel(3)

@@ -707,6 +707,13 @@ class TestCli:
             assert rc == 1, value
             assert out == "" and "usage:" in err and "Traceback" not in err
 
+    def test_tolerance_defaults_are_the_library_defaults(self):
+        from qichan import cli as cli_mod
+        from qichan.numlin import DEFAULT_TOL
+
+        args = cli_mod.build_parser().parse_args(["preserved", "x.json"])
+        assert (args.tol, args.rank_rel) == (DEFAULT_TOL.abs_eps, DEFAULT_TOL.rank_rel)
+
     def test_samples_where_read(self):
         from qichan import cli as cli_mod
 
