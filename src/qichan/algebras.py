@@ -274,7 +274,7 @@ def commutant(operators, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     sv *= np.sqrt(2.0)  # the adjoints' rows, see 2. above
     # with the top eigenvalue a candidate, every direction is one and sv covers the stack
     smax = sv[0] if candidate[-1] else float(np.sqrt(lam[-1]))
-    rank = int(np.sum(sv > null_cut(smax, scale, tol)))
+    rank = int(np.sum(sv > null_cut(smax, scale, tol, d * d)))
     return OperatorBasisSet(dim=d, basis=coords_to_herm(vh[rank:] @ coords, d))
 
 

@@ -9,7 +9,7 @@ ensemble.
 An observable whose effects commute skips the search: it carries exactly
 the information of its joint-eigenvalue channel (Holevo 2012; Dall'Arno,
 D'Ariano and Sacchi 2011), so its capacity is that channel's Shannon
-capacity, certified to within the tolerance by BA's bracket and attained
+capacity, certified to within ``_GAIN_BITS`` by BA's bracket and attained
 by the joint eigenstates.
 
 The search advances all its starts in lockstep.  The starts form one
@@ -18,7 +18,7 @@ rows are zero states with prior 0, and their induced channels one stack
 (S, K, m).  Each round is one stacked BA call, one stacked state ascent
 (one einsum, one stacked ``eigh`` over the real rows) and one batched
 mutual information; a start leaves the stack when its own round gains
-less than the tolerance.  The other starts reach a start's iterates only
+less than ``_GAIN_BITS``.  The other starts reach a start's iterates only
 through the stack's padded shape, which sets the shapes its products and
 SVDs run on: with the same shape it gets the same answer bit for bit,
 and run by itself the same answer up to rounding.  The witness ensemble
@@ -35,7 +35,7 @@ from . import kernels
 from .channels import DiscreteObservable, _frozen_stack
 from .decoherence import StochasticMap
 from .errors import DimMismatch, NotPSD
-from .numlin import DEFAULT_TOL, dagger, max_commutator_norm, op_norm
+from .numlin import DEFAULT_TOL, Tolerance, dagger, max_commutator_norm, op_norm
 from .rand import generator, random_pure_state
 
 _LOG_FLOOR = 1e-30
@@ -46,6 +46,9 @@ _LOG_FLOOR = 1e-30
 _COMMUTING_REL = 1e-10
 # outer rounds (alternating maximization, then state ascent) per start
 _MAX_ROUNDS = 60
+# bits a search round must gain for its start to go on (its BA calls close
+# their gap to a tenth of it), and BA's gap on the exact commuting route
+_GAIN_BITS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,7 @@ def _lockstep_search(
 def observable_capacity(
     x: DiscreteObservable,
     restarts: int = 8,
-    tol: float = 1e-9,
+    tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
     warm_ensembles: tuple[Ensemble, ...] = (),
     max_states: int | None = None,
@@ -259,9 +262,9 @@ def observable_capacity(
     """Lower-bound estimate of the capacity of an observable.
 
     A commuting observable gets the exact value: the Shannon capacity of
-    its joint-eigenvalue channel, within ``tol`` by BA's bracket, with the
-    joint eigenstates as witness (see :func:`_classical_estimate`).  This
-    needs ensembles of up to dim states, so a smaller ``max_states``
+    its joint-eigenvalue channel, within ``_GAIN_BITS`` by BA's bracket,
+    with the joint eigenstates as witness (see :func:`_classical_estimate`).
+    This needs ensembles of up to dim states, so a smaller ``max_states``
     always searches.  Any other observable is searched:
 
     Alternates prior optimization (the certified capacity of the induced
@@ -276,20 +279,20 @@ def observable_capacity(
     one batched mutual information (see :func:`_lockstep_search`).
 
     Raises ``NotPSD`` when an effect has an eigenvalue below
-    ``-DEFAULT_TOL.abs_eps``: the clipped mutual information maximized
-    here is then no mutual information.
+    ``-tol.abs_eps``: the clipped mutual information maximized here is
+    then no mutual information.
     """
     min_eig = float(np.linalg.eigvalsh((x.effects + dagger(x.effects)) / 2).min())
-    if min_eig < -DEFAULT_TOL.abs_eps:
-        raise NotPSD(min_eig, DEFAULT_TOL.abs_eps)
+    if min_eig < -tol.abs_eps:
+        raise NotPSD(min_eig, tol.abs_eps)
     d = x.dim
     if max_states is None or max_states >= d:
-        exact = _classical_estimate(x, tol)
+        exact = _classical_estimate(x, _GAIN_BITS)
         if exact is not None:
             return exact
     cap = d * d if max_states is None else max(2, min(max_states, d * d))
     states, warm = _starts(x, restarts, seed, warm_ensembles, cap)
-    values, priors, states = _lockstep_search(x, states, warm, tol)
+    values, priors, states = _lockstep_search(x, states, warm, _GAIN_BITS)
     # the first start with the highest value; from_states copies its arrays
     # out of the stack, so the answer does not keep the stack alive
     best = int(np.argmax(values))

@@ -117,7 +117,7 @@ def _cmd_correct(args, tol: Tolerance) -> tuple[dict | None, int]:
         "residuals": {**report.residuals, "block_pattern": block_pattern_residual(structure)},
     }
     if args.code:
-        c0 = restrict(c, serialize.parse_code_file(args.code))
+        c0 = restrict(c, serialize.parse_code_file(args.code, tol))
         a0 = preserved_algebra(c0, tol, args.seed)
         s0 = _operator_system(c, a0, correction_channel(c0, tol), tol)
         results["code_algebra"] = serialize.algebra_to_dict(a0)
@@ -147,7 +147,7 @@ def _cmd_broadcast(args, tol: Tolerance) -> tuple[dict | None, int]:
 
 def _cmd_kl(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
-    rep = kl_check(c, serialize.parse_code_file(args.code), tol)
+    rep = kl_check(c, serialize.parse_code_file(args.code, tol), tol)
     return {
         "passes": rep.passes,
         "residual": rep.residual,
@@ -158,7 +158,7 @@ def _cmd_kl(args, tol: Tolerance) -> tuple[dict | None, int]:
 
 def _cmd_oqec(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
-    rep = oqec_check(c, serialize.parse_code_file(args.code), tuple(args.split), tol)
+    rep = oqec_check(c, serialize.parse_code_file(args.code, tol), tuple(args.split), tol)
     return {
         "passes": rep.passes,
         "residual": rep.residual,
@@ -224,7 +224,7 @@ def _cmd_region(args, tol: Tolerance) -> tuple[dict | None, int]:
 
 def _cmd_capacity(args, tol: Tolerance) -> tuple[dict | None, int]:
     x = serialize.parse_observable_file(args.input, tol)
-    estimate = capacity_mod.observable_capacity(x, restarts=args.restarts, seed=args.seed)
+    estimate = capacity_mod.observable_capacity(x, restarts=args.restarts, tol=tol, seed=args.seed)
     return {
         "bits": estimate.bits,
         # Holevo: no ensemble carries more than log2 d bits through d-dim states

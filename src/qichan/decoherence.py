@@ -292,8 +292,8 @@ def full_decoherence_check(
     )
 
 
-def _marginal_channels(c: Channel, subsystem_dims: list[int]) -> list[Channel]:
-    iso = dilate(c)
+def _marginal_channels(c: Channel, subsystem_dims: list[int], tol: Tolerance) -> list[Channel]:
+    iso = dilate(c, tol)
     dims = list(subsystem_dims) + [iso.d_env]
     n_factors = len(dims)
     v_tensor = iso.v.reshape(dims + [c.dim_in])
@@ -327,7 +327,7 @@ def broadcast_pointer(
         raise DimMismatch(f"prod{tuple(dims)} != channel output {c.dim_out}")
     if len(dims) < 2:
         raise DimMismatch("broadcast needs at least two subsystems")
-    report = _common_preserved(_marginal_channels(c, dims), tol, seed)
+    report = _common_preserved(_marginal_channels(c, dims, tol), tol, seed)
     if witnesses is None:
         return report
     if len(witnesses) != len(dims):
@@ -473,5 +473,5 @@ def iterated_fixed_points(c: Channel, tol: Tolerance = DEFAULT_TOL) -> OperatorB
     m = np.einsum("kba,kdc->acbd", k.conj(), k).reshape(d * d, d * d)
     _, sv, vh = np.linalg.svd(m - np.eye(d * d))
     # rows of one unitary vh: already Hilbert-Schmidt orthonormal
-    fixed = vh[sv <= null_cut(sv[0], 1 + sv[0], tol)].conj().reshape(-1, d, d)
+    fixed = vh[sv <= null_cut(sv[0], 1 + sv[0], tol, d * d)].conj().reshape(-1, d, d)
     return OperatorBasisSet(dim=d, basis=fixed)

@@ -6,7 +6,7 @@ Every span and support in the package is cut by one rule, :func:`above_cut`:
 keep the singular values (or PSD eigenvalues) above max(rank_rel, n eps)
 times the largest, so ``rank_rel`` decides the cut but never below rounding
 level.  :func:`psd_eig` cuts the support of a PSD matrix with it.  Every
-nullspace of a map is cut by :func:`null_cut`.
+nullspace of a map is cut by :func:`null_cut`, on the same floor.
 """
 
 from __future__ import annotations
@@ -159,11 +159,14 @@ def above_cut(values: np.ndarray, rank_rel: float = 0.0, n: int | None = None) -
     return values > max(rank_rel, n * np.finfo(np.float64).eps) * top
 
 
-def null_cut(top: float, scale: float, tol: Tolerance) -> float:
-    """Largest singular value of a map that counts as zero: max(rank_rel ``top``,
-    abs_eps ``scale``), ``top`` its largest and ``scale`` its operators' size;
-    the relative cut alone reads roundoff as structure in a map near zero."""
-    return max(tol.rank_rel * top, tol.abs_eps * scale)
+def null_cut(top: float, scale: float, tol: Tolerance, n: int) -> float:
+    """Largest singular value of a map that counts as zero: max(max(rank_rel,
+    n eps) ``top``, abs_eps ``scale``), ``top`` its largest singular value,
+    ``scale`` its operators' size and ``n`` its number of columns.  The
+    relative part has :func:`above_cut`'s floor, since a null direction
+    carries rounding of about n eps ``top``; without the absolute part, the
+    roundoff of a map near zero would read as structure."""
+    return max(max(tol.rank_rel, n * np.finfo(np.float64).eps) * top, tol.abs_eps * scale)
 
 
 def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

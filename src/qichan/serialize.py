@@ -305,7 +305,7 @@ def code_to_dict(code) -> dict:
     }
 
 
-def parse_code_file(path: str | Path):
+def parse_code_file(path: str | Path, tol: Tolerance = DEFAULT_TOL):
     data = _load_json(path)
     for name in ("dim", "dim_code", "isometry"):
         if name not in data:
@@ -314,7 +314,7 @@ def parse_code_file(path: str | Path):
     if not isinstance(dim, int) or not isinstance(dim_code, int) or dim < dim_code or dim_code < 1:
         raise SchemaError(str(path), "'dim' >= 'dim_code' >= 1 required")
     v = pairs_to_matrix(data["isometry"], dim, dim_code, f"{path}: isometry")
-    return CodeSubspace.from_isometry(v)
+    return CodeSubspace.from_isometry(v, tol)
 
 
 def write_code_file(path: str | Path, code) -> None:

@@ -585,6 +585,16 @@ class TestExactCommutant:
         assert got.dimension == 1
         assert _projector_error(got, _scalars(d)) < 1e-12
 
+    @pytest.mark.parametrize("t", (1e-15, 1e-16, 1e-30))
+    @pytest.mark.parametrize("d", (8, 16, 32))
+    def test_tolerance_below_rounding_keeps_a_unitary_commutant(self, d, t):
+        # the commutant of a generic unitary is the diagonal algebra of its
+        # eigenbasis; null_cut's n eps floor keeps rounding out of the cut
+        for seed in (1, 2, 3):
+            u = random_unitary(generator(seed), d)
+            got = al.commutant([u], Tolerance(t, t))
+            assert got.dimension == d and got.contains(u)
+
     # the default cut is abs_eps times the scale 1e3 (d - 1); the other one is
     # relative to the largest singular value of the whole stack, which only
     # directions outside the diagonal subspace reach

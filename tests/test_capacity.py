@@ -7,6 +7,7 @@ from qichan.catalog import basis_observable, sic_tetrahedron, PAULI_X, PAULI_Y, 
 from qichan.channels import DiscreteObservable, povm_probabilities
 from qichan.decoherence import StochasticMap
 from qichan.errors import DimMismatch, NotPSD
+from qichan.numlin import DEFAULT_TOL, Tolerance
 from qichan.rand import (
     generator,
     random_density,
@@ -383,6 +384,15 @@ class TestObservableCapacity:
         with pytest.raises(NotPSD) as err:
             cap.observable_capacity(x, restarts=2)
         assert err.value.min_eig < -1e-9
+
+    def test_psd_cut_is_the_callers_abs_eps(self):
+        effects = np.array([np.diag([1 + 1e-7, 0.5]), np.diag([-1e-7, 0.5])], dtype=complex)
+        x = DiscreteObservable.from_effects(effects)
+        with pytest.raises(NotPSD) as err:
+            cap.observable_capacity(x, restarts=2)
+        assert err.value.eps == DEFAULT_TOL.abs_eps
+        est = cap.observable_capacity(x, restarts=2, tol=Tolerance(1e-6, DEFAULT_TOL.rank_rel))
+        assert 0 < est.bits < 1
 
     def test_accepts_rounding_below_the_cut(self):
         # eigenvalues of -1e-12 are rounding of a PSD effect, not a violation

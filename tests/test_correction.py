@@ -493,6 +493,22 @@ class TestHomomorphism:
         c0 = co.restrict(bitflip3_channel((0.4, 0.2, 0.2, 0.2)), repetition_code())
         assert co.homomorphism_residual(c0, co.preserved_algebra(c0)) < 1e-8
 
+    def test_samples_pairs_above_the_cap(self, monkeypatch):
+        # the identity on C^5 preserves M_5: 25 basis elements, 625 pairs
+        c = unitary_channel(np.eye(5, dtype=complex))
+        structure = co.preserved_algebra(c)
+        assert structure.dimension**2 > co.HOMOMORPHISM_PAIRS
+        sizes, dual = [], co.apply_dual
+
+        def counted(channel, ops):
+            sizes.append(len(ops))
+            return dual(channel, ops)
+
+        monkeypatch.setattr(co, "apply_dual", counted)
+        assert co.homomorphism_residual(c, structure) < 1e-12
+        # R* lifts the basis once, and E* sees the sampled products only
+        assert sizes == [structure.dimension, co.HOMOMORPHISM_PAIRS]
+
 
 class TestSharpToSharp:
     @pytest.mark.parametrize("seed", range(6))

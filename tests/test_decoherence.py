@@ -30,7 +30,14 @@ from qichan.channels import (
     unitary_channel,
 )
 from qichan.correction import interaction_span
-from qichan.errors import BadProjectors, DimMismatch, Infeasible, NotEndomorphic, WitnessMismatch
+from qichan.errors import (
+    BadProjectors,
+    DimMismatch,
+    Infeasible,
+    NotEndomorphic,
+    NotTracePreserving,
+    WitnessMismatch,
+)
 from qichan.numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
 from qichan.rand import generator, random_channel, random_density, random_effect, random_unitary
 
@@ -164,6 +171,20 @@ class TestFullDecoherence:
         rep = de.full_decoherence_check(c, sic_tetrahedron(), samples=24, seed=3)
         assert rep.feasible == rep.samples
         assert rep.explicit_residual is not None and rep.explicit_residual < 1e-10
+
+    @pytest.mark.parametrize("case", ["element-not-rank-one", "gamma-not-canonical"])
+    def test_no_explicit_map_without_pointer_states(self, case):
+        if case == "element-not-rank-one":
+            c = Channel.from_elements([np.sqrt(0.7) * np.eye(2, dtype=complex), np.sqrt(0.3) * PAULI_Z])
+            gamma = basis_observable(2)
+        else:
+            # rank-one elements, but gamma lists E_i^dag E_i in reverse
+            c = sic_cloner_channel()
+            gamma = DiscreteObservable.from_effects(sic_tetrahedron().effects[::-1])
+        assert c.n_elements == gamma.n_outcomes
+        assert de._pointer_states(c, gamma, de.FEASIBILITY_TOL) is None
+        rep = de.full_decoherence_check(c, gamma, samples=4, seed=3)
+        assert rep.explicit_residual is None
 
     def test_unitary_channel_is_not(self):
         u = random_unitary(generator(4), 2)
@@ -314,6 +335,17 @@ def _common_preserved_cases():
 _CASES = _common_preserved_cases()
 
 
+class TestToleranceReachesTheDilation:
+    def test_marginals_check_trace_preservation_at_the_callers_tol(self):
+        # elements off by sqrt(1 + 2e-7): sum E^dag E - 1 = 2e-7
+        c = Channel.from_elements(np.sqrt(1 + 2e-7) * antisym_joint_channel().elements)
+        with pytest.raises(NotTracePreserving) as err:
+            de.broadcast_pointer(c, [3, 3])
+        assert err.value.eps == DEFAULT_TOL.abs_eps and abs(err.value.residual - 2e-7) < 1e-12
+        loose = Tolerance(1e-6, DEFAULT_TOL.rank_rel)
+        assert de.broadcast_pointer(c, [3, 3], loose).pointer_algebra.block_dims == ((1, 3),)
+
+
 class TestCommonPreserved:
     @pytest.mark.parametrize("kind,c,dims", [case[1:] for case in _CASES],
                              ids=[case[0] for case in _CASES])
@@ -323,7 +355,7 @@ class TestCommonPreserved:
             want = _intersected_reference([c, complement(c)])
         else:
             got = de.broadcast_pointer(c, dims)
-            want = _intersected_reference(de._marginal_channels(c, dims))
+            want = _intersected_reference(de._marginal_channels(c, dims, DEFAULT_TOL))
         structure = got.pointer_algebra
         assert structure.block_dims == want.block_dims
         assert spans_equal(structure.carrier, want.carrier, 1e-8)
@@ -524,6 +556,14 @@ class TestIteratedFixedPoints:
         p = 5e-11
         c = Channel.from_elements([np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * PAULI_Z])
         assert de.iterated_fixed_points(c, tol).dimension == dimension
+
+    @pytest.mark.parametrize("t", (1e-15, 1e-16, 1e-30))
+    @pytest.mark.parametrize("d", (4, 8))
+    def test_tolerance_below_rounding_keeps_a_unitary_fixed_space(self, d, t):
+        # E*(A) = U^dag A U fixes the d-dimensional commutant of U
+        for seed in (1, 2, 3):
+            c = unitary_channel(random_unitary(generator(seed), d))
+            assert de.iterated_fixed_points(c, Tolerance(t, t)).dimension == d
 
     def test_requires_endomorphic(self):
         c = diamond_channel(3)

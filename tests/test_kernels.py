@@ -105,6 +105,15 @@ class TestFeasibilitySolver:
             p_1, r_1 = kernels.solve_product_simplex_lsq(g, x[s : s + 1], hs_tol=0.5 * SIC_TOL)
             assert np.array_equal(p_b[s], p_1[0]) and r_b[s] == r_1[0]
 
+    def test_zero_design_returns_the_uniform_start(self):
+        # G = 0: every P is optimal, so no iteration runs
+        _, x = self._problem(5, feasible=False)
+        g = np.zeros((6, 4))
+        p, iterations, stop = kernels._solve_simplex_lsq(g, x, 20000, 5e-8)
+        assert np.all(p == 1 / 3) and np.all(iterations == 0) and np.all(stop == kernels.STOP_CAP)
+        p, res = kernels.solve_product_simplex_lsq(g, x)
+        assert np.all(p == 1 / 3) and res[0] == np.linalg.norm(x[0], axis=1).max()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_lower_bound_below_objective(self, seed):
         # a bound taken at any point stays below the objective at every point
@@ -369,6 +378,15 @@ class TestBlahutArimotoCertificate:
         assert np.allclose(_bracket_bits(pyx, r), (lower, upper), rtol=0, atol=1e-12)
 
 
+# output 1 is reached only by row 6, where the optimal prior is about 3e-62:
+# no face solve certifies it, and BA needs about 3000 iterations
+SPARSE_8X4 = _rows(np.array([
+    [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0],
+    [0.023, 0, 0.977, 0], [0.999, 0, 0.00094, 0], [0.539, 0.0049, 0.456, 0], [0, 0, 0.0002, 0.9998],
+]))
+EASY_2X2 = np.array([[0.9, 0.1], [0.2, 0.8]])
+
+
 def _padded(maps):
     """Maps of mixed shapes as one stack, padded with zero rows and columns."""
     stack = np.zeros((len(maps), max(m.shape[0] for m in maps), max(m.shape[1] for m in maps)))
@@ -442,6 +460,36 @@ class TestBlahutArimotoStack:
         _, alone, _, _ = kernels.blahut_arimoto(m)
         _, stacked, _, _ = kernels.blahut_arimoto(_padded([m, _bank_maps()[-1].T]))
         assert np.abs(stacked[0, : m.shape[0]] - alone).max() <= 1e-14
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 60])
+    def test_capped_stack_matches_per_map_calls(self, max_iter):
+        maps = [SPARSE_8X4, _rows(NEAR_DUPLICATE), EASY_2X2]
+        lower, _, hist, upper = kernels.blahut_arimoto(_padded(maps), max_iter=max_iter)
+        assert len(hist) == max_iter and upper[0] - lower[0] > 1e-3
+        for s, m in enumerate(maps):
+            lower_1, _, hist_1, upper_1 = kernels.blahut_arimoto(m, max_iter=max_iter)
+            assert abs(lower[s] - lower_1) <= 1e-12 and abs(upper[s] - upper_1) <= 1e-12
+            assert np.isfinite(hist[:, s]).sum() == len(hist_1)
+
+    def test_newton_pass_certifying_none_of_a_stack(self, monkeypatch):
+        certificate, uncertified = kernels._newton_certificate, []
+
+        def recorded(pyx, *args):
+            found = certificate(pyx, *args)
+            uncertified.append(pyx.ndim == 3 and found is None)
+            return found
+
+        monkeypatch.setattr(kernels, "_newton_certificate", recorded)
+        maps = [SPARSE_8X4, EASY_2X2]
+        lower, prior, hist, upper = kernels.blahut_arimoto(_padded(maps))
+        # the easy channel leaves at once; the sparse one's later passes fail
+        assert any(uncertified)
+        for s, m in enumerate(maps):
+            lower_1, prior_1, hist_1, upper_1 = kernels.blahut_arimoto(m)
+            assert abs(lower[s] - lower_1) <= 1e-12 and abs(upper[s] - upper_1) <= 1e-12
+            assert np.abs(prior[s, : m.shape[0]] - prior_1).max() <= 1e-14
+            assert np.isfinite(hist[:, s]).sum() == len(hist_1)
+        assert upper[0] - lower[0] < 1e-12
 
     def test_empty_stack(self):
         lower, prior, hist, upper = kernels.blahut_arimoto(np.zeros((0, 3, 2)))

@@ -338,6 +338,83 @@ _REPORT_CASES = {
 }
 
 
+def _off_by_2e7(tmp_path, exact_channels=False):
+    """The report cases' files 2e-7 from valid: the bitflip3 and antisym
+    joint channels and the repetition code scaled by sqrt(1 + 2e-7), and
+    effects diag(1 + 1e-7, 0.5), diag(-1e-7, 0.5).  With
+    ``exact_channels`` only the code is off."""
+    from qichan.catalog import antisym_joint_channel, bitflip3_channel, repetition_code
+
+    scale = 1.0 if exact_channels else np.sqrt(1 + 2e-7)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("bitflip", "code", "joint", "x")}
+    bitflip = bitflip3_channel((0.4, 0.2, 0.2, 0.2))
+    serialize.write_channel_file(paths["bitflip"], Channel.from_elements(scale * bitflip.elements))
+    joint = antisym_joint_channel()
+    serialize.write_channel_file(paths["joint"], Channel.from_elements(scale * joint.elements))
+    serialize.write_code_file(paths["code"], CodeSubspace(v=np.sqrt(1 + 2e-7) * repetition_code().v))
+    effects = np.array([np.diag([1 + 1e-7, 0.5]), np.diag([-1e-7, 0.5])], dtype=complex)
+    serialize.write_observable_file(paths["x"], DiscreteObservable.from_effects(effects))
+    return paths
+
+
+def _h4_kron_i2():
+    """The 8 x 8 unitary H4 (x) 1_2 / 2 with entries 0 and +-1/2: its
+    channel is trace preserving without rounding, while the eigenvalues of
+    its rank-one Choi matrix come out down to about -2e-15."""
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    return Channel.from_elements([np.kron(np.kron(h2, h2) / 2, np.eye(2)).astype(complex)])
+
+
+# input files that a command must refuse (exit 1, no report): the files to
+# write (name -> JSON text, or a callable writing a channel), the argv and
+# the start of the error message
+_REJECTIONS = {
+    "dims-not-positive": (
+        {"c": '{"dim_in": 0, "dim_out": 1, "elements": [[[1, 0]]]}'},
+        ["validate", "{c}"], "error: {c}: 'dim_in'/'dim_out' must be positive integers",
+    ),
+    "dim-not-integer": (
+        {"x": '{"dim": 1.0, "effects": [[[1, 0]]]}'},
+        ["capacity", "{x}"], "error: {x}: 'dim' must be a positive integer",
+    ),
+    "elements-empty": (
+        {"c": '{"dim_in": 1, "dim_out": 1, "elements": []}'},
+        ["preserved", "{c}"], "error: {c}: 'elements' must be a non-empty list",
+    ),
+    "effects-empty": (
+        {"x": '{"dim": 1, "effects": []}'},
+        ["capacity", "{x}"], "error: {x}: 'effects' must be a non-empty list",
+    ),
+    "observable-field-missing": (
+        {"x": '{"effects": [[[1, 0]]]}'},
+        ["capacity", "{x}"], "error: {x}: missing field 'dim'",
+    ),
+    "code-field-missing": (
+        {"c": '{"dim_in": 1, "dim_out": 1, "elements": [[[1, 0]]]}', "k": '{"dim": 1, "dim_code": 1}'},
+        ["kl", "{c}", "--code", "{k}"], "error: {k}: missing field 'isometry'",
+    ),
+    "code-dim-below-dim-code": (
+        {"c": '{"dim_in": 1, "dim_out": 1, "elements": [[[1, 0]]]}',
+         "k": '{"dim": 1, "dim_code": 2, "isometry": [[1, 0], [0, 0]]}'},
+        ["kl", "{c}", "--code", "{k}"], "error: {k}: 'dim' >= 'dim_code' >= 1 required",
+    ),
+    "top-level-not-object": (
+        {"c": "[1, 2]"}, ["validate", "{c}"], "error: {c}: top level must be an object",
+    ),
+    "neither-channel-nor-observable": (
+        {"c": '{"dim": 1}'}, ["validate", "{c}"], "error: {c}: neither a channel",
+    ),
+    "choi-not-psd": (
+        {"c": lambda path: serialize.write_channel_file(path, _h4_kron_i2())},
+        ["preserved", "{c}", "--tol", "1e-16"], "error: invariant violated: Choi matrix PSD",
+    ),
+    "out-under-a-file": (
+        {"c": '{"dim_in": 1, "dim_out": 1, "elements": [[[1, 0]]]}'},
+        ["validate", "{c}", "--out", "{c}/report.json"], "io error: ",
+    ),
+}
+
+
 class TestCli:
     def _channel_file(self, tmp_path):
         path = tmp_path / "deph.json"
@@ -390,6 +467,51 @@ class TestCli:
         assert "invariant violated" in capsys.readouterr().err
         with pytest.raises(ValidationError):
             serialize.parse_observable_file(path)
+
+    @pytest.mark.parametrize("case", list(_REJECTIONS))
+    def test_rejected_input_writes_no_report(self, tmp_path, capsys, case):
+        files, argv, message = _REJECTIONS[case]
+        paths = {name: str(tmp_path / f"{name}.json") for name in files}
+        for name, content in files.items():
+            if callable(content):
+                content(paths[name])
+            else:
+                Path(paths[name]).write_text(content)
+        argv = [a.format(**paths) for a in argv]
+        report = tmp_path / "out" / "report.json"
+        if "--out" not in argv:
+            argv += ["--out", str(report)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message.format(**paths)) and "Traceback" not in err
+        assert not report.parent.exists()
+
+    @pytest.mark.parametrize("case", ["correct-code", "kl", "oqec", "broadcast", "capacity"])
+    def test_the_callers_tol_decides_every_check(self, tmp_path, capsys, case):
+        paths = _off_by_2e7(tmp_path)
+        argv = [a.format(**paths) for a in _REPORT_CASES[case][0]]
+        assert main(["validate", argv[1], "--tol", "1e-6"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--tol", "1e-6"]) == 0
+        capsys.readouterr()
+        # at the default tolerance the input's own check still refuses it
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        violated = (
+            "effect spectrum >= 0 (residual 1.000e-07)" if case == "capacity"
+            else "sum E^dag E = 1 (residual 2.000e-07)"
+        )
+        assert out == "" and err == f"error: invariant violated: {violated}\n"
+
+    @pytest.mark.parametrize("case", ["correct-code", "kl", "oqec"])
+    def test_code_isometry_is_checked_at_the_callers_tol(self, tmp_path, capsys, case):
+        paths = _off_by_2e7(tmp_path, exact_channels=True)
+        argv = [a.format(**paths) for a in _REPORT_CASES[case][0]]
+        assert main(argv + ["--tol", "1e-6"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: columns are not isometric (residual 2.000e-07)\n"
 
     def test_missing_file_exits_one(self, capsys):
         rc = main(["validate", "/nonexistent/x.json"])
