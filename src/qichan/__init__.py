@@ -8,8 +8,6 @@ observables involved.
 """
 
 from .algebras import (
-    AlgebraStructure,
-    OperatorBasisSet,
     center,
     commutant,
     generate_star_algebra,
@@ -18,32 +16,27 @@ from .algebras import (
     spans_equal,
     structure_decompose,
 )
-from .capacity import CapacityEstimate, Ensemble, holevo_quantity, observable_capacity, shannon_capacity
+from .capacity import observable_capacity, shannon_capacity
 from .channels import (
     Channel,
     DiscreteObservable,
-    Isometry,
     apply,
     apply_dual,
     channels_equal,
     choi_of,
     complement,
     compose,
-    dilate,
     identity_channel,
     kraus_from_choi,
     povm_probabilities,
     tensor,
-    unitary_channel,
     validate_channel,
 )
 from .correction import (
     CodeSubspace,
-    CorrectableReport,
     correctable_operator_system,
     correctable_report,
     correction_channel,
-    homomorphism_residual,
     interaction_span,
     kl_check,
     oqec_check,
@@ -52,35 +45,24 @@ from .correction import (
     span_equivalent,
 )
 from .decoherence import (
-    PointerReport,
     StochasticMap,
-    SweepResult,
     broadcast_pointer,
     coarse_grain_solve,
-    correlation_check,
     dephasing_sweep,
     effect_region_sample,
     full_decoherence_check,
     iterated_fixed_points,
     pointer_algebra,
 )
-from .numlin import Tolerance, hermitian_eig, partial_trace
+from .numlin import Tolerance
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraStructure",
-    "CapacityEstimate",
     "Channel",
     "CodeSubspace",
-    "CorrectableReport",
     "DiscreteObservable",
-    "Ensemble",
-    "Isometry",
-    "OperatorBasisSet",
-    "PointerReport",
     "StochasticMap",
-    "SweepResult",
     "Tolerance",
     "apply",
     "apply_dual",
@@ -95,15 +77,10 @@ __all__ = [
     "correctable_operator_system",
     "correctable_report",
     "correction_channel",
-    "correlation_check",
     "dephasing_sweep",
-    "dilate",
     "effect_region_sample",
     "full_decoherence_check",
     "generate_star_algebra",
-    "hermitian_eig",
-    "holevo_quantity",
-    "homomorphism_residual",
     "identity_channel",
     "interaction_span",
     "intersect",
@@ -112,7 +89,6 @@ __all__ = [
     "kraus_from_choi",
     "observable_capacity",
     "oqec_check",
-    "partial_trace",
     "pointer_algebra",
     "povm_probabilities",
     "preserved_algebra",
@@ -123,6 +99,5 @@ __all__ = [
     "spans_equal",
     "structure_decompose",
     "tensor",
-    "unitary_channel",
     "validate_channel",
 ]

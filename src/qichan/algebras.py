@@ -26,7 +26,8 @@ Hermitian.  The center is spanned by the central projectors of the block
 decomposition, so it needs no solve of its own.  Yes/no norm checks
 (``contains``, ``spans_equal``, the block pattern certificate) go through
 ``numlin.op_norm_at_most``, which computes an SVD only when Frobenius
-norms cannot settle the answer.
+norms cannot settle the answer; those at ``abs_eps`` cut at
+``numlin.norm_cut``, never below rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .numlin import (
     asstack,
     coords_to_herm,
     dagger,
+    norm_cut,
     null_cut,
     op_norm,
     op_norm_at_most,
@@ -81,7 +83,7 @@ class OperatorBasisSet:
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
         x = asmatrix(x)
-        return op_norm_at_most(x - self.project(x), tol.abs_eps)
+        return op_norm_at_most(x - self.project(x), norm_cut(tol, x.size, np.linalg.norm(x)))
 
 
 def _orthonormal_rows(vecs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -320,9 +322,6 @@ class AlgebraStructure:
     def dimension(self) -> int:
         return self.carrier.dimension
 
-    def is_commutative(self) -> bool:
-        return all(n == 1 for n, _ in self.block_dims)
-
 
 def _generic_element(span: OperatorBasisSet, rng: np.random.Generator) -> np.ndarray:
     """Projection of one seeded complex Ginibre matrix onto the span.
@@ -372,7 +371,8 @@ def structure_decompose(
     with the next seed, up to ``DECOMPOSE_SEEDS`` seeds, before
     ``DecompositionFailed`` is raised.  Cuts scale with the input: clusters
     and couplings of g at ``tol.abs_eps ||g||``, the residual of the
-    unit-norm basis and the identity's distance from the span at ``abs_eps``.
+    unit-norm basis and the identity's distance from the span at
+    ``numlin.norm_cut``: ``abs_eps``, raised to the rounding floor.
     """
     if not a.contains(np.eye(a.dim), tol):
         raise NotAnAlgebra("algebra must contain the identity")
@@ -432,7 +432,7 @@ def _decompose_with(a: OperatorBasisSet, rng: np.random.Generator, tol: Toleranc
         basis_change=np.ascontiguousarray(basis_change),
     )
     deviation = _pattern_deviation(structure)
-    if not op_norm_at_most(deviation, tol.abs_eps):
+    if not op_norm_at_most(deviation, norm_cut(tol, d * d)):
         raise DecompositionFailed(f"block pattern residual {op_norm(deviation):.3e}")
     # the span lies inside sum_k M_{n_k} (x) 1_{m_k}; equal dimensions make it all of it
     if sum(n * n for n, _ in dims) != a.dimension:

@@ -95,14 +95,6 @@ def shannon_capacity(p: StochasticMap, tol: float = 1e-12) -> float:
     return float(lower)
 
 
-def holevo_quantity(x: DiscreteObservable, e: Ensemble) -> float:
-    """S(X(avg)) - sum_i mu_i S(X(rho_i)) in bits, for the output distributions:
-    the mutual information of the classical channel the ensemble induces."""
-    if e.states.shape[1:] != (x.dim, x.dim):
-        raise DimMismatch(f"state dim {e.states.shape[1:]} != observable dim {x.dim}")
-    return float(_mutual_information(_conditional_matrix(x, e.states), e.priors))
-
-
 def _conditional_matrix(x: DiscreteObservable, states) -> np.ndarray:
     """Rows tr(rho X_j) of every state at once, clipped at 0; states may be
     a stack of ensembles (S, K, d, d), giving (S, K, n_outcomes)."""

@@ -174,10 +174,6 @@ def identity_channel(d: int) -> Channel:
     return Channel.from_elements([np.eye(d)])
 
 
-def unitary_channel(u) -> Channel:
-    return Channel.from_elements([asmatrix(u)])
-
-
 def choi_of(c: Channel) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) E(|i><j|); PSD exactly when the map is CP."""
     w = c.elements.swapaxes(1, 2).reshape(c.n_elements, -1)  # w[k, (i, o)] = E_k[o, i]

@@ -27,10 +27,7 @@ from .algebras import (
 )
 from .channels import Channel, apply_dual, require_trace_preserving
 from .errors import BadFactorization, DimMismatch
-from .numlin import DEFAULT_TOL, Tolerance, above_cut, asmatrix, dagger, op_norm, op_norm_at_most, psd_eig
-
-# pairs of preserved-algebra basis elements homomorphism_residual evaluates at most
-HOMOMORPHISM_PAIRS = 256
+from .numlin import DEFAULT_TOL, Tolerance, above_cut, asmatrix, dagger, norm_cut, op_norm, op_norm_at_most, psd_eig
 
 
 @dataclass(frozen=True)
@@ -211,26 +208,4 @@ def span_equivalent(c1: Channel, c2: Channel, tol: Tolerance = DEFAULT_TOL) -> b
         _row_span_projector(_orthonormal_rows(ch.elements.reshape(ch.n_elements, -1), tol))
         for ch in (c1, c2)
     )
-    return op_norm_at_most(p1 - p2, tol.abs_eps)
-
-
-def homomorphism_residual(
-    c: Channel,
-    structure: AlgebraStructure,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """How far E* is from multiplicative on the image of R*.
-
-    Evaluates ||E*(R*(A) R*(B)) - A B|| over pairs of basis elements of
-    the preserved algebra, a seeded sample of ``HOMOMORPHISM_PAIRS`` of
-    them when there are more.
-    """
-    r = correction_channel(c, tol)
-    basis = structure.carrier.basis
-    k = basis.shape[0]
-    pairs = np.arange(k * k)
-    if pairs.size > HOMOMORPHISM_PAIRS:
-        pairs = np.random.default_rng(0).choice(pairs.size, size=HOMOMORPHISM_PAIRS, replace=False)
-    i, j = np.divmod(pairs, k)
-    lifted = apply_dual(r, basis)
-    return op_norm(apply_dual(c, lifted[i] @ lifted[j]) - basis[i] @ basis[j])
+    return op_norm_at_most(p1 - p2, norm_cut(tol, p1.shape[0]))

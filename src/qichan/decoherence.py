@@ -10,7 +10,7 @@ kernels in :mod:`qichan.kernels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     DimMismatch,
     Infeasible,
     NotEndomorphic,
-    WitnessMismatch,
 )
 from .numlin import (
     DEFAULT_TOL,
@@ -42,7 +41,6 @@ from .numlin import (
     herm_to_coords,
     max_commutator_norm,
     null_cut,
-    op_norm,
     op_norm_at_most,
 )
 from .rand import generator, random_povm, random_sharp_observable
@@ -89,7 +87,6 @@ class PointerReport:
     pointer_algebra: AlgebraStructure
     pointer_effects: DiscreteObservable
     commutativity_residual: float
-    composite: DiscreteObservable | None = None
 
 
 @dataclass(frozen=True)
@@ -143,36 +140,6 @@ def pointer_algebra(c: Channel, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> 
     commutant of their joint Kraus products E_i^dag E_j.  Commutative, with the
     central projectors as the sharp pointer observable."""
     return _common_preserved([c, complement(c)], tol, seed)
-
-
-def correlation_check(
-    c: Channel,
-    x: DiscreteObservable,
-    y: DiscreteObservable,
-    z: DiscreteObservable,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Residual of perfect correlation between the output witness Y and the
-    environment witness Z for a duplicated observable X.
-
-    Returns max_{i != j} ||V^dag (Y_i (x) Z_j) V|| plus the worst diagonal
-    deviation from X_i; raises WitnessMismatch when the witnesses do not
-    reproduce X through the channel and its complement.
-    """
-    if x.n_outcomes != y.n_outcomes or x.n_outcomes != z.n_outcomes:
-        raise DimMismatch("X, Y, Z need matching outcome counts")
-    for label, channel, witness in (("Y", c, y), ("Z", complement(c), z)):
-        res = op_norm(apply_dual(channel, witness.effects) - x.effects)
-        if res > tol.abs_eps:
-            raise WitnessMismatch(label, res, tol.abs_eps)
-    n = x.n_outcomes
-    v = dilate(c, tol).v.reshape(c.dim_out, -1, c.dim_in)  # V[o, env, a]
-    # V^dag (Y_i (x) Z_j) V = ((Y_i (x) 1) V)^dag (1 (x) Z_j) V, without the kron
-    left = (y.effects @ v.reshape(c.dim_out, -1)).reshape(n, -1, c.dim_in)
-    right = (z.effects[:, None] @ v).reshape(n, -1, c.dim_in)
-    joint = dagger(left)[:, None] @ right[None]
-    same = np.eye(n, dtype=bool)
-    return op_norm(joint[~same]) + op_norm(joint[same] - x.effects)
 
 
 def _coordinates(effects) -> np.ndarray:
@@ -310,7 +277,6 @@ def broadcast_pointer(
     c: Channel,
     subsystem_dims: list[int],
     tol: Tolerance = DEFAULT_TOL,
-    witnesses: list[DiscreteObservable] | None = None,
     seed: int = 0,
 ) -> PointerReport:
     """Sharp information preserved by every marginal of a channel into a
@@ -319,24 +285,14 @@ def broadcast_pointer(
     Computes each marginal by tracing the dilated action down to one
     factor, takes the commutant of all their Kraus products (the
     algebra every marginal preserves), and reports it as a pointer
-    structure.  When per-factor witness observables are given,
-    the composite observable (Y_1 (x) ... (x) Y_n) o E is attached.
+    structure.
     """
     dims = [int(d) for d in subsystem_dims]
     if int(np.prod(dims)) != c.dim_out:
         raise DimMismatch(f"prod{tuple(dims)} != channel output {c.dim_out}")
     if len(dims) < 2:
         raise DimMismatch("broadcast needs at least two subsystems")
-    report = _common_preserved(_marginal_channels(c, dims, tol), tol, seed)
-    if witnesses is None:
-        return report
-    if len(witnesses) != len(dims):
-        raise DimMismatch("one witness observable per subsystem required")
-    joint = witnesses[0].effects
-    for w in witnesses[1:]:
-        pairs = np.kron(joint[:, None], w.effects[None])  # [i, j] = joint_i (x) W_j
-        joint = pairs.reshape(-1, *pairs.shape[2:])
-    return replace(report, composite=DiscreteObservable.from_effects(apply_dual(c, joint)))
+    return _common_preserved(_marginal_channels(c, dims, tol), tol, seed)
 
 
 def dephasing_sweep(projectors, n_env: int, total_time: float, times) -> SweepResult:

@@ -69,15 +69,6 @@ class BadFactorization(QichanError):
     """Requested tensor factorization does not match the code dimension."""
 
 
-class WitnessMismatch(QichanError):
-    """Supplied witness observables do not reproduce the claimed observable."""
-
-    def __init__(self, which: str, residual: float, tol: float):
-        self.which = which
-        self.residual = residual
-        super().__init__(f"witness {which} mismatch: residual {residual:.3e} > {tol:.3e}")
-
-
 class Infeasible(QichanError):
     """No stochastic map reproduces the target observable.
 

@@ -299,7 +299,7 @@ def _newton_step(pf: np.ndarray, x: np.ndarray, q: np.ndarray, d: np.ndarray, si
     return x / x.sum(axis=-1, keepdims=True)
 
 
-def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float) -> np.ndarray:
     """Newton ascent of I over the priors supported on ``x > 0``, until
     ``max d_i - I < gap`` on the face.
 
@@ -308,15 +308,15 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
     problem keeps only its face rows; a stack keeps every row, 0 off each
     problem's face, and a problem leaves it once solved or out of steps,
     so the rest reach its iterates only through the stack's shape.
-    Returns (x, solved): the last iterate, 0 off the face, and whether it
-    solved the face.
+    Returns the last iterate, 0 off the face.  Whether it solved the face
+    is not reported: the caller's bracket over all inputs decides.
     """
     stacked = x.ndim == 2
     if stacked:
         face = x > 0
         pf, hf, size = pyx * face[..., None], h * face, face.sum(axis=1)
         # problems still climbing, indexed into the stack by `live`
-        live, x_out, solved_out = np.arange(len(x)), x.copy(), np.zeros(len(x), dtype=bool)
+        live, x_out = np.arange(len(x)), x.copy()
     else:
         rows = np.flatnonzero(x)
         pf, hf, x, size = pyx[rows], h[rows], x[rows], rows.size
@@ -326,23 +326,21 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
         # outputs no input on the face reaches: P is 0 there
         q[q == 0] = 1.0
         d = hf - _matvec(pf, np.log(q))
-        solved = d.max(axis=-1) - _dot(x, d) < gap
         budget = budget - 1
+        done = (d.max(axis=-1) - _dot(x, d) < gap) | (budget == 0)
         if not stacked:
-            if solved or not budget:
+            if done:
                 x_out = np.zeros(h.shape)
                 x_out[rows] = x
-                return x_out, solved
-        else:
-            done = solved | (budget == 0)
-            if done.any():
-                x_out[live[done]], solved_out[live[done]] = x[done], solved[done]
-                keep = ~done
-                if not keep.any():
-                    return x_out, solved_out
-                live, pyx, h, x, q, d, face, pf, hf, size, budget = (
-                    a[keep] for a in (live, pyx, h, x, q, d, face, pf, hf, size, budget)
-                )
+                return x_out
+        elif done.any():
+            x_out[live[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                return x_out
+            live, pyx, h, x, q, d, face, pf, hf, size, budget = (
+                a[keep] for a in (live, pyx, h, x, q, d, face, pf, hf, size, budget)
+            )
         x = _newton_step(pf, x, q, d, size)
         moved = x > 0
         if not stacked:
@@ -356,11 +354,13 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
 def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: np.ndarray, gap: float) -> tuple | None:
     """Active-set Newton from the BA iterate ``r``: maximize I on the face
     ``{i : r_i > _SUPPORT_CUT / n}``, n the number of inputs (``inputs``
-    marks them); while inputs off the face beat I by more than ``gap``,
-    add them and solve again (at most n times).  Inputs join a face with
-    at least the cut's prior; those a face solve leaves out get
-    ``_OFF_FACE``, padding rows 0.  The problems of a stack solve their
-    faces together, one pass at a time.
+    marks them); while inputs beat I by more than ``gap``, add them and
+    solve again (at most n times).  That bracket over all inputs is the
+    only check: a face solve that ran out of steps leaves inputs on the
+    face that beat I, and the next pass goes on from where it stopped.
+    Inputs join a face with at least the cut's prior; those a face solve
+    leaves out get ``_OFF_FACE``, padding rows 0.  The problems of a stack
+    solve their faces together, one pass at a time.
 
     Returns None if no problem is certified, else (certified, prior, I,
     max_i d_i), the last two in nats: where ``certified`` holds, the
@@ -376,22 +376,18 @@ def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: n
         todo, certified = np.arange(len(r)), np.zeros(len(r), dtype=bool)
         priors, lower, upper = np.zeros_like(r), np.zeros(len(r)), np.zeros(len(r))
     for passes in range(1, int(sizes.max()) + 1):
-        x, solved = _maximize_on_face(pyx, h, x, gap)
-        if not stacked and not solved:
-            return None
-        if stacked and not solved.all():
-            todo, pyx, h, inputs, sizes, floor, x = (
-                a[solved] for a in (todo, pyx, h, inputs, sizes, floor, x)
-            )
-            if not todo.size:
-                break
+        x = _maximize_on_face(pyx, h, x, gap)
         r = np.maximum(x, _OFF_FACE) * inputs
         value, d = _divergences(pyx, h, r)
         d = np.where(inputs, d, -np.inf)
-        out = d > (value[:, None] if stacked else value) + gap
-        ok = ~out.any(axis=-1)
+        # I is infinite when q underflows on an output that only inputs at
+        # _OFF_FACE reach (p_ij below ~1e-24): such a prior certifies nothing
+        finite = np.isfinite(value)
+        bar = np.where(finite, value, 0.0) + gap
+        out = d > (bar[:, None] if stacked else bar)
+        ok = ~out.any(axis=-1) & finite
         # inputs that beat I join the face, and it is solved again
-        again = ~ok & (passes < sizes)
+        again = ~ok & finite & (passes < sizes)
         if not stacked:
             if ok or not again:
                 return (True, r, value, d.max()) if ok else None

@@ -6,7 +6,8 @@ Every span and support in the package is cut by one rule, :func:`above_cut`:
 keep the singular values (or PSD eigenvalues) above max(rank_rel, n eps)
 times the largest, so ``rank_rel`` decides the cut but never below rounding
 level.  :func:`psd_eig` cuts the support of a PSD matrix with it.  Every
-nullspace of a map is cut by :func:`null_cut`, on the same floor.
+nullspace of a map is cut by :func:`null_cut`, and every yes/no norm check
+at ``abs_eps`` by :func:`norm_cut`, on the same floor.
 """
 
 from __future__ import annotations
@@ -169,6 +170,15 @@ def null_cut(top: float, scale: float, tol: Tolerance, n: int) -> float:
     return max(max(tol.rank_rel, n * np.finfo(np.float64).eps) * top, tol.abs_eps * scale)
 
 
+def norm_cut(tol: Tolerance, n: int, scale: float = 1.0) -> float:
+    """Largest norm a yes/no check at ``tol.abs_eps`` counts as zero:
+    max(abs_eps, n eps ``scale``), ``scale`` the size of the checked input
+    and ``n`` the length of the sums behind the residual.  The floor is
+    :func:`null_cut`'s: a residual computed from the input carries rounding
+    of about n eps ``scale``, so no ``abs_eps`` reads it as a difference."""
+    return max(tol.abs_eps, n * np.finfo(np.float64).eps * scale)
+
+
 def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of a PSD matrix with its support cut.
 
@@ -182,30 +192,6 @@ def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np
     if w.size and w[0] < -tol.abs_eps:
         raise NotPSD(float(w[0]), tol.abs_eps)
     return w, u, above_cut(w, tol.rank_rel)
-
-
-def partial_trace(a, dims: list[int], keep) -> np.ndarray:
-    """Trace out all tensor factors not listed in ``keep``.
-
-    ``a`` must be square of dimension prod(dims); ``keep`` is an iterable
-    of factor indices to retain, in their original order.
-    """
-    a = require_square(a)
-    dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    if a.shape[0] != total:
-        raise DimMismatch(f"matrix dim {a.shape[0]} != prod(dims) {total}")
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise DimMismatch(f"keep indices {keep} out of range for {len(dims)} factors")
-    n = len(dims)
-    t = a.reshape(dims + dims)
-    # contract row/column axes of each traced factor, from the highest
-    # axis down so earlier positions stay valid
-    for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + (t.ndim // 2))
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
 
 
 @lru_cache(maxsize=64)

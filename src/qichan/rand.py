@@ -32,13 +32,6 @@ def random_pure_state(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
-    rank = d if rank is None else rank
-    g = ginibre(rng, d, rank)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     g = ginibre(rng, d, d)
     return (g + g.conj().T) / 2

@@ -57,7 +57,6 @@ from qichan.numlin import dagger, op_norm
 from qichan.rand import (
     generator,
     random_channel,
-    random_density,
     random_hermitian,
     random_povm,
     random_stochastic,
@@ -164,7 +163,7 @@ def test_criterion_06_classical_correction():
     _report(6, "classical channel correction matrix", np.abs(recovered - expected).max() <= 1e-12)
 
 
-def test_criterion_07_dephasing_sweep():
+def test_criterion_07_dephasing_sweep(random_density):
     projs = list(basis_observable(4).effects)
     sweep = dephasing_sweep(projs, 4, 1.0, [0.5, 1.0])
     gamma_final = sweep.gamma[1]
@@ -296,7 +295,7 @@ def test_criterion_11b_choi_round_trip():
     _report(11, "Kraus/Choi action round trip on 100 instances", ok)
 
 
-def test_criterion_11c_duality():
+def test_criterion_11c_duality(random_density):
     ok = True
     for seed in range(100):
         rng = generator(seed + 3000)

@@ -10,7 +10,6 @@ from qichan.errors import DimMismatch, NotPSD
 from qichan.numlin import DEFAULT_TOL, Tolerance
 from qichan.rand import (
     generator,
-    random_density,
     random_hermitian,
     random_povm,
     random_pure_state,
@@ -22,6 +21,12 @@ from qichan.rand import (
 def bloch_state(n):
     paulis = (PAULI_X, PAULI_Y, PAULI_Z)
     return (np.eye(2, dtype=complex) + sum(n[k] * paulis[k] for k in range(3))) / 2
+
+
+def holevo_quantity(x: DiscreteObservable, e: cap.Ensemble) -> float:
+    """S(X(avg)) - sum_i mu_i S(X(rho_i)) in bits, for the output distributions:
+    the mutual information of the classical channel the ensemble induces."""
+    return float(cap._mutual_information(cap._conditional_matrix(x, e.states), e.priors))
 
 
 class TestShannonCapacity:
@@ -43,14 +48,14 @@ class TestHolevoQuantity:
     def test_single_state_ensemble_is_zero(self):
         x = sic_tetrahedron()
         e = cap.Ensemble.from_states([1.0], [np.eye(2, dtype=complex) / 2])
-        assert cap.holevo_quantity(x, e) < 1e-12
+        assert holevo_quantity(x, e) < 1e-12
 
     def test_sharp_z_with_eigenstates(self):
         x = basis_observable(2)
         e = cap.Ensemble.from_states(
             [0.5, 0.5], [np.diag([1.0, 0]).astype(complex), np.diag([0, 1.0]).astype(complex)]
         )
-        assert abs(cap.holevo_quantity(x, e) - 1.0) < 1e-12
+        assert abs(holevo_quantity(x, e) - 1.0) < 1e-12
 
     def test_sic_with_antipodal_pairs_direct_formula(self):
         x = sic_tetrahedron()
@@ -65,7 +70,7 @@ class TestHolevoQuantity:
         expected = h(povm_probabilities(x, avg)) - 0.5 * (
             h(povm_probabilities(x, states[0])) + h(povm_probabilities(x, states[1]))
         )
-        assert abs(cap.holevo_quantity(x, e) - expected) < 1e-12
+        assert abs(holevo_quantity(x, e) - expected) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_mutual_information_of_joint(self, seed):
@@ -85,7 +90,7 @@ class TestHolevoQuantity:
             for j in range(4):
                 if joint[i, j] > 0:
                     mi += joint[i, j] * np.log2(joint[i, j] / (priors[i] * marg_j[j]))
-        assert abs(cap.holevo_quantity(x, e) - mi) < 1e-10
+        assert abs(holevo_quantity(x, e) - mi) < 1e-10
 
 
 class TestEnsemble:
@@ -114,7 +119,7 @@ class TestEnsemble:
 
 class TestConditionalMatrix:
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_matches_per_state_probabilities(self, d):
+    def test_matches_per_state_probabilities(self, d, random_density):
         rng = generator(40 + d)
         x = random_povm(rng, d, int(rng.integers(2, 6)))
         states = [random_density(rng, d) for _ in range(5)]
@@ -147,7 +152,7 @@ def _ascend_states_per_state(x, states, priors, rounds):
 
 class TestAscendStates:
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_per_state_ascent(self, seed):
+    def test_matches_per_state_ascent(self, seed, random_density):
         rng = generator(seed + 60)
         d = 2 + seed % 3
         x = random_povm(rng, d, int(rng.integers(2, 5)))
@@ -159,7 +164,7 @@ class TestAscendStates:
         assert got.shape == (1, *states.shape)
         assert max(np.abs(a - b).max() for a, b in zip(got[0], expected)) < 1e-12
 
-    def test_padded_stack_matches_each_ensemble(self):
+    def test_padded_stack_matches_each_ensemble(self, random_density):
         rng = generator(70)
         x = random_povm(rng, 3, 4)
         ensembles = [np.array([random_density(rng, 3) for _ in range(k)]) for k in (2, 5, 3)]
@@ -316,7 +321,7 @@ class TestClassicalPath:
         monkeypatch.setattr(cap, "_lockstep_search", no_search)
         est = cap.observable_capacity(coarse, seed=seed)
         assert abs(est.bits - cap.shannon_capacity(pi)) < 1e-9
-        assert abs(cap.holevo_quantity(coarse, est.ensemble) - est.bits) < 1e-12
+        assert abs(holevo_quantity(coarse, est.ensemble) - est.bits) < 1e-12
         assert 1 <= est.ensemble.size <= d and np.all(est.ensemble.priors > 0)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -469,7 +474,7 @@ class TestObservableCapacity:
     def test_witness_reproduces_reported_value(self):
         x = sic_tetrahedron()
         est = cap.observable_capacity(x, restarts=4)
-        assert abs(cap.holevo_quantity(x, est.ensemble) - est.bits) < 1e-9
+        assert abs(holevo_quantity(x, est.ensemble) - est.bits) < 1e-9
 
 
 def _sphere_grid(n_theta, center=None, width=np.pi):

@@ -26,8 +26,8 @@ from qichan.channels import (
     apply_dual,
     choi_of,
     complement,
+    dilate,
     tensor,
-    unitary_channel,
 )
 from qichan.correction import interaction_span
 from qichan.errors import (
@@ -36,10 +36,9 @@ from qichan.errors import (
     Infeasible,
     NotEndomorphic,
     NotTracePreserving,
-    WitnessMismatch,
 )
 from qichan.numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
-from qichan.rand import generator, random_channel, random_density, random_effect, random_unitary
+from qichan.rand import generator, random_channel, random_effect, random_unitary
 
 
 class TestStochasticMap:
@@ -75,7 +74,6 @@ class TestPointerAlgebra:
         rep = de.pointer_algebra(c)
         # scalars on each rank-2 sector: the superselection charge
         assert rep.pointer_algebra.block_dims == ((1, 2), (1, 2))
-        assert rep.pointer_algebra.is_commutative()
         for p in projs:
             assert rep.pointer_algebra.carrier.contains(p)
         from qichan.catalog import _match_projector_sets
@@ -86,7 +84,7 @@ class TestPointerAlgebra:
 
     def test_unitary_channel_trivial_pointer(self):
         u = random_unitary(generator(1), 3)
-        rep = de.pointer_algebra(unitary_channel(u))
+        rep = de.pointer_algebra(Channel.from_elements([u]))
         assert rep.pointer_algebra.dimension == 1
 
     def test_central_projectors_are_the_pointer_effects(self):
@@ -99,11 +97,45 @@ class TestPointerAlgebra:
         assert np.array_equal(projs, rep.pointer_effects.effects)
 
 
+class WitnessMismatch(Exception):
+    """Supplied witness observables do not reproduce the claimed observable."""
+
+
+def correlation_check(
+    c: Channel,
+    x: DiscreteObservable,
+    y: DiscreteObservable,
+    z: DiscreteObservable,
+    tol: Tolerance = DEFAULT_TOL,
+) -> float:
+    """Residual of perfect correlation between the output witness Y and the
+    environment witness Z for a duplicated observable X.
+
+    Returns max_{i != j} ||V^dag (Y_i (x) Z_j) V|| plus the worst diagonal
+    deviation from X_i; raises WitnessMismatch when the witnesses do not
+    reproduce X through the channel and its complement.
+    """
+    if x.n_outcomes != y.n_outcomes or x.n_outcomes != z.n_outcomes:
+        raise DimMismatch("X, Y, Z need matching outcome counts")
+    for label, channel, witness in (("Y", c, y), ("Z", complement(c), z)):
+        res = op_norm(apply_dual(channel, witness.effects) - x.effects)
+        if res > tol.abs_eps:
+            raise WitnessMismatch(f"witness {label} mismatch: residual {res:.3e} > {tol.abs_eps:.3e}")
+    n = x.n_outcomes
+    v = dilate(c, tol).v.reshape(c.dim_out, -1, c.dim_in)  # V[o, env, a]
+    # V^dag (Y_i (x) Z_j) V = ((Y_i (x) 1) V)^dag (1 (x) Z_j) V, without the kron
+    left = (y.effects @ v.reshape(c.dim_out, -1)).reshape(n, -1, c.dim_in)
+    right = (z.effects[:, None] @ v).reshape(n, -1, c.dim_in)
+    joint = dagger(left)[:, None] @ right[None]
+    same = np.eye(n, dtype=bool)
+    return op_norm(joint[~same]) + op_norm(joint[same] - x.effects)
+
+
 class TestCorrelationCheck:
     def test_dephasing_fully_correlated(self):
         c = dephasing_channel(3)
         x = basis_observable(3)
-        assert de.correlation_check(c, x, x, x) < 1e-10
+        assert correlation_check(c, x, x, x) < 1e-10
 
     def test_block_channel_correlations(self):
         c, projs = block_pinch_channel((2, 1), seed=8)
@@ -111,14 +143,14 @@ class TestCorrelationCheck:
         x = DiscreteObservable.from_effects(projs)
         y = DiscreteObservable.from_effects([u @ p @ dagger(u) for p in projs])
         z = basis_observable(c.n_elements)
-        assert de.correlation_check(c, x, y, z) < 1e-10
+        assert correlation_check(c, x, y, z) < 1e-10
 
     def test_witness_mismatch_for_unitary(self):
-        c = unitary_channel(np.eye(2, dtype=complex))
+        c = Channel.from_elements([np.eye(2, dtype=complex)])
         x = basis_observable(2)
         y = DiscreteObservable.from_effects([np.eye(2, dtype=complex) / 2] * 2)
         with pytest.raises(WitnessMismatch):
-            de.correlation_check(c, x, y, x)
+            correlation_check(c, x, y, x)
 
 
 class TestCoarseGrainSolve:
@@ -191,7 +223,7 @@ class TestFullDecoherence:
         gamma = DiscreteObservable.from_effects(
             [np.diag([1.0, 0]).astype(complex), np.diag([0, 1.0]).astype(complex)]
         )
-        rep = de.full_decoherence_check(unitary_channel(u), gamma, samples=24, seed=5)
+        rep = de.full_decoherence_check(Channel.from_elements([u]), gamma, samples=24, seed=5)
         assert rep.feasible < rep.samples
         # the "no" rests on a Frank-Wolfe certificate, not on the solver's cap
         assert rep.certified_lower_bound > de.FEASIBILITY_TOL
@@ -200,7 +232,7 @@ class TestFullDecoherence:
 _ONE_PATH_CASES = [
     pytest.param(sic_cloner_channel(), sic_tetrahedron(), id="sic-cloner"),
     pytest.param(dephasing_channel(3), basis_observable(3), id="dephasing-3"),
-    pytest.param(unitary_channel(random_unitary(generator(5), 3)), basis_observable(3), id="qutrit-unitary"),
+    pytest.param(Channel.from_elements([random_unitary(generator(5), 3)]), basis_observable(3), id="qutrit-unitary"),
 ]
 
 
@@ -274,21 +306,6 @@ class TestBroadcast:
         rep = de.broadcast_pointer(c, [2, 2, 2])
         assert rep.pointer_algebra.block_dims == ((1, 1), (1, 1))
 
-    def test_composite_witness_observable(self):
-        elements = []
-        for i in range(2):
-            e = np.zeros((4, 2), dtype=complex)
-            e[3 * i, i] = 1.0
-            elements.append(e)
-        c = Channel.from_elements(elements)
-        w = basis_observable(2)
-        rep = de.broadcast_pointer(c, [2, 2], witnesses=[w, w])
-        assert rep.composite is not None
-        assert rep.composite.n_outcomes == 4
-        # diagonal outcomes reproduce the basis observable, off-diagonals vanish
-        assert op_norm(rep.composite.effects[0] - np.diag([1.0, 0])) < 1e-10
-        assert op_norm(rep.composite.effects[1]) < 1e-10
-
     def test_dim_checks(self):
         c = dephasing_channel(4)
         with pytest.raises(DimMismatch):
@@ -346,6 +363,49 @@ class TestToleranceReachesTheDilation:
         assert de.broadcast_pointer(c, [3, 3], loose).pointer_algebra.block_dims == ((1, 3),)
 
 
+def _trace_down_to(joint, dims, keep):
+    """Reference partial trace of a state on prod(dims) down to factor keep."""
+    t = np.moveaxis(joint.reshape(dims + dims), [keep, keep + len(dims)], [0, len(dims)])
+    rest = int(np.prod(dims)) // dims[keep]
+    return np.einsum("ajbj->ab", t.reshape(dims[keep], rest, dims[keep], rest))
+
+
+class TestMarginalChannels:
+    def test_product_channel_marginals_are_its_factors(self, random_density):
+        rng = generator(2)
+        c1, c2 = random_channel(rng, 2, 3, 2), random_channel(rng, 3, 2, 3)
+        marginals = de._marginal_channels(tensor(c1, c2), [3, 2], DEFAULT_TOL)
+        rho, sigma = random_density(rng, 2), random_density(rng, 3)
+        # the marginals act on the joint input; trace out the other input
+        joint = np.kron(rho, sigma)
+        assert op_norm(apply(marginals[0], joint) - apply(c1, rho)) < 1e-12
+        assert op_norm(apply(marginals[1], joint) - apply(c2, sigma)) < 1e-12
+
+    def test_bell_output_marginals_are_maximally_mixed(self, random_density):
+        bell = np.zeros(4, dtype=complex)
+        bell[0] = bell[3] = 1 / np.sqrt(2)
+        # rho -> |bell><bell| for every input state
+        c = Channel.from_elements([np.outer(bell, np.eye(2)[j]) for j in range(2)])
+        rho = random_density(generator(3), 2)
+        for marginal in de._marginal_channels(c, [2, 2], DEFAULT_TOL):
+            assert op_norm(apply(marginal, rho) - np.eye(2) / 2) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_marginal_traces_out_the_other_factors(self, seed, random_density):
+        rng = generator(seed)
+        dims = [2, 3, 2]
+        c = random_channel(rng, 3, 12, 1 + seed % 3)
+        rho = random_density(rng, 3)
+        joint = apply(c, rho)
+        marginals = de._marginal_channels(c, dims, DEFAULT_TOL)
+        assert len(marginals) == len(dims)
+        for i, marginal in enumerate(marginals):
+            assert marginal.dim_out == dims[i]
+            out = apply(marginal, rho)
+            assert op_norm(out - _trace_down_to(joint, dims, i)) < 1e-12
+            assert abs(np.trace(out) - 1) < 1e-12
+
+
 class TestCommonPreserved:
     @pytest.mark.parametrize("kind,c,dims", [case[1:] for case in _CASES],
                              ids=[case[0] for case in _CASES])
@@ -382,14 +442,14 @@ class TestDephasingSweep:
     def _projectors(self, d):
         return list(basis_observable(d).effects)
 
-    def test_time_zero_is_identity(self):
+    def test_time_zero_is_identity(self, random_density):
         sweep = de.dephasing_sweep(self._projectors(4), 4, 1.0, [0.0])
         rho = random_density(generator(0), 4)
         assert op_norm(apply(sweep.snapshots[0], rho) - rho) < 1e-12
         assert np.abs(sweep.gamma[0][:, 0] - 1).max() < 1e-12
         assert np.abs(sweep.gamma[0][:, 1:]).max() < 1e-12
 
-    def test_final_time_pinches(self):
+    def test_final_time_pinches(self, random_density):
         projs = self._projectors(4)
         sweep = de.dephasing_sweep(projs, 4, 1.0, [1.0])
         rho = random_density(generator(1), 4)
@@ -435,7 +495,7 @@ class TestDephasingSweep:
 
 class TestEffectRegion:
     def test_identity_channel_fills_the_slice(self):
-        pts = de.effect_region_sample(unitary_channel(np.eye(2, dtype=complex)), grid=15)
+        pts = de.effect_region_sample(Channel.from_elements([np.eye(2, dtype=complex)]), grid=15)
         r = np.hypot(pts[:, 0], pts[:, 1])
         t = pts[:, 2]
         assert np.all(r <= np.minimum(t, 2 - t) + 1e-9)
@@ -532,7 +592,7 @@ class TestEffectRegion:
 
 class TestIteratedFixedPoints:
     def test_unitary_fixed_space_is_commutant(self):
-        c = unitary_channel(PAULI_X)
+        c = Channel.from_elements([PAULI_X])
         fixed = de.iterated_fixed_points(c)
         assert spans_equal(fixed, commutant([PAULI_X]))
 
@@ -562,7 +622,7 @@ class TestIteratedFixedPoints:
     def test_tolerance_below_rounding_keeps_a_unitary_fixed_space(self, d, t):
         # E*(A) = U^dag A U fixes the d-dimensional commutant of U
         for seed in (1, 2, 3):
-            c = unitary_channel(random_unitary(generator(seed), d))
+            c = Channel.from_elements([random_unitary(generator(seed), d)])
             assert de.iterated_fixed_points(c, Tolerance(t, t)).dimension == d
 
     def test_requires_endomorphic(self):

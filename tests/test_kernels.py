@@ -278,6 +278,16 @@ class TestBlahutArimotoEdgeCases:
         # the output only the last row reaches has q = 0: no finite bound
         assert upper == np.inf
 
+    def test_off_face_underflow_certifies_nothing(self):
+        # the face solve drops the last input; at the _OFF_FACE prior its
+        # 1e-30 entry underflows q, so I reads infinite there and certifies
+        # nothing, and BA closes the bracket instead
+        pyx = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1e-30]])
+        lower, _, _, upper = kernels.blahut_arimoto(pyx)
+        assert abs(lower - 1.0) < 1e-9 and 0 <= upper - lower < 1e-12
+        lower, _, _, upper = kernels.blahut_arimoto(np.stack([pyx, np.eye(3)]))
+        assert abs(lower[0] - 1.0) < 1e-9 and np.all((0 <= upper - lower) & (upper - lower < 1e-12))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_masked_formula(self, seed):
         rng = np.random.default_rng(seed + 300)
@@ -435,6 +445,27 @@ class TestBlahutArimotoStack:
             ran = np.isfinite(hist[:, s])
             assert ran.sum() == len(hist_1) and ran[: len(hist_1)].all()
             assert np.abs(hist[: len(hist_1), s] - hist_1).max() <= 1e-15
+
+    def test_bracket_alone_guards_the_step_budget(self, monkeypatch):
+        # with no steps besides the face size, face solves run out of steps;
+        # the bracket over all inputs alone decides what is certified
+        monkeypatch.setattr(kernels, "_NEWTON_STEPS", 0)
+        face_solve, unsolved = kernels._maximize_on_face, []
+
+        def counted(pyx, h, x, gap):
+            x = face_solve(pyx, h, x, gap)
+            value, d = kernels._divergences(pyx, h, x)
+            unsolved.append(int(np.sum(np.where(x > 0, d, -np.inf).max(axis=-1) - value >= gap)))
+            return x
+
+        monkeypatch.setattr(kernels, "_maximize_on_face", counted)
+        maps = [m.T.copy() for m in _bank_maps()]
+        for m in maps:
+            lower, _, _, upper = kernels.blahut_arimoto(m)
+            assert upper - lower < 1e-12
+        lower, _, _, upper = kernels.blahut_arimoto(_padded(maps))
+        assert np.all(upper - lower < 1e-12)
+        assert sum(unsolved) > 0
 
     def test_problem_does_not_depend_on_its_stack(self):
         maps = _stack_maps()

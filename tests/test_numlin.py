@@ -3,7 +3,7 @@ import pytest
 
 from qichan import numlin
 from qichan.errors import DimMismatch, NotHermitian, NotPSD, NotSquare
-from qichan.rand import generator, random_density, random_hermitian
+from qichan.rand import generator, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -138,35 +138,6 @@ class TestPsdSqrtPinv:
             numlin.psd_eig(np.diag([1.0, -1.0]).astype(complex))
 
 
-class TestKronPartialTrace:
-    def test_product_state(self):
-        rng = generator(2)
-        rho = random_density(rng, 3)
-        sigma = random_density(rng, 2)
-        joint = np.kron(rho, sigma)
-        assert numlin.op_norm(numlin.partial_trace(joint, [3, 2], {0}) - rho) < 1e-12
-        assert numlin.op_norm(numlin.partial_trace(joint, [3, 2], {1}) - sigma) < 1e-12
-
-    def test_bell_state_marginals(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        p = np.outer(bell, bell.conj())
-        for keep in ({0}, {1}):
-            assert numlin.op_norm(numlin.partial_trace(p, [2, 2], keep) - np.eye(2) / 2) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_trace_preserving(self, seed):
-        rng = generator(seed)
-        a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        for keep in ({0}, {1}, {0, 2}, {1, 2}):
-            pt = numlin.partial_trace(a, [2, 3, 2], keep)
-            assert abs(np.trace(pt) - np.trace(a)) < 1e-10
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            numlin.partial_trace(np.eye(5, dtype=complex), [2, 2], {0})
-
-
 class TestHermitianCoordinates:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_round_trip_and_isometry(self, d):
@@ -248,6 +219,17 @@ class TestSuperopToCoords:
     def test_rejects_non_square_dimension(self):
         with pytest.raises(DimMismatch):
             numlin.superop_to_coords(np.zeros((8, 8), dtype=complex))
+
+
+class TestNormCut:
+    def test_abs_eps_when_above_rounding(self):
+        assert numlin.norm_cut(numlin.DEFAULT_TOL, 16) == numlin.DEFAULT_TOL.abs_eps
+
+    def test_rounding_floor_below_abs_eps(self):
+        eps = np.finfo(np.float64).eps
+        tol = numlin.Tolerance(1e-15, 1e-15)
+        assert numlin.norm_cut(tol, 81, 3.0) == 81 * eps * 3.0
+        assert numlin.norm_cut(numlin.Tolerance(1e-30, 1e-15), 4) == 4 * eps
 
 
 class TestOpNormAtMost:

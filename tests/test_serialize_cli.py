@@ -556,6 +556,16 @@ class TestCli:
         assert results["interaction_span_dimension"] == 2
         assert results["preserved_algebra"]["block_dims"] == [[1, 1], [1, 1]]
 
+    def test_preserved_decomposes_below_rounding_tolerance(self, tmp_path, capsys):
+        # at 1e-15 the identity lies 1.3e-15 from the blocks channel's
+        # preserved span, rounding that norm_cut's n eps floor keeps in it
+        assert main(["example", "blocks", "--out", str(tmp_path)]) == 0
+        path = str(tmp_path / "blocks.channel.channel.json")
+        capsys.readouterr()
+        assert main(["preserved", path, "--tol", "1e-15", "--rank-rel", "1e-15"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["preserved_algebra"]["block_dims"] == [[3, 1], [2, 1], [1, 1]]
+
     def test_kl_pass_and_fail_exit_codes(self, tmp_path, capsys):
         from qichan.catalog import bitflip3_channel, repetition_code
 
@@ -607,11 +617,10 @@ class TestCli:
         assert 1e-7 < report["results"]["certified_lower_bound"] <= report["results"]["residual"]
 
         # the sampled check of a channel certifies its "no" the same way
-        from qichan.channels import unitary_channel
-        from qichan.rand import generator, random_unitary
+        from qichan.rand import random_unitary
 
         upath = tmp_path / "u.json"
-        serialize.write_channel_file(upath, unitary_channel(random_unitary(generator(4), 2)))
+        serialize.write_channel_file(upath, Channel.from_elements([random_unitary(generator(4), 2)]))
         assert main(["classical", str(upath), "--gamma", str(xb), "--samples", "8"]) == 2
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["feasible"] < results["samples"]

@@ -3,12 +3,14 @@
 ``perfbench/spans.py`` looks up every ``TARGETS`` entry by name and binds
 each counter's arguments to its target's signature, so renaming a target
 or one of the parameters a counter reads breaks traced runs without
-failing any other test.
+failing any other test.  A public name stays only while the command line,
+a bundled example, an acceptance criterion or the benchmark reaches it.
 """
 
 import ast
 import importlib
 import inspect
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -17,7 +19,15 @@ import pytest
 
 import qichan
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+# the callers whose use keeps a name public
+REACHERS = (
+    ROOT / "src" / "qichan" / "cli.py",
+    ROOT / "src" / "qichan" / "catalog.py",
+    ROOT / "tests" / "test_acceptance.py",
+    *sorted(PERFBENCH.rglob("*.py")),
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +74,9 @@ def test_counters_read_parameters_of_their_targets(spans):
 def test_every_public_name_resolves():
     missing = [name for name in qichan.__all__ if not hasattr(qichan, name)]
     assert not missing
+
+
+def test_every_public_name_is_reached():
+    text = "\n".join(path.read_text() for path in REACHERS)
+    unreached = [name for name in qichan.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert not unreached, f"no caller reaches {unreached}"
