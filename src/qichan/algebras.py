@@ -101,14 +101,13 @@ def _orthonormal_rows(vecs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     return vh[above_cut(sv, tol.rank_rel, n)]
 
 
-def span_of(mats, dim: int | None = None, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
-    """Orthonormal basis of the span of a stack (k, d, d) or a list of d x d
-    matrices, coerced by :func:`numlin.asstack`, cut at ``tol.rank_rel``."""
+def span_of(mats, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
+    """Orthonormal basis of the span of a nonempty stack (k, d, d) or list
+    of d x d matrices, coerced by :func:`numlin.asstack`, cut at
+    ``tol.rank_rel``."""
     stack = asstack(mats)
     if stack.shape[0] == 0:
-        if dim is None:
-            raise DimMismatch("empty span needs an explicit dimension")
-        return OperatorBasisSet(dim=dim, basis=np.zeros((0, dim, dim), dtype=np.complex128))
+        raise DimMismatch("a span needs at least one matrix")
     d = stack.shape[1]
     if stack.shape[2] != d:
         raise DimMismatch(f"span elements must be square, got {stack.shape[1:]}")

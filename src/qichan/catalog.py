@@ -455,7 +455,7 @@ def _analyze_teleport(bundle: ExampleBundle, tol: Tolerance, seed: int, samples:
     # E_i^dag E_j = delta_ij 1/4
     worst = op_norm(dagger(k)[:, None] @ k[None] - 0.25 * np.eye(4)[:, :, None, None] * np.eye(2))
     kl = kl_check(c, code, tol)
-    lam_residual = op_norm(kl.lam - np.eye(4) / 4)
+    lam_residual = op_norm(kl.lambdas.reshape(c.n_elements, c.n_elements) - np.eye(4) / 4)
     structure = preserved_algebra(c, tol, seed)
     passes = (
         worst <= 1e-10

@@ -71,19 +71,6 @@ class DiscreteObservable:
 
 
 @dataclass(frozen=True)
-class Isometry:
-    """V: H_in -> H_out (x) H_env with V^dag V = 1."""
-
-    v: np.ndarray
-    d_out: int
-    d_env: int
-
-    @property
-    def d_in(self) -> int:
-        return self.v.shape[1]
-
-
-@dataclass(frozen=True)
 class ChannelReport:
     trace_preserving: bool
     completely_positive: bool
@@ -196,25 +183,15 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: Tolerance = DEFAULT_TOL) 
     return Channel.from_elements(vecs.reshape(-1, dim_in, dim_out).swapaxes(1, 2))
 
 
-def dilate(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Isometry:
-    """Stack the elements into an isometry V with E_k = (1 (x) <k|) V.
-
-    The environment dimension equals the number of elements and its basis
-    order follows the element order.
-    """
-    n = c.n_elements
-    v = c.elements.transpose(1, 0, 2).reshape(c.dim_out * n, c.dim_in)
-    require_trace_preserving(c, tol)
-    return Isometry(v=_freeze(v), d_out=c.dim_out, d_env=n)
-
-
 def complement(c: Channel) -> Channel:
     """Channel to the environment of the dilation of ``c``.
 
-    With V from :func:`dilate`, the complement has elements
-    F_j = (<j| (x) 1) V, one per output basis vector of ``c``; it is
-    fixed only up to a unitary on the environment, and this choice is
-    the deterministic one induced by element order.
+    The elements stack into V = sum_k E_k (x) |k>, an isometry
+    H_in -> H_out (x) H_env when ``c`` is trace preserving, with one
+    environment basis vector per element in element order.  The
+    complement has elements F_j = (<j| (x) 1) V, one per output basis
+    vector of ``c``; it is fixed only up to a unitary on the environment,
+    and this choice is the deterministic one induced by element order.
     """
     return Channel.from_elements(c.elements.transpose(1, 0, 2))
 

@@ -151,7 +151,7 @@ def _cmd_kl(args, tol: Tolerance) -> tuple[dict | None, int]:
     return {
         "passes": rep.passes,
         "residual": rep.residual,
-        "lambda": serialize.matrix_to_pairs(rep.lam),
+        "lambda": serialize.matrix_to_pairs(rep.lambdas.reshape(c.n_elements, c.n_elements)),
         "n_elements": c.n_elements,
     }, 0 if rep.passes else 2
 

@@ -32,7 +32,7 @@ from .numlin import DEFAULT_TOL, Tolerance, above_cut, asmatrix, dagger, norm_cu
 
 @dataclass(frozen=True)
 class CodeSubspace:
-    """Isometry V embedding a code space into the channel input space."""
+    """Isometric embedding V of a code space into the channel input space."""
 
     v: np.ndarray  # (d, d_code)
 
@@ -61,13 +61,6 @@ class CorrectableReport:
     preserved_algebra: AlgebraStructure
     correction: Channel
     residuals: dict[str, float]
-
-
-@dataclass(frozen=True)
-class KLReport:
-    passes: bool
-    lam: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -170,13 +163,11 @@ def _operator_system(c: Channel, a0: AlgebraStructure, r0: Channel, tol: Toleran
     return span_of(apply_dual(c, apply_dual(r0, a0.carrier.basis)), tol=tol)
 
 
-def kl_check(c: Channel, code: CodeSubspace, tol: Tolerance = DEFAULT_TOL) -> KLReport:
+def kl_check(c: Channel, code: CodeSubspace, tol: Tolerance = DEFAULT_TOL) -> OQECReport:
     """Scalar correctability condition V^dag E_i^dag E_j V = lambda_ij 1:
-    the subsystem condition of :func:`oqec_check` with the trivial split
-    (d_code, 1)."""
-    rep = oqec_check(c, code, (code.dim_code, 1), tol)
-    lam = np.reshape(rep.lambdas, (c.n_elements, c.n_elements))
-    return KLReport(passes=rep.passes, lam=lam, residual=rep.residual)
+    :func:`oqec_check` with the trivial split (d_code, 1), so ``lambdas``
+    holds the n^2 scalars lambda_ij as (1, 1) blocks."""
+    return oqec_check(c, code, (code.dim_code, 1), tol)
 
 
 def oqec_check(
@@ -190,11 +181,7 @@ def oqec_check(
     d_a, d_b = factorization
     if d_a * d_b != code.dim_code:
         raise BadFactorization(f"{d_a} * {d_b} != code dimension {code.dim_code}")
-    if code.dim != c.dim_in:
-        raise DimMismatch(f"code lives in dim {code.dim}, channel input is {c.dim_in}")
-    k = c.elements
-    left = dagger(code.v) @ dagger(k)  # V^dag E_i^dag
-    m = ((left[:, None] @ k[None]) @ code.v).reshape(-1, code.dim_code, code.dim_code)
+    m = _kraus_products(restrict(c, code))
     lambdas = np.einsum("nabad->nbd", m.reshape(-1, d_a, d_b, d_a, d_b)) / d_a
     residual = op_norm(m - np.kron(np.eye(d_a), lambdas))
     return OQECReport(passes=bool(residual <= tol.abs_eps), lambdas=lambdas, residual=residual)

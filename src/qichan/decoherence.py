@@ -22,7 +22,7 @@ from .channels import (
     apply,
     apply_dual,
     complement,
-    dilate,
+    require_trace_preserving,
 )
 from .correction import _preserved_carrier
 from .errors import (
@@ -35,7 +35,6 @@ from .numlin import (
     DEFAULT_TOL,
     Tolerance,
     above_cut,
-    asmatrix,
     asstack,
     dagger,
     herm_to_coords,
@@ -260,10 +259,12 @@ def full_decoherence_check(
 
 
 def _marginal_channels(c: Channel, subsystem_dims: list[int], tol: Tolerance) -> list[Channel]:
-    iso = dilate(c, tol)
-    dims = list(subsystem_dims) + [iso.d_env]
+    require_trace_preserving(c, tol)
+    dims = list(subsystem_dims) + [c.n_elements]
     n_factors = len(dims)
-    v_tensor = iso.v.reshape(dims + [c.dim_in])
+    # the dilation V = sum_k E_k (x) |k>, one factor per subsystem, then the
+    # environment, then the input
+    v_tensor = c.elements.transpose(1, 0, 2).reshape(dims + [c.dim_in])
     marginals = []
     for i in range(len(subsystem_dims)):
         # factor i is the output, every other factor is environment
@@ -341,24 +342,18 @@ def environment_pointer_weights(snapshot: Channel, projectors, n_env: int) -> np
     complementary channel of the snapshot and decomposes it over the
     projector family.
     """
-    projs = [asmatrix(p) for p in projectors]
-    iso = dilate(snapshot)
-    v = iso.v
-    if iso.d_env != n_env:
+    projs = asstack(projectors)
+    require_trace_preserving(snapshot)
+    if snapshot.n_elements != n_env:
         raise DimMismatch("snapshot has unexpected environment size")
     omega = 2 * np.pi / n_env
     ks = np.arange(n_env)
-    gamma = np.zeros((len(projs), n_env))
-    for m in range(n_env):
-        # the element order of the dilation indexes the Fourier basis of the
-        # environment; convert the shift-basis effect |phi_m><phi_m|
-        phi = np.exp(-1j * omega * ks * m) / np.sqrt(n_env)
-        q_m = np.outer(phi, phi.conj())
-        pulled = dagger(v) @ np.kron(np.eye(snapshot.dim_out), q_m) @ v
-        for i, p in enumerate(projs):
-            tr_p = np.trace(p).real
-            gamma[i, m] = float((np.trace(p @ pulled) / tr_p).real)
-    return gamma
+    # the element order indexes the Fourier basis of the environment; the
+    # shift-basis effects |phi_m><phi_m|, one per m, pulled back together
+    phi = np.exp(-1j * omega * ks * ks[:, None]) / np.sqrt(n_env)  # phi[m, k]
+    pulled = apply_dual(complement(snapshot), phi[:, :, None] * phi.conj()[:, None, :])
+    tr_p = np.trace(projs, axis1=1, axis2=2).real
+    return np.trace(projs[:, None] @ pulled, axis1=2, axis2=3).real / tr_p[:, None]
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,

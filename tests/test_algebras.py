@@ -149,9 +149,10 @@ class TestSpanOf:
         assert al.spans_equal(span, al.span_of([PAULI_X, PAULI_Y, PAULI_Z]), 1e-12)
 
     def test_empty_needs_dimension(self):
-        assert al.span_of(np.zeros((0, 3, 3)), dim=3).dimension == 0
-        with pytest.raises(DimMismatch):
-            al.span_of([])
+        # no matrix fixes no dimension, even in a (0, d, d) stack
+        for empty in (np.zeros((0, 3, 3)), []):
+            with pytest.raises(DimMismatch):
+                al.span_of(empty)
 
 
 class TestCommutant:
@@ -749,3 +750,21 @@ def test_pointer_d32_fits_in_two_gib():
     # its complement: about 110 MiB and under a second; streaming the whole
     # commutator stack took minutes
     assert _pointer_dims_under_two_gib(16, timeout=120) == "((1, 16), (1, 16))"
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        pytest.param(
+            lambda: al.spans_equal(al.span_of([np.eye(2)]), al.span_of([np.eye(3)])), False, id="spans-of-two-dims"
+        ),
+        pytest.param(lambda: al.generate_star_algebra([]), DimMismatch, id="no-generator"),
+        pytest.param(lambda: al.structure_decompose(al.span_of([PAULI_Z])), NotAnAlgebra, id="no-identity"),
+    ],
+)
+def test_refusals(call, refusal):
+    if refusal is False:
+        assert call() is False
+    else:
+        with pytest.raises(refusal):
+            call()

@@ -571,3 +571,17 @@ class TestBlahutArimotoContract:
         assert len(hist) > 1
         assert np.all(np.diff(hist) >= -1e-12)
         assert upper - lower < 1e-11
+
+
+@pytest.mark.parametrize(
+    "priors, states, refusal",
+    [
+        pytest.param([0.5, 0.5], [np.eye(2) / 2], DimMismatch, id="prior-count"),
+        pytest.param([[1.0]], [np.eye(2) / 2], DimMismatch, id="prior-matrix"),
+        pytest.param([0.7, 0.7], [np.eye(2) / 2] * 2, ValueError, id="priors-sum"),
+        pytest.param([1.5, -0.5], [np.eye(2) / 2] * 2, ValueError, id="negative-prior"),
+    ],
+)
+def test_refusals(priors, states, refusal):
+    with pytest.raises(refusal):
+        cap.Ensemble.from_states(priors, states)

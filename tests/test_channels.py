@@ -5,7 +5,14 @@ from qichan import channels as ch
 from qichan.catalog import PAULI_X, dephasing_channel, sic_tetrahedron
 from qichan.errors import DimMismatch, NotPSD
 from qichan.numlin import dagger, op_norm
-from qichan.rand import generator, random_channel, random_hermitian, random_unitary
+from qichan.rand import (
+    generator,
+    random_channel,
+    random_hermitian,
+    random_isometry,
+    random_sharp_observable,
+    random_unitary,
+)
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
@@ -225,34 +232,15 @@ class TestKrausFromChoi:
 
 
 class TestDilation:
-    def test_identity_embedding(self):
-        iso = ch.dilate(ch.identity_channel(2))
-        assert iso.d_env == 1
-        assert np.allclose(iso.v, np.eye(2))
-
-    def test_dephasing_copies_basis(self):
-        iso = ch.dilate(qubit_dephasing())
-        psi = np.array([0.6, 0.8], dtype=complex)
-        out = iso.v @ psi
-        expected = np.zeros(4, dtype=complex)
-        expected[0] = 0.6  # |0> (x) |0>
-        expected[3] = 0.8  # |1> (x) |1>
-        assert np.allclose(out, expected)
-
-    def test_elements_recovered_exactly(self):
-        c = random_channel(generator(4), 3, 2, 3)
-        iso = ch.dilate(c)
-        blocks = iso.v.reshape(c.dim_out, iso.d_env, c.dim_in)
-        for k, e in enumerate(c.elements):
-            assert np.array_equal(blocks[:, k, :], e)
-
     @pytest.mark.parametrize("seed", range(6))
     def test_partial_trace_consistency(self, seed, random_density):
         rng = generator(seed)
         c = random_channel(rng, 3, 2, 4)
-        iso = ch.dilate(c)
+        # V = sum_k E_k (x) |k>, an isometry H_in -> H_out (x) H_env
+        v = sum(np.kron(e, np.eye(c.n_elements)[:, [k]]) for k, e in enumerate(c.elements))
+        assert op_norm(dagger(v) @ v - np.eye(c.dim_in)) < 1e-12
         rho = random_density(rng, 3)
-        joint = (iso.v @ rho @ dagger(iso.v)).reshape(c.dim_out, iso.d_env, c.dim_out, iso.d_env)
+        joint = (v @ rho @ dagger(v)).reshape(c.dim_out, c.n_elements, c.dim_out, c.n_elements)
         sys_out = np.einsum("akbk->ab", joint)
         env_out = np.einsum("oaob->ab", joint)
         assert op_norm(ch.apply(c, rho) - sys_out) < 1e-10
@@ -316,3 +304,23 @@ class TestPovmProbabilities:
         expected = [float(np.trace(rho @ e).real) for e in sic.effects]
         assert np.allclose(ch.povm_probabilities(sic, rho), expected)
         assert abs(sum(expected) - 1) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        pytest.param(lambda: ch.kraus_from_choi(np.eye(3), 2, 2), DimMismatch, id="choi-shape"),
+        pytest.param(lambda: ch.kraus_from_choi(np.zeros((4, 4)), 2, 2), NotPSD, id="zero-choi"),
+        pytest.param(
+            lambda: ch.channels_equal(ch.identity_channel(2), ch.identity_channel(3)), False, id="two-dims"
+        ),
+        pytest.param(lambda: random_isometry(generator(0), 2, 3), ValueError, id="wide-isometry"),
+        pytest.param(lambda: random_sharp_observable(generator(0), 2, 3), ValueError, id="sharp-outcomes"),
+    ],
+)
+def test_refusals(call, refusal):
+    if refusal is False:
+        assert call() is False
+    else:
+        with pytest.raises(refusal):
+            call()

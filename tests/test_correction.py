@@ -24,7 +24,7 @@ from qichan.channels import (
     validate_channel,
 )
 from qichan.decoherence import pointer_algebra
-from qichan.errors import BadFactorization
+from qichan.errors import BadFactorization, DimMismatch
 from qichan.numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
 from qichan.rand import generator, random_channel, random_isometry, random_unitary
 
@@ -347,8 +347,9 @@ class TestKnillLaflamme:
         kl = co.kl_check(bitflip3_channel((0.4, 0.2, 0.2, 0.2)), repetition_code())
         assert kl.passes
         assert kl.residual < 1e-12
-        assert abs(np.trace(kl.lam) - 1) < 1e-10
-        w = np.linalg.eigvalsh(kl.lam)
+        lam = kl.lambdas.reshape(4, 4)
+        assert abs(np.trace(lam) - 1) < 1e-10
+        w = np.linalg.eigvalsh(lam)
         assert w[0] > -1e-12
 
     def test_phase_error_fails(self):
@@ -362,7 +363,7 @@ class TestKnillLaflamme:
     def test_teleport_full_qubit(self):
         kl = co.kl_check(teleport_channel(), co.CodeSubspace.from_isometry(np.eye(2, dtype=complex)))
         assert kl.passes
-        assert op_norm(kl.lam - np.eye(4) / 4) < 1e-12
+        assert op_norm(kl.lambdas.reshape(4, 4) - np.eye(4) / 4) < 1e-12
 
 
     @pytest.mark.parametrize("seed", range(12))
@@ -382,8 +383,8 @@ class TestKnillLaflamme:
                 lam[i, j] = np.trace(m) / d_code
                 residual = max(residual, np.linalg.norm(m - lam[i, j] * np.eye(d_code), 2))
         kl = co.kl_check(c, code)
-        assert kl.lam.shape == (k, k)
-        assert np.abs(kl.lam - lam).max() <= 1e-14
+        assert kl.lambdas.shape == (k * k, 1, 1)
+        assert np.abs(kl.lambdas.reshape(k, k) - lam).max() <= 1e-14
         assert abs(kl.residual - residual) <= 1e-14
         assert kl.passes == (residual <= DEFAULT_TOL.abs_eps)
 
@@ -540,3 +541,27 @@ class TestSharpToSharp:
         for p in st.central_projectors:
             b = apply_dual(r, p)
             assert op_norm(b @ b - b) < 1e-7
+
+
+# a two-dimensional code in a two-dimensional space, against the three-qubit channel
+_WRONG_SPACE = co.CodeSubspace.from_isometry(np.eye(2, dtype=complex))
+_BITFLIP3 = bitflip3_channel((0.4, 0.2, 0.2, 0.2))
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        pytest.param(lambda: co.restrict(_BITFLIP3, _WRONG_SPACE), DimMismatch, id="restrict"),
+        pytest.param(lambda: co.kl_check(_BITFLIP3, _WRONG_SPACE), DimMismatch, id="kl-through-restrict"),
+        pytest.param(
+            lambda: co.oqec_check(_BITFLIP3, _WRONG_SPACE, (2, 1)), DimMismatch, id="oqec-through-restrict"
+        ),
+        pytest.param(lambda: co.span_equivalent(identity_channel(2), identity_channel(3)), False, id="two-dims"),
+    ],
+)
+def test_refusals(call, refusal):
+    if refusal is False:
+        assert call() is False
+    else:
+        with pytest.raises(refusal):
+            call()

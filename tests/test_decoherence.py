@@ -26,7 +26,6 @@ from qichan.channels import (
     apply_dual,
     choi_of,
     complement,
-    dilate,
     tensor,
 )
 from qichan.correction import interaction_span
@@ -122,7 +121,7 @@ def correlation_check(
         if res > tol.abs_eps:
             raise WitnessMismatch(f"witness {label} mismatch: residual {res:.3e} > {tol.abs_eps:.3e}")
     n = x.n_outcomes
-    v = dilate(c, tol).v.reshape(c.dim_out, -1, c.dim_in)  # V[o, env, a]
+    v = c.elements.transpose(1, 0, 2)  # the dilation V = sum_k E_k (x) |k>, as V[o, k, a]
     # V^dag (Y_i (x) Z_j) V = ((Y_i (x) 1) V)^dag (1 (x) Z_j) V, without the kron
     left = (y.effects @ v.reshape(c.dim_out, -1)).reshape(n, -1, c.dim_in)
     right = (z.effects[:, None] @ v).reshape(n, -1, c.dim_in)
@@ -637,3 +636,33 @@ class TestSelfComplementarity:
 
         c = antisym_channel()
         assert op_norm(choi_of(c) - choi_of(complement(c))) < 1e-12
+
+
+# a snapshot of the sweep over the two basis projectors of a qubit, N = 4
+_PROJS = basis_observable(2).effects
+_SNAPSHOT = de.dephasing_sweep(_PROJS, 4, 1.0, [0.5]).snapshots[0]
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        pytest.param(lambda: de.StochasticMap.from_entries([0.5, 0.5]), DimMismatch, id="stochastic-vector"),
+        pytest.param(lambda: de.coarse_grain_solve(basis_observable(2), basis_observable(3)), DimMismatch,
+                     id="solve-dims"),
+        pytest.param(lambda: de.full_decoherence_check(dephasing_channel(3), basis_observable(2)), DimMismatch,
+                     id="check-dims"),
+        pytest.param(lambda: de.dephasing_sweep([], 4, 1.0, [0.0]), BadProjectors, id="no-projector"),
+        pytest.param(lambda: de.dephasing_sweep(_PROJS[:1], 4, 1.0, [0.0]), BadProjectors,
+                     id="projectors-short-of-identity"),
+        pytest.param(lambda: de.environment_pointer_weights(_SNAPSHOT, _PROJS, 5), DimMismatch,
+                     id="environment-size"),
+        pytest.param(
+            lambda: de.environment_pointer_weights(Channel.from_elements(2 * _SNAPSHOT.elements), _PROJS, 4),
+            NotTracePreserving,
+            id="snapshot-not-trace-preserving",
+        ),
+    ],
+)
+def test_refusals(call, refusal):
+    with pytest.raises(refusal):
+        call()

@@ -315,3 +315,17 @@ class TestStacks:
         u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
         stack = u @ (rng.random((6, 1, 4)) * np.eye(4)) @ u.conj().T
         assert numlin.max_commutator_norm(stack) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        pytest.param(lambda: numlin.Tolerance(0.0, 1e-10), ValueError, id="zero-abs-eps"),
+        pytest.param(lambda: numlin.Tolerance(1e-9, -1e-10), ValueError, id="negative-rank-rel"),
+        pytest.param(lambda: numlin.herm_to_coords(np.ones((2, 3))), NotSquare, id="coords-of-non-square"),
+        pytest.param(lambda: numlin.herm_to_coords(np.ones(3)), NotSquare, id="coords-of-vector"),
+    ],
+)
+def test_refusals(call, refusal):
+    with pytest.raises(refusal):
+        call()

@@ -933,3 +933,9 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["valid"] is True
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64(-np.inf)], ids=["nan", "inf", "numpy-inf"])
+def test_refusals(value):
+    with pytest.raises(ValueError):
+        serialize.format_scalar(value)
