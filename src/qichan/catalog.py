@@ -517,7 +517,7 @@ def _analyze_diamond(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: 
     passes = spectra_ok and feas_count == n_checks and worst <= 1e-7
     return {
         "passes": bool(passes),
-        "region_points": points.tolist(),
+        "region_points": points,
         "sampled_effects_valid": bool(spectra_ok),
         "coarse_grain_feasible": feas_count,
         "coarse_grain_checks": n_checks,

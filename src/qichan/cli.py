@@ -121,7 +121,7 @@ def _cmd_correct(args, tol: Tolerance) -> tuple[dict | None, int]:
         a0 = preserved_algebra(c0, tol, args.seed)
         s0 = _operator_system(c, a0, correction_channel(c0, tol), tol)
         results["code_algebra"] = serialize.algebra_to_dict(a0)
-        results["operator_system_basis"] = serialize.matrix_to_pairs(s0.basis)
+        results["operator_system_basis"] = s0.basis
     return results, 0
 
 
@@ -151,7 +151,7 @@ def _cmd_kl(args, tol: Tolerance) -> tuple[dict | None, int]:
     return {
         "passes": rep.passes,
         "residual": rep.residual,
-        "lambda": serialize.matrix_to_pairs(rep.lambdas.reshape(c.n_elements, c.n_elements)),
+        "lambda": rep.lambdas.reshape(c.n_elements, c.n_elements),
         "n_elements": c.n_elements,
     }, 0 if rep.passes else 2
 
@@ -162,7 +162,7 @@ def _cmd_oqec(args, tol: Tolerance) -> tuple[dict | None, int]:
     return {
         "passes": rep.passes,
         "residual": rep.residual,
-        "lambdas": serialize.matrix_to_pairs(rep.lambdas),
+        "lambdas": rep.lambdas,
         "split": args.split,
     }, 0 if rep.passes else 2
 
@@ -196,7 +196,7 @@ def _cmd_classical(args, tol: Tolerance) -> tuple[dict | None, int]:
 
 
 def _cmd_sweep(args, tol: Tolerance) -> tuple[dict | None, int]:
-    times = args.times or np.linspace(0.0, args.total_time, args.steps).tolist()
+    times = args.times or np.linspace(0.0, args.total_time, args.steps)
     projs = catalog.basis_observable(args.env_size).effects
     sweep = decoherence.dephasing_sweep(list(projs), args.env_size, args.total_time, times)
     rows = sweep.rows()
@@ -206,7 +206,7 @@ def _cmd_sweep(args, tol: Tolerance) -> tuple[dict | None, int]:
     return {
         "env_size": args.env_size,
         "total_time": args.total_time,
-        "times": [float(t) for t in sweep.times],
+        "times": sweep.times,
         "gamma_rows": rows,
         "snapshots": [serialize.channel_to_dict(s) for s in sweep.snapshots],
     }, 0
@@ -215,11 +215,10 @@ def _cmd_sweep(args, tol: Tolerance) -> tuple[dict | None, int]:
 def _cmd_region(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
     points = decoherence.effect_region_sample(c, args.grid)
-    rows = points.tolist()
     if args.format == "csv":
-        _emit(args.out, "region.csv", serialize.dumps_csv(_HEADERS["region"], rows))
+        _emit(args.out, "region.csv", serialize.dumps_csv(_HEADERS["region"], points))
         return None, 0
-    return {"grid": args.grid, "points": rows}, 0
+    return {"grid": args.grid, "points": points}, 0
 
 
 def _cmd_capacity(args, tol: Tolerance) -> tuple[dict | None, int]:

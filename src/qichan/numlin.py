@@ -32,8 +32,8 @@ class Tolerance:
     rank_rel: float = 1e-10
 
     def __post_init__(self):
-        if self.abs_eps <= 0 or self.rank_rel <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.abs_eps < np.inf and 0 < self.rank_rel < np.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -123,29 +123,6 @@ def max_commutator_norm(a: np.ndarray) -> float:
     return worst
 
 
-def require_square(a: np.ndarray) -> np.ndarray:
-    a = asmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected square matrix, got shape {a.shape}")
-    return a
-
-
-def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary of eigenvectors as columns)
-    with ``a = U diag(w) U^dag`` within ``tol.abs_eps``.
-
-    Raises NotSquare / NotHermitian on bad input.
-    """
-    a = require_square(a)
-    herm_residual = op_norm(a - dagger(a))
-    if herm_residual > tol.abs_eps:
-        raise NotHermitian(herm_residual, tol.abs_eps)
-    w, u = np.linalg.eigh((a + dagger(a)) / 2)
-    return w, u
-
-
 def above_cut(values: np.ndarray, rank_rel: float = 0.0, n: int | None = None) -> np.ndarray:
     """Mask of the nonnegative ``values`` (singular values, PSD eigenvalues,
     norms) above max(``rank_rel``, n eps) times the largest.
@@ -182,13 +159,21 @@ def norm_cut(tol: Tolerance, n: int, scale: float = 1.0) -> float:
 def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of a PSD matrix with its support cut.
 
-    Returns (w, u, support) as :func:`hermitian_eig` does, plus the mask
-    ``support`` of the eigenvalues :func:`above_cut` keeps at ``rank_rel``.
-    The eigenvectors outside the support span the numerical kernel, so
-    support and kernel together cover every direction.  Raises NotPSD if an
-    eigenvalue dips below ``-abs_eps``.
+    Returns (eigenvalues ascending, unitary of eigenvectors as columns,
+    support) with ``a = U diag(w) U^dag`` within ``tol.abs_eps``, and
+    ``support`` the mask of the eigenvalues :func:`above_cut` keeps at
+    ``rank_rel``.  The eigenvectors outside the support span the numerical
+    kernel, so support and kernel together cover every direction.  Raises
+    NotSquare, NotHermitian if ``a`` is further than ``abs_eps`` from its
+    adjoint, or NotPSD if an eigenvalue dips below ``-abs_eps``.
     """
-    w, u = hermitian_eig(a, tol)
+    a = asmatrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise NotSquare(f"expected square matrix, got shape {a.shape}")
+    herm_residual = op_norm(a - dagger(a))
+    if herm_residual > tol.abs_eps:
+        raise NotHermitian(herm_residual, tol.abs_eps)
+    w, u = np.linalg.eigh((a + dagger(a)) / 2)
     if w.size and w[0] < -tol.abs_eps:
         raise NotPSD(float(w[0]), tol.abs_eps)
     return w, u, above_cut(w, tol.rank_rel)

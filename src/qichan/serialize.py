@@ -9,7 +9,14 @@ non-finite number is an error.  Each writer makes one pass over its
 document: it builds one skeleton string with a slot of that float format
 per float (other scalars formatted by :func:`format_scalar`, literal ``%``
 escaped), checks once that every float is finite, and fills all slots with
-one ``%``.  A matrix is read from its pair list as one array.
+one ``%``.
+
+The writers take NumPy arrays, and this module alone turns them into the
+file format (:func:`_array_values`): a complex array's last two axes are
+one matrix, written as its row-major list of [re, im] pairs; a float array
+is written as nested lists whose last axis is a row.  Every row of an
+array repeats one skeleton.  An array of any other dtype is a TypeError.
+A matrix is read from its pair list as one array.
 """
 
 from __future__ import annotations
@@ -78,21 +85,35 @@ def _scalars(seq, sep: str, floats: list) -> str:
     return sep.join(parts)
 
 
-def _float_row(rows, sep: str, floats: list) -> str | None:
-    """The skeleton every row shares, its slots joined by ``sep``, when
-    ``rows`` are sequences of one length that hold floats only; their
-    values are then appended to ``floats``.  None otherwise."""
-    if not all(issubclass(t, (list, tuple)) for t in set(map(type, rows))):
-        return None
-    lengths = set(map(len, rows))
-    entry_types = set(map(type, chain.from_iterable(rows)))
-    if len(lengths) != 1 or not all(issubclass(t, float) for t in entry_types):
-        return None
-    floats.extend(chain.from_iterable(rows))
-    return sep.join([_SLOT] * lengths.pop())
+def _array_values(a: np.ndarray, floats: list) -> tuple[int, ...]:
+    """Append the values of ``a`` to ``floats`` in row-major order and
+    return the shape of the float lists it is written as: a complex
+    array's last two axes become one list of [re, im] pairs, a float array
+    keeps its shape, and any other dtype is a TypeError."""
+    if np.issubdtype(a.dtype, np.complexfloating):
+        a = np.stack((a.real, a.imag), axis=-1).reshape(*a.shape[:-2], math.prod(a.shape[-2:]), 2)
+    elif not np.issubdtype(a.dtype, np.floating):
+        raise TypeError(f"cannot serialize an array of {a.dtype}")
+    floats.extend(a.ravel().tolist())
+    return a.shape
+
+
+def _nested(shape: tuple[int, ...], pad: str) -> str:
+    """The JSON skeleton of a float array of ``shape``: nested lists, one
+    line per row of the last axis, every row the same."""
+    if not shape:
+        return _SLOT
+    if len(shape) == 1:
+        return "[" + ", ".join([_SLOT] * shape[0]) + "]"
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join([_nested(shape[1:], inner)] * shape[0]) + "\n" + pad + "]"
 
 
 def _dump(obj, pad: str, floats: list) -> str:
+    if isinstance(obj, np.ndarray):
+        return _nested(_array_values(obj, floats), pad)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -108,8 +129,7 @@ def _dump(obj, pad: str, floats: list) -> str:
         if _is_flat(obj):
             return "[" + _scalars(obj, ", ", floats) + "]"
         inner = pad + "  "
-        row = _float_row(obj, ", ", floats)
-        items = [f"[{row}]"] * len(obj) if row is not None else [_dump(v, inner, floats) for v in obj]
+        items = [_dump(v, inner, floats) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return _scalars((obj,), "", floats)
 
@@ -125,9 +145,8 @@ def _fill(skeleton: str, floats: list) -> str:
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, fixed float
     formatting.  Containers nest one per line; a list of scalars is one
-    line.  Written in one pass (see the module docstring); rows of one
-    length holding floats only, such as the [re, im] pairs of a matrix or
-    region points, repeat one row skeleton."""
+    line.  Written in one pass (see the module docstring); every row of
+    an array, such as a matrix's [re, im] pairs, repeats one skeleton."""
     floats: list = []
     return _fill(_dump(obj, "", floats), floats)
 
@@ -136,16 +155,12 @@ def dumps_csv(header: list[str], rows) -> str:
     """CSV text: the header line, then one line per row, written in one
     pass like :func:`dumps_canonical` and in the same number format."""
     floats: list = []
-    row = _float_row(rows, ",", floats)
-    lines = [row] * len(rows) if row is not None else [_scalars(r, ",", floats) for r in rows]
+    if isinstance(rows, np.ndarray):
+        n_rows, n_cols = _array_values(rows, floats)
+        lines = [",".join([_SLOT] * n_cols)] * n_rows
+    else:
+        lines = [_scalars(r, ",", floats) for r in rows]
     return _fill("\n".join([",".join(header).replace("%", "%%"), *lines]) + "\n", floats)
-
-
-def matrix_to_pairs(m: np.ndarray) -> list:
-    """Row-major [re, im] pairs of a matrix; of a stack (n, rows, cols),
-    one such list per matrix."""
-    a = np.ascontiguousarray(m, dtype=np.complex128)
-    return a.view(np.float64).reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1], 2).tolist()
 
 
 def _bad_entry(pairs: list, where: str) -> SchemaError:
@@ -186,14 +201,14 @@ def channel_to_dict(c: Channel) -> dict:
     return {
         "dim_in": c.dim_in,
         "dim_out": c.dim_out,
-        "elements": matrix_to_pairs(c.elements),
+        "elements": c.elements,
     }
 
 
 def observable_to_dict(x: DiscreteObservable) -> dict:
     return {
         "dim": x.dim,
-        "effects": matrix_to_pairs(x.effects),
+        "effects": x.effects,
     }
 
 
@@ -301,7 +316,7 @@ def code_to_dict(code) -> dict:
     return {
         "dim": code.dim,
         "dim_code": code.dim_code,
-        "isometry": matrix_to_pairs(code.v),
+        "isometry": code.v,
     }
 
 
@@ -326,9 +341,9 @@ def algebra_to_dict(structure) -> dict:
         "dim": structure.dim,
         "dimension": structure.dimension,
         "block_dims": [list(b) for b in structure.block_dims],
-        "central_projectors": matrix_to_pairs(structure.central_projectors),
-        "basis_change": matrix_to_pairs(structure.basis_change),
-        "basis": matrix_to_pairs(structure.carrier.basis),
+        "central_projectors": structure.central_projectors,
+        "basis_change": structure.basis_change,
+        "basis": structure.carrier.basis,
     }
 
 
@@ -336,12 +351,12 @@ def stochastic_to_dict(sm) -> dict:
     return {
         "rows": sm.n_outputs,
         "cols": sm.n_inputs,
-        "entries": sm.entries.reshape(-1).tolist(),
+        "entries": sm.entries.reshape(-1),
     }
 
 
 def ensemble_to_dict(ens) -> dict:
     return {
-        "priors": ens.priors.tolist(),
-        "states": matrix_to_pairs(ens.states),
+        "priors": ens.priors,
+        "states": ens.states,
     }

@@ -5,45 +5,39 @@ from qichan import numlin
 from qichan.errors import DimMismatch, NotHermitian, NotPSD, NotSquare
 from qichan.rand import generator, random_hermitian
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-
 
 class TestHermitianEig:
+    """The eigendecomposition :func:`numlin.psd_eig` makes of a PSD input,
+    and its refusals of inputs that are not Hermitian or not square."""
+
     def test_already_diagonal(self):
-        w, u = numlin.hermitian_eig(np.diag([1.0, 2.0]).astype(complex))
+        w, u, _ = numlin.psd_eig(np.diag([1.0, 2.0]).astype(complex))
         assert np.allclose(w, [1.0, 2.0])
         assert np.allclose(np.abs(u), np.eye(2))
 
-    def test_pauli_x_spectrum(self):
-        w, u = numlin.hermitian_eig(SX)
-        assert np.allclose(w, [-1.0, 1.0])
-        minus = np.array([1, -1]) / np.sqrt(2)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        # eigenvectors fixed up to phase
-        assert abs(abs(minus.conj() @ u[:, 0]) - 1) < 1e-12
-        assert abs(abs(plus.conj() @ u[:, 1]) - 1) < 1e-12
-
     def test_round_trip_8x8(self):
         h = random_hermitian(generator(5), 8)
-        w, u = numlin.hermitian_eig(h)
-        assert numlin.op_norm((u * w) @ u.conj().T - h) < 1e-9
+        p = h @ h.conj().T
+        w, u, _ = numlin.psd_eig(p)
+        assert numlin.op_norm((u * w) @ u.conj().T - p) < 1e-9
 
     @pytest.mark.parametrize("seed", range(20))
     def test_round_trip_random_dims(self, seed):
         rng = generator(seed)
         d = int(rng.integers(2, 17))
         h = random_hermitian(rng, d)
-        w, u = numlin.hermitian_eig(h)
-        assert numlin.op_norm((u * w) @ u.conj().T - h) < 1e-8
+        p = h @ h.conj().T
+        w, u, _ = numlin.psd_eig(p)
+        assert numlin.op_norm((u * w) @ u.conj().T - p) < 1e-8
         assert numlin.op_norm(u.conj().T @ u - np.eye(d)) < 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            numlin.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+            numlin.psd_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_rejects_non_square(self):
         with pytest.raises(NotSquare):
-            numlin.hermitian_eig(np.zeros((2, 3), dtype=complex))
+            numlin.psd_eig(np.zeros((2, 3), dtype=complex))
 
 
 def kernel(a, tol=numlin.DEFAULT_TOL):
@@ -322,6 +316,9 @@ class TestStacks:
     [
         pytest.param(lambda: numlin.Tolerance(0.0, 1e-10), ValueError, id="zero-abs-eps"),
         pytest.param(lambda: numlin.Tolerance(1e-9, -1e-10), ValueError, id="negative-rank-rel"),
+        pytest.param(lambda: numlin.Tolerance(abs_eps=np.inf), ValueError, id="infinite-abs-eps"),
+        pytest.param(lambda: numlin.Tolerance(np.nan, 1e-10), ValueError, id="nan-abs-eps"),
+        pytest.param(lambda: numlin.Tolerance(1e-9, np.nan), ValueError, id="nan-rank-rel"),
         pytest.param(lambda: numlin.herm_to_coords(np.ones((2, 3))), NotSquare, id="coords-of-non-square"),
         pytest.param(lambda: numlin.herm_to_coords(np.ones(3)), NotSquare, id="coords-of-vector"),
     ],

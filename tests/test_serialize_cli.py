@@ -16,10 +16,22 @@ from qichan.errors import SchemaError, ValidationError
 from qichan.rand import generator, random_channel
 
 
+def _reference_array(a: np.ndarray):
+    """The lists an array is written as: a complex matrix as its row-major
+    [re, im] pairs, one such list per matrix of a stack; a float array as
+    its nested lists.  Other arrays are left for the TypeError."""
+    if np.iscomplexobj(a):
+        return [[z.real, z.imag] for z in a.ravel()] if a.ndim == 2 else [_reference_array(m) for m in a]
+    return a.tolist() if a.dtype.kind == "f" else a
+
+
 def _reference_dumps(obj, indent: int = 0) -> str:
     """The writer as it was before flat lists were formatted in one pass:
-    a recursive call per value, scalars included."""
+    a recursive call per value, scalars included, and arrays converted to
+    lists first."""
     pad = " " * indent
+    if isinstance(obj, np.ndarray):
+        obj = _reference_array(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -61,6 +73,11 @@ def _reference_pairs_to_matrix(pairs, rows, cols):
 
 
 _NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _complex(*shape: int) -> np.ndarray:
+    rng = generator(sum(shape))
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestCanonicalJson:
@@ -106,6 +123,12 @@ class TestCanonicalJson:
             [{}, {}],
             [[0.5, np.float32(0.25)], [0.125, 1.0]],
             {"a%sb": ["%", "%s", "%%", "%(x)s", 0.5], "%(x)s": "100%", "%%": {"%d": [[1.5, 2.5]]}},
+            {"stack": _complex(3, 2, 2), "n": 3},
+            _complex(2, 3),
+            {"empty": np.zeros((0, 2, 2), dtype=complex), "after": [0.5]},
+            {"outer": {"transposed": _complex(3, 2).T}},
+            {"points": generator(3).standard_normal((5, 3)), "grid": 2},
+            [generator(4).standard_normal(4), np.zeros(0)],
         ],
         ids=[
             "mixed-flat", "mixed-dict", "nested-lists", "numpy-scalar-list", "numpy-float-list", "numpy-int-list",
@@ -113,6 +136,8 @@ class TestCanonicalJson:
             "empty-tuple", "empty-inside-list", "empty-inside-dict",
             "pairs-extreme-floats", "ragged-rows", "mixed-type-rows", "int-float-rows", "numpy-float-rows",
             "tuple-rows", "empty-rows", "empty-dict-rows", "float32-in-rows", "percent-strings-and-keys",
+            "complex-stack", "complex-matrix", "empty-complex-stack", "transposed-complex-matrix",
+            "float-rows-array", "flat-float-arrays",
         ],
     )
     def test_matches_reference(self, obj):
@@ -131,9 +156,12 @@ class TestCanonicalJson:
         [
             [1.0, float("nan")], {"x": [float("-inf")]}, np.float64("inf"), [np.float64("nan")],
             *([[0.5 * k, -0.25 * k] for k in range(500)] + [[0.0, bad]] for bad in _NON_FINITE),
+            {"m": np.array([[1.0, complex(0.5, float("nan"))]])},
+            [np.array([[0.5, 1.0], [float("inf"), 2.0]])],
         ],
         ids=["nan-in-list", "inf-in-dict", "numpy-inf", "numpy-nan-in-list",
-             "nan-last-pair", "inf-last-pair", "minus-inf-last-pair"],
+             "nan-last-pair", "inf-last-pair", "minus-inf-last-pair",
+             "nan-imaginary-part", "inf-in-float-array"],
     )
     def test_rejects_non_finite_like_reference(self, obj):
         with pytest.raises(ValueError):
@@ -141,7 +169,9 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             serialize.dumps_canonical(obj)
 
-    @pytest.mark.parametrize("obj", [np.bool_(True), [np.bool_(False)], {"a": object()}, np.zeros(2)])
+    @pytest.mark.parametrize(
+        "obj", [np.bool_(True), [np.bool_(False)], {"a": object()}, np.zeros(2, dtype=int), np.zeros(2, dtype=bool)]
+    )
     def test_rejects_unknown_types_like_reference(self, obj):
         with pytest.raises(TypeError):
             _reference_dumps(obj)
@@ -191,6 +221,11 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             serialize.dumps_csv(["a", "b"], rows)
 
+    @pytest.mark.parametrize("shape", [(6, 3), (0, 3)], ids=["rows", "no-rows"])
+    def test_csv_of_a_float_array_is_csv_of_its_lists(self, shape):
+        rows = generator(6).standard_normal(shape) * 10.0 ** np.arange(-150, 150, 100)
+        assert serialize.dumps_csv(["x", "z", "t"], rows) == serialize.dumps_csv(["x", "z", "t"], rows.tolist())
+
     def test_pair_lists_take_the_bulk_path(self, monkeypatch):
         formatted, dumped = [], []
         format_scalar, dump = serialize.format_scalar, serialize._dump
@@ -199,7 +234,7 @@ class TestCanonicalJson:
         obj = serialize.channel_to_dict(random_channel(generator(1), 8, 8, 4))
         assert serialize.dumps_canonical(obj) == _reference_dumps(obj)
         assert formatted == [8, 8]  # dim_in and dim_out; no pair entry is formatted one by one
-        assert len(dumped) == 8  # the document, its three values, the four pair lists: no call per pair
+        assert len(dumped) == 4  # the document and its three values: no call per matrix or pair
 
     def test_non_finite_channel_writes_no_file(self, tmp_path):
         elements = np.eye(2, dtype=np.complex128)[None].copy()
