@@ -249,22 +249,19 @@ def observable_capacity(
     tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
     warm_ensembles: tuple[Ensemble, ...] = (),
-    max_states: int | None = None,
 ) -> CapacityEstimate:
     """Lower-bound estimate of the capacity of an observable.
 
     A commuting observable gets the exact value: the Shannon capacity of
     its joint-eigenvalue channel, within ``_GAIN_BITS`` by BA's bracket,
     with the joint eigenstates as witness (see :func:`_classical_estimate`).
-    This needs ensembles of up to dim states, so a smaller ``max_states``
-    always searches.  Any other observable is searched:
+    Any other observable is searched:
 
     Alternates prior optimization (the certified capacity of the induced
     classical channel) with coordinate ascent on up to dim^2 pure states,
     over several seeded restarts; returns the best value with its witness
     ensemble.  For a sharp observable the eigenstate warm start already
-    attains log2(#outcomes).  ``max_states`` caps the ensemble size of the
-    search (for comparisons against fixed-size oracles).
+    attains log2(#outcomes).
 
     All starts advance in lockstep as one stack padded to the largest
     start: each round is one stacked BA call, one stacked state ascent and
@@ -277,13 +274,10 @@ def observable_capacity(
     min_eig = float(np.linalg.eigvalsh((x.effects + dagger(x.effects)) / 2).min())
     if min_eig < -tol.abs_eps:
         raise NotPSD(min_eig, tol.abs_eps)
-    d = x.dim
-    if max_states is None or max_states >= d:
-        exact = _classical_estimate(x, _GAIN_BITS)
-        if exact is not None:
-            return exact
-    cap = d * d if max_states is None else max(2, min(max_states, d * d))
-    states, warm = _starts(x, restarts, seed, warm_ensembles, cap)
+    exact = _classical_estimate(x, _GAIN_BITS)
+    if exact is not None:
+        return exact
+    states, warm = _starts(x, restarts, seed, warm_ensembles, x.dim * x.dim)
     values, priors, states = _lockstep_search(x, states, warm, _GAIN_BITS)
     # the first start with the highest value; from_states copies its arrays
     # out of the stack, so the answer does not keep the stack alive

@@ -22,7 +22,7 @@ import numpy as np
 from . import capacity as capacity_mod
 from . import catalog, decoherence, serialize
 from .algebras import block_pattern_residual
-from .channels import validate_channel, validate_observable
+from .channels import require_trace_preserving, validate_channel, validate_observable
 from .correction import (
     _operator_system,
     correctable_report,
@@ -82,14 +82,8 @@ def _cmd_validate(args, tol: Tolerance) -> tuple[dict | None, int]:
     if kind == "channel":
         c = serialize.channel_from_dict(data, where=args.input)
         rep = validate_channel(c, tol)
-        ok = rep.trace_preserving and rep.completely_positive
-        results = {
-            "kind": "channel",
-            "trace_preserving": rep.trace_preserving,
-            "completely_positive": rep.completely_positive,
-            "tp_residual": rep.tp_residual,
-            "cp_min_eigenvalue": rep.cp_min_eigenvalue,
-        }
+        ok = rep.trace_preserving
+        results = {"kind": "channel", "trace_preserving": ok, "tp_residual": rep.tp_residual}
     else:
         x = serialize.observable_from_dict(data, where=args.input)
         rep = validate_observable(x, tol)
@@ -181,7 +175,8 @@ def _cmd_classical(args, tol: Tolerance) -> tuple[dict | None, int]:
                 "certified_lower_bound": exc.lower_bound,
             }, 2
         return {"feasible": True, "stochastic_map": serialize.stochastic_to_dict(sm)}, 0
-    c = serialize.checked_channel(serialize.channel_from_dict(data, where=args.input), tol)
+    c = serialize.channel_from_dict(data, where=args.input)
+    require_trace_preserving(c, tol)
     report = decoherence.full_decoherence_check(
         c, gamma, samples=args.samples, tol=args.feas_tol, seed=args.seed
     )
@@ -397,10 +392,6 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p.set_defaults(func=_cmd_example)
 
     return parser, seed
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parser_and_seed()[0]
 
 
 # built on the first call of main, not at import

@@ -31,7 +31,7 @@ import numpy as np
 from .channels import (
     Channel,
     DiscreteObservable,
-    validate_channel,
+    require_trace_preserving,
     validate_observable,
 )
 from .correction import CodeSubspace
@@ -265,17 +265,6 @@ def observable_from_dict(data: dict, where: str = "<observable>") -> DiscreteObs
     return DiscreteObservable.from_effects(mats)
 
 
-def checked_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Channel:
-    """``c`` itself; trace preservation and complete positivity failures
-    abort with the offending residual."""
-    report = validate_channel(c, tol)
-    if not report.trace_preserving:
-        raise ValidationError("sum E^dag E = 1", report.tp_residual)
-    if not report.completely_positive:
-        raise ValidationError("Choi matrix PSD", -report.cp_min_eigenvalue)
-    return c
-
-
 def checked_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> DiscreteObservable:
     """``x`` itself; the first observable invariant that fails aborts
     with the offending residual."""
@@ -286,8 +275,11 @@ def checked_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> D
 
 
 def parse_channel_file(path: str | Path, tol: Tolerance = DEFAULT_TOL) -> Channel:
-    """Load and validate a channel (see :func:`checked_channel`)."""
-    return checked_channel(channel_from_dict(_load_json(path), where=str(path)), tol)
+    """Load a channel; one that is not trace preserving at ``tol`` raises
+    NotTracePreserving (see :func:`channels.require_trace_preserving`)."""
+    c = channel_from_dict(_load_json(path), where=str(path))
+    require_trace_preserving(c, tol)
+    return c
 
 
 def parse_observable_file(path: str | Path, tol: Tolerance = DEFAULT_TOL) -> DiscreteObservable:

@@ -355,12 +355,6 @@ class TestClassicalPath:
         assert np.array_equal(est.ensemble.priors, priors[best, : est.ensemble.size])
         assert np.array_equal(np.array(est.ensemble.states), states[best, : est.ensemble.size])
 
-    def test_fewer_states_than_dim_takes_the_search(self):
-        x = _commuting_povm(generator(501), 4, 4)
-        values, _, _ = _searched(x, 3, 1, 2)
-        est = cap.observable_capacity(x, restarts=3, seed=1, max_states=2)
-        assert est.bits == values.max() and est.ensemble.size <= 2
-
 
 class TestObservableCapacity:
     def test_sharp_observable_attains_log_outcomes(self):
@@ -422,8 +416,8 @@ class TestObservableCapacity:
         # brute-force grid over two-state ensembles (pure states x priors),
         # refined locally around the best cell
         value = _two_state_grid_search(x, n_theta=16, n_mu=11, rounds=4)
-        est = cap.observable_capacity(x, restarts=6, max_states=2)
-        assert abs(est.bits - value) < 1e-3
+        # the library's search with its starts capped at two states
+        assert abs(_searched(x, 6, 0, 2)[0].max() - value) < 1e-3
 
     def test_sic_unrestricted_beats_two_states(self):
         x = sic_tetrahedron()

@@ -12,7 +12,7 @@ from qichan.catalog import dephasing_channel, sic_tetrahedron
 from qichan.channels import Channel, DiscreteObservable
 from qichan.cli import main
 from qichan.correction import CodeSubspace
-from qichan.errors import SchemaError, ValidationError
+from qichan.errors import NotTracePreserving, SchemaError, ValidationError
 from qichan.rand import generator, random_channel
 
 
@@ -308,7 +308,7 @@ class TestChannelFiles:
         bad = Channel.from_elements([2 * np.eye(2, dtype=complex)])
         path = tmp_path / "bad.json"
         serialize.write_channel_file(path, bad)
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(NotTracePreserving) as err:
             serialize.parse_channel_file(path)
         assert "E^dag E" in str(err.value)
         assert err.value.residual > 1
@@ -401,8 +401,7 @@ def _h4_kron_i2():
 
 
 # input files that a command must refuse (exit 1, no report): the files to
-# write (name -> JSON text, or a callable writing a channel), the argv and
-# the start of the error message
+# write (name -> JSON text), the argv and the start of the error message
 _REJECTIONS = {
     "dims-not-positive": (
         {"c": '{"dim_in": 0, "dim_out": 1, "elements": [[[1, 0]]]}'},
@@ -439,10 +438,6 @@ _REJECTIONS = {
     "neither-channel-nor-observable": (
         {"c": '{"dim": 1}'}, ["validate", "{c}"], "error: {c}: neither a channel",
     ),
-    "choi-not-psd": (
-        {"c": lambda path: serialize.write_channel_file(path, _h4_kron_i2())},
-        ["preserved", "{c}", "--tol", "1e-16"], "error: invariant violated: Choi matrix PSD",
-    ),
     "out-under-a-file": (
         {"c": '{"dim_in": 1, "dim_out": 1, "elements": [[[1, 0]]]}'},
         ["validate", "{c}", "--out", "{c}/report.json"], "io error: ",
@@ -471,6 +466,31 @@ class TestCli:
         rc = main(["validate", str(path)])
         assert rc == 2
         assert json.loads(capsys.readouterr().out)["results"]["valid"] is False
+
+    @pytest.mark.parametrize(
+        "chan, argv",
+        [
+            # rounding puts the Choi eigenvalues of these channels at about
+            # -2e-15 and -1.15e-15: every element list is CP, so no cut sees it
+            (_h4_kron_i2, ["validate", "--tol", "1e-16"]),
+            (lambda: random_channel(generator(0), 7, 6, 3), ["validate", "--tol", "1e-15"]),
+        ],
+        ids=["h4-kron-i2", "random-seed0"],
+    )
+    def test_validate_below_rounding_is_valid(self, tmp_path, capsys, chan, argv):
+        path = tmp_path / "c.json"
+        serialize.write_channel_file(path, chan())
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["valid"] is True
+        assert set(results) == {"kind", "trace_preserving", "tp_residual", "valid"}
+
+    def test_preserved_below_rounding_on_an_exact_unitary(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        serialize.write_channel_file(path, _h4_kron_i2())
+        assert main(["preserved", str(path), "--tol", "1e-16", "--rank-rel", "1e-16"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["preserved_algebra"]["block_dims"] == [[8, 1]]
 
     @pytest.mark.parametrize(
         "invariant, effects",
@@ -508,10 +528,7 @@ class TestCli:
         files, argv, message = _REJECTIONS[case]
         paths = {name: str(tmp_path / f"{name}.json") for name in files}
         for name, content in files.items():
-            if callable(content):
-                content(paths[name])
-            else:
-                Path(paths[name]).write_text(content)
+            Path(paths[name]).write_text(content)
         argv = [a.format(**paths) for a in argv]
         report = tmp_path / "out" / "report.json"
         if "--out" not in argv:
@@ -533,10 +550,10 @@ class TestCli:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         violated = (
-            "effect spectrum >= 0 (residual 1.000e-07)" if case == "capacity"
-            else "sum E^dag E = 1 (residual 2.000e-07)"
+            "invariant violated: effect spectrum >= 0 (residual 1.000e-07)" if case == "capacity"
+            else "not trace preserving: ||sum E^dag E - 1|| = 2.000e-07 > 1.000e-09"
         )
-        assert out == "" and err == f"error: invariant violated: {violated}\n"
+        assert out == "" and err == f"error: {violated}\n"
 
     @pytest.mark.parametrize("case", ["correct-code", "kl", "oqec"])
     def test_code_isometry_is_checked_at_the_callers_tol(self, tmp_path, capsys, case):
@@ -847,7 +864,7 @@ class TestCli:
         monkeypatch.setenv("QICHAN_SEED", "17")
         from qichan import cli as cli_mod
 
-        parser = cli_mod.build_parser()
+        parser = cli_mod._parser_and_seed()[0]
         args = parser.parse_args(["preserved", self._channel_file(tmp_path)])
         assert args.seed == 17
 
@@ -877,13 +894,13 @@ class TestCli:
         from qichan import cli as cli_mod
         from qichan.numlin import DEFAULT_TOL
 
-        args = cli_mod.build_parser().parse_args(["preserved", "x.json"])
+        args = cli_mod._parser_and_seed()[0].parse_args(["preserved", "x.json"])
         assert (args.tol, args.rank_rel) == (DEFAULT_TOL.abs_eps, DEFAULT_TOL.rank_rel)
 
     def test_samples_where_read(self):
         from qichan import cli as cli_mod
 
-        parser = cli_mod.build_parser()
+        parser = cli_mod._parser_and_seed()[0]
         assert parser.parse_args(["example", "dephasing", "--samples", "8"]).samples == 8
         args = parser.parse_args(["classical", "x.json", "--gamma", "g.json", "--samples", "8"])
         assert args.samples == 8
