@@ -35,7 +35,7 @@ from . import kernels
 from .channels import DiscreteObservable, _frozen_stack
 from .decoherence import StochasticMap
 from .errors import DimMismatch, NotPSD
-from .numlin import DEFAULT_TOL, Tolerance, dagger, max_commutator_norm, op_norm
+from .numlin import DEFAULT_TOL, Tolerance, dagger, max_commutator_norm, norm_cut, op_norm
 from .rand import generator, random_pure_state
 
 _LOG_FLOOR = 1e-30
@@ -267,13 +267,14 @@ def observable_capacity(
     start: each round is one stacked BA call, one stacked state ascent and
     one batched mutual information (see :func:`_lockstep_search`).
 
-    Raises ``NotPSD`` when an effect has an eigenvalue below
-    ``-tol.abs_eps``: the clipped mutual information maximized here is
-    then no mutual information.
+    Raises ``NotPSD`` when an effect has an eigenvalue below minus the
+    spectrum cut of ``channels.validate_observable``: the clipped mutual
+    information maximized here is then no mutual information.
     """
     min_eig = float(np.linalg.eigvalsh((x.effects + dagger(x.effects)) / 2).min())
-    if min_eig < -tol.abs_eps:
-        raise NotPSD(min_eig, tol.abs_eps)
+    cut = norm_cut(tol, x.dim * x.dim)
+    if min_eig < -cut:
+        raise NotPSD(min_eig, cut)
     exact = _classical_estimate(x, _GAIN_BITS)
     if exact is not None:
         return exact

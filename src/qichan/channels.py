@@ -172,7 +172,7 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: Tolerance = DEFAULT_TOL) 
     """Recover a channel from its Choi matrix via spectral decomposition.
 
     The number of elements equals the numerical rank of the Choi matrix;
-    raises NotPSD when an eigenvalue falls below ``-abs_eps``.
+    raises NotPSD when an eigenvalue falls below the cut of ``numlin.psd_eig``.
     """
     j = asmatrix(j)
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
@@ -213,20 +213,23 @@ def povm_probabilities(x: DiscreteObservable, rho) -> np.ndarray:
 
 
 def validate_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> ObservableReport:
-    """Residuals for the observable invariants (Hermitian effects in [0,1], summing to 1)."""
+    """Residuals for the observable invariants (Hermitian effects in [0,1], summing to 1),
+    each cut at ``numlin.norm_cut``: an effect's Hermiticity and spectrum at
+    n = d^2, its size, and completeness at n = m d^2, the stack's size."""
     herm = op_norm(x.effects - dagger(x.effects))
     w = np.linalg.eigvalsh((x.effects + dagger(x.effects)) / 2)
     spec_low = min(0.0, float(w[:, 0].min()))
     spec_high = max(0.0, float(w[:, -1].max()))
     completeness = op_norm(x.effects.sum(axis=0) - np.eye(x.dim))
-    # (invariant, amount by which it fails), in the order they are checked
+    effect_cut = norm_cut(tol, x.dim * x.dim)
+    # (invariant, amount by which it fails, largest amount that is zero), in check order
     excess = (
-        ("effects Hermitian", herm),
-        ("effect spectrum >= 0", -spec_low),
-        ("effect spectrum <= 1", spec_high - 1),
-        ("sum X_i = 1", completeness),
+        ("effects Hermitian", herm, effect_cut),
+        ("effect spectrum >= 0", -spec_low, effect_cut),
+        ("effect spectrum <= 1", spec_high - 1, effect_cut),
+        ("sum X_i = 1", completeness, norm_cut(tol, x.effects.size)),
     )
-    violation = next(((name, float(v)) for name, v in excess if v > tol.abs_eps), None)
+    violation = next(((name, float(v)) for name, v, cut in excess if v > cut), None)
     return ObservableReport(
         residuals={
             "hermiticity": float(herm),

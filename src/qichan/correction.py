@@ -1,12 +1,11 @@
 """Preserved and correctable structures of a channel.
 
-The algebra of operators commuting with every product E_i^dag E_j collects
-all sharp observables that survive the channel; the same data yields a
-single correction channel that restores every one of them.  The products
-go to ``algebras.commutant`` as they are, each at its own weight, with no
-orthonormal span built first, so the caller's tolerance decides which weak
-interaction counts.  Restricting to a code subspace turns the
-construction into standard, subsystem and hybrid error-correcting codes,
+The algebra of operators commuting with every product E_i^dag E_j holds
+all sharp observables that survive the channel; one SVD of the elements
+side by side gives a correction channel that restores every one of them.
+The products go to ``algebras.commutant`` as they are, at their own
+weights, so the caller's tolerance decides which weak interaction counts.
+Restricting to a code subspace gives standard, subsystem and hybrid codes,
 plus the operator systems correctable without any restriction on states.
 """
 
@@ -25,9 +24,9 @@ from .algebras import (
     span_of,
     structure_decompose,
 )
-from .channels import Channel, apply_dual, require_trace_preserving
+from .channels import Channel, apply_dual
 from .errors import BadFactorization, DimMismatch
-from .numlin import DEFAULT_TOL, Tolerance, above_cut, asmatrix, dagger, norm_cut, op_norm, op_norm_at_most, psd_eig
+from .numlin import DEFAULT_TOL, Tolerance, above_cut, asmatrix, dagger, norm_cut, op_norm, op_norm_at_most
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class CodeSubspace:
     def from_isometry(v, tol: Tolerance = DEFAULT_TOL) -> "CodeSubspace":
         v = asmatrix(v)
         res = op_norm(dagger(v) @ v - np.eye(v.shape[1]))
-        if res > tol.abs_eps:
+        if res > norm_cut(tol, v.size):  # n = d d_code, the size, as for trace preservation
             raise DimMismatch(f"columns are not isometric (residual {res:.3e})")
         return CodeSubspace(v=v)
 
@@ -110,19 +109,19 @@ def correction_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Channel:
     """Channel R with elements E_k^dag E(1)^(-1/2) that fixes every
     preserved sharp observable of ``c`` under E* after R*.
 
-    R is only determined on the support of E(1).  The kernel (orthogonal
-    to the range of every element) is routed to the first basis state of
-    the source, one element |0><u| per kernel eigenvector u of the same
-    decomposition, so the result is a total trace-preserving channel.
+    With S = [E_1 ... E_n] = U s V^dag and E(1) = S S^dag, the stacked R_k
+    are V U^dag on the support that ``numlin.above_cut`` keeps of s^2 at
+    ``tol.rank_rel``, the only field read: a partial isometry, trace
+    preserving however E(1) is conditioned.  Each kernel column u adds |0><u|.
     """
-    k = c.elements
-    w, u, support = psd_eig((k @ dagger(k)).sum(axis=0), tol)
-    inv_sqrt = (u[:, support] / np.sqrt(w[support])) @ dagger(u[:, support])
-    sinks = np.zeros((int((~support).sum()), c.dim_in, c.dim_out), dtype=np.complex128)
-    sinks[:, 0] = u[:, ~support].T.conj()
-    r = Channel.from_elements(np.concatenate([dagger(k) @ inv_sqrt, sinks]))
-    require_trace_preserving(r, tol)
-    return r
+    n, d_out, d_in = c.elements.shape
+    side = c.elements.transpose(1, 0, 2).reshape(d_out, -1)
+    u, s, vh = np.linalg.svd(side, full_matrices=d_out > n * d_in)
+    r = int(above_cut(s * s, tol.rank_rel, d_out).sum())
+    sinks = np.zeros((d_out - r, d_in, d_out), dtype=np.complex128)
+    sinks[:, 0] = dagger(u[:, r:])
+    main = (dagger(vh[:r]) @ dagger(u[:, :r])).reshape(n, d_in, d_out)
+    return Channel.from_elements(np.concatenate([main, sinks]))
 
 
 def restrict(c: Channel, code: CodeSubspace) -> Channel:
@@ -177,14 +176,15 @@ def oqec_check(
     tol: Tolerance = DEFAULT_TOL,
 ) -> OQECReport:
     """Subsystem correctability condition V^dag E_i^dag E_j V = 1 (x) Lambda_ij
-    for a code split H_A (x) H_B with dims ``factorization``."""
+    for a code split H_A (x) H_B with dims ``factorization``, passed within
+    ``norm_cut`` at n = d_out d_in (a product sums d_out entries of E_i V, each of d_in)."""
     d_a, d_b = factorization
     if d_a * d_b != code.dim_code:
         raise BadFactorization(f"{d_a} * {d_b} != code dimension {code.dim_code}")
     m = _kraus_products(restrict(c, code))
     lambdas = np.einsum("nabad->nbd", m.reshape(-1, d_a, d_b, d_a, d_b)) / d_a
     residual = op_norm(m - np.kron(np.eye(d_a), lambdas))
-    return OQECReport(passes=bool(residual <= tol.abs_eps), lambdas=lambdas, residual=residual)
+    return OQECReport(bool(residual <= norm_cut(tol, c.dim_out * c.dim_in)), lambdas, residual)
 
 
 def span_equivalent(c1: Channel, c2: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -5,9 +5,10 @@ row-major).  Comparisons use the operator norm (largest singular value).
 Every span and support in the package is cut by one rule, :func:`above_cut`:
 keep the singular values (or PSD eigenvalues) above max(rank_rel, n eps)
 times the largest, so ``rank_rel`` decides the cut but never below rounding
-level.  :func:`psd_eig` cuts the support of a PSD matrix with it.  Every
-nullspace of a map is cut by :func:`null_cut`, and every yes/no norm check
-at ``abs_eps`` by :func:`norm_cut`, on the same floor.
+level.  :func:`psd_eig` cuts the support of a PSD matrix with it, and
+refuses a matrix as not Hermitian or not PSD only past the same floor.
+Every nullspace of a map is cut by :func:`null_cut`, and every yes/no norm
+check at ``abs_eps`` by :func:`norm_cut`, on the same floor.
 """
 
 from __future__ import annotations
@@ -164,18 +165,21 @@ def psd_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np
     ``support`` the mask of the eigenvalues :func:`above_cut` keeps at
     ``rank_rel``.  The eigenvectors outside the support span the numerical
     kernel, so support and kernel together cover every direction.  Raises
-    NotSquare, NotHermitian if ``a`` is further than ``abs_eps`` from its
-    adjoint, or NotPSD if an eigenvalue dips below ``-abs_eps``.
+    NotSquare, NotHermitian if ``a`` is further than the cut from its
+    adjoint, or NotPSD if an eigenvalue dips below minus the cut.  The cut
+    is ``norm_cut(tol, d, |w|_max)``, the support's floor: an eigenvalue
+    within d eps of the largest is rounding, whichever its sign.
     """
     a = asmatrix(a)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {a.shape}")
-    herm_residual = op_norm(a - dagger(a))
-    if herm_residual > tol.abs_eps:
-        raise NotHermitian(herm_residual, tol.abs_eps)
     w, u = np.linalg.eigh((a + dagger(a)) / 2)
-    if w.size and w[0] < -tol.abs_eps:
-        raise NotPSD(float(w[0]), tol.abs_eps)
+    cut = norm_cut(tol, a.shape[0], float(np.abs(w).max(initial=0.0)))
+    herm_residual = op_norm(a - dagger(a))
+    if herm_residual > cut:
+        raise NotHermitian(herm_residual, cut)
+    if w.size and w[0] < -cut:
+        raise NotPSD(float(w[0]), cut)
     return w, u, above_cut(w, tol.rank_rel)
 
 

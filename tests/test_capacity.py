@@ -13,6 +13,7 @@ from qichan.rand import (
     random_hermitian,
     random_povm,
     random_pure_state,
+    random_sharp_observable,
     random_stochastic,
     random_unitary,
 )
@@ -392,6 +393,17 @@ class TestObservableCapacity:
         assert err.value.eps == DEFAULT_TOL.abs_eps
         est = cap.observable_capacity(x, restarts=2, tol=Tolerance(1e-6, DEFAULT_TOL.rank_rel))
         assert 0 < est.bits < 1
+
+    def test_psd_cut_has_the_rounding_floor(self):
+        # rounding puts an eigenvalue of -1.3e-16 in this sharp observable's
+        # projectors: within the floor d^2 eps, so abs_eps 1e-16 accepts it
+        x = random_sharp_observable(generator(1), 4, 2)
+        est = cap.observable_capacity(x, restarts=1, tol=Tolerance(1e-16, DEFAULT_TOL.rank_rel))
+        assert abs(est.bits - 1.0) < 1e-6
+        # an eigenvalue of -1e-12 is refused at abs_eps 1e-13
+        effects = np.array([np.diag([1 + 1e-12, 0.5]), np.diag([-1e-12, 0.5])], dtype=complex)
+        with pytest.raises(NotPSD):
+            cap.observable_capacity(DiscreteObservable.from_effects(effects), tol=Tolerance(1e-13))
 
     def test_accepts_rounding_below_the_cut(self):
         # eigenvalues of -1e-12 are rounding of a PSD effect, not a violation

@@ -10,6 +10,7 @@ from qichan.rand import (
     random_channel,
     random_hermitian,
     random_isometry,
+    random_povm,
     random_sharp_observable,
     random_unitary,
 )
@@ -36,14 +37,10 @@ class TestValidation:
         assert rep.tp_residual > 1
 
     @pytest.mark.parametrize("abs_eps", [1e-15, 1e-16])
-    def test_rounding_is_not_a_tp_failure(self, abs_eps):
+    def test_rounding_is_not_a_tp_failure(self, seeded_channels, abs_eps):
         # 200 random channels and the catalogue's 15: their residuals reach
         # 0.50 k d_out d_in eps (1.006 k d_out eps at seed 34), below the cut
-        chans = []
-        for s in range(200):
-            rng = generator(s)
-            d_in, d_out, k = (int(rng.integers(lo, hi)) for lo, hi in ((2, 9), (2, 9), (1, 5)))
-            chans.append(random_channel(rng, d_in, d_out, k))
+        chans = list(seeded_channels)
         for name in EXAMPLE_NAMES:
             chans += example_catalog(name, seed=0).channels.values()
         assert len(chans) == 215
@@ -61,6 +58,39 @@ class TestValidation:
             with pytest.raises(NotTracePreserving):
                 ch.require_trace_preserving(c, Tolerance(abs_eps))
         assert ch.validate_channel(c).trace_preserving
+
+    @pytest.mark.parametrize("abs_eps", [1e-15, 1e-16])
+    def test_rounding_is_not_an_observable_failure(self, abs_eps):
+        # 100 random sharp observables and 100 POVMs (d, m in [2, 8]) and the
+        # catalogue's 9: Hermiticity and spectrum reach 0.50 d^2 eps and
+        # completeness 0.55 m d^2 eps, below their cuts
+        obs = []
+        for s in range(100):
+            rng = generator(s)
+            d, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            obs += [random_povm(rng, d, m), random_sharp_observable(rng, d, min(m, d))]
+        for name in EXAMPLE_NAMES:
+            obs += example_catalog(name, seed=0).observables.values()
+        assert len(obs) == 209
+        tol = Tolerance(abs_eps, 1e-10)
+        for x in obs:
+            assert ch.validate_observable(x, tol).violation is None
+
+    @pytest.mark.parametrize(
+        "invariant, effects",
+        [
+            # each breaks its invariant by 1e-12
+            ("effects Hermitian", [[[0.5, 1e-12], [0, 0.5]], [[0.5, -1e-12], [0, 0.5]]]),
+            ("effect spectrum >= 0", [[[-1e-12, 0], [0, 0]], [[0.5 + 1e-12, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]]),
+            ("effect spectrum <= 1", [[[1 + 1e-12, 0], [0, 1]]]),
+            ("sum X_i = 1", [[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.5 + 1e-12]]]),
+        ],
+    )
+    def test_the_rounding_floor_keeps_a_real_observable_failure(self, invariant, effects):
+        x = ch.DiscreteObservable.from_effects(np.array(effects, dtype=complex))
+        for abs_eps in (1e-13, 1e-16):
+            assert ch.validate_observable(x, Tolerance(abs_eps)).violation[0] == invariant
+        assert ch.validate_observable(x).violation is None
 
     def test_observable_validation(self):
         rep = ch.validate_observable(sic_tetrahedron())
@@ -252,6 +282,16 @@ class TestKrausFromChoi:
         back = ch.kraus_from_choi(ch.choi_of(c), c.dim_in, c.dim_out)
         assert ch.channels_equal(c, back, 1e-8)
         assert back.n_elements == min(4, 3 * 2)
+
+    @pytest.mark.parametrize("abs_eps", [1e-15, 1e-16])
+    def test_round_trip_below_rounding(self, seeded_channels, abs_eps):
+        # the Choi kernel's eigenvalues are rounding of either sign, within
+        # 0.15 d eps of the largest (d = d_in d_out), and its Hermitian
+        # residual within 0.07 d eps: psd_eig's cut is d eps of the largest
+        tol = Tolerance(abs_eps, 1e-10)
+        for c in seeded_channels:
+            back = ch.kraus_from_choi(ch.choi_of(c), c.dim_in, c.dim_out, tol)
+            assert ch.channels_equal(c, back, 1e-12)
 
     def test_rejects_non_psd(self):
         with pytest.raises(NotPSD):

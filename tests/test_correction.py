@@ -6,9 +6,11 @@ from qichan.algebras import block_pattern_residual, span_of, spans_equal
 from qichan.catalog import (
     PAULI_X,
     PAULI_Z,
+    analyze_bundle,
     bitflip3_channel,
     block_pinch_channel,
     dephasing_channel,
+    example_catalog,
     pauli_on,
     repetition_code,
     teleport_channel,
@@ -257,8 +259,8 @@ class TestCorrectionChannel:
 
 
     def test_rounding_floor_keeps_kernel_out_of_support(self):
-        # at rank_rel 1e-16 the roundoff eigenvalues of E(1)'s kernel pass
-        # the relative cut; psd_eig's floor of d eps keeps them out
+        # at rank_rel 1e-16 the roundoff s^2 of E(1)'s kernel pass the
+        # relative cut; above_cut's floor of d_out eps keeps them out
         tol = Tolerance(1e-9, 1e-16)
         for seed in range(400):
             rng = generator(seed + 1000)
@@ -266,6 +268,25 @@ class TestCorrectionChannel:
             n = int(rng.integers(1, 3))
             c = random_channel(rng, d_in, d_in * n + int(rng.integers(1, 5)), n)
             assert validate_channel(co.correction_channel(c, tol)).trace_preserving
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
+    def test_ill_conditioned_image_of_the_identity(self, rotated_amplitude_damping, eps):
+        # E(1) is conditioned like 2 / eps; R is a partial isometry, so its
+        # trace preservation does not depend on that conditioning
+        for seed in range(20):
+            c = rotated_amplitude_damping(eps, seed)
+            assert validate_channel(co.correction_channel(c)).trace_preserving
+            assert co.correctable_report(c).residuals["fixed_point"] <= 1e-8
+
+    @pytest.mark.parametrize("abs_eps", [1e-15, 1e-16])
+    def test_no_refusal_below_rounding(self, seeded_channels, abs_eps):
+        # only rank_rel is read, so no abs_eps refuses a channel
+        tol = Tolerance(abs_eps, 1e-10)
+        for c in seeded_channels:
+            r = co.correction_channel(c, tol)
+            assert (r.dim_in, r.dim_out) == (c.dim_out, c.dim_in)
+            assert validate_channel(r).trace_preserving
+
 
 class TestRestrict:
     def test_full_space_is_identity_restriction(self):
@@ -359,6 +380,29 @@ class TestKnillLaflamme:
         kl = co.kl_check(z1, repetition_code())
         assert not kl.passes
         assert kl.residual > 0.1
+
+    @pytest.mark.parametrize("abs_eps", [1e-15, 1e-16])
+    def test_rounding_is_not_a_failure(self, abs_eps):
+        # the repetition code in 50 seeded bases is isometric and exactly
+        # correctable: its residuals reach 0.24 n eps (isometry, n = 16) and
+        # 0.02 n eps (KL, n = 64); the random 8 x 3 isometries 0.20 n eps
+        tol = Tolerance(abs_eps, 1e-10)
+        c = bitflip3_channel((0.4, 0.2, 0.2, 0.2))
+        for seed in range(50):
+            code = co.CodeSubspace.from_isometry(repetition_code().v @ random_unitary(generator(seed), 2), tol)
+            assert co.kl_check(c, code, tol).passes
+            co.CodeSubspace.from_isometry(random_isometry(generator(seed), 8, 3), tol)
+
+    def test_the_rounding_floor_keeps_a_real_failure(self):
+        # columns off isometry by 1e-12 are refused at abs_eps 1e-13 and
+        # below, and pass at the default 1e-9; a Z error still fails KL
+        v = np.sqrt(1 + 1e-12) * np.eye(3, 2, dtype=complex)
+        for abs_eps in (1e-13, 1e-16):
+            with pytest.raises(DimMismatch):
+                co.CodeSubspace.from_isometry(v, Tolerance(abs_eps))
+        co.CodeSubspace.from_isometry(v)
+        report = analyze_bundle(example_catalog("bitflip3"), Tolerance(1e-16, 1e-10))
+        assert report["kl_passes"] and not report["kl_z1_passes"]
 
     def test_teleport_full_qubit(self):
         kl = co.kl_check(teleport_channel(), co.CodeSubspace.from_isometry(np.eye(2, dtype=complex)))

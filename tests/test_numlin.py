@@ -39,6 +39,22 @@ class TestHermitianEig:
         with pytest.raises(NotSquare):
             numlin.psd_eig(np.zeros((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize(
+        "off, refusal",
+        [
+            (lambda x: np.array([[1.0, x], [0.0, 1.0]]), NotHermitian),
+            (lambda x: np.diag([1.0, -x]), NotPSD),
+        ],
+        ids=["hermitian", "psd"],
+    )
+    def test_cut_has_the_support_floor(self, off, refusal):
+        # 2e-16 is within d eps of the largest eigenvalue, rounding at any
+        # abs_eps; 1e-12 is refused at abs_eps 1e-13 and passes at 1e-9
+        numlin.psd_eig(off(2e-16).astype(complex), numlin.Tolerance(1e-16))
+        with pytest.raises(refusal):
+            numlin.psd_eig(off(1e-12).astype(complex), numlin.Tolerance(1e-13))
+        numlin.psd_eig(off(1e-12).astype(complex))
+
 
 def kernel(a, tol=numlin.DEFAULT_TOL):
     """Eigenvectors of a PSD matrix outside its support, as columns."""

@@ -9,7 +9,7 @@ import pytest
 
 from qichan import catalog, serialize
 from qichan.catalog import dephasing_channel, sic_tetrahedron
-from qichan.channels import Channel, DiscreteObservable
+from qichan.channels import Channel, DiscreteObservable, validate_channel
 from qichan.cli import main
 from qichan.correction import CodeSubspace
 from qichan.errors import NotTracePreserving, SchemaError, ValidationError
@@ -484,6 +484,25 @@ class TestCli:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["valid"] is True
         assert set(results) == {"kind", "trace_preserving", "tp_residual", "valid"}
+
+    def test_correct_on_an_ill_conditioned_channel(self, tmp_path, capsys, rotated_amplitude_damping):
+        # E(1) has eigenvalues 2 - 1e-8 and 1e-8; the correction's trace
+        # preservation does not depend on that conditioning
+        path = tmp_path / "c.json"
+        serialize.write_channel_file(path, rotated_amplitude_damping(1e-8, 1))
+        assert main(["correct", str(path)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        r = serialize.channel_from_dict(results["correction_channel"])
+        assert validate_channel(r).trace_preserving
+        assert results["residuals"]["fixed_point"] <= 1e-8
+
+    @pytest.mark.parametrize("name", ["diamonds-3", "diamonds-inf"])
+    def test_validate_pointer_below_rounding(self, tmp_path, capsys, name):
+        # completeness 1.34e-16 and 1.80e-16: rounding of the m d^2 entries
+        path = tmp_path / "x.json"
+        serialize.write_observable_file(path, catalog.example_catalog(name).observables["pointer"])
+        assert main(["validate", str(path), "--tol", "1e-16"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["valid"] is True
 
     def test_preserved_below_rounding_on_an_exact_unitary(self, tmp_path, capsys):
         path = tmp_path / "c.json"
