@@ -50,6 +50,7 @@ from .decoherence import (
     coarse_grain_solve,
     dephasing_sweep,
     effect_region_sample,
+    exact_classicality,
     full_decoherence_check,
     iterated_fixed_points,
     pointer_algebra,
@@ -79,6 +80,7 @@ __all__ = [
     "correction_channel",
     "dephasing_sweep",
     "effect_region_sample",
+    "exact_classicality",
     "full_decoherence_check",
     "generate_star_algebra",
     "identity_channel",

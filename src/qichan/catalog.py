@@ -344,26 +344,22 @@ def example_catalog(name: str, seed: int = 0) -> ExampleBundle:
 # ---------------------------------------------------------------------------
 
 
-def analyze_example(
-    name: str, tol: Tolerance = DEFAULT_TOL, seed: int = 0, samples: int = 64
-) -> dict:
+def analyze_example(name: str, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> dict:
     """Run the analysis a catalogue example exists to demonstrate.
 
     Returns a JSON-ready dict with a top-level ``passes`` flag plus the
     residuals behind it; sweep and diamond entries include plot-ready rows.
     """
-    return analyze_bundle(example_catalog(name, seed), tol, seed, samples)
+    return analyze_bundle(example_catalog(name, seed), tol, seed)
 
 
-def analyze_bundle(
-    bundle: ExampleBundle, tol: Tolerance = DEFAULT_TOL, seed: int = 0, samples: int = 64
-) -> dict:
+def analyze_bundle(bundle: ExampleBundle, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> dict:
     """:func:`analyze_example` on a bundle already built by
     :func:`example_catalog` (with the same ``seed``)."""
-    return _EXAMPLES[bundle.name][1](bundle, tol, seed, samples)
+    return _EXAMPLES[bundle.name][1](bundle, tol, seed)
 
 
-def _analyze_dephasing(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_dephasing(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     report = pointer_algebra(c, tol, seed)
     correctable = correctable_report(c, tol, seed)
@@ -400,7 +396,7 @@ def _match_projector_sets(got: DiscreteObservable, expected: DiscreteObservable)
     return worst
 
 
-def _analyze_blocks(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_blocks(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     structure = preserved_algebra(c, tol, seed)
     report = pointer_algebra(c, tol, seed)
@@ -415,7 +411,7 @@ def _analyze_blocks(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: i
     }
 
 
-def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     code = bundle.codes["code"]
     kl = kl_check(c, code, tol)
@@ -448,7 +444,7 @@ def _analyze_bitflip3(bundle: ExampleBundle, tol: Tolerance, seed: int, samples:
     }
 
 
-def _analyze_teleport(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_teleport(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     code = bundle.codes["code"]
     k = c.elements
@@ -472,7 +468,7 @@ def _analyze_teleport(bundle: ExampleBundle, tol: Tolerance, seed: int, samples:
     }
 
 
-def _analyze_teleport_lossy(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_teleport_lossy(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     structure = preserved_algebra(c, tol, seed)
     diagonal = commutant([PAULI_Z], tol)
@@ -486,7 +482,7 @@ def _analyze_teleport_lossy(bundle: ExampleBundle, tol: Tolerance, seed: int, sa
     }
 
 
-def _analyze_classical(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_classical(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     pi = np.array(bundle.params["pi"])
     r = correction_channel(c, tol)
@@ -501,7 +497,7 @@ def _analyze_classical(bundle: ExampleBundle, tol: Tolerance, seed: int, samples
     }
 
 
-def _analyze_diamond(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_diamond(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     gamma = bundle.observables["pointer"]
     points = effect_region_sample(c, grid=12)
@@ -532,7 +528,7 @@ def _region_points_are_effects(points: np.ndarray) -> bool:
     return bool(np.all(r <= np.minimum(t, 2 - t) + 1e-9))
 
 
-def _analyze_sic(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_sic(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     gamma = bundle.observables["pointer"]
     alpha = bundle.params["alpha"]
@@ -540,27 +536,21 @@ def _analyze_sic(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int)
     action_residual = float(op_norm(choi_of(c) - choi_of(shrinking_channel(alpha))))
     round_trip = kraus_from_choi(choi_of(c), c.dim_in, c.dim_out, tol)
     rt_ok = channels_equal(c, round_trip, 1e-8)
-    check = decoherence.full_decoherence_check(c, gamma, samples=samples, seed=seed)
-    passes = (
-        report.trace_preserving
-        and action_residual <= 1e-9
-        and rt_ok
-        and check.feasible == check.samples
-        and (check.explicit_residual is None or check.explicit_residual <= 1e-8)
-    )
+    # the tetrahedron is linearly independent, so the dual-frame test is exact
+    exact = decoherence.exact_classicality(c, gamma, tol)
+    passes = report.trace_preserving and action_residual <= 1e-9 and rt_ok and exact.classical
     return {
         "passes": bool(passes),
         "valid_channel": report.trace_preserving,
         "shrinking_action_residual": action_residual,
         "choi_round_trip": bool(rt_ok),
-        "samples": check.samples,
-        "feasible": check.feasible,
-        "max_residual": check.max_residual,
-        "explicit_residual": check.explicit_residual,
+        "method": "exact",
+        "range_residual": exact.range_residual,
+        "min_sigma_eigenvalue": exact.min_sigma_eigenvalue,
     }
 
 
-def _analyze_antisym(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_antisym(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     joint = bundle.channels["joint"]
     self_comp = op_norm(choi_of(c) - choi_of(complement(c)))
@@ -574,7 +564,7 @@ def _analyze_antisym(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: 
     }
 
 
-def _analyze_sweep(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_sweep(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     n_env = bundle.params["N"]
     total_time = bundle.params["T"]
     steps = bundle.params["steps"]
@@ -604,7 +594,7 @@ def _analyze_sweep(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: in
     }
 
 
-def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int, samples: int) -> dict:
+def _analyze_iterated(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
     fixed = iterated_fixed_points(c, tol=tol)
     u1 = c.elements[0] / np.linalg.norm(c.elements[0], 2)

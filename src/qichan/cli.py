@@ -230,7 +230,7 @@ def _cmd_capacity(args, tol: Tolerance) -> tuple[dict | None, int]:
 
 def _cmd_example(args, tol: Tolerance) -> tuple[dict | None, int]:
     bundle = catalog.example_catalog(args.name, args.seed)
-    results = catalog.analyze_bundle(bundle, tol, args.seed, args.samples)
+    results = catalog.analyze_bundle(bundle, tol, args.seed)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -240,10 +240,12 @@ def _cmd_example(args, tol: Tolerance) -> tuple[dict | None, int]:
             serialize.write_observable_file(out_dir / f"{args.name}.{label}.observable.json", obs)
         for label, code in bundle.codes.items():
             serialize.write_code_file(out_dir / f"{args.name}.{label}.code.json", code)
+        # each table is written once: to its CSV, which the report names
         for table, key in (("gamma", "gamma_rows"), ("region", "region_points")):
             if key in results:
-                text = serialize.dumps_csv(_HEADERS[table], results[key])
-                _emit(args.out, f"{args.name}.{table}.csv", text)
+                name = f"{args.name}.{table}.csv"
+                (out_dir / name).write_text(serialize.dumps_csv(_HEADERS[table], results[key]))
+                results[key] = name
     exit_code = 0 if results.get("passes", False) else 2
     _write_report(args, {**results, "example": args.name}, exit_code, f"{args.name}.report.json")
     return None, exit_code
@@ -316,8 +318,6 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
     seed = shared.add_argument("--seed", type=_seed, default=_seed_default(),
                                help=f"RNG seed (default from ${SEED_ENV} or 0)")
     shared.add_argument("--out", default=None, help="output path (directory for `example`)")
-    samples = argparse.ArgumentParser(add_help=False)
-    samples.add_argument("--samples", type=_count, default=64, help="sample count for randomized checks")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -356,10 +356,11 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p.add_argument("--split", required=True, type=_split, help="dA,dB factorization of the code")
     p.set_defaults(func=_cmd_oqec)
 
-    p = sub.add_parser("classical", parents=[shared, samples],
+    p = sub.add_parser("classical", parents=[shared],
                        help="coarse-graining feasibility against a reference observable")
     p.add_argument("input", help="observable (single solve) or channel (sampled check)")
     p.add_argument("--gamma", required=True, help="reference observable JSON")
+    p.add_argument("--samples", type=_count, default=64, help="sample count of the channel check")
     p.add_argument("--feas-tol", type=_positive, default=decoherence.FEASIBILITY_TOL)
     p.set_defaults(func=_cmd_classical)
 
@@ -387,7 +388,7 @@ def _parser_and_seed() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p.add_argument("--restarts", type=_count, default=8)
     p.set_defaults(func=_cmd_capacity)
 
-    p = sub.add_parser("example", parents=[shared, samples], help="build and check a bundled example")
+    p = sub.add_parser("example", parents=[shared], help="build and check a bundled example")
     p.add_argument("name", help=f"one of: {', '.join(catalog.EXAMPLE_NAMES)}")
     p.set_defaults(func=_cmd_example)
 

@@ -36,10 +36,13 @@ from .numlin import (
     Tolerance,
     above_cut,
     asstack,
+    coords_to_herm,
     dagger,
     herm_to_coords,
     max_commutator_norm,
+    norm_cut,
     null_cut,
+    op_norm,
     op_norm_at_most,
 )
 from .rand import generator, random_povm, random_sharp_observable
@@ -58,10 +61,12 @@ class StochasticMap:
         m = np.ascontiguousarray(entries, dtype=np.float64)
         if m.ndim != 2:
             raise DimMismatch("stochastic map must be a matrix")
-        if m.min() < -tol.abs_eps:
+        # a column sum adds rows entries, and the entries are often normalized by it
+        cut = norm_cut(tol, m.shape[0])
+        if m.min() < -cut:
             raise ValueError(f"negative entry {m.min():.3e}")
         sums = m.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > tol.abs_eps:
+        if np.max(np.abs(sums - 1.0)) > cut:
             raise ValueError("columns must sum to one")
         return StochasticMap(entries=m)
 
@@ -118,6 +123,22 @@ class DecoherenceReport:
     @property
     def pass_rate(self) -> float:
         return self.feasible / self.samples if self.samples else 1.0
+
+
+@dataclass(frozen=True)
+class ExactClassicality:
+    """Whether a channel is measure-and-prepare through a linearly
+    independent Gamma: the largest ||E(Z)|| over a basis of the complement
+    of span Gamma, the lowest eigenvalue of the prepared states
+    sigma_i = E(D_i), and the largest residual that counts as zero."""
+
+    range_residual: float
+    min_sigma_eigenvalue: float
+    cut: float
+
+    @property
+    def classical(self) -> bool:
+        return self.range_residual <= self.cut and self.min_sigma_eigenvalue >= -self.cut
 
 
 def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> PointerReport:
@@ -213,6 +234,41 @@ def _pointer_states(c: Channel, gamma: DiscreteObservable, tol: float) -> np.nda
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
+def exact_classicality(
+    c: Channel, gamma: DiscreteObservable, tol: Tolerance = DEFAULT_TOL
+) -> ExactClassicality | None:
+    """Exact test that every observable preserved by ``c`` is a
+    coarse-graining of a linearly independent ``gamma``.
+
+    For independent Gamma this holds exactly when E is measure-and-prepare,
+    E(rho) = sum_i tr(Gamma_i rho) sigma_i with states sigma_i: the range
+    of E* lies in span Gamma, i.e. E(Z) = 0 for every Z orthogonal to it,
+    and every sigma_i = E(D_i) >= 0, where D_i = (G G^T)^-1 G is the dual
+    frame of Gamma's coordinate matrix G.  Then pi_ji = tr(sigma_i Y_j)
+    is the coarse-graining of each pulled-back observable E*(Y).  Both
+    come from one SVD G = U S V^T: D_i are the rows of U S^-1 V^T, and the
+    rest of V spans the complement.  Returns None when G is rank-deficient
+    at ``numlin.above_cut``, where only the sampled
+    :func:`full_decoherence_check` applies.  The cut is ``numlin.norm_cut`` over the element stack, at the size of
+    the largest D_i.
+    """
+    if gamma.dim != c.dim_in:
+        raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
+    g = _coordinates(gamma.effects)  # (n, d^2)
+    n = len(g)
+    u, s, vt = np.linalg.svd(g)
+    if n > len(s) or not above_cut(s, tol.rank_rel).all():
+        return None
+    duals = coords_to_herm((u / s) @ vt[:n], c.dim_in)
+    images = apply(c, np.concatenate([duals, coords_to_herm(vt[n:], c.dim_in)]))
+    sigmas = images[:n]
+    return ExactClassicality(
+        range_residual=op_norm(images[n:]),
+        min_sigma_eigenvalue=float(np.linalg.eigvalsh((sigmas + dagger(sigmas)) / 2)[:, 0].min()),
+        cut=norm_cut(tol, c.elements.size, op_norm(duals)),
+    )
+
+
 def full_decoherence_check(
     c: Channel,
     gamma: DiscreteObservable,
@@ -228,7 +284,8 @@ def full_decoherence_check(
     does; the largest Frank-Wolfe bound among them is reported.  For
     channels with rank one elements whose Gamma matches the canonical
     pointer, the explicit stochastic map pi_ji = <psi_i| Y_j |psi_i> is
-    also scored by the same residual.
+    also scored by the same residual.  For a linearly independent ``gamma``,
+    :func:`exact_classicality` decides the same question without sampling.
     """
     if gamma.dim != c.dim_in:
         raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
@@ -310,13 +367,13 @@ def dephasing_sweep(projectors, n_env: int, total_time: float, times) -> SweepRe
     n_proj, d, _ = projs.shape
     if not n_proj:
         raise BadProjectors("need at least one projector")
-    if not op_norm_at_most(projs.sum(axis=0) - np.eye(d), DEFAULT_TOL.abs_eps):
+    if not op_norm_at_most(projs.sum(axis=0) - np.eye(d), norm_cut(DEFAULT_TOL, n_proj)):
         raise BadProjectors("projectors must sum to the identity")
     # P_i P_j - delta_ij P_i, one row i at a time: n d^2 entries, not n^2 d^2
     for i, p in enumerate(projs):
         deviation = p @ projs
         deviation[i] -= p
-        if not op_norm_at_most(deviation, DEFAULT_TOL.abs_eps):
+        if not op_norm_at_most(deviation, norm_cut(DEFAULT_TOL, d)):
             raise BadProjectors("projectors must be orthogonal idempotents")
     if n_env < n_proj:
         raise BadProjectors(f"environment size {n_env} < number of projectors {n_proj}")

@@ -186,7 +186,8 @@ def pairs_to_matrix(pairs, rows: int, cols: int, where: str) -> np.ndarray:
         and set(map(type, chain.from_iterable(pairs))) <= {int, float}
     )
     try:
-        parts = np.array(pairs, dtype=np.float64) if well_formed else None
+        # well formed, the pairs hold exactly 2 rows cols numbers
+        parts = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * rows * cols) if well_formed else None
     except OverflowError:  # an integer beyond the float range
         parts = None
     if parts is None:

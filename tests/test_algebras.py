@@ -652,7 +652,7 @@ def test_block_pattern_residual_matches_kron_reference(monkeypatch):
 
     monkeypatch.setattr(al, "_decompose_with", record)
     for name in catalog.EXAMPLE_NAMES:
-        catalog.analyze_example(name, samples=4)
+        catalog.analyze_example(name)
     assert len({st.block_dims for st in seen}) > 5
     for st in seen:
         assert al.block_pattern_residual(st) == _kron_pattern_residual(st)

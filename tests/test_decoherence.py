@@ -16,6 +16,7 @@ from qichan.catalog import (
     diamond_channel,
     diamond_pointer,
     example_catalog,
+    shrinking_channel,
     sic_cloner_channel,
     sic_tetrahedron,
 )
@@ -37,7 +38,7 @@ from qichan.errors import (
     NotTracePreserving,
 )
 from qichan.numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
-from qichan.rand import generator, random_channel, random_effect, random_unitary
+from qichan.rand import generator, random_channel, random_effect, random_stochastic, random_unitary
 
 
 class TestStochasticMap:
@@ -52,6 +53,15 @@ class TestStochasticMap:
         de.StochasticMap.from_entries(entries, Tolerance(abs_eps=1e-8))
         with pytest.raises(ValueError):
             de.StochasticMap.from_entries(entries, Tolerance(abs_eps=1e-9))
+
+    def test_rounding_floor_below_abs_eps(self):
+        # column sums off by rounding pass at any abs_eps; a real defect does not
+        for s in range(200):
+            rng = generator(s)
+            rows, cols = (int(v) for v in rng.integers(2, 17, size=2))
+            de.StochasticMap.from_entries(random_stochastic(rng, rows, cols), Tolerance(1e-16))
+        with pytest.raises(ValueError):
+            de.StochasticMap.from_entries(np.array([[0.5, 0.2], [0.2, 0.2]]), Tolerance(1e-16))
 
     def test_compose_observable(self):
         gamma = basis_observable(2)
@@ -280,6 +290,40 @@ class TestOnePath:
         result = analyze_example(name)
         assert result["max_residual"] == residual.max()
         assert result["coarse_grain_feasible"] == 24
+
+
+class TestExactClassicality:
+    """The dual-frame test against closed forms and the sampled check."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1 / 3, 0.34, 0.5, 1.0])
+    def test_shrinking_channel_prepares_the_scaled_duals(self, alpha):
+        # D_i = (1 + 3 n_i . sigma) / 2, so sigma_i = (1 + 3 alpha n_i . sigma) / 2
+        rep = de.exact_classicality(shrinking_channel(alpha), sic_tetrahedron())
+        assert abs(rep.min_sigma_eigenvalue - (1 - 3 * alpha) / 2) <= 1e-12
+        # the tetrahedron spans every qubit operator: no complement
+        assert rep.range_residual == 0.0
+        assert rep.classical == (alpha <= 1 / 3)
+
+    def test_dependent_pointer_has_no_dual_frame(self):
+        bundle = example_catalog("diamonds-4")
+        assert de.exact_classicality(bundle.channels["channel"], bundle.observables["pointer"]) is None
+
+    def test_unitary_leaves_the_span(self):
+        u = random_unitary(generator(4), 2)
+        rep = de.exact_classicality(Channel.from_elements([u]), basis_observable(2))
+        assert rep.range_residual > rep.cut
+        assert not rep.classical
+
+    @pytest.mark.parametrize("c,gamma", _ONE_PATH_CASES)
+    def test_verdict_matches_the_sampled_check(self, c, gamma):
+        rep = de.exact_classicality(c, gamma)
+        assert rep is not None
+        sampled = de.full_decoherence_check(c, gamma, samples=24, seed=5)
+        assert rep.classical == (sampled.feasible == sampled.samples)
+
+    def test_gamma_dimension_checked(self):
+        with pytest.raises(DimMismatch):
+            de.exact_classicality(dephasing_channel(3), basis_observable(2))
 
 
 class TestBroadcast:

@@ -27,7 +27,7 @@ ALL_EXAMPLES = [
 
 @pytest.mark.parametrize("name", ALL_EXAMPLES)
 def test_example_passes_reference_analysis(name):
-    result = catalog.analyze_example(name, samples=24)
+    result = catalog.analyze_example(name)
     assert result["passes"], {k: v for k, v in result.items() if not isinstance(v, list)}
 
 
@@ -41,6 +41,13 @@ def test_bundles_are_valid_and_deterministic(name):
         rep = validate_channel(chan)
         assert rep.trace_preserving, (name, label)
         assert np.array_equal(choi_of(chan), choi_of(b2.channels[label]))
+
+
+def test_sic_cloner_decided_exactly():
+    # the alpha = 1/3 cloner prepares states sigma_i = E(D_i) on the edge of the PSD cone
+    result = catalog.analyze_example("sic-cloner")
+    assert result["method"] == "exact" and "samples" not in result
+    assert result["range_residual"] == 0.0 and abs(result["min_sigma_eigenvalue"]) <= 1e-12
 
 
 def test_catalog_names_are_the_runnable_examples():

@@ -83,7 +83,7 @@ def _complex(*shape: int) -> np.ndarray:
 class TestCanonicalJson:
     @pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
     def test_example_report_matches_reference(self, name):
-        results = catalog.analyze_example(name, samples=8)
+        results = catalog.analyze_example(name)
         report = {"command": "example", "inputs": {}, "seed": 0, "results": {**results, "example": name}}
         assert serialize.dumps_canonical(report) == _reference_dumps(report)
 
@@ -369,7 +369,7 @@ _REPORT_CASES = {
     "sweep": (["sweep", "--steps", "3", "--env-size", "2"], {}),
     "region": (["region", "{channel}", "--grid", "4"], {"input": "channel"}),
     "capacity": (["capacity", "{x}", "--restarts", "2"], {"input": "x"}),
-    "example": (["example", "dephasing", "--samples", "4"], {}),
+    "example": (["example", "dephasing"], {}),
 }
 
 
@@ -809,11 +809,44 @@ class TestCli:
     )
     def test_example_out_dir_names(self, tmp_path, capsys, name, files):
         out = tmp_path / "out"
-        assert main(["example", name, "--samples", "4", "--out", str(out)]) == 0
+        assert main(["example", name, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert {p.name for p in out.iterdir()} == {f"{name}.report.json", *files}
         report = json.loads((out / f"{name}.report.json").read_text())
         assert report["command"] == "example" and report["results"]["example"] == name
+
+    @staticmethod
+    def _direct_table(name):
+        """The table an example writes, from a direct call: its key, the
+        region points of the channel or the rows of the sweep."""
+        from qichan.decoherence import dephasing_sweep, effect_region_sample
+
+        bundle = catalog.example_catalog(name)
+        if name == "sweep":
+            n_env, total_time, steps = (bundle.params[k] for k in ("N", "T", "steps"))
+            projs = list(bundle.observables["projectors"].effects)
+            sweep = dephasing_sweep(projs, n_env, total_time, np.linspace(0.0, total_time, steps))
+            return "gamma_rows", np.array(sweep.rows(), dtype=np.float64)
+        return "region_points", effect_region_sample(bundle.channels["channel"], 12)
+
+    @pytest.mark.parametrize("name, table", [("diamonds-2", "region"), ("sweep", "gamma")])
+    def test_example_table_written_once(self, tmp_path, name, table):
+        key, want = self._direct_table(name)
+        out = tmp_path / "out"
+        assert main(["example", name, "--out", str(out)]) == 0
+        results = json.loads((out / f"{name}.report.json").read_text())["results"]
+        assert results[key] == f"{name}.{table}.csv"
+        lines = (out / results[key]).read_text().splitlines()
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        # %.17g re-parses to the same doubles
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["diamonds-2", "sweep"])
+    def test_example_table_on_stdout_without_out(self, capsys, name):
+        key, want = self._direct_table(name)
+        assert main(["example", name]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert np.array_equal(np.array(results[key], dtype=np.float64), want)
 
     def test_oqec_command(self, tmp_path, capsys):
         from qichan.catalog import bitflip3_channel, repetition_code
@@ -920,7 +953,6 @@ class TestCli:
         from qichan import cli as cli_mod
 
         parser = cli_mod._parser_and_seed()[0]
-        assert parser.parse_args(["example", "dephasing", "--samples", "8"]).samples == 8
         args = parser.parse_args(["classical", "x.json", "--gamma", "g.json", "--samples", "8"])
         assert args.samples == 8
 
@@ -938,7 +970,7 @@ class TestCli:
             ["sweep", "--env-size", "0"],
             ["region", "{channel}", "--grid", "0"],
             ["classical", "{channel}", "--gamma", "{channel}", "--samples", "0"],
-            ["example", "sic-cloner", "--samples", "0"],
+            ["example", "sic-cloner", "--samples", "8"],
             ["preserved", "{channel}", "--tol", "0"],
             ["sweep", "--rank-rel", "nan"],
             ["classical", "{channel}", "--gamma", "{channel}", "--feas-tol", "nan"],
@@ -953,7 +985,7 @@ class TestCli:
         ids=[
             "kl-without-code", "split", "dims", "times", "format-unread", "samples-unread",
             "steps-negative", "total-time-zero", "env-size-zero", "grid-zero",
-            "classical-samples-zero", "example-samples-zero", "tol-zero", "rank-rel-nan",
+            "classical-samples-zero", "example-samples-unread", "tol-zero", "rank-rel-nan",
             "feas-tol-nan", "feas-tol-inf", "feas-tol-negative", "dims-negative",
             "split-negative", "times-nan", "times-inf", "seed-negative",
         ],
