@@ -51,9 +51,6 @@ class CodeSubspace:
     def dim_code(self) -> int:
         return self.v.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.v @ dagger(self.v)
-
 
 @dataclass(frozen=True)
 class CorrectableReport:

@@ -7,7 +7,14 @@ classical channel capacity.  Capacity stops on a certificate, the bracket
 ``I(r) <= C <= max_i D(p_i || rP)`` that every prior r gives: an
 active-set Newton method on the support of the prior closes it, and
 alternating maximization (Blahut-Arimoto) takes over whenever a face
-solve fails the certificate (see :func:`blahut_arimoto`).
+solve fails the certificate (see :func:`blahut_arimoto`).  A Newton step
+that would leave the simplex drops at once every input it sends to 0 or
+below whose divergence is clearly below I (projected Newton; Bertsekas
+1982), so a face sheds the inputs the optimum leaves out in a few steps
+instead of one step each; an input the optimum keeps but a step drops
+comes back on the certificate's next pass.  An input that alone reaches
+some outputs, with an optimal prior too small for the face, is placed
+where its divergence equals I.
 
 Capacity also runs on a stack of channels, as the observable-capacity
 search needs for its starts: the channels are padded to one shape with
@@ -200,10 +207,18 @@ _NEWTON_STEPS = 30
 # singular values of P diag(q)^(-1/2) below this times the largest count
 # as zero curvature (their squares are the Hessian's eigenvalues)
 _FLAT = 1e-6
-# a flat move's slope counts below this times max |d_i| on the face: copies
-# of a row have equal d_i, and a slope at rounding level must not decide
-# how they split, or a channel could take another face in a stack than alone
+# a slope of I counts below this times max d_i on the face, along a flat
+# move and along e_i - x (slope d_i - I) when a step drops inputs: copies of
+# a row have equal d_i, and a slope at rounding level must not decide how
+# they split or which inputs leave, or a channel could take another face in
+# a stack than alone
 _SLOPE_NOISE = 1e-13
+# a Newton step cut short at the boundary drops, besides the input there,
+# each input the whole step sends to 0 or below whose d_i is below I by more
+# than this share of max d_i - I (and by more than rounding); with a rounding
+# margin alone, a face solve that starts from inputs the bracket put back
+# could drop them again, and the certificate's passes cycle
+_DROP_SHARE = 0.2
 # prior the certificate gives inputs a face solve leaves out: an output only
 # they reach keeps q > 0, so its bound stays finite, and I moves by ~1e-300
 _OFF_FACE = 1e-300
@@ -244,19 +259,25 @@ def _face_start(r: np.ndarray, face: np.ndarray, floor: np.ndarray) -> np.ndarra
     return x / x.sum(axis=-1, keepdims=True)
 
 
-def _newton_step(pf: np.ndarray, x: np.ndarray, q: np.ndarray, d: np.ndarray, size) -> np.ndarray:
+def _newton_step(pf: np.ndarray, x: np.ndarray, q: np.ndarray, d: np.ndarray, size, value, top) -> np.ndarray:
     """One Newton step of I on the face ``x > 0``; returns x.
 
     ``pf`` holds the face rows of P (a stack's other rows are 0), ``d``
-    the divergences (0 off the face) and ``size`` the face size.  The
+    the divergences (0 off the face), ``size`` the face size, ``value``
+    I and ``top`` the largest d_i on the face.  The
     Hessian of I on the face is ``-H`` with ``H = P diag(1/q) P^T = A A^T``,
     so one SVD of ``A = P diag(q)^(-1/2)`` gives the KKT system
     ``[-H, 1; 1^T, 0] (step, nu) = (-d, 0)`` in closed form.  The moves
     ``v`` with ``P^T v = 0`` (duplicate rows, more inputs than outputs)
     leave q alone, so I is linear along them, with slope the projection of
     ``d``.  If that slope is not 0 the step climbs along it, else it is the
-    Newton step on the rest.  A step that leaves the simplex stops at its
-    boundary and drops the input it zeroes; a climb always does.  Zero
+    Newton step on the rest.  A climb ends at the boundary and drops the
+    input it zeroes.  A Newton step that would leave the simplex stops at
+    its boundary and drops the input there, together with every input the
+    whole step sends to 0 or below whose d_i is below I by more than
+    ``_DROP_SHARE`` of ``top - value`` and by more than rounding (slope
+    ``d_i - I`` of I along ``e_i - x``): mass flows out of such an input,
+    so the face sheds it now rather than one boundary per step.  Zero
     rows are kernel directions of ``A`` too, but the step never enters
     them.
     """
@@ -291,11 +312,19 @@ def _newton_step(pf: np.ndarray, x: np.ndarray, q: np.ndarray, d: np.ndarray, si
     # a Newton step ends at 1, a climb only at the boundary
     if stacked:
         t = np.where(climb, first, np.minimum(first, 1.0))[:, None]
+        short = (first < 1.0) & np.logical_not(climb)
     else:
         t = first if climb else min(first, 1.0)
+        short = not climb and first < 1.0
     x = x + t * step
     # the input whose boundary the step reached leaves the face
-    x = np.where((ratios == t) | (x <= 0), 0.0, x)
+    out = (ratios == t) | (x <= 0)
+    if short.any() if stacked else short:
+        # and so does every input the whole step sends to 0 or below whose
+        # divergence is clearly below I, checked on such steps only
+        bar = value - np.maximum(_DROP_SHARE * (top - value), _SLOPE_NOISE * top)
+        out |= col(short) & (ratios <= 1.0) & (d < col(bar))
+    x = np.where(out, 0.0, x)
     return x / x.sum(axis=-1, keepdims=True)
 
 
@@ -304,7 +333,8 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
     ``max d_i - I < gap`` on the face.
 
     At most ``_NEWTON_STEPS`` steps plus the face size are taken (a step
-    that hits the boundary drops an input); see :func:`_newton_step`.  One
+    that hits the boundary drops one input or more, never to return in
+    this solve); see :func:`_newton_step`.  One
     problem keeps only its face rows; a stack keeps every row, 0 off each
     problem's face, and a problem leaves it once solved or out of steps,
     so the rest reach its iterates only through the stack's shape.
@@ -326,8 +356,9 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
         # outputs no input on the face reaches: P is 0 there
         q[q == 0] = 1.0
         d = hf - _matvec(pf, np.log(q))
+        value, top = _dot(x, d), d.max(axis=-1)
         budget = budget - 1
-        done = (d.max(axis=-1) - _dot(x, d) < gap) | (budget == 0)
+        done = (top - value < gap) | (budget == 0)
         if not stacked:
             if done:
                 x_out = np.zeros(h.shape)
@@ -338,10 +369,10 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
             keep = ~done
             if not keep.any():
                 return x_out
-            live, pyx, h, x, q, d, face, pf, hf, size, budget = (
-                a[keep] for a in (live, pyx, h, x, q, d, face, pf, hf, size, budget)
+            live, pyx, h, x, q, d, value, top, face, pf, hf, size, budget = (
+                a[keep] for a in (live, pyx, h, x, q, d, value, top, face, pf, hf, size, budget)
             )
-        x = _newton_step(pf, x, q, d, size)
+        x = _newton_step(pf, x, q, d, size, value, top)
         moved = x > 0
         if not stacked:
             if not moved.all():
@@ -351,16 +382,66 @@ def _maximize_on_face(pyx: np.ndarray, h: np.ndarray, x: np.ndarray, gap: float)
             pf, hf, size = pyx * face[..., None], h * face, face.sum(axis=1)
 
 
+def _bracket(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: np.ndarray, gap: float) -> tuple:
+    """(I, d, out, finite) at prior ``r``: ``d`` is -inf off the inputs,
+    ``out`` marks the inputs that beat I by more than ``gap``, and
+    ``finite`` whether I is."""
+    value, d = _divergences(pyx, h, r)
+    d = np.where(inputs, d, -np.inf)
+    # I is infinite when q underflows on an output that only inputs at
+    # _OFF_FACE reach (p_ij below ~1e-24): such a prior certifies nothing
+    finite = np.isfinite(value)
+    bar = np.where(finite, value, 0.0) + gap
+    return value, d, d > (bar[:, None] if r.ndim == 2 else bar), finite
+
+
+def _place_lone_inputs(pyx: np.ndarray, x: np.ndarray, r: np.ndarray, value, d: np.ndarray, out: np.ndarray, gap: float):
+    """``r`` with each input of ``out`` that the face solve ``x`` left out
+    and that alone reaches some outputs moved to the prior at which its
+    divergence equals I, or None if there is no such input.
+
+    At prior t on such an input, each output j it alone reaches has
+    ``q_j = t p_ij``, so ``d_i = c_i - B_i ln t`` with B_i its mass on
+    those outputs, while the rest of q, and I, move by O(t).  From d_i at
+    ``_OFF_FACE`` the root in log-prior is
+    ``ln t = ln _OFF_FACE + (d_i - I) / B_i``.  Only roots below ``gap``
+    are placed: a larger prior moves I and the other divergences by about
+    the bracket's width, and such an input belongs on the face.  Problems
+    with a placed input are normalized again.
+    """
+    if not gap > 0:
+        # no prior makes the bracket narrower than that
+        return None
+    stacked = r.ndim == 2
+    col = (lambda v: v[:, None]) if stacked else (lambda v: v)
+    finite = np.isfinite(value)
+    place = out & (x == 0) & col(finite)
+    if not place.any():
+        return None
+    lone = _matvec(pyx, ((pyx > 0).sum(axis=-2) == 1).astype(np.float64))
+    place &= lone > 0
+    shift = np.divide(d - col(np.where(finite, value, 0.0)), lone, out=np.zeros_like(r), where=place)
+    place &= shift < np.log(gap / _OFF_FACE)
+    if not place.any():
+        return None
+    r = np.where(place, _OFF_FACE * np.exp(shift), r)
+    return np.where(place.any(axis=-1, keepdims=True), r / r.sum(axis=-1, keepdims=True), r)
+
+
 def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: np.ndarray, gap: float) -> tuple | None:
     """Active-set Newton from the BA iterate ``r``: maximize I on the face
     ``{i : r_i > _SUPPORT_CUT / n}``, n the number of inputs (``inputs``
     marks them); while inputs beat I by more than ``gap``, add them and
     solve again (at most n times).  That bracket over all inputs is the
-    only check: a face solve that ran out of steps leaves inputs on the
-    face that beat I, and the next pass goes on from where it stopped.
-    Inputs join a face with at least the cut's prior; those a face solve
-    leaves out get ``_OFF_FACE``, padding rows 0.  The problems of a stack
-    solve their faces together, one pass at a time.
+    only check: a face solve that ran out of steps, or dropped an input
+    the optimum keeps, leaves inputs that beat I, and the next pass goes
+    on from where it stopped.  Inputs join a face with at least the cut's
+    prior; those a face solve leaves out get ``_OFF_FACE``, padding rows
+    0.  An input left out that alone reaches some outputs and beats I gets
+    instead the prior at which its divergence equals I (see
+    :func:`_place_lone_inputs`): its optimal prior can lie far below the
+    cut yet far above ``_OFF_FACE``.  The problems of a stack solve
+    their faces together, one pass at a time.
 
     Returns None if no problem is certified, else (certified, prior, I,
     max_i d_i), the last two in nats: where ``certified`` holds, the
@@ -378,15 +459,18 @@ def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: n
     for passes in range(1, int(sizes.max()) + 1):
         x = _maximize_on_face(pyx, h, x, gap)
         r = np.maximum(x, _OFF_FACE) * inputs
-        value, d = _divergences(pyx, h, r)
-        d = np.where(inputs, d, -np.inf)
-        # I is infinite when q underflows on an output that only inputs at
-        # _OFF_FACE reach (p_ij below ~1e-24): such a prior certifies nothing
-        finite = np.isfinite(value)
-        bar = np.where(finite, value, 0.0) + gap
-        out = d > (bar[:, None] if stacked else bar)
+        value, d, out, finite = _bracket(pyx, h, r, inputs, gap)
         ok = ~out.any(axis=-1) & finite
-        # inputs that beat I join the face, and it is solved again
+        if not ok.all():
+            # inputs that beat I join the face, and it is solved again
+            face = (x > _OFF_FACE) | out
+            placed = _place_lone_inputs(pyx, x, r, value, d, out, gap)
+            if placed is not None:
+                r = placed
+                value, d, out, finite = _bracket(pyx, h, r, inputs, gap)
+                ok = ~out.any(axis=-1) & finite
+                # a placed input that still beats I joins the face too
+                face |= out
         again = ~ok & finite & (passes < sizes)
         if not stacked:
             if ok or not again:
@@ -396,10 +480,10 @@ def _newton_certificate(pyx: np.ndarray, h: np.ndarray, r: np.ndarray, inputs: n
             certified[done], priors[done], lower[done], upper[done] = True, r[ok], value[ok], d[ok].max(axis=1)
             if not again.any():
                 break
-            todo, pyx, h, inputs, sizes, floor, r, out = (
-                a[again] for a in (todo, pyx, h, inputs, sizes, floor, r, out)
+            todo, pyx, h, inputs, sizes, floor, r, face = (
+                a[again] for a in (todo, pyx, h, inputs, sizes, floor, r, face)
             )
-        x = _face_start(r, (r > _OFF_FACE) | out, floor)
+        x = _face_start(r, face, floor)
     if not stacked or not certified.any():
         return None
     return certified, priors, lower, upper

@@ -317,7 +317,7 @@ class TestOperatorSystem:
         v[0, 0] = v[1, 1] = 1.0
         code = co.CodeSubspace.from_isometry(v)
         s0 = co.correctable_operator_system(c, code)
-        p = code.projector()
+        p = code.v @ code.v.conj().T
         lifted = span_of([v @ a @ dagger(v) for a in co.preserved_algebra(
             co.restrict(c, code)).carrier.basis])
         projected = span_of([p @ b @ p for b in s0.basis])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qichan import kernels
+from qichan.capacity import observable_capacity
 from qichan.catalog import PAULI_X, PAULI_Y, PAULI_Z, shrinking_channel, sic_tetrahedron
-from qichan.channels import apply_dual
+from qichan.channels import DiscreteObservable, apply_dual
 from qichan.decoherence import _coordinates
 from qichan.rand import random_stochastic
 
@@ -389,11 +390,15 @@ class TestBlahutArimotoCertificate:
 
 
 # output 1 is reached only by row 6, where the optimal prior is about 3e-62:
-# no face solve certifies it, and BA needs about 3000 iterations
+# the face solve drops that row, and only the prior at which its divergence
+# equals I certifies the face (plain BA needs about 3000 iterations)
 SPARSE_8X4 = _rows(np.array([
     [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0],
     [0.023, 0, 0.977, 0], [0.999, 0, 0.00094, 0], [0.539, 0.0049, 0.456, 0], [0, 0, 0.0002, 0.9998],
 ]))
+# with a ninth row that reaches output 1 as well, no input reaches it alone:
+# no face solve certifies the map, and BA needs about 3000 iterations
+SHARED_9X4 = _rows(np.vstack([SPARSE_8X4, [0.456, 0.0049, 0.539, 0]]))
 EASY_2X2 = np.array([[0.9, 0.1], [0.2, 0.8]])
 
 
@@ -494,7 +499,7 @@ class TestBlahutArimotoStack:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 60])
     def test_capped_stack_matches_per_map_calls(self, max_iter):
-        maps = [SPARSE_8X4, _rows(NEAR_DUPLICATE), EASY_2X2]
+        maps = [SHARED_9X4, _rows(NEAR_DUPLICATE), EASY_2X2]
         lower, _, hist, upper = kernels.blahut_arimoto(_padded(maps), max_iter=max_iter)
         assert len(hist) == max_iter and upper[0] - lower[0] > 1e-3
         for s, m in enumerate(maps):
@@ -511,7 +516,7 @@ class TestBlahutArimotoStack:
             return found
 
         monkeypatch.setattr(kernels, "_newton_certificate", recorded)
-        maps = [SPARSE_8X4, EASY_2X2]
+        maps = [SHARED_9X4, EASY_2X2]
         lower, prior, hist, upper = kernels.blahut_arimoto(_padded(maps))
         # the easy channel leaves at once; the sparse one's later passes fail
         assert any(uncertified)
@@ -535,6 +540,103 @@ class TestBlahutArimotoStack:
         for s, m in enumerate(maps):
             i_r, u_r = _bracket_bits(m, warm_prior[s, : m.shape[0]])
             assert abs(i_r - lower[s]) < 1e-12 and abs(u_r - upper[s]) < 1e-12
+
+
+# the capacity of SPARSE_8X4, certified by BA alone to within 1e-12 bits
+SPARSE_8X4_BITS = 1.5840475476126625
+
+
+def _sparse_or_rectangular_maps(count=200, seed=2024):
+    """Seeded maps with 2 to 8 inputs and outputs: every other one sparse
+    (most entries 0, each row keeping one entry), the rest dense and
+    mostly rectangular."""
+    rng = np.random.default_rng(seed)
+    maps = []
+    for k in range(count):
+        n, m = (int(v) for v in rng.integers(2, 9, size=2))
+        p = rng.random((n, m)) ** 2
+        if k % 2 == 0:
+            p[rng.random((n, m)) < 0.6] = 0.0
+            p[np.arange(n), rng.integers(0, m, size=n)] += rng.random(n)
+        maps.append(_rows(p))
+    return maps
+
+
+class TestNewtonFaceSolve:
+    def test_steps_per_bank_call(self, monkeypatch):
+        # a step that reaches the boundary drops every blocked input at
+        # once, not only the one at the boundary
+        step, calls = kernels._newton_step, []
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(kernels, "_newton_step", counted)
+        maps = _bank_maps()
+        for n, bound in ((4, 5.0), (8, 7.0), (16, 9.0)):
+            calls.clear()
+            sized = [m.T.copy() for m in maps if m.shape[0] == n]
+            for m in sized:
+                kernels.blahut_arimoto(m)
+            assert len(calls) / len(sized) <= bound, n
+
+    @pytest.mark.parametrize("family", ["bank", "stack", "sparse_or_rectangular"])
+    def test_agrees_with_reference_alone_and_stacked(self, family):
+        maps = {
+            "bank": lambda: [m.T.copy() for m in _bank_maps()],
+            # extrapolated BA stays sublinear on the 16 x 2 map, whose own
+            # bracket test_degenerate_inputs_certified checks
+            "stack": lambda: [m for m in _stack_maps() if m.shape != (16, 2)],
+            "sparse_or_rectangular": _sparse_or_rectangular_maps,
+        }[family]()
+        tol = 1e-12
+        stacked, _, _, stacked_upper = kernels.blahut_arimoto(_padded(maps), tol=tol)
+        for s, m in enumerate(maps):
+            c_ref, r_ref = _extrapolated_blahut_arimoto(m, tol=tol)
+            i_ref, u_ref = _bracket_bits(m, r_ref)
+            assert u_ref - i_ref < tol
+            lower, _, _, upper = kernels.blahut_arimoto(m, tol=tol)
+            # two certified lower bounds within tol of the capacity
+            assert abs(lower - c_ref) < tol and upper - lower < tol
+            assert abs(stacked[s] - c_ref) < tol and stacked_upper[s] - stacked[s] < tol
+
+    def test_lone_output_input_is_placed_at_equal_divergence(self):
+        # the face solve drops row 6, the only row reaching output 1; at the
+        # prior where its divergence equals I the face is certified at once
+        lower, r, hist, upper = kernels.blahut_arimoto(SPARSE_8X4)
+        assert len(hist) <= 50 and upper - lower < 1e-12
+        assert abs(lower - SPARSE_8X4_BITS) < 1e-12
+        assert kernels._OFF_FACE < r[6] < 1e-50 and abs(r.sum() - 1) < 1e-15
+        i_r, u_r = _bracket_bits(SPARSE_8X4, r)
+        assert abs(i_r - lower) < 1e-12 and abs(u_r - upper) < 1e-12
+        lower, prior, hist, upper = kernels.blahut_arimoto(_padded([SPARSE_8X4, EASY_2X2]))
+        assert len(hist) <= 50 and np.all(upper - lower < 1e-12)
+        assert abs(lower[0] - SPARSE_8X4_BITS) < 1e-12 and np.abs(prior[0] - r).max() <= 1e-14
+
+    @pytest.mark.parametrize("tol", [0.0, -np.inf])
+    def test_no_placement_below_a_positive_gap(self, tol):
+        # no prior brackets the capacity within tol <= 0, so the calls run to
+        # the cap, alone and stacked
+        lower, _, hist, upper = kernels.blahut_arimoto(SPARSE_8X4, tol=tol, max_iter=60)
+        assert len(hist) == 60 and upper - lower > 0
+        lower, _, hist, upper = kernels.blahut_arimoto(_padded([SPARSE_8X4, EASY_2X2]), tol=tol, max_iter=60)
+        assert len(hist) == 60 and upper[0] - lower[0] > 0
+
+    def test_lone_output_observable(self, monkeypatch):
+        # the diagonal observable X_j = diag(column j) runs the same channel
+        # through the classical path of the observable search
+        x = DiscreteObservable.from_effects([np.diag(SPARSE_8X4[:, j]).astype(complex) for j in range(4)])
+        ba, iterations = kernels.blahut_arimoto, []
+
+        def counted(*args, **kwargs):
+            found = ba(*args, **kwargs)
+            iterations.append(len(found[2]))
+            return found
+
+        monkeypatch.setattr(kernels, "blahut_arimoto", counted)
+        est = observable_capacity(x)
+        assert abs(est.bits - SPARSE_8X4_BITS) < 1e-12 and sum(iterations) <= 50
 
 
 class TestBackendSelection:
