@@ -101,6 +101,12 @@ def _orthonormal_rows(vecs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     return vh[above_cut(sv, tol.rank_rel, n)]
 
 
+def _row_rank(vecs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Number of rows :func:`_orthonormal_rows` returns, from the singular
+    values alone."""
+    return int(above_cut(np.linalg.svd(vecs, compute_uv=False), tol.rank_rel, vecs.shape[0]).sum())
+
+
 def span_of(mats, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
     """Orthonormal basis of the span of a nonempty stack (k, d, d) or list
     of d x d matrices, coerced by :func:`numlin.asstack`, cut at

@@ -150,10 +150,10 @@ def lossy_teleport_channel(merge: tuple[int, int] = (0, 3)) -> Channel:
 
 
 def planar_qubit_state(angle: float) -> np.ndarray:
-    """Unit vector with Bloch components (<s_x>, <s_z>) = (cos a, sin a)."""
-    proj = (np.eye(2, dtype=np.complex128) + np.cos(angle) * PAULI_X + np.sin(angle) * PAULI_Z) / 2
-    w, u = np.linalg.eigh(proj)
-    return u[:, -1]
+    """Unit vector with Bloch components (<s_x>, <s_z>) = (cos a, sin a):
+    (cos h, sin h) has (sin 2h, cos 2h), so h = (pi/2 - a)/2."""
+    h = (np.pi / 2 - angle) / 2
+    return np.array([np.cos(h), np.sin(h)], dtype=np.complex128)
 
 
 def diamond_channel(n: int) -> Channel:

@@ -22,6 +22,9 @@ import numpy as np
 from .errors import DimMismatch, NotPSD, NotTracePreserving
 from .numlin import DEFAULT_TOL, Tolerance, asmatrices, asmatrix, asstack, dagger, norm_cut, op_norm, psd_eig
 
+# entries of the A [E_1 ... E_k] products _sandwich forms at once (16 B each)
+SANDWICH_ENTRIES = 1 << 16
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.complex128)
@@ -95,9 +98,10 @@ def _tp_check(c: Channel, tol: Tolerance) -> tuple[float, float]:
     largest one that counts as zero: ``numlin.norm_cut`` over the k dim_out
     dim_in entries of the element stack, since each entry of the sum adds
     k dim_out products and the operator norm of the dim_in x dim_in
-    residual can reach dim_in times their rounding."""
-    k = c.elements
-    return float(op_norm((dagger(k) @ k).sum(axis=0) - np.eye(c.dim_in))), norm_cut(tol, k.size)
+    residual can reach dim_in times their rounding.  The sum is one product
+    of the elements' rows stacked, R^dag R with R = [E_1; ...; E_k]."""
+    rows = c.elements.reshape(-1, c.dim_in)
+    return float(op_norm(dagger(rows) @ rows - np.eye(c.dim_in))), norm_cut(tol, rows.size)
 
 
 def validate_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> ChannelReport:
@@ -121,27 +125,48 @@ def _operands(a, d: int, what: str) -> np.ndarray:
     return a
 
 
-def _sandwich(left: np.ndarray, a: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_k L_k A R_k over the element stacks, for A one matrix or a stack;
-    one term at a time, so a stack of S matrices never holds n S products."""
-    out = left[0] @ a @ right[0]
-    for lk, rk in zip(left[1:], right[1:]):
-        out += lk @ a @ rk
-    return out
+def side_by_side(elements: np.ndarray) -> np.ndarray:
+    """The element stack (k, m, n) as one matrix [E_1 ... E_k] (m, k n)."""
+    k, m, n = elements.shape
+    return elements.transpose(1, 0, 2).reshape(m, k * n)
+
+
+def _sandwich(elements: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_k E_k^dag A E_k over the stack E (k, m, n), for A one matrix
+    (m, m) or a stack (..., m, m).
+
+    With S = [E_1 ... E_k], A S holds every A E_k side by side, and read as
+    (m k, n) rows it meets S, read the same way, in one product:
+    S^dag (A S) sums over the rows of every element at once.  The operands
+    go through in chunks whose (chunk, m, k n) A S has at most
+    ``SANDWICH_ENTRIES`` entries (one operand's when that is more).
+    """
+    k, m, n = elements.shape
+    side = side_by_side(elements)
+    rows = dagger(side.reshape(m * k, n))
+    flat = a.reshape(-1, m, m)
+    out = np.empty((flat.shape[0], n, n), dtype=np.complex128)
+    step = max(1, SANDWICH_ENTRIES // side.size)
+    for start in range(0, flat.shape[0], step):
+        chunk = flat[start : start + step]
+        count = chunk.shape[0]
+        products = (chunk.reshape(count * m, m) @ side).reshape(count, m * k, n)
+        np.matmul(rows, products, out=out[start : start + count])
+    return out.reshape(*a.shape[:-2], n, n)
 
 
 def apply(c: Channel, rho) -> np.ndarray:
     """Schroedinger picture: rho -> sum_k E_k rho E_k^dag, for one state
     (dim_in, dim_in) or a stack (..., dim_in, dim_in)."""
     rho = _operands(rho, c.dim_in, "state")
-    return _sandwich(c.elements, rho, dagger(c.elements))
+    return _sandwich(dagger(c.elements), rho)
 
 
 def apply_dual(c: Channel, a) -> np.ndarray:
     """Heisenberg picture: A -> sum_k E_k^dag A E_k, for one effect
     (dim_out, dim_out) or a stack (..., dim_out, dim_out)."""
     a = _operands(a, c.dim_out, "effect")
-    return _sandwich(dagger(c.elements), a, c.elements)
+    return _sandwich(c.elements, a)
 
 
 def compose(c2: Channel, c1: Channel) -> Channel:

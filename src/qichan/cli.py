@@ -27,7 +27,7 @@ from .correction import (
     _operator_system,
     correctable_report,
     correction_channel,
-    interaction_span,
+    interaction_span_dimension,
     kl_check,
     oqec_check,
     preserved_algebra,
@@ -96,7 +96,7 @@ def _cmd_validate(args, tol: Tolerance) -> tuple[dict | None, int]:
 def _cmd_preserved(args, tol: Tolerance) -> tuple[dict | None, int]:
     c = serialize.parse_channel_file(args.input, tol)
     return {
-        "interaction_span_dimension": interaction_span(c, tol).dimension,
+        "interaction_span_dimension": interaction_span_dimension(c, tol),
         "preserved_algebra": serialize.algebra_to_dict(preserved_algebra(c, tol, args.seed)),
     }, 0
 

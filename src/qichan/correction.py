@@ -19,12 +19,13 @@ from .algebras import (
     AlgebraStructure,
     OperatorBasisSet,
     _orthonormal_rows,
+    _row_rank,
     _row_span_projector,
     commutant,
     span_of,
     structure_decompose,
 )
-from .channels import Channel, apply_dual
+from .channels import Channel, apply_dual, side_by_side
 from .errors import BadFactorization, DimMismatch
 from .numlin import DEFAULT_TOL, Tolerance, above_cut, asmatrix, dagger, norm_cut, op_norm, op_norm_at_most
 
@@ -68,9 +69,12 @@ class OQECReport:
 
 def _kraus_products(c: Channel) -> np.ndarray:
     """The products E_i^dag E_j as one stack (k^2, d_in, d_in), E_i^dag E_j
-    at row i k + j, from one batched product."""
-    k = c.elements
-    return (dagger(k)[:, None] @ k[None]).reshape(-1, c.dim_in, c.dim_in)
+    at row i k + j: the blocks of the Gram matrix S^dag S of
+    S = [E_1 ... E_k], from one product."""
+    k, n = c.n_elements, c.dim_in
+    side = side_by_side(c.elements)
+    gram = (dagger(side) @ side).reshape(k, n, k, n)
+    return gram.transpose(0, 2, 1, 3).reshape(-1, n, n)
 
 
 def interaction_span(c: Channel, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisSet:
@@ -78,6 +82,12 @@ def interaction_span(c: Channel, tol: Tolerance = DEFAULT_TOL) -> OperatorBasisS
     :func:`algebras.span_of`.  The analyses do not build it: they hand the
     products themselves to ``commutant`` (see :func:`_preserved_carrier`)."""
     return span_of(_kraus_products(c), tol=tol)
+
+
+def interaction_span_dimension(c: Channel, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Dimension of :func:`interaction_span`, from the singular values of
+    the products alone."""
+    return _row_rank(_kraus_products(c).reshape(c.n_elements**2, -1), tol)
 
 
 def _preserved_carrier(channels: list[Channel], tol: Tolerance) -> OperatorBasisSet:
@@ -112,7 +122,7 @@ def correction_channel(c: Channel, tol: Tolerance = DEFAULT_TOL) -> Channel:
     preserving however E(1) is conditioned.  Each kernel column u adds |0><u|.
     """
     n, d_out, d_in = c.elements.shape
-    side = c.elements.transpose(1, 0, 2).reshape(d_out, -1)
+    side = side_by_side(c.elements)
     u, s, vh = np.linalg.svd(side, full_matrices=d_out > n * d_in)
     r = int(above_cut(s * s, tol.rank_rel, d_out).sum())
     sinks = np.zeros((d_out - r, d_in, d_out), dtype=np.complex128)

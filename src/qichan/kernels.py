@@ -607,12 +607,13 @@ def blahut_arimoto(
         r = w / w.sum(axis=-1, keepdims=True)
     if capped:
         # q may have underflowed on an output, and then an input that
-        # reaches it has no finite bound
+        # reaches it has no finite bound; I keeps the iteration's value,
+        # which counts the underflowed term r_i p_ij ln(p_ij / q_j) as 0 ln 0
         if stacked:
-            value, d = _divergences(pyx[at], h[at], priors[at])
-            lower[at], upper_out[at] = value, (np.where(inputs[at], d, -np.inf) if padded else d).max(axis=-1)
+            _, d = _divergences(pyx[at], h[at], priors[at])
+            upper_out[at] = (np.where(inputs[at], d, -np.inf) if padded else d).max(axis=-1)
         else:
-            value, d = _divergences(pyx, h, r)
+            _, d = _divergences(pyx, h, r)
             upper = (np.where(inputs, d, -np.inf) if padded else d).max()
     if stacked:
         return lower / _LN2, priors, np.array(history).reshape(len(history), len(priors)), upper_out / _LN2

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +14,7 @@ from qichan.numlin import Tolerance, dagger, op_norm
 from qichan.rand import (
     generator,
     random_channel,
+    random_effect,
     random_hermitian,
     random_isometry,
     random_povm,
@@ -184,12 +191,19 @@ class TestApplyAndDuality:
         assert abs(lhs - rhs) < 1e-10
 
     @pytest.mark.parametrize(
-        "seed, stack",
-        [*(pytest.param(s, (), id=str(s)) for s in range(4)), pytest.param(4, (2, 3), id="stack")],
+        "seed, stack, entries",
+        [
+            *(pytest.param(s, (), None, id=str(s)) for s in range(4)),
+            pytest.param(4, (2, 3), None, id="stack"),
+            # the 4 elements hold 60 entries: chunks of 2 operands, the last one short
+            pytest.param(5, (7,), 120, id="chunked"),
+        ],
     )
-    def test_matches_element_sum(self, seed, stack, random_density):
+    def test_matches_element_sum(self, seed, stack, entries, random_density, monkeypatch):
         # reference: the defining sums over elements, one matrix at a time;
         # a stack of states or effects maps matrix by matrix
+        if entries is not None:
+            monkeypatch.setattr(ch, "SANDWICH_ENTRIES", entries)
         rng = generator(seed)
         c = random_channel(rng, 3, 5, 4)
         n = int(np.prod(stack))
@@ -212,6 +226,50 @@ class TestApplyAndDuality:
             ch.apply_dual(c, np.zeros(shape))
         with pytest.raises(DimMismatch):
             ch.apply(c, np.zeros(shape))
+
+
+def test_pullback_of_an_operator_basis_streams_under_a_memory_cap():
+    # apply_dual of the 4096 Hermitian basis matrices of C^64 (256 MiB)
+    # through the 64 elements of diamonds-inf, capped at 768 MiB of address
+    # space: A [E_1 ... E_64] for the whole stack at once would add 512 MiB
+    script = textwrap.dedent(
+        """
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 28, 3 << 28))
+        import numpy as np
+        from qichan.catalog import example_catalog
+        from qichan.channels import apply_dual
+
+        c = example_catalog("diamonds-inf").channels["channel"]
+        d = c.dim_out
+        i, j = np.triu_indices(d, 1)
+        sym, anti = d + np.arange(len(i)), d + len(i) + np.arange(len(i))
+        basis = np.zeros((d * d, d, d), dtype=np.complex128)
+        basis[np.arange(d), np.arange(d), np.arange(d)] = 1
+        basis[sym, i, j] = basis[sym, j, i] = 1 / np.sqrt(2)
+        basis[anti, i, j], basis[anti, j, i] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+        out = apply_dual(c, basis)
+        want = [sum(e.conj().T @ basis[k] @ e for e in c.elements) for k in (sym[100], anti[-1])]
+        print(np.abs(out[:d].sum(axis=0) - np.eye(2)).max(), np.abs(out[[sym[100], anti[-1]]] - want).max())
+        """
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(ch.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    unital, element_sum = map(float, out.stdout.split())
+    assert unital < 1e-13 and element_sum < 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 5, 64])
+def test_random_effect_is_the_rescaled_hermitian_draw(d):
+    # reference: the eigendecomposition of the same draw, its spectrum
+    # moved to [0, 1] and scaled; both leave the generator in one state
+    rng = generator(d)
+    w, u = np.linalg.eigh(random_hermitian(rng, d))
+    w = (w - w[0]) / (w[-1] - w[0]) * rng.uniform(0.2, 1.0)
+    drawn = generator(d)
+    assert op_norm(random_effect(drawn, d) - (u * w) @ dagger(u)) < 1e-12
+    assert drawn.random() == rng.random()
 
 
 class TestComposeTensor:

@@ -5,6 +5,7 @@ from qichan import correction as co
 from qichan.algebras import block_pattern_residual, span_of, spans_equal
 from qichan.catalog import (
     PAULI_X,
+    EXAMPLE_NAMES,
     PAULI_Z,
     analyze_bundle,
     bitflip3_channel,
@@ -158,6 +159,19 @@ class TestInteractionSpan:
         prods = (dagger(k)[:, None] @ k[None]).reshape(c.n_elements**2, -1)
         assert np.linalg.matrix_rank(prods, tol=1e-6) == rank
         assert co.interaction_span(c, Tolerance(rank_rel=rank_rel)).dimension == rank
+
+    def test_kraus_products_are_the_pairwise_products(self, seeded_channels):
+        # reference: E_i^dag E_j one pair at a time, at row i k + j
+        rectangular = [c for c in seeded_channels if c.dim_in != c.dim_out][:40]
+        for c in [*rectangular, example_catalog("diamonds-inf").channels["channel"]]:
+            want = np.array([dagger(a) @ b for a in c.elements for b in c.elements])
+            assert op_norm(co._kraus_products(c) - want) < 1e-13
+
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_dimension_from_singular_values_is_the_basis_size(self, name):
+        for c in example_catalog(name).channels.values():
+            for tol in (DEFAULT_TOL, Tolerance(rank_rel=1e-6)):
+                assert co.interaction_span_dimension(c, tol) == co.interaction_span(c, tol).dimension
 
     def test_rank_rel_decides_a_weak_product(self):
         # sqrt(p (1 - p)) X is 3e-8 of the identity's weight: above the

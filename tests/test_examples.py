@@ -50,6 +50,15 @@ def test_sic_cloner_decided_exactly():
     assert result["range_residual"] == 0.0 and abs(result["min_sigma_eigenvalue"]) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 5, 64])
+def test_planar_qubit_state_has_the_bloch_components(n):
+    for a in [*(2 * np.pi * np.arange(1, n + 1) / n), -1.0, 7.0]:
+        psi = catalog.planar_qubit_state(a)
+        bloch = [np.vdot(psi, s @ psi) for s in (catalog.PAULI_X, catalog.PAULI_Y, catalog.PAULI_Z)]
+        assert abs(np.linalg.norm(psi) - 1) < 1e-15
+        assert np.abs(np.array(bloch) - [np.cos(a), 0, np.sin(a)]).max() < 1e-15
+
+
 def test_catalog_names_are_the_runnable_examples():
     assert set(ALL_EXAMPLES) == set(catalog.EXAMPLE_NAMES)
 

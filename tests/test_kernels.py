@@ -279,6 +279,17 @@ class TestBlahutArimotoEdgeCases:
         # the output only the last row reaches has q = 0: no finite bound
         assert upper == np.inf
 
+    def test_capped_with_underflowed_output_keeps_a_finite_lower_bound(self):
+        # capped while the last row's prior is ~1e-30 > 0 and the output only
+        # it reaches has q = 1e-30 * 1e-300 = 0: that term counts as 0 ln 0
+        pyx = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1e-300]])
+        lower, r, hist, upper = kernels.blahut_arimoto(pyx, tol=-np.inf, max_iter=100)
+        assert len(hist) == 100 and r[3] > 0 and (r @ pyx)[2] == 0
+        assert abs(lower - 1.0) < 1e-12 and upper == np.inf
+        lower, r, hist, upper = kernels.blahut_arimoto(pyx[None], tol=-np.inf, max_iter=100)
+        assert hist.shape == (100, 1) and r[0, 3] > 0
+        assert abs(lower[0] - 1.0) < 1e-12 and upper[0] == np.inf
+
     def test_off_face_underflow_certifies_nothing(self):
         # the face solve drops the last input; at the _OFF_FACE prior its
         # 1e-30 entry underflows q, so I reads infinite there and certifies
