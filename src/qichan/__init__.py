@@ -50,6 +50,7 @@ from .decoherence import (
     coarse_grain_solve,
     dephasing_sweep,
     effect_region_sample,
+    exact_binary_classicality,
     exact_classicality,
     full_decoherence_check,
     iterated_fixed_points,
@@ -80,6 +81,7 @@ __all__ = [
     "correction_channel",
     "dephasing_sweep",
     "effect_region_sample",
+    "exact_binary_classicality",
     "exact_classicality",
     "full_decoherence_check",
     "generate_star_algebra",

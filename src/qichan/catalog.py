@@ -47,7 +47,7 @@ from .decoherence import (
 )
 from .errors import UnknownExample
 from .numlin import DEFAULT_TOL, Tolerance, dagger, max_commutator_norm, op_norm
-from .rand import generator, random_effect, random_unitary
+from .rand import generator, random_unitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -499,25 +499,20 @@ def _analyze_classical(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict
 
 def _analyze_diamond(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     c = bundle.channels["channel"]
-    gamma = bundle.observables["pointer"]
     points = effect_region_sample(c, grid=12)
     spectra_ok = _region_points_are_effects(points)
-    rng = generator(seed)
-    n_checks = 24
-    effects = apply_dual(c, np.array([random_effect(rng, c.dim_out) for _ in range(n_checks)]))
-    # the binary observables {E, 1 - E}, solved as one stack
-    targets = np.stack([effects, np.eye(2) - effects], axis=1)
-    _, residuals, _ = decoherence._coarse_grain(targets, gamma.effects, decoherence.FEASIBILITY_TOL)
-    feas_count = int(np.sum(residuals <= decoherence.FEASIBILITY_TOL))
-    worst = float(residuals.max())
-    passes = spectra_ok and feas_count == n_checks and worst <= 1e-7
+    # every preserved binary observable against the facets of the pointer's
+    # zonotope: exact, dependent pointer or not (at most 4032 normals here)
+    exact = decoherence.exact_binary_classicality(c, bundle.observables["pointer"], tol)
+    passes = spectra_ok and exact.classical
     return {
         "passes": bool(passes),
         "region_points": points,
         "sampled_effects_valid": bool(spectra_ok),
-        "coarse_grain_feasible": feas_count,
-        "coarse_grain_checks": n_checks,
-        "max_residual": worst,
+        "method": "exact-binary",
+        "range_residual": exact.range_residual,
+        "facet_margin": exact.facet_margin,
+        "facet_normals": exact.facet_normals,
     }
 
 

@@ -2,15 +2,19 @@
 coarse-graining feasibility, broadcast analysis and the time-resolved
 dephasing model.
 
-The classicality questions all reduce to one solver: is a target
+The sampled classicality questions all reduce to one solver: is a target
 observable a stochastic post-processing of a reference observable?  That
 feasibility problem runs in real Hilbert-Schmidt coordinates through the
-kernels in :mod:`qichan.kernels`.
+kernels in :mod:`qichan.kernels`.  The exact tests need no solver: the
+dual frame of an independent reference, and the facets of the zonotope
+of its binary coarse-grainings for the binary observables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -48,6 +52,11 @@ from .numlin import (
 from .rand import generator, random_povm, random_sharp_observable
 
 FEASIBILITY_TOL = 1e-7
+# the most facet normals, 2 C(n, D - 1) for n effects spanning D dimensions,
+# that exact_binary_classicality examines (4032 for diamonds-inf's 64)
+FACET_NORMALS_CAP = 8192
+# the most entries of the E(C) stack one eigvalsh call takes
+_SUPPORT_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -139,6 +148,25 @@ class ExactClassicality:
     @property
     def classical(self) -> bool:
         return self.range_residual <= self.cut and self.min_sigma_eigenvalue >= -self.cut
+
+
+@dataclass(frozen=True)
+class BinaryClassicality:
+    """Whether every binary observable a channel preserves is a
+    coarse-graining of Gamma: the largest ||E(Z)|| over a basis of the
+    complement of span Gamma, the smallest margin h_Z(C) - h_R(C) over the
+    facet normals C of Gamma's zonotope with the normal that attains it,
+    the number of normals, and the largest residual that counts as zero."""
+
+    range_residual: float
+    facet_margin: float
+    facet_normal: np.ndarray
+    facet_normals: int
+    cut: float
+
+    @property
+    def classical(self) -> bool:
+        return self.range_residual <= self.cut and self.facet_margin >= -self.cut
 
 
 def _common_preserved(channels: list[Channel], tol: Tolerance, seed: int) -> PointerReport:
@@ -234,6 +262,30 @@ def _pointer_states(c: Channel, gamma: DiscreteObservable, tol: float) -> np.nda
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
+def _span_images(c: Channel, gamma: DiscreteObservable, tol: Tolerance, frame):
+    """The first step of both exact tests.  One SVD G = U S V^T of Gamma's
+    coordinate matrix (n, d_in^2) splits the Hermitian operators into span
+    Gamma, the first r rows of V^T (r the rank at ``numlin.above_cut``),
+    and its complement, the rest.  ``frame(u, s, vt[:r])`` gives coordinate
+    rows in span Gamma, or None to stop there; one forward ``apply`` maps
+    them together with the complement.
+
+    Returns (Gamma's coordinates U_r S_r over the rows vt[:r], the frame's
+    operators, their images, max ||E(Z)|| over the complement), or None.
+    """
+    if gamma.dim != c.dim_in:
+        raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
+    u, s, vt = np.linalg.svd(_coordinates(gamma.effects))
+    r = int(np.count_nonzero(above_cut(s, tol.rank_rel)))
+    rows = frame(u, s, vt[:r])
+    if rows is None:
+        return None
+    ops = coords_to_herm(np.concatenate([rows, vt[r:]]), c.dim_in)
+    images = apply(c, ops)
+    m = len(rows)
+    return u[:, :r] * s[:r], ops[:m], images[:m], op_norm(images[m:])
+
+
 def exact_classicality(
     c: Channel, gamma: DiscreteObservable, tol: Tolerance = DEFAULT_TOL
 ) -> ExactClassicality | None:
@@ -246,26 +298,118 @@ def exact_classicality(
     and every sigma_i = E(D_i) >= 0, where D_i = (G G^T)^-1 G is the dual
     frame of Gamma's coordinate matrix G.  Then pi_ji = tr(sigma_i Y_j)
     is the coarse-graining of each pulled-back observable E*(Y).  Both
-    come from one SVD G = U S V^T: D_i are the rows of U S^-1 V^T, and the
-    rest of V spans the complement.  Returns None when G is rank-deficient
-    at ``numlin.above_cut``, where only the sampled
-    :func:`full_decoherence_check` applies.  The cut is ``numlin.norm_cut`` over the element stack, at the size of
-    the largest D_i.
+    come from :func:`_span_images`: D_i are the rows of U S^-1 V^T.
+    Returns None when G is rank-deficient at ``numlin.above_cut``, where
+    :func:`exact_binary_classicality` decides the binary observables and
+    only the sampled :func:`full_decoherence_check` the rest.  The cut is
+    ``numlin.norm_cut`` over the element stack, at the size of the largest
+    D_i.
     """
-    if gamma.dim != c.dim_in:
-        raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
-    g = _coordinates(gamma.effects)  # (n, d^2)
-    n = len(g)
-    u, s, vt = np.linalg.svd(g)
-    if n > len(s) or not above_cut(s, tol.rank_rel).all():
+    split = _span_images(c, gamma, tol, lambda u, s, span: (u / s) @ span if len(span) == len(u) else None)
+    if split is None:
         return None
-    duals = coords_to_herm((u / s) @ vt[:n], c.dim_in)
-    images = apply(c, np.concatenate([duals, coords_to_herm(vt[n:], c.dim_in)]))
-    sigmas = images[:n]
+    _, duals, sigmas, range_residual = split
     return ExactClassicality(
-        range_residual=op_norm(images[n:]),
+        range_residual=range_residual,
         min_sigma_eigenvalue=float(np.linalg.eigvalsh((sigmas + dagger(sigmas)) / 2)[:, 0].min()),
         cut=norm_cut(tol, c.elements.size, op_norm(duals)),
+    )
+
+
+def _combination_spectra(images: np.ndarray, weights: np.ndarray, cut: float) -> tuple[np.ndarray, float]:
+    """The eigenvalues, in some order, of sum_a w_a A_a for each unit row w
+    of ``weights``, given Hermitian A_a (D, d, d), and the most by which
+    any sum of them may be off.
+
+    When the A_a commute, the eigenvectors V of one generic combination
+    diagonalize them all, and every spectrum comes from one product with
+    the diagonals of V^dag A_a V.  Their off-diagonal parts, of joint
+    Frobenius norm r, move each eigenvalue of a unit combination by at most
+    r (Weyl), so a sum of d of them by at most d r; that route is taken
+    when d r is within ``cut``.  Otherwise stacked ``eigvalsh`` calls give
+    the spectra, off by rounding only (0 is returned).
+    """
+    d = images.shape[-1]
+    _, v = np.linalg.eigh(np.tensordot(generator(0).standard_normal(len(images)), images, 1))
+    rotated = dagger(v) @ images @ v
+    diagonals = np.diagonal(rotated, axis1=1, axis2=2).real
+    off = rotated.copy()
+    off[:, np.arange(d), np.arange(d)] = 0
+    spread = d * float(np.linalg.norm(off))
+    if spread <= cut:
+        return weights @ diagonals, spread
+    step = max(1, _SUPPORT_ENTRIES // (d * d))
+    chunks = [
+        np.linalg.eigvalsh(np.tensordot(weights[i : i + step], images, 1)) for i in range(0, len(weights), step)
+    ]
+    return np.concatenate(chunks), 0.0
+
+
+def _positive_sums(x: np.ndarray) -> np.ndarray:
+    """The sums of the positive entries of each row of ``x``, then of -x:
+    (sum |x| + sum x) / 2 and (sum |x| - sum x) / 2."""
+    size, total = np.abs(x).sum(axis=1), x.sum(axis=1)
+    return np.concatenate([size + total, size - total]) / 2
+
+
+def exact_binary_classicality(
+    c: Channel, gamma: DiscreteObservable, tol: Tolerance = DEFAULT_TOL
+) -> BinaryClassicality | None:
+    """Exact test that every binary observable preserved by ``c``,
+    {E*(B), 1 - E*(B)} for 0 <= B <= 1, is a coarse-graining of ``gamma``,
+    whether or not Gamma's effects are linearly independent.
+
+    The binary coarse-grainings of Gamma form the zonotope
+    Z = {sum_i pi_i Gamma_i : pi in [0, 1]^n} in span Gamma, and the
+    preserved effects form R = E*([0, 1]).  R lies in Z exactly when E maps
+    the complement of span Gamma to 0 (so R lies in span Gamma) and
+    h_R(C) <= h_Z(C) for every facet normal C of Z, with the support
+    functions h_Z(C) = sum_i max(0, tr Gamma_i C) and, by duality,
+    h_R(C) = max_B tr(B E(C)), the sum of the positive eigenvalues of E(C).
+    Each facet of Z is spanned by D - 1 generators, D = dim span Gamma
+    (McMullen, "On zonotopes", 1971), so the normals are both signs of the
+    unit normal of every full-rank (D - 1)-subset of Gamma's coordinates
+    from :func:`_span_images` (extra normals would only add valid
+    inequalities).  Both signs come from one set of values: tr Gamma_i C
+    and the spectrum of E(C) (:func:`_combination_spectra`, one product
+    when the images of span Gamma commute).  For independent Gamma the
+    verdict is :func:`exact_classicality`'s.
+
+    Returns None when the subsets would give more than
+    ``FACET_NORMALS_CAP`` normals, 2 C(n, D - 1).  The cut is ``numlin.norm_cut`` over the element stack at the
+    scale d_in, which bounds both support functions at a unit normal, plus
+    the spread of the commuting route.
+    """
+    split = _span_images(
+        c, gamma, tol, lambda u, s, span: span if 2 * comb(len(u), len(span) - 1) <= FACET_NORMALS_CAP else None
+    )
+    if split is None:
+        return None
+    coords, basis, images, range_residual = split
+    dim = coords.shape[1]
+    # the normal of D - 1 generators has the cofactors w_j = (-1)^j det(their
+    # coordinates without column j); |w| is the volume they span, at most the
+    # product of their lengths (Hadamard).  Only a volume at rounding level
+    # leaves no normal: any direction gives a valid inequality, so keeping a
+    # nearly flat subset cannot turn a "yes" into a "no", and dropping a
+    # facet could turn a "no" into a "yes"
+    rows = coords[np.array(list(combinations(range(len(coords)), dim - 1)), dtype=np.intp)]
+    others = np.array([np.delete(np.arange(dim), j) for j in range(dim)])
+    w = np.linalg.det(rows[:, :, others].swapaxes(1, 2)) * (-1.0) ** np.arange(dim)
+    size = np.linalg.norm(w, axis=1)
+    full = size > dim * np.finfo(np.float64).eps * np.linalg.norm(rows, axis=2).prod(axis=1)
+    normals = w[full] / size[full, None]
+    cut = norm_cut(tol, c.elements.size, c.dim_in)
+    spectra, spread = _combination_spectra((images + dagger(images)) / 2, normals, cut)
+    margins = _positive_sums(normals @ coords.T) - _positive_sums(spectra)
+    worst = int(np.argmin(margins))
+    sign = 1.0 if worst < len(normals) else -1.0
+    return BinaryClassicality(
+        range_residual=range_residual,
+        facet_margin=float(margins[worst]),
+        facet_normal=np.tensordot(sign * normals[worst % len(normals)], basis, 1),
+        facet_normals=len(margins),
+        cut=cut + spread,
     )
 
 

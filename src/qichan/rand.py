@@ -37,20 +37,6 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
-def random_effect(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Random operator with spectrum in [0, 1]: a random Hermitian H moved
-    and scaled to s (H - lambda_min) / (lambda_max - lambda_min), s drawn
-    from [0.2, 1]; only the spectrum's ends are read, so no eigenvectors
-    are computed."""
-    h = random_hermitian(rng, d)
-    w = np.linalg.eigvalsh(h)
-    lo, hi = w[0], w[-1]
-    scale = rng.uniform(0.2, 1.0)
-    if hi > lo:
-        return scale * (h - lo * np.eye(d)) / (hi - lo)
-    return scale * 0.5 * np.eye(d, dtype=np.complex128)
-
-
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     if cols > rows:
         raise ValueError("isometry needs rows >= cols")

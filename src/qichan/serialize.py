@@ -16,7 +16,9 @@ file format (:func:`_array_values`): a complex array's last two axes are
 one matrix, written as its row-major list of [re, im] pairs; a float array
 is written as nested lists whose last axis is a row.  Every row of an
 array repeats one skeleton.  An array of any other dtype is a TypeError.
-A matrix is read from its pair list as one array.
+A matrix is read from its pair list as one array, and the element or
+effect list of a file as one stack, from one scan of its pair types and
+one ``np.fromiter``.
 """
 
 from __future__ import annotations
@@ -198,6 +200,38 @@ def pairs_to_matrix(pairs, rows: int, cols: int, where: str) -> np.ndarray:
     return parts.view(np.complex128).reshape(rows, cols)
 
 
+# the part types of a well-formed [re, im] pair
+_NUMBER_PAIRS = {(re, im) for re in (int, float) for im in (int, float)}
+
+
+def _pair_lists_to_stack(lists: list, rows: int, cols: int, where: str) -> np.ndarray:
+    """The (len(lists), rows, cols) stack of the matrices of a list of pair
+    lists, as :func:`pairs_to_matrix` reads each one, from one schema scan
+    and one ``np.fromiter`` over every list.  When either fails, each list
+    goes through :func:`pairs_to_matrix` in turn, so the first malformed
+    one raises its error, named ``where[k]``."""
+    n = rows * cols
+    try:
+        # unpacking a pair into two JSON numbers leaves no other shape or
+        # type: a dict or a string unpacks to strings
+        well_formed = (
+            set(map(type, lists)) <= {list}
+            and set(map(len, lists)) <= {n}
+            and {(type(re), type(im)) for pairs in lists for re, im in pairs} <= _NUMBER_PAIRS
+        )
+        parts = (
+            np.fromiter(chain.from_iterable(chain.from_iterable(lists)), np.float64, 2 * n * len(lists))
+            if well_formed
+            else None
+        )
+    except (TypeError, ValueError, OverflowError):
+        # a pair that does not unpack, or an integer beyond the float range
+        parts = None
+    if parts is None or not np.isfinite(parts).all():
+        return np.array([pairs_to_matrix(pairs, rows, cols, f"{where}[{k}]") for k, pairs in enumerate(lists)])
+    return parts.view(np.complex128).reshape(len(lists), rows, cols)
+
+
 def channel_to_dict(c: Channel) -> dict:
     return {
         "dim_in": c.dim_in,
@@ -243,11 +277,7 @@ def channel_from_dict(data: dict, where: str = "<channel>") -> Channel:
     elements = data["elements"]
     if not isinstance(elements, list) or not elements:
         raise SchemaError(where, "'elements' must be a non-empty list")
-    mats = [
-        pairs_to_matrix(e, dim_out, dim_in, f"{where}: elements[{k}]")
-        for k, e in enumerate(elements)
-    ]
-    return Channel.from_elements(mats)
+    return Channel.from_elements(_pair_lists_to_stack(elements, dim_out, dim_in, f"{where}: elements"))
 
 
 def observable_from_dict(data: dict, where: str = "<observable>") -> DiscreteObservable:
@@ -260,10 +290,7 @@ def observable_from_dict(data: dict, where: str = "<observable>") -> DiscreteObs
     effects = data["effects"]
     if not isinstance(effects, list) or not effects:
         raise SchemaError(where, "'effects' must be a non-empty list")
-    mats = [
-        pairs_to_matrix(e, dim, dim, f"{where}: effects[{k}]") for k, e in enumerate(effects)
-    ]
-    return DiscreteObservable.from_effects(mats)
+    return DiscreteObservable.from_effects(_pair_lists_to_stack(effects, dim, dim, f"{where}: effects"))
 
 
 def checked_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> DiscreteObservable:

@@ -14,7 +14,6 @@ from qichan.numlin import Tolerance, dagger, op_norm
 from qichan.rand import (
     generator,
     random_channel,
-    random_effect,
     random_hermitian,
     random_isometry,
     random_povm,
@@ -258,18 +257,6 @@ def test_pullback_of_an_operator_basis_streams_under_a_memory_cap():
     assert out.returncode == 0, out.stderr[-2000:]
     unital, element_sum = map(float, out.stdout.split())
     assert unital < 1e-13 and element_sum < 1e-14
-
-
-@pytest.mark.parametrize("d", [2, 5, 64])
-def test_random_effect_is_the_rescaled_hermitian_draw(d):
-    # reference: the eigendecomposition of the same draw, its spectrum
-    # moved to [0, 1] and scaled; both leave the generator in one state
-    rng = generator(d)
-    w, u = np.linalg.eigh(random_hermitian(rng, d))
-    w = (w - w[0]) / (w[-1] - w[0]) * rng.uniform(0.2, 1.0)
-    drawn = generator(d)
-    assert op_norm(random_effect(drawn, d) - (u * w) @ dagger(u)) < 1e-12
-    assert drawn.random() == rng.random()
 
 
 class TestComposeTensor:

@@ -1,4 +1,5 @@
 import sys
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qichan import decoherence as de
 from qichan.algebras import commutant, intersect, spans_equal, structure_decompose
 from qichan.catalog import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     analyze_example,
     antisym_joint_channel,
@@ -38,7 +40,40 @@ from qichan.errors import (
     NotTracePreserving,
 )
 from qichan.numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
-from qichan.rand import generator, random_channel, random_effect, random_stochastic, random_unitary
+from qichan.rand import (
+    generator,
+    random_channel,
+    random_hermitian,
+    random_povm,
+    random_stochastic,
+    random_unitary,
+)
+
+
+def random_effect(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Random operator with spectrum in [0, 1]: a random Hermitian H moved
+    and scaled to s (H - lambda_min) / (lambda_max - lambda_min), s drawn
+    from [0.2, 1]; only the spectrum's ends are read, so no eigenvectors
+    are computed."""
+    h = random_hermitian(rng, d)
+    w = np.linalg.eigvalsh(h)
+    lo, hi = w[0], w[-1]
+    scale = rng.uniform(0.2, 1.0)
+    if hi > lo:
+        return scale * (h - lo * np.eye(d)) / (hi - lo)
+    return scale * 0.5 * np.eye(d, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("d", [2, 5, 64])
+def test_random_effect_is_the_rescaled_hermitian_draw(d):
+    # reference: the eigendecomposition of the same draw, its spectrum
+    # moved to [0, 1] and scaled; both leave the generator in one state
+    rng = generator(d)
+    w, u = np.linalg.eigh(random_hermitian(rng, d))
+    w = (w - w[0]) / (w[-1] - w[0]) * rng.uniform(0.2, 1.0)
+    drawn = generator(d)
+    assert op_norm(random_effect(drawn, d) - (u * w) @ dagger(u)) < 1e-12
+    assert drawn.random() == rng.random()
 
 
 class TestStochasticMap:
@@ -246,8 +281,9 @@ _ONE_PATH_CASES = [
 
 
 class TestOnePath:
-    """The sampled check, the single solve and the diamond analysis share
-    one coarse-graining routine, so they agree to the last bit."""
+    """The sampled check, the single solve and a stack of binary diamond
+    observables share one coarse-graining routine, so they agree to the
+    last bit."""
 
     @pytest.mark.parametrize("c,gamma", _ONE_PATH_CASES)
     def test_sampled_check_matches_single_solves(self, c, gamma, monkeypatch):
@@ -287,9 +323,10 @@ class TestOnePath:
             assert residual[s] == residual_1[0] and lower[s] == lower_1[0]
             x = DiscreteObservable.from_effects([e, np.eye(2) - e])
             assert np.array_equal(de.coarse_grain_solve(x, gamma).entries, pi[s])
-        result = analyze_example(name)
-        assert result["max_residual"] == residual.max()
-        assert result["coarse_grain_feasible"] == 24
+        assert residual.max() <= de.FEASIBILITY_TOL
+        # the example itself is decided exactly, over every binary observable
+        cut = de.exact_binary_classicality(c, gamma).cut
+        assert analyze_example(name)["facet_margin"] >= -cut
 
 
 class TestExactClassicality:
@@ -324,6 +361,126 @@ class TestExactClassicality:
     def test_gamma_dimension_checked(self):
         with pytest.raises(DimMismatch):
             de.exact_classicality(dephasing_channel(3), basis_observable(2))
+
+
+def _pauli_channel(weights) -> Channel:
+    """rho -> sum_s p_s s rho s over s = 1, X, Y, Z."""
+    paulis = [np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z]
+    return Channel.from_elements([np.sqrt(p) * s for p, s in zip(weights, paulis)])
+
+
+class TestExactBinaryClassicality:
+    """The zonotope-facet test against closed forms, the dual-frame test,
+    the sampled check and Frank-Wolfe certificates."""
+
+    @pytest.mark.parametrize("alpha", [0.34, 0.5, 1.0])
+    def test_shrinking_channel_margin(self, alpha):
+        # the facet normals are +-D_i / sqrt 5, and E(D_i) has the
+        # eigenvalues (1 +- 3 alpha) / 2, one of them negative above 1/3
+        rep = de.exact_binary_classicality(shrinking_channel(alpha), sic_tetrahedron())
+        assert rep.facet_normals == 8 and rep.range_residual == 0.0
+        assert abs(rep.facet_margin - (1 - 3 * alpha) / (2 * np.sqrt(5))) <= 1e-12
+        assert not rep.classical
+
+    @pytest.mark.parametrize("alpha", [0.0, 1 / 3])
+    def test_shrinking_channel_up_to_a_third_is_classical(self, alpha):
+        rep = de.exact_binary_classicality(shrinking_channel(alpha), sic_tetrahedron())
+        assert rep.facet_margin >= -rep.cut and rep.classical
+
+    @pytest.mark.parametrize(
+        "name, normals",
+        [("diamonds-2", 4), ("diamonds-3", 6), ("diamonds-4", 12), ("diamonds-5", 20), ("diamonds-inf", 4032)],
+    )
+    def test_diamonds_fill_their_zonotope(self, name, normals):
+        # E*(B) = sum_k <k|B|k> Gamma_k: the preserved effects are the zonotope
+        # itself, so every margin is 0; 2 C(n, 2) normals for n >= 3 planar effects
+        bundle = example_catalog(name)
+        rep = de.exact_binary_classicality(bundle.channels["channel"], bundle.observables["pointer"])
+        assert rep.facet_normals == normals
+        assert abs(rep.facet_margin) <= rep.cut and rep.range_residual <= rep.cut
+        assert rep.classical
+
+    @pytest.mark.parametrize("name", ["diamonds-2", "diamonds-3", "diamonds-4", "diamonds-5"])
+    def test_commuting_route_equals_eigvalsh_route(self, name, monkeypatch):
+        bundle = example_catalog(name)
+        c, gamma = bundle.channels["channel"], bundle.observables["pointer"]
+        _, _, images, _ = de._span_images(c, gamma, DEFAULT_TOL, lambda u, s, span: span)
+        images = (images + dagger(images)) / 2
+        weights = generator(3).standard_normal((64, len(images)))
+        weights /= np.linalg.norm(weights, axis=1, keepdims=True)
+        joint, spread = de._combination_spectra(images, weights, np.inf)
+        stacked, exact = de._combination_spectra(images, weights, -1.0)
+        assert spread <= 1e-12 and exact == 0.0
+        assert np.abs(np.sort(joint, axis=1) - stacked).max() <= 1e-12
+        commuting = de.exact_binary_classicality(c, gamma)
+        spectra = de._combination_spectra
+        monkeypatch.setattr(de, "_combination_spectra", lambda images, weights, cut: spectra(images, weights, -1.0))
+        rep = de.exact_binary_classicality(c, gamma)
+        assert abs(rep.facet_margin - commuting.facet_margin) <= 1e-12
+        assert rep.facet_normals == commuting.facet_normals
+
+    @pytest.mark.parametrize(
+        "c, gamma",
+        [
+            pytest.param(shrinking_channel(0.5), sic_tetrahedron(), id="shrinking-0.5"),
+            pytest.param(shrinking_channel(1.0), sic_tetrahedron(), id="shrinking-1"),
+            # pentagon effects against the square pointer, four effects in three dimensions
+            pytest.param(diamond_channel(5), diamond_pointer(4), id="pentagon-on-square"),
+        ],
+    )
+    def test_violated_facet_gives_a_certified_witness(self, c, gamma):
+        rep = de.exact_binary_classicality(c, gamma)
+        assert rep.facet_margin < -rep.cut
+        w, v = np.linalg.eigh(apply(c, rep.facet_normal))
+        positive = v[:, w > 0]
+        effect = apply_dual(c, positive @ dagger(positive))
+        x = DiscreteObservable.from_effects([effect, np.eye(c.dim_in) - effect])
+        with pytest.raises(Infeasible) as err:
+            de.coarse_grain_solve(x, gamma)
+        assert err.value.lower_bound > de.FEASIBILITY_TOL
+
+    def test_dependent_pointer_off_the_commuting_route(self):
+        # the planar Pauli channel (x, y, z) -> (x/2, 0, z/2) keeps E* in the span of
+        # the square pointer; its images do not commute, and 24 sampled binary
+        # observables are all coarse-grainings
+        c, gamma = _pauli_channel([0.5, 0.25, 0.0, 0.25]), diamond_pointer(4)
+        rep = de.exact_binary_classicality(c, gamma)
+        assert rep.facet_normals == 12 and rep.classical
+        rng = generator(0)
+        for _ in range(24):
+            effect = apply_dual(c, random_effect(rng, 2))
+            de.coarse_grain_solve(DiscreteObservable.from_effects([effect, np.eye(2) - effect]), gamma)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_split_effect_leaves_the_zonotope(self, n):
+        # halving Gamma_1 into two equal effects sums the same segments: the
+        # zonotope, and so every margin, stays; the two halves span no facet
+        square = diamond_pointer(4).effects
+        split = DiscreteObservable.from_effects([square[0] / 2, square[0] / 2, *square[1:]])
+        c = diamond_channel(n)
+        whole, halves = de.exact_binary_classicality(c, diamond_pointer(4)), de.exact_binary_classicality(c, split)
+        assert abs(halves.facet_margin - whole.facet_margin) <= 1e-12
+        assert halves.classical == whole.classical == (n == 4)
+
+    @pytest.mark.parametrize("c,gamma", _ONE_PATH_CASES)
+    def test_verdict_matches_the_dual_frame_test(self, c, gamma):
+        assert de.exact_binary_classicality(c, gamma).classical == de.exact_classicality(c, gamma).classical
+
+    def test_unitary_leaves_the_span(self):
+        u = random_unitary(generator(4), 2)
+        rep = de.exact_binary_classicality(Channel.from_elements([u]), basis_observable(2))
+        assert rep.range_residual > rep.cut
+        assert not rep.classical
+
+    def test_none_above_the_cap(self):
+        # 20 generic effects on C^4 span all 16 dimensions: 2 C(20, 15) normals
+        assert 2 * comb(20, 15) > de.FACET_NORMALS_CAP
+        gamma = random_povm(generator(0), 4, 20)
+        assert de.exact_binary_classicality(random_channel(generator(1), 4, 2, 2), gamma) is None
+
+    def test_gamma_dimension_checked(self):
+        with pytest.raises(DimMismatch):
+            de.exact_binary_classicality(dephasing_channel(3), basis_observable(2))
 
 
 class TestBroadcast:

@@ -282,6 +282,64 @@ class TestPairsToMatrix:
         assert message in str(err.value)
 
 
+class TestElementLists:
+    """A file's element or effect list is read as one stack; a malformed
+    list or entry still raises the error that names its index."""
+
+    @staticmethod
+    def _document(kind: str) -> dict:
+        if kind == "channel":
+            return json.loads(serialize.dumps_canonical(serialize.channel_to_dict(dephasing_channel(2))))
+        return json.loads(serialize.dumps_canonical(serialize.observable_to_dict(catalog.basis_observable(2))))
+
+    @staticmethod
+    def _parse(kind: str, data: dict):
+        if kind == "channel":
+            return serialize.channel_from_dict(data, "f")
+        return serialize.observable_from_dict(data, "f")
+
+    @pytest.mark.parametrize("kind", ["channel", "observable"])
+    def test_well_formed_lists_take_one_pass(self, kind, monkeypatch):
+        data = self._document(kind)
+        field = "elements" if kind == "channel" else "effects"
+        data[field][1][3] = [1, 2**53 + 1]  # integer parts read as pairs_to_matrix reads them
+        want = np.array([_reference_pairs_to_matrix(pairs, 2, 2) for pairs in data[field]])
+        monkeypatch.setattr(serialize, "pairs_to_matrix", None)
+        got = self._parse(kind, data)
+        stack = got.elements if kind == "channel" else got.effects
+        assert stack.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+
+    @pytest.mark.parametrize("kind", ["channel", "observable"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda pairs: pairs[:3], "expected 4 [re, im] pairs"),
+            (lambda pairs: 7, "expected 4 [re, im] pairs"),
+            (lambda pairs: [*pairs[:2], [1, 0, 0], pairs[3]], "entry 2 is not an [re, im] pair"),
+            (lambda pairs: [*pairs[:2], 3, pairs[3]], "entry 2 is not an [re, im] pair"),
+            (lambda pairs: [*pairs[:2], {"re": 1, "im": 0}, pairs[3]], "entry 2 is not an [re, im] pair"),
+            (lambda pairs: [*pairs[:2], "10", pairs[3]], "entry 2 is not an [re, im] pair"),
+            (lambda pairs: [*pairs[:2], [1, "0"], pairs[3]], "entry 2 has non-numeric parts"),
+            (lambda pairs: [*pairs[:2], [None, 0], pairs[3]], "entry 2 has non-numeric parts"),
+            (lambda pairs: [*pairs[:2], [True, 0], pairs[3]], "entry 2 has non-numeric parts"),
+            (lambda pairs: [*pairs[:2], [1, [0]], pairs[3]], "entry 2 has non-numeric parts"),
+            (lambda pairs: [*pairs[:2], [10**400, 0], pairs[3]], "entries must be finite"),
+            (lambda pairs: [*pairs[:2], [1e400, 0], pairs[3]], "entries must be finite"),
+        ],
+        ids=[
+            "count", "not-a-list", "long-pair", "number", "object", "string-pair", "string",
+            "null", "bool", "nested", "huge-int", "inf",
+        ],
+    )
+    def test_names_the_bad_list_and_entry(self, kind, bad, message):
+        data = self._document(kind)
+        field = "elements" if kind == "channel" else "effects"
+        data[field][1] = bad(data[field][1])
+        with pytest.raises(SchemaError) as err:
+            self._parse(kind, data)
+        assert str(err.value) == f"f: {field}[1]: {message}"
+
+
 class TestChannelFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         c = random_channel(generator(0), 3, 2, 4)
