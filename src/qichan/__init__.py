@@ -51,7 +51,6 @@ from .decoherence import (
     dephasing_sweep,
     effect_region_sample,
     exact_binary_classicality,
-    exact_classicality,
     full_decoherence_check,
     iterated_fixed_points,
     pointer_algebra,
@@ -82,7 +81,6 @@ __all__ = [
     "dephasing_sweep",
     "effect_region_sample",
     "exact_binary_classicality",
-    "exact_classicality",
     "full_decoherence_check",
     "generate_star_algebra",
     "identity_channel",

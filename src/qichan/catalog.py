@@ -531,8 +531,9 @@ def _analyze_sic(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
     action_residual = float(op_norm(choi_of(c) - choi_of(shrinking_channel(alpha))))
     round_trip = kraus_from_choi(choi_of(c), c.dim_in, c.dim_out, tol)
     rt_ok = channels_equal(c, round_trip, 1e-8)
-    # the tetrahedron is linearly independent, so the dual-frame test is exact
-    exact = decoherence.exact_classicality(c, gamma, tol)
+    # the tetrahedron is linearly independent: the facet normals of its
+    # zonotope are its dual frame, and the verdict covers every observable
+    exact = decoherence.exact_binary_classicality(c, gamma, tol)
     passes = report.trace_preserving and action_residual <= 1e-9 and rt_ok and exact.classical
     return {
         "passes": bool(passes),
@@ -541,7 +542,8 @@ def _analyze_sic(bundle: ExampleBundle, tol: Tolerance, seed: int) -> dict:
         "choi_round_trip": bool(rt_ok),
         "method": "exact",
         "range_residual": exact.range_residual,
-        "min_sigma_eigenvalue": exact.min_sigma_eigenvalue,
+        "facet_margin": exact.facet_margin,
+        "facet_normals": exact.facet_normals,
     }
 
 

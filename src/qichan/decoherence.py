@@ -5,9 +5,10 @@ dephasing model.
 The sampled classicality questions all reduce to one solver: is a target
 observable a stochastic post-processing of a reference observable?  That
 feasibility problem runs in real Hilbert-Schmidt coordinates through the
-kernels in :mod:`qichan.kernels`.  The exact tests need no solver: the
-dual frame of an independent reference, and the facets of the zonotope
-of its binary coarse-grainings for the binary observables.
+kernels in :mod:`qichan.kernels`.  The exact test needs no solver: the
+facets of the zonotope of the reference's binary coarse-grainings decide
+the binary observables, and for an independent reference, whose facet
+normals are its dual frame, every observable.
 """
 
 from __future__ import annotations
@@ -135,22 +136,6 @@ class DecoherenceReport:
 
 
 @dataclass(frozen=True)
-class ExactClassicality:
-    """Whether a channel is measure-and-prepare through a linearly
-    independent Gamma: the largest ||E(Z)|| over a basis of the complement
-    of span Gamma, the lowest eigenvalue of the prepared states
-    sigma_i = E(D_i), and the largest residual that counts as zero."""
-
-    range_residual: float
-    min_sigma_eigenvalue: float
-    cut: float
-
-    @property
-    def classical(self) -> bool:
-        return self.range_residual <= self.cut and self.min_sigma_eigenvalue >= -self.cut
-
-
-@dataclass(frozen=True)
 class BinaryClassicality:
     """Whether every binary observable a channel preserves is a
     coarse-graining of Gamma: the largest ||E(Z)|| over a basis of the
@@ -262,60 +247,6 @@ def _pointer_states(c: Channel, gamma: DiscreteObservable, tol: float) -> np.nda
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
-def _span_images(c: Channel, gamma: DiscreteObservable, tol: Tolerance, frame):
-    """The first step of both exact tests.  One SVD G = U S V^T of Gamma's
-    coordinate matrix (n, d_in^2) splits the Hermitian operators into span
-    Gamma, the first r rows of V^T (r the rank at ``numlin.above_cut``),
-    and its complement, the rest.  ``frame(u, s, vt[:r])`` gives coordinate
-    rows in span Gamma, or None to stop there; one forward ``apply`` maps
-    them together with the complement.
-
-    Returns (Gamma's coordinates U_r S_r over the rows vt[:r], the frame's
-    operators, their images, max ||E(Z)|| over the complement), or None.
-    """
-    if gamma.dim != c.dim_in:
-        raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
-    u, s, vt = np.linalg.svd(_coordinates(gamma.effects))
-    r = int(np.count_nonzero(above_cut(s, tol.rank_rel)))
-    rows = frame(u, s, vt[:r])
-    if rows is None:
-        return None
-    ops = coords_to_herm(np.concatenate([rows, vt[r:]]), c.dim_in)
-    images = apply(c, ops)
-    m = len(rows)
-    return u[:, :r] * s[:r], ops[:m], images[:m], op_norm(images[m:])
-
-
-def exact_classicality(
-    c: Channel, gamma: DiscreteObservable, tol: Tolerance = DEFAULT_TOL
-) -> ExactClassicality | None:
-    """Exact test that every observable preserved by ``c`` is a
-    coarse-graining of a linearly independent ``gamma``.
-
-    For independent Gamma this holds exactly when E is measure-and-prepare,
-    E(rho) = sum_i tr(Gamma_i rho) sigma_i with states sigma_i: the range
-    of E* lies in span Gamma, i.e. E(Z) = 0 for every Z orthogonal to it,
-    and every sigma_i = E(D_i) >= 0, where D_i = (G G^T)^-1 G is the dual
-    frame of Gamma's coordinate matrix G.  Then pi_ji = tr(sigma_i Y_j)
-    is the coarse-graining of each pulled-back observable E*(Y).  Both
-    come from :func:`_span_images`: D_i are the rows of U S^-1 V^T.
-    Returns None when G is rank-deficient at ``numlin.above_cut``, where
-    :func:`exact_binary_classicality` decides the binary observables and
-    only the sampled :func:`full_decoherence_check` the rest.  The cut is
-    ``numlin.norm_cut`` over the element stack, at the size of the largest
-    D_i.
-    """
-    split = _span_images(c, gamma, tol, lambda u, s, span: (u / s) @ span if len(span) == len(u) else None)
-    if split is None:
-        return None
-    _, duals, sigmas, range_residual = split
-    return ExactClassicality(
-        range_residual=range_residual,
-        min_sigma_eigenvalue=float(np.linalg.eigvalsh((sigmas + dagger(sigmas)) / 2)[:, 0].min()),
-        cut=norm_cut(tol, c.elements.size, op_norm(duals)),
-    )
-
-
 def _combination_spectra(images: np.ndarray, weights: np.ndarray, cut: float) -> tuple[np.ndarray, float]:
     """The eigenvalues, in some order, of sum_a w_a A_a for each unit row w
     of ``weights``, given Hermitian A_a (D, d, d), and the most by which
@@ -366,27 +297,41 @@ def exact_binary_classicality(
     h_R(C) <= h_Z(C) for every facet normal C of Z, with the support
     functions h_Z(C) = sum_i max(0, tr Gamma_i C) and, by duality,
     h_R(C) = max_B tr(B E(C)), the sum of the positive eigenvalues of E(C).
-    Each facet of Z is spanned by D - 1 generators, D = dim span Gamma
-    (McMullen, "On zonotopes", 1971), so the normals are both signs of the
-    unit normal of every full-rank (D - 1)-subset of Gamma's coordinates
-    from :func:`_span_images` (extra normals would only add valid
-    inequalities).  Both signs come from one set of values: tr Gamma_i C
-    and the spectrum of E(C) (:func:`_combination_spectra`, one product
-    when the images of span Gamma commute).  For independent Gamma the
-    verdict is :func:`exact_classicality`'s.
+    One SVD G = U S V^T of Gamma's coordinate matrix (n, d_in^2) splits the
+    Hermitian operators into span Gamma, the first D rows of V^T (D the
+    rank at ``numlin.above_cut``), and its complement, the rest; one
+    forward ``apply`` maps both.  Each facet of Z is spanned by D - 1
+    generators (McMullen, "On zonotopes", 1971), so the normals are both
+    signs of the unit normal of every full-rank (D - 1)-subset of Gamma's
+    coordinates U_D S_D (extra normals would only add valid inequalities).
+    Both signs come from one set of values: tr Gamma_i C and the spectrum
+    of E(C) (:func:`_combination_spectra`, one product when the images of
+    span Gamma commute).
+
+    For independent Gamma, Z is a parallelotope whose normals are
+    +-D_i / ||D_i||, with D_i the dual frame (tr Gamma_j D_i = delta_ij),
+    and since tr sigma_i = 1 for sigma_i = E(D_i), the margins there say
+    sigma_i >= 0: the margin is -(negative part of sigma_i) / ||D_i||.  So
+    the test says whether E is measure-and-prepare through Gamma,
+    E(rho) = sum_i tr(Gamma_i rho) sigma_i (Heinosaari and Ziman, 2012),
+    and the verdict covers every observable, not only the binary ones:
+    pi_ji = tr(sigma_i Y_j) coarse-grains each E*(Y).
 
     Returns None when the subsets would give more than
-    ``FACET_NORMALS_CAP`` normals, 2 C(n, D - 1).  The cut is ``numlin.norm_cut`` over the element stack at the
-    scale d_in, which bounds both support functions at a unit normal, plus
-    the spread of the commuting route.
+    ``FACET_NORMALS_CAP`` normals, 2 C(n, D - 1); the cap is checked before
+    ``apply``.  The cut is ``numlin.norm_cut`` over the element stack at
+    the scale d_in, which bounds both support functions at a unit normal,
+    plus the spread of the commuting route.
     """
-    split = _span_images(
-        c, gamma, tol, lambda u, s, span: span if 2 * comb(len(u), len(span) - 1) <= FACET_NORMALS_CAP else None
-    )
-    if split is None:
+    if gamma.dim != c.dim_in:
+        raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
+    u, s, vt = np.linalg.svd(_coordinates(gamma.effects))
+    dim = int(np.count_nonzero(above_cut(s, tol.rank_rel)))
+    if 2 * comb(len(u), dim - 1) > FACET_NORMALS_CAP:
         return None
-    coords, basis, images, range_residual = split
-    dim = coords.shape[1]
+    coords = u[:, :dim] * s[:dim]
+    ops = coords_to_herm(vt, c.dim_in)
+    images = apply(c, ops)
     # the normal of D - 1 generators has the cofactors w_j = (-1)^j det(their
     # coordinates without column j); |w| is the volume they span, at most the
     # product of their lengths (Hadamard).  Only a volume at rounding level
@@ -400,14 +345,15 @@ def exact_binary_classicality(
     full = size > dim * np.finfo(np.float64).eps * np.linalg.norm(rows, axis=2).prod(axis=1)
     normals = w[full] / size[full, None]
     cut = norm_cut(tol, c.elements.size, c.dim_in)
-    spectra, spread = _combination_spectra((images + dagger(images)) / 2, normals, cut)
+    span = images[:dim]
+    spectra, spread = _combination_spectra((span + dagger(span)) / 2, normals, cut)
     margins = _positive_sums(normals @ coords.T) - _positive_sums(spectra)
     worst = int(np.argmin(margins))
     sign = 1.0 if worst < len(normals) else -1.0
     return BinaryClassicality(
-        range_residual=range_residual,
+        range_residual=op_norm(images[dim:]),
         facet_margin=float(margins[worst]),
-        facet_normal=np.tensordot(sign * normals[worst % len(normals)], basis, 1),
+        facet_normal=np.tensordot(sign * normals[worst % len(normals)], ops[:dim], 1),
         facet_normals=len(margins),
         cut=cut + spread,
     )
@@ -429,7 +375,8 @@ def full_decoherence_check(
     channels with rank one elements whose Gamma matches the canonical
     pointer, the explicit stochastic map pi_ji = <psi_i| Y_j |psi_i> is
     also scored by the same residual.  For a linearly independent ``gamma``,
-    :func:`exact_classicality` decides the same question without sampling.
+    :func:`exact_binary_classicality` decides the same question without
+    sampling, for every observable.
     """
     if gamma.dim != c.dim_in:
         raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")

@@ -16,9 +16,9 @@ file format (:func:`_array_values`): a complex array's last two axes are
 one matrix, written as its row-major list of [re, im] pairs; a float array
 is written as nested lists whose last axis is a row.  Every row of an
 array repeats one skeleton.  An array of any other dtype is a TypeError.
-A matrix is read from its pair list as one array, and the element or
-effect list of a file as one stack, from one scan of its pair types and
-one ``np.fromiter``.
+The element or effect list of a file is read as one stack, from one scan
+of its pair types and one ``np.fromiter``; a single matrix is read as a
+stack of one.
 """
 
 from __future__ import annotations
@@ -165,58 +165,48 @@ def dumps_csv(header: list[str], rows) -> str:
     return _fill("\n".join([",".join(header).replace("%", "%%"), *lines]) + "\n", floats)
 
 
-def _bad_entry(pairs: list, where: str) -> SchemaError:
-    """The error naming the first malformed entry of ``pairs``: not an
-    [re, im] pair, or with a part that is not a JSON number.  With none,
-    an integer part is too large for a float."""
+def _bad_entry(pairs, n: int, where: str) -> SchemaError | None:
+    """The error naming the first fault of one list of ``n`` [re, im]
+    pairs: not such a list, an entry that is not a pair or has a part that
+    is not a JSON number (bools are not), or a part beyond the float range.
+    None when the list is well formed."""
+    if not isinstance(pairs, list) or len(pairs) != n:
+        return SchemaError(where, f"expected {n} [re, im] pairs")
     for idx, pair in enumerate(pairs):
         if type(pair) is not list or len(pair) != 2:
             return SchemaError(where, f"entry {idx} is not an [re, im] pair")
         if not all(type(part) in (int, float) for part in pair):
             return SchemaError(where, f"entry {idx} has non-numeric parts")
-    return SchemaError(where, "entries must be finite")
+    try:
+        # a literal beyond the float range, such as 1e400, parses to inf
+        finite = all(map(math.isfinite, chain.from_iterable(pairs)))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    return None if finite else SchemaError(where, "entries must be finite")
 
 
 def pairs_to_matrix(pairs, rows: int, cols: int, where: str) -> np.ndarray:
     """The rows x cols matrix of a row-major list of [re, im] pairs, each
     part a JSON number (bools are not)."""
-    if not isinstance(pairs, list) or len(pairs) != rows * cols:
-        raise SchemaError(where, f"expected {rows * cols} [re, im] pairs")
-    well_formed = (
-        set(map(type, pairs)) <= {list}
-        and set(map(len, pairs)) <= {2}
-        and set(map(type, chain.from_iterable(pairs))) <= {int, float}
-    )
-    try:
-        # well formed, the pairs hold exactly 2 rows cols numbers
-        parts = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * rows * cols) if well_formed else None
-    except OverflowError:  # an integer beyond the float range
-        parts = None
-    if parts is None:
-        raise _bad_entry(pairs, where)
-    if not np.isfinite(parts).all():
-        # a literal beyond the float range, such as 1e400, parses to inf
-        raise SchemaError(where, "entries must be finite")
-    return parts.view(np.complex128).reshape(rows, cols)
+    return _pair_lists_to_stack([pairs], rows, cols, [where])[0]
 
 
 # the part types of a well-formed [re, im] pair
 _NUMBER_PAIRS = {(re, im) for re in (int, float) for im in (int, float)}
 
 
-def _pair_lists_to_stack(lists: list, rows: int, cols: int, where: str) -> np.ndarray:
+def _pair_lists_to_stack(lists: list, rows: int, cols: int, names: list[str]) -> np.ndarray:
     """The (len(lists), rows, cols) stack of the matrices of a list of pair
-    lists, as :func:`pairs_to_matrix` reads each one, from one schema scan
-    and one ``np.fromiter`` over every list.  When either fails, each list
-    goes through :func:`pairs_to_matrix` in turn, so the first malformed
-    one raises its error, named ``where[k]``."""
+    lists, from one schema scan and one ``np.fromiter`` over every list.
+    When either fails, the first malformed list raises the error of
+    :func:`_bad_entry`, named by its entry in ``names``."""
     n = rows * cols
     try:
-        # unpacking a pair into two JSON numbers leaves no other shape or
-        # type: a dict or a string unpacks to strings
+        # a list that unpacks into two JSON numbers is a well-formed pair
         well_formed = (
             set(map(type, lists)) <= {list}
             and set(map(len, lists)) <= {n}
+            and set(map(type, chain.from_iterable(lists))) <= {list}
             and {(type(re), type(im)) for pairs in lists for re, im in pairs} <= _NUMBER_PAIRS
         )
         parts = (
@@ -224,11 +214,11 @@ def _pair_lists_to_stack(lists: list, rows: int, cols: int, where: str) -> np.nd
             if well_formed
             else None
         )
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         # a pair that does not unpack, or an integer beyond the float range
         parts = None
     if parts is None or not np.isfinite(parts).all():
-        return np.array([pairs_to_matrix(pairs, rows, cols, f"{where}[{k}]") for k, pairs in enumerate(lists)])
+        raise next(err for pairs, name in zip(lists, names) if (err := _bad_entry(pairs, n, name)))
     return parts.view(np.complex128).reshape(len(lists), rows, cols)
 
 
@@ -272,12 +262,13 @@ def channel_from_dict(data: dict, where: str = "<channel>") -> Channel:
         if field not in data:
             raise SchemaError(where, f"missing field '{field}'")
     dim_in, dim_out = data["dim_in"], data["dim_out"]
-    if not isinstance(dim_in, int) or not isinstance(dim_out, int) or dim_in < 1 or dim_out < 1:
+    if type(dim_in) is not int or type(dim_out) is not int or dim_in < 1 or dim_out < 1:
         raise SchemaError(where, "'dim_in'/'dim_out' must be positive integers")
     elements = data["elements"]
     if not isinstance(elements, list) or not elements:
         raise SchemaError(where, "'elements' must be a non-empty list")
-    return Channel.from_elements(_pair_lists_to_stack(elements, dim_out, dim_in, f"{where}: elements"))
+    names = [f"{where}: elements[{k}]" for k in range(len(elements))]
+    return Channel.from_elements(_pair_lists_to_stack(elements, dim_out, dim_in, names))
 
 
 def observable_from_dict(data: dict, where: str = "<observable>") -> DiscreteObservable:
@@ -285,12 +276,13 @@ def observable_from_dict(data: dict, where: str = "<observable>") -> DiscreteObs
         if field not in data:
             raise SchemaError(where, f"missing field '{field}'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SchemaError(where, "'dim' must be a positive integer")
     effects = data["effects"]
     if not isinstance(effects, list) or not effects:
         raise SchemaError(where, "'effects' must be a non-empty list")
-    return DiscreteObservable.from_effects(_pair_lists_to_stack(effects, dim, dim, f"{where}: effects"))
+    names = [f"{where}: effects[{k}]" for k in range(len(effects))]
+    return DiscreteObservable.from_effects(_pair_lists_to_stack(effects, dim, dim, names))
 
 
 def checked_observable(x: DiscreteObservable, tol: Tolerance = DEFAULT_TOL) -> DiscreteObservable:
@@ -346,7 +338,7 @@ def parse_code_file(path: str | Path, tol: Tolerance = DEFAULT_TOL):
         if name not in data:
             raise SchemaError(str(path), f"missing field '{name}'")
     dim, dim_code = data["dim"], data["dim_code"]
-    if not isinstance(dim, int) or not isinstance(dim_code, int) or dim < dim_code or dim_code < 1:
+    if type(dim) is not int or type(dim_code) is not int or dim < dim_code or dim_code < 1:
         raise SchemaError(str(path), "'dim' >= 'dim_code' >= 1 required")
     v = pairs_to_matrix(data["isometry"], dim, dim_code, f"{path}: isometry")
     return CodeSubspace.from_isometry(v, tol)

@@ -39,7 +39,7 @@ from qichan.errors import (
     NotEndomorphic,
     NotTracePreserving,
 )
-from qichan.numlin import DEFAULT_TOL, Tolerance, dagger, op_norm
+from qichan.numlin import DEFAULT_TOL, Tolerance, above_cut, coords_to_herm, dagger, op_norm
 from qichan.rand import (
     generator,
     random_channel,
@@ -329,40 +329,6 @@ class TestOnePath:
         assert analyze_example(name)["facet_margin"] >= -cut
 
 
-class TestExactClassicality:
-    """The dual-frame test against closed forms and the sampled check."""
-
-    @pytest.mark.parametrize("alpha", [0.0, 1 / 3, 0.34, 0.5, 1.0])
-    def test_shrinking_channel_prepares_the_scaled_duals(self, alpha):
-        # D_i = (1 + 3 n_i . sigma) / 2, so sigma_i = (1 + 3 alpha n_i . sigma) / 2
-        rep = de.exact_classicality(shrinking_channel(alpha), sic_tetrahedron())
-        assert abs(rep.min_sigma_eigenvalue - (1 - 3 * alpha) / 2) <= 1e-12
-        # the tetrahedron spans every qubit operator: no complement
-        assert rep.range_residual == 0.0
-        assert rep.classical == (alpha <= 1 / 3)
-
-    def test_dependent_pointer_has_no_dual_frame(self):
-        bundle = example_catalog("diamonds-4")
-        assert de.exact_classicality(bundle.channels["channel"], bundle.observables["pointer"]) is None
-
-    def test_unitary_leaves_the_span(self):
-        u = random_unitary(generator(4), 2)
-        rep = de.exact_classicality(Channel.from_elements([u]), basis_observable(2))
-        assert rep.range_residual > rep.cut
-        assert not rep.classical
-
-    @pytest.mark.parametrize("c,gamma", _ONE_PATH_CASES)
-    def test_verdict_matches_the_sampled_check(self, c, gamma):
-        rep = de.exact_classicality(c, gamma)
-        assert rep is not None
-        sampled = de.full_decoherence_check(c, gamma, samples=24, seed=5)
-        assert rep.classical == (sampled.feasible == sampled.samples)
-
-    def test_gamma_dimension_checked(self):
-        with pytest.raises(DimMismatch):
-            de.exact_classicality(dephasing_channel(3), basis_observable(2))
-
-
 def _pauli_channel(weights) -> Channel:
     """rho -> sum_s p_s s rho s over s = 1, X, Y, Z."""
     paulis = [np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z]
@@ -370,22 +336,21 @@ def _pauli_channel(weights) -> Channel:
 
 
 class TestExactBinaryClassicality:
-    """The zonotope-facet test against closed forms, the dual-frame test,
-    the sampled check and Frank-Wolfe certificates."""
+    """The zonotope-facet test against closed forms, the sampled check
+    and Frank-Wolfe certificates."""
 
-    @pytest.mark.parametrize("alpha", [0.34, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1 / 3, 0.34, 0.5, 1.0])
     def test_shrinking_channel_margin(self, alpha):
-        # the facet normals are +-D_i / sqrt 5, and E(D_i) has the
-        # eigenvalues (1 +- 3 alpha) / 2, one of them negative above 1/3
+        # the facet normals are +-D_i / sqrt 5 for the dual frame
+        # D_i = (1 + 3 n_i . sigma) / 2 = 6 Gamma_i - 1, and sigma_i = E(D_i) has
+        # the eigenvalues (1 +- 3 alpha) / 2, one of them negative above 1/3;
+        # the tetrahedron spans every qubit operator
         rep = de.exact_binary_classicality(shrinking_channel(alpha), sic_tetrahedron())
         assert rep.facet_normals == 8 and rep.range_residual == 0.0
-        assert abs(rep.facet_margin - (1 - 3 * alpha) / (2 * np.sqrt(5))) <= 1e-12
-        assert not rep.classical
-
-    @pytest.mark.parametrize("alpha", [0.0, 1 / 3])
-    def test_shrinking_channel_up_to_a_third_is_classical(self, alpha):
-        rep = de.exact_binary_classicality(shrinking_channel(alpha), sic_tetrahedron())
-        assert rep.facet_margin >= -rep.cut and rep.classical
+        duals = 6 * sic_tetrahedron().effects - np.eye(2)
+        assert min(op_norm(rep.facet_normal - sign * d / np.sqrt(5)) for d in duals for sign in (1, -1)) <= 1e-12
+        assert abs(rep.facet_margin - min(0.0, (1 - 3 * alpha) / 2) / np.sqrt(5)) <= 1e-12
+        assert rep.classical == (alpha <= 1 / 3)
 
     @pytest.mark.parametrize(
         "name, normals",
@@ -404,7 +369,8 @@ class TestExactBinaryClassicality:
     def test_commuting_route_equals_eigvalsh_route(self, name, monkeypatch):
         bundle = example_catalog(name)
         c, gamma = bundle.channels["channel"], bundle.observables["pointer"]
-        _, _, images, _ = de._span_images(c, gamma, DEFAULT_TOL, lambda u, s, span: span)
+        _, s, vt = np.linalg.svd(de._coordinates(gamma.effects))
+        images = apply(c, coords_to_herm(vt[: np.count_nonzero(above_cut(s, DEFAULT_TOL.rank_rel))], c.dim_in))
         images = (images + dagger(images)) / 2
         weights = generator(3).standard_normal((64, len(images)))
         weights /= np.linalg.norm(weights, axis=1, keepdims=True)
@@ -462,9 +428,20 @@ class TestExactBinaryClassicality:
         assert abs(halves.facet_margin - whole.facet_margin) <= 1e-12
         assert halves.classical == whole.classical == (n == 4)
 
-    @pytest.mark.parametrize("c,gamma", _ONE_PATH_CASES)
-    def test_verdict_matches_the_dual_frame_test(self, c, gamma):
-        assert de.exact_binary_classicality(c, gamma).classical == de.exact_classicality(c, gamma).classical
+    @pytest.mark.parametrize(
+        "c,gamma",
+        [
+            *_ONE_PATH_CASES,
+            # sigma-negative: sampling finds 11 and 2 of 24 feasible
+            pytest.param(shrinking_channel(0.5), sic_tetrahedron(), id="shrinking-0.5"),
+            pytest.param(shrinking_channel(1.0), sic_tetrahedron(), id="shrinking-1"),
+        ],
+    )
+    def test_verdict_matches_the_sampled_check(self, c, gamma):
+        # independent pointers: the verdict covers every observable
+        rep = de.exact_binary_classicality(c, gamma)
+        sampled = de.full_decoherence_check(c, gamma, samples=24, seed=5)
+        assert rep.classical == (sampled.feasible == sampled.samples)
 
     def test_unitary_leaves_the_span(self):
         u = random_unitary(generator(4), 2)
@@ -472,11 +449,21 @@ class TestExactBinaryClassicality:
         assert rep.range_residual > rep.cut
         assert not rep.classical
 
-    def test_none_above_the_cap(self):
+    def test_none_above_the_cap(self, monkeypatch):
         # 20 generic effects on C^4 span all 16 dimensions: 2 C(20, 15) normals
         assert 2 * comb(20, 15) > de.FACET_NORMALS_CAP
         gamma = random_povm(generator(0), 4, 20)
-        assert de.exact_binary_classicality(random_channel(generator(1), 4, 2, 2), gamma) is None
+        c = random_channel(generator(1), 4, 2, 2)
+        # the cap is checked before the channel maps anything
+        monkeypatch.setattr(de, "apply", None)
+        assert de.exact_binary_classicality(c, gamma) is None
+
+    def test_margin_is_measured_at_a_unit_normal(self):
+        # lambda_min(sigma_i) = -1.0e-3 is beyond a 1e-3 cut, the margin -1.0e-3 / sqrt 5 is not
+        loose = Tolerance(1e-3, 1e-3)
+        rep = de.exact_binary_classicality(shrinking_channel(0.334), sic_tetrahedron(), loose)
+        assert abs(rep.facet_margin + 1e-3 / np.sqrt(5)) <= 1e-12 and rep.classical
+        assert not de.exact_binary_classicality(shrinking_channel(0.334), sic_tetrahedron()).classical
 
     def test_gamma_dimension_checked(self):
         with pytest.raises(DimMismatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qichan import catalog
+from qichan.decoherence import exact_binary_classicality
 from qichan.errors import UnknownExample
 
 ALL_EXAMPLES = [
@@ -44,10 +45,14 @@ def test_bundles_are_valid_and_deterministic(name):
 
 
 def test_sic_cloner_decided_exactly():
-    # the alpha = 1/3 cloner prepares states sigma_i = E(D_i) on the edge of the PSD cone
+    # the alpha = 1/3 cloner prepares states sigma_i = E(D_i) on the edge of
+    # the PSD cone: every facet margin of the tetrahedron's zonotope is 0
     result = catalog.analyze_example("sic-cloner")
     assert result["method"] == "exact" and "samples" not in result
-    assert result["range_residual"] == 0.0 and abs(result["min_sigma_eigenvalue"]) <= 1e-12
+    bundle = catalog.example_catalog("sic-cloner")
+    cut = exact_binary_classicality(bundle.channels["channel"], bundle.observables["pointer"]).cut
+    assert result["range_residual"] == 0.0 and result["facet_normals"] == 8
+    assert abs(result["facet_margin"]) <= cut and "min_sigma_eigenvalue" not in result
 
 
 @pytest.mark.parametrize("n", [3, 5, 64])

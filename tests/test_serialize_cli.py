@@ -318,6 +318,7 @@ class TestElementLists:
             (lambda pairs: [*pairs[:2], [1, 0, 0], pairs[3]], "entry 2 is not an [re, im] pair"),
             (lambda pairs: [*pairs[:2], 3, pairs[3]], "entry 2 is not an [re, im] pair"),
             (lambda pairs: [*pairs[:2], {"re": 1, "im": 0}, pairs[3]], "entry 2 is not an [re, im] pair"),
+            (lambda pairs: [*pairs[:2], (1, 0), pairs[3]], "entry 2 is not an [re, im] pair"),
             (lambda pairs: [*pairs[:2], "10", pairs[3]], "entry 2 is not an [re, im] pair"),
             (lambda pairs: [*pairs[:2], [1, "0"], pairs[3]], "entry 2 has non-numeric parts"),
             (lambda pairs: [*pairs[:2], [None, 0], pairs[3]], "entry 2 has non-numeric parts"),
@@ -327,7 +328,7 @@ class TestElementLists:
             (lambda pairs: [*pairs[:2], [1e400, 0], pairs[3]], "entries must be finite"),
         ],
         ids=[
-            "count", "not-a-list", "long-pair", "number", "object", "string-pair", "string",
+            "count", "not-a-list", "long-pair", "number", "object", "tuple", "string-pair", "string",
             "null", "bool", "nested", "huge-int", "inf",
         ],
     )
@@ -338,6 +339,17 @@ class TestElementLists:
         with pytest.raises(SchemaError) as err:
             self._parse(kind, data)
         assert str(err.value) == f"f: {field}[1]: {message}"
+
+    @pytest.mark.parametrize("kind", ["channel", "observable"])
+    def test_first_malformed_list_raises(self, kind):
+        # a non-finite list before a mistyped one: the first in order is named
+        data = self._document(kind)
+        field = "elements" if kind == "channel" else "effects"
+        data[field][0][3] = [1e400, 0]
+        data[field][1][2] = [1, "0"]
+        with pytest.raises(SchemaError) as err:
+            self._parse(kind, data)
+        assert str(err.value) == f"f: {field}[0]: entries must be finite"
 
 
 class TestChannelFiles:
@@ -488,6 +500,24 @@ _REJECTIONS = {
     "code-dim-below-dim-code": (
         {"c": '{"dim_in": 1, "dim_out": 1, "elements": [[[1, 0]]]}',
          "k": '{"dim": 1, "dim_code": 2, "isometry": [[1, 0], [0, 0]]}'},
+        ["kl", "{c}", "--code", "{k}"], "error: {k}: 'dim' >= 'dim_code' >= 1 required",
+    ),
+    # JSON true is a Python int, and no dimension
+    "dim_in-bool": (
+        {"c": '{"dim_in": true, "dim_out": 1, "elements": [[[1, 0]]]}'},
+        ["validate", "{c}"], "error: {c}: 'dim_in'/'dim_out' must be positive integers",
+    ),
+    "dim_out-bool": (
+        {"c": '{"dim_in": 1, "dim_out": true, "elements": [[[1, 0]]]}'},
+        ["preserved", "{c}"], "error: {c}: 'dim_in'/'dim_out' must be positive integers",
+    ),
+    "dim-bool": (
+        {"x": '{"dim": true, "effects": [[[1, 0]]]}'},
+        ["validate", "{x}"], "error: {x}: 'dim' must be a positive integer",
+    ),
+    "dim_code-bool": (
+        {"c": '{"dim_in": 1, "dim_out": 1, "elements": [[[1, 0]]]}',
+         "k": '{"dim": 1, "dim_code": true, "isometry": [[1, 0]]}'},
         ["kl", "{c}", "--code", "{k}"], "error: {k}: 'dim' >= 'dim_code' >= 1 required",
     ),
     "top-level-not-object": (
