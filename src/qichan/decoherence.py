@@ -53,9 +53,9 @@ from .numlin import (
 from .rand import generator, random_povm, random_sharp_observable
 
 FEASIBILITY_TOL = 1e-7
-# the most facet normals, 2 C(n, D - 1) for n effects spanning D dimensions,
-# that exact_binary_classicality examines (4032 for diamonds-inf's 64)
-FACET_NORMALS_CAP = 8192
+# the most entries, C(n, D - 1) D^2 for n effects spanning D dimensions, of
+# exact_binary_classicality's SVD of its subsets (2^24 for D = n = 256)
+FACET_SVD_ENTRIES = 1 << 24
 # the most entries of the E(C) stack one eigvalsh call takes
 _SUPPORT_ENTRIES = 1 << 18
 
@@ -303,10 +303,11 @@ def exact_binary_classicality(
     forward ``apply`` maps both.  Each facet of Z is spanned by D - 1
     generators (McMullen, "On zonotopes", 1971), so the normals are both
     signs of the unit normal of every full-rank (D - 1)-subset of Gamma's
-    coordinates U_D S_D (extra normals would only add valid inequalities).
-    Both signs come from one set of values: tr Gamma_i C and the spectrum
-    of E(C) (:func:`_combination_spectra`, one product when the images of
-    span Gamma commute).
+    coordinates U_D S_D (extra normals would only add valid inequalities),
+    from one SVD of the stacked subsets.  Both signs come from one set of
+    values: tr Gamma_i C and the spectrum of E(C)
+    (:func:`_combination_spectra`, one product when the images of span
+    Gamma commute).
 
     For independent Gamma, Z is a parallelotope whose normals are
     +-D_i / ||D_i||, with D_i the dual frame (tr Gamma_j D_i = delta_ij),
@@ -317,33 +318,29 @@ def exact_binary_classicality(
     and the verdict covers every observable, not only the binary ones:
     pi_ji = tr(sigma_i Y_j) coarse-grains each E*(Y).
 
-    Returns None when the subsets would give more than
-    ``FACET_NORMALS_CAP`` normals, 2 C(n, D - 1); the cap is checked before
-    ``apply``.  The cut is ``numlin.norm_cut`` over the element stack at
-    the scale d_in, which bounds both support functions at a unit normal,
-    plus the spread of the commuting route.
+    Returns None when the stacked SVD of the subsets would hold more than
+    ``FACET_SVD_ENTRIES`` entries, C(n, D - 1) D^2; the cap is checked
+    before ``apply``.  The cut is ``numlin.norm_cut`` over the element
+    stack at the scale d_in, which bounds both support functions at a unit
+    normal, plus the spread of the commuting route.
     """
     if gamma.dim != c.dim_in:
         raise DimMismatch(f"gamma dim {gamma.dim} != channel input {c.dim_in}")
     u, s, vt = np.linalg.svd(_coordinates(gamma.effects))
     dim = int(np.count_nonzero(above_cut(s, tol.rank_rel)))
-    if 2 * comb(len(u), dim - 1) > FACET_NORMALS_CAP:
+    if comb(len(u), dim - 1) * dim * dim > FACET_SVD_ENTRIES:
         return None
     coords = u[:, :dim] * s[:dim]
     ops = coords_to_herm(vt, c.dim_in)
     images = apply(c, ops)
-    # the normal of D - 1 generators has the cofactors w_j = (-1)^j det(their
-    # coordinates without column j); |w| is the volume they span, at most the
-    # product of their lengths (Hadamard).  Only a volume at rounding level
-    # leaves no normal: any direction gives a valid inequality, so keeping a
-    # nearly flat subset cannot turn a "yes" into a "no", and dropping a
-    # facet could turn a "no" into a "yes"
+    # a subset's unit normal is its last right singular vector; it spans no
+    # facet when its smallest singular value is within above_cut's rounding
+    # floor of its largest (that normal would be noise), and at D = 1 the
+    # one empty subset, with no singular values, keeps its normal
     rows = coords[np.array(list(combinations(range(len(coords)), dim - 1)), dtype=np.intp)]
-    others = np.array([np.delete(np.arange(dim), j) for j in range(dim)])
-    w = np.linalg.det(rows[:, :, others].swapaxes(1, 2)) * (-1.0) ** np.arange(dim)
-    size = np.linalg.norm(w, axis=1)
-    full = size > dim * np.finfo(np.float64).eps * np.linalg.norm(rows, axis=2).prod(axis=1)
-    normals = w[full] / size[full, None]
+    _, sv, right = np.linalg.svd(rows)
+    full = np.all(sv > coords.size * np.finfo(np.float64).eps * sv[:, :1], axis=1)
+    normals = right[full, -1]
     cut = norm_cut(tol, c.elements.size, c.dim_in)
     span = images[:dim]
     spectra, spread = _combination_spectra((span + dagger(span)) / 2, normals, cut)

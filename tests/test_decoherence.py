@@ -1,5 +1,9 @@
+import os
+import subprocess
 import sys
+import textwrap
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,7 @@ from qichan.rand import (
     random_channel,
     random_hermitian,
     random_povm,
+    random_pure_state,
     random_stochastic,
     random_unitary,
 )
@@ -335,6 +340,35 @@ def _pauli_channel(weights) -> Channel:
     return Channel.from_elements([np.sqrt(p) * s for p, s in zip(weights, paulis)])
 
 
+def weyl_heisenberg(d: int, seed: int) -> tuple[DiscreteObservable, np.ndarray, float]:
+    """The covariant POVM Gamma_ab = W_ab |psi><psi| W_ab^dag / d of a seeded
+    random fiducial psi, its Weyl operators W_ab = X^a Z^b (d^2, d, d), and
+    alpha* = 1 / (1 - d lambda_min(D_0)), D_0 psi's dual-frame element.
+
+    Every sigma_ab = E_alpha(D_ab) of the depolarizing channel has the
+    spectrum of alpha D_0 + (1 - alpha) / d (covariance, tr D_0 = 1), so
+    E_alpha is measure-and-prepare through Gamma exactly for alpha <= alpha*.
+    """
+    psi = random_pure_state(generator(seed), d)
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    weyl = np.array([np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) for a in range(d) for b in range(d)])
+    states = weyl @ psi
+    gamma = DiscreteObservable.from_effects(states[:, :, None] * states[:, None, :].conj() / d)
+    # tr(Gamma_j D_0) = sum_kl conj(Gamma_j)_kl (D_0)_kl = delta_j0
+    d0 = np.linalg.solve(gamma.effects.reshape(d * d, d * d).conj(), np.eye(d * d)[0]).reshape(d, d)
+    return gamma, weyl, 1 / (1 - d * np.linalg.eigvalsh((d0 + dagger(d0)) / 2)[0])
+
+
+def depolarizing(weyl: np.ndarray, alpha: float) -> Channel:
+    """rho -> alpha rho + (1 - alpha) tr(rho) 1 / d, with the d^2 Weyl
+    operators as its elements: the average of W rho W^dag over them is
+    tr(rho) 1 / d."""
+    p = np.full(len(weyl), (1 - alpha) / len(weyl))
+    p[0] += alpha
+    return Channel.from_elements(np.sqrt(p)[:, None, None] * weyl)
+
+
 class TestExactBinaryClassicality:
     """The zonotope-facet test against closed forms, the sampled check
     and Frank-Wolfe certificates."""
@@ -417,16 +451,66 @@ class TestExactBinaryClassicality:
             effect = apply_dual(c, random_effect(rng, 2))
             de.coarse_grain_solve(DiscreteObservable.from_effects([effect, np.eye(2) - effect]), gamma)
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_split_effect_leaves_the_zonotope(self, n):
-        # halving Gamma_1 into two equal effects sums the same segments: the
-        # zonotope, and so every margin, stays; the two halves span no facet
-        square = diamond_pointer(4).effects
-        split = DiscreteObservable.from_effects([square[0] / 2, square[0] / 2, *square[1:]])
-        c = diamond_channel(n)
-        whole, halves = de.exact_binary_classicality(c, diamond_pointer(4)), de.exact_binary_classicality(c, split)
-        assert abs(halves.facet_margin - whole.facet_margin) <= 1e-12
-        assert halves.classical == whole.classical == (n == 4)
+    @pytest.mark.parametrize(
+        "whole, c, part, normals, classical",
+        [
+            pytest.param(diamond_pointer(4), diamond_channel(4), 0.5, 18, True, id="square-halves-on-square"),
+            pytest.param(diamond_pointer(4), diamond_channel(5), 0.5, 18, False, id="square-halves-on-pentagon"),
+            pytest.param(sic_tetrahedron(), diamond_channel(2), 0.3, 14, False, id="sic-0.3-on-diamonds-2"),
+            pytest.param(sic_tetrahedron(), diamond_channel(2), 1e-3, 14, False, id="sic-1e-3-on-diamonds-2"),
+        ],
+    )
+    def test_split_effect_leaves_the_zonotope(self, whole, c, part, normals, classical):
+        # splitting Gamma_1 into two parallel effects sums the same segments: the
+        # zonotope, and so every margin, stays; the two parts span no facet, so
+        # 2 (C(n, D - 1) - #flat) normals remain, 2 (10 - 1) and 2 (10 - 3) here
+        first, *rest = whole.effects
+        split = DiscreteObservable.from_effects([part * first, (1 - part) * first, *rest])
+        unsplit, parts = de.exact_binary_classicality(c, whole), de.exact_binary_classicality(c, split)
+        assert abs(parts.facet_margin - unsplit.facet_margin) <= 1e-12
+        assert parts.facet_normals == normals
+        assert parts.classical == unsplit.classical == classical
+
+    @pytest.mark.parametrize("parts", [[1.0], [0.5, 0.5]])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_trivial_pointer(self, parts, alpha):
+        # Gamma_i = p_i 1 spans D = 1 dimension: the one empty subset gives the
+        # normals +-1 / sqrt 2, with margin 0 for any unital channel, so only the
+        # range decides; shrinking maps the traceless complement to alpha times itself
+        gamma = DiscreteObservable.from_effects([p * np.eye(2) for p in parts])
+        rep = de.exact_binary_classicality(shrinking_channel(alpha), gamma)
+        assert rep.facet_normals == 2 and abs(rep.facet_margin) <= rep.cut
+        assert op_norm(np.abs(rep.facet_normal) - np.eye(2) / np.sqrt(2)) <= 1e-12
+        assert rep.classical == (alpha == 0.0)
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_weyl_heisenberg_flips_at_the_closed_form(self, d):
+        gamma, weyl, alpha_star = weyl_heisenberg(d, seed=d)
+        reps = [de.exact_binary_classicality(depolarizing(weyl, alpha_star * f), gamma) for f in (1 - 1e-4, 1 + 1e-4)]
+        assert [rep.classical for rep in reps] == [True, False]
+        assert [rep.facet_normals for rep in reps] == [2 * d * d] * 2
+
+    def test_weyl_heisenberg_d12_fits_in_two_gib(self):
+        # D = 144 independent effects: one SVD of 144 subsets of 143 x 144; the
+        # determinants of their minors asked for 3.2 GiB at once
+        script = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from qichan.decoherence import exact_binary_classicality
+            from test_decoherence import depolarizing, weyl_heisenberg
+
+            gamma, weyl, alpha_star = weyl_heisenberg(12, seed=12)
+            for f in (1 - 1e-4, 1 + 1e-4):
+                print(exact_binary_classicality(depolarizing(weyl, alpha_star * f), gamma).classical)
+            """
+        )
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(Path(de.__file__).resolve().parents[1]), str(here)])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.split() == ["True", "False"]
 
     @pytest.mark.parametrize(
         "c,gamma",
@@ -450,9 +534,10 @@ class TestExactBinaryClassicality:
         assert not rep.classical
 
     def test_none_above_the_cap(self, monkeypatch):
-        # 20 generic effects on C^4 span all 16 dimensions: 2 C(20, 15) normals
-        assert 2 * comb(20, 15) > de.FACET_NORMALS_CAP
-        gamma = random_povm(generator(0), 4, 20)
+        # 24 generic effects on C^4 span all 16 dimensions: C(24, 15) subsets of
+        # 15 x 16 coordinates, with 16 x 16 right singular vectors each
+        assert comb(24, 15) * 16 * 16 > de.FACET_SVD_ENTRIES
+        gamma = random_povm(generator(0), 4, 24)
         c = random_channel(generator(1), 4, 2, 2)
         # the cap is checked before the channel maps anything
         monkeypatch.setattr(de, "apply", None)
