@@ -2,8 +2,9 @@
 
 Two inner loops dominate runtime in this package: the simplex-constrained
 least-squares solver behind coarse-graining feasibility (called once per
-sampled observable, tens of thousands of times in a containment scan) and
-classical channel capacity.  Capacity stops on a certificate, the bracket
+sampled observable, or once on a whole batch: the criterion-9 containment
+scan solves its 10 400 effects per channel in one call) and classical
+channel capacity.  Capacity stops on a certificate, the bracket
 ``I(r) <= C <= max_i D(p_i || rP)`` that every prior r gives: an
 active-set Newton method on the support of the prior closes it, and
 alternating maximization (Blahut-Arimoto) takes over whenever a face
@@ -54,6 +55,16 @@ restart, and leaves the batch as soon as it is
 or when ``max_iter`` runs out.  Later iterations only pay for the
 problems still running, and a problem's iterates do not depend on the
 rest of the batch.
+
+Every product of the stack of problems with the one design matrix (the
+gradient, the residuals, the Frank-Wolfe bound) is a single GEMM over the
+stacked rows, ``(S m, k) @ (k, n)``, and every per-problem sum of squares
+one ``einsum``.  numpy's stacked ``@`` would make one small product per
+problem: on a batch of 1000 two-outcome problems against the SIC
+(D = n = 4) it took 30-72 us a product (the slower on the transposed view
+of G) against about 6 us for the GEMM (2 vCPUs, one BLAS thread).  On such a batch the sort-based simplex
+projection now takes about two thirds of the time (68 % over the twelve
+1000-problem batches of the ``feasibility`` benchmark).
 """
 
 from __future__ import annotations
@@ -89,12 +100,26 @@ def _project_columns_simplex(p: np.ndarray) -> np.ndarray:
     return np.maximum(p - theta[:, None, :], 0.0)
 
 
+def _stack_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a stack ``a`` (S, m, k) and one matrix ``b`` (k, n), as
+    one GEMM over the S m rows of the stack: numpy's stacked ``@`` makes a
+    small product per problem, several times slower on a large batch.
+    (``np.dot`` of two matrices is the same GEMM as ``@`` with less call
+    overhead, which a stack of one notices.)"""
+    s, m, k = a.shape
+    return np.dot(a.reshape(s * m, k), b).reshape(s, m, b.shape[1])
+
+
+def _sum_squares(r: np.ndarray) -> np.ndarray:
+    """``||r_s||_HS^2`` of each problem ``s`` of a stack."""
+    return np.einsum("smk,smk->s", r, r)
+
+
 def _fw_lower_bound(r: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Frank-Wolfe bound from the residuals ``r = P G^T - X`` at ``p``."""
-    grad = 2.0 * (r @ g)
-    f = np.sum(r * r, axis=(1, 2))
+    grad = 2.0 * _stack_times(r, g)
     # <grad, S> for the vertex S taking each column's gradient argmin
-    return f - np.sum(grad * p, axis=(1, 2)) + grad.min(axis=1).sum(axis=1)
+    return _sum_squares(r) - np.einsum("smn,smn->s", grad, p) + grad.min(axis=1).sum(axis=1)
 
 
 def simplex_lsq_lower_bound(g: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -107,7 +132,7 @@ def simplex_lsq_lower_bound(g: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.n
     """
     g = np.asarray(g, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    return _fw_lower_bound(p @ g.T - np.asarray(x, dtype=np.float64), p, g)
+    return _fw_lower_bound(_stack_times(p, g.T) - np.asarray(x, dtype=np.float64), p, g)
 
 
 def _solve_simplex_lsq(
@@ -121,7 +146,8 @@ def _solve_simplex_lsq(
     g = np.ascontiguousarray(g, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
     s_count, m, dim = x.shape
-    gt = g.T
+    # C order: a GEMM on the transposed view took two to three times as long
+    gt = np.ascontiguousarray(g.T)
     p_out = np.full((s_count, m, g.shape[1]), 1.0 / m)
     iterations = np.full(s_count, max_iter, dtype=np.int64)
     stop = np.full(s_count, STOP_CAP, dtype=np.int64)
@@ -138,15 +164,15 @@ def _solve_simplex_lsq(
     p = p_out.copy()
     y = p.copy()
     t = np.ones(s_count)
-    f_prev = np.sum((p @ gt - xs) ** 2, axis=(1, 2))
+    f_prev = _sum_squares(_stack_times(p, gt) - xs)
     stall = np.zeros(s_count, dtype=np.int64)
     for it in range(1, max_iter + 1):
         if live.size == 0:
             break
-        grad = 2.0 * ((y @ gt - xs) @ g)
+        grad = 2.0 * _stack_times(_stack_times(y, gt) - xs, g)
         p_next = _project_columns_simplex(y - grad / lip)
-        r = p_next @ gt - xs
-        f_next = np.sum(r * r, axis=(1, 2))
+        r = _stack_times(p_next, gt) - xs
+        f_next = _sum_squares(r)
         # adaptive restart: kill momentum on problems whose value went up
         worse = f_next > f_prev
         t_next = np.where(worse, 1.0, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)))
@@ -187,8 +213,8 @@ def solve_product_simplex_lsq(
     g = np.ascontiguousarray(g, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
     p, _, _ = _solve_simplex_lsq(g, x, max_iter, hs_tol)
-    r = p @ g.T - x
-    return p, np.sqrt(np.sum(r * r, axis=2)).max(axis=1)
+    r = _stack_times(p, g.T) - x
+    return p, np.sqrt(np.einsum("smk,smk->sm", r, r)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,7 @@ class TestFeasibilitySolver:
         batch = np.concatenate([x1, x2])
         p_b, r_b = kernels.solve_product_simplex_lsq(g, batch, hs_tol=1e-9)
         p_1, r_1 = kernels.solve_product_simplex_lsq(g, x1, hs_tol=1e-9)
-        assert abs(r_b[0] - r_1[0]) < 1e-6
-        assert np.abs(p_b[0] - p_1[0]).max() < 1e-4
+        assert np.array_equal(p_b[0], p_1[0]) and r_b[0] == r_1[0]
 
     def test_mixed_batch_is_exactly_per_problem(self):
         g, x = _sic_grid(0.5, n_directions=6)
@@ -105,6 +104,37 @@ class TestFeasibilitySolver:
         for s in range(x.shape[0]):
             p_1, r_1 = kernels.solve_product_simplex_lsq(g, x[s : s + 1], hs_tol=0.5 * SIC_TOL)
             assert np.array_equal(p_b[s], p_1[0]) and r_b[s] == r_1[0]
+
+    @pytest.mark.parametrize("outcomes", [2, 5])
+    def test_problem_does_not_depend_on_batch_size(self, outcomes):
+        # odd batch sizes, so the batch's one GEMM has ragged tile edges
+        g, x = _sic_grid(1 / 3, n_directions=51)
+        x = x[:1001]
+        if outcomes == 5:
+            # 333 targets on the same reference, every other one pushed
+            # off the feasible set
+            rng = np.random.default_rng(7)
+            p_true = rng.random((333, 5, 4))
+            p_true /= p_true.sum(axis=1, keepdims=True)
+            x = p_true @ g.T
+            x[1::2] += 0.3 * rng.standard_normal(x[1::2].shape)
+        hs_tol = 0.5 * SIC_TOL
+        p_b, r_b = kernels.solve_product_simplex_lsq(g, x, hs_tol=hs_tol)
+        _, it_b, stop_b = kernels._solve_simplex_lsq(g, x, 20000, hs_tol)
+        assert outcomes == 2 or kernels.STOP_CERTIFIED in stop_b
+        for s in np.linspace(0, len(x) - 1, 25).astype(int):
+            p_1, r_1 = kernels.solve_product_simplex_lsq(g, x[s : s + 1], hs_tol=hs_tol)
+            _, it_1, stop_1 = kernels._solve_simplex_lsq(g, x[s : s + 1], 20000, hs_tol)
+            assert np.array_equal(p_b[s], p_1[0]) and r_b[s] == r_1[0]
+            assert it_b[s] == it_1[0] and stop_b[s] == stop_1[0]
+
+    def test_empty_batch(self):
+        g, _ = _sic_grid(1 / 3, n_directions=1)
+        for outcomes in (2, 5):
+            x = np.zeros((0, outcomes, g.shape[0]))
+            p, res = kernels.solve_product_simplex_lsq(g, x)
+            assert p.shape == (0, outcomes, g.shape[1]) and res.shape == (0,)
+            assert kernels.simplex_lsq_lower_bound(g, x, p).shape == (0,)
 
     def test_zero_design_returns_the_uniform_start(self):
         # G = 0: every P is optimal, so no iteration runs
